@@ -5,7 +5,7 @@ The package builds every generating function, infinite product and
 generalized Lambert series in the rank-difference circle of identities with
 exact rational arithmetic, and machine-verifies each identity coefficient by
 coefficient to a configurable truncation order, cross-checked against a
-combinatorial enumeration oracle.
+combinatorial counting oracle.
 """
 
 from .combinat import (
@@ -22,6 +22,7 @@ from .combinat import (
     rank_table,
 )
 from .errors import (
+    BadArgument,
     BeyondTruncation,
     CapExceeded,
     NegativeExponent,

@@ -2,7 +2,7 @@
 and tabulate rank-class counts.
 
 Exit codes: 0 success (all checks pass), 1 verification mismatch,
-2 usage error / unknown identity.
+2 usage error, bad argument or unknown identity (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import combinat, registry
-from .errors import UnknownIdentity
+from .errors import BadArgument, OverrankError
 from .lambert import s_bar
 from .rankdiff import RankDiffKey, rank_diff_formula, rank_diff_oracle
 from .report import IdentityReport
@@ -35,11 +35,7 @@ def _report_line(r: IdentityReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = registry.verify(args.id, args.order)
-    except UnknownIdentity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = registry.verify(args.id, args.order)
     if args.json:
         print(json.dumps(report.to_json_dict(include_runtime=not args.stable_json),
                          sort_keys=True, separators=(",", ":")))
@@ -96,6 +92,8 @@ def _named_series(name: str, order: int) -> LaurentSeries:
 
 
 def _cmd_series(args) -> int:
+    if args.order < 1:
+        raise BadArgument(f"order must be at least 1, got {args.order}")
     try:
         series = _named_series(args.name, args.order)
     except (ValueError, KeyError) as exc:
@@ -111,16 +109,15 @@ def _cmd_series(args) -> int:
 
 def _cmd_count(args) -> int:
     n_max, m = args.n, args.mod
-    if n_max > combinat.ENUM_CAP:
-        print(f"error: n={n_max} exceeds the enumeration cap {combinat.ENUM_CAP}",
-              file=sys.stderr)
-        return 2
+    if n_max < 0:
+        raise BadArgument(f"--n must be nonnegative, got {n_max}")
+    if m < 1:
+        raise BadArgument(f"--mod must be at least 1, got {m}")
     header = ["n", "pbar(n)"] + [f"s={s}" for s in range(m)]
     print("\t".join(header))
     for n in range(n_max + 1):
-        row = [str(n), str(combinat.rank_table(n).total())]
-        row += [str(combinat.nbar_class(s, m, n)) for s in range(m)]
-        print("\t".join(row))
+        classes = [combinat.nbar_class(s, m, n) for s in range(m)]
+        print("\t".join(str(c) for c in [n, sum(classes)] + classes))
     return 0
 
 
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="include a CSV header row")
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("count", help="tabulate rank-class counts by enumeration")
+    p = sub.add_parser("count", help="tabulate rank-class counts (counting oracle)")
     p.add_argument("--n", type=int, required=True, help="tabulate 0 <= n <= N")
     p.add_argument("--mod", type=int, required=True, help="rank modulus")
     p.set_defaults(func=_cmd_count)
@@ -177,7 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OverrankError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

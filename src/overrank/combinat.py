@@ -1,22 +1,26 @@
-"""Ground-truth combinatorics: overpartition enumeration, Dyson's rank,
+"""Ground-truth combinatorics: overpartition counts by Dyson's rank, the
 rank-class counts, and their generating functions.
 
 An overpartition is a partition in which the first occurrence of each
 distinct part value may be overlined; the rank is the largest part minus the
-number of parts.  Enumeration is the independent oracle that validates the
-analytic generating functions coefficient by coefficient.
+number of parts.  The counting oracle is a dynamic program over the largest
+part (see ``_count_by_residue``), independent of the analytic generating
+functions it validates coefficient by coefficient; it has no size cap.
+Enumeration of ``Overpartition`` objects is kept, with its cap, as the
+small-n reference the counts are checked against.
 
 Convention at n = 0: the analytic rank generating functions have constant
-term 0 for every rank class, while enumeration counts the empty overpartition
-(rank 0) once.  The series builders below follow the analytic convention;
-the enumeration oracle is compared for n >= 1 only.
+term 0 for every rank class, while the counts include the empty
+overpartition (rank 0) once.  The series builders below follow the analytic
+convention; the counting oracle is compared for n >= 1 only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import CapExceeded
 from .lambert import lambert_sum, _geom
@@ -105,26 +109,98 @@ def enumerate_overpartitions(n: int, cap: int = ENUM_CAP) -> Iterator[Overpartit
         yield Overpartition(parts, over)
 
 
+def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
+    """rows[n][s] = number of overpartitions of n with rank = s (mod modulus),
+    for 0 <= n < order, by a counting DP over the largest part L.
+
+    With t marking the number of parts, F_L = prod_{v<=L} (1 + t q^v)/(1 - t q^v)
+    generates the overpartitions with every part at most L (Corteel-Lovejoy,
+    "Overpartitions", Trans. AMS 356, 2004).  Those whose largest part is
+    exactly L are F_L - F_{L-1} = 2 t q^L F_{L-1}/(1 - t q^L), and each has
+    rank L - #parts.  Only #parts mod modulus matters, so the t-polynomial of
+    each weight is held as ``modulus`` counts packed into one integer (slot k:
+    #parts = k mod modulus), and multiplying by t^a rotates the slots by a.
+    Every count is at most pbar(order - 1), which fixes the slot width.
+    """
+    if modulus == 1:
+        nbytes = (order + 7) // 8  # pbar(n) <= 2^n bounds the single slot
+    else:
+        nbytes = (_rows(1, order)[order - 1][0].bit_length() + 7) // 8
+    width = 8 * nbytes
+    full = (1 << (modulus * width)) - 1
+
+    def rotate(x: int, a: int) -> int:  # times t^a, modulo t^modulus - 1
+        return ((x << (a * width)) & full) | (x >> ((modulus - a) * width))
+
+    parts = [1] + [0] * (order - 1)  # F_L by weight; starts at F_0 = 1
+    ranks = [1] + [0] * (order - 1)  # slot k: -rank = k mod modulus; n = 0 is ()
+    for big in range(1, order):
+        back = -big % modulus
+        for n in range(big, order):  # F_{L-1} / (1 - t q^L)
+            parts[n] += rotate(parts[n - big], 1)
+        for n in range(order - 1, big - 1, -1):  # times (1 + t q^L), giving F_L
+            new = rotate(parts[n - big], 1)
+            parts[n] += new
+            ranks[n] += 2 * rotate(new, back)  # largest part exactly L: rank L - k
+    out = []
+    for packed in ranks:
+        raw = packed.to_bytes(modulus * nbytes, "little")
+        slots = [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
+                 for k in range(modulus)]
+        out.append([slots[-s % modulus] for s in range(modulus)])
+    return out
+
+
+# modulus (None: the exact rank) -> counting rows for n < len(rows)
+_TABLES: Dict[Optional[int], list] = {}
+_TABLES_LOCK = threading.RLock()
+
+
+def _rows(modulus: Optional[int], order: int) -> list:
+    """The counting table of one modulus, covering at least every n < order.
+
+    A table that is too short is rebuilt at least twice as long, so asking
+    for n = 0, 1, 2, ... in turn costs a bounded multiple of one build.  The
+    exact table (modulus None) maps rank -> count for each n; it is the
+    residue table modulo 2 * order - 1, wide enough for every rank of n < order.
+    """
+    with _TABLES_LOCK:
+        rows = _TABLES.get(modulus, [])
+        if len(rows) < order:
+            order = max(order, 2 * len(rows))
+            if modulus is None:
+                size = 2 * order - 1
+                rows = [{(s if s < order else s - size): c for s, c in enumerate(row) if c}
+                        for row in _count_by_residue(size, order)]
+            else:
+                rows = _count_by_residue(modulus, order)
+            _TABLES[modulus] = rows
+        return rows
+
+
+def _check_weight(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 @lru_cache(maxsize=None)
-def rank_table(n: int, cap: int = ENUM_CAP) -> RankTable:
-    """Exact rank histogram of the overpartitions of n, by enumeration."""
-    counts: Dict[int, int] = {}
-    for op in enumerate_overpartitions(n, cap):
-        r = rank(op)
-        counts[r] = counts.get(r, 0) + 1
-    return RankTable(n, counts)
+def rank_table(n: int) -> RankTable:
+    """Exact rank histogram of the overpartitions of n (counting oracle)."""
+    _check_weight(n)
+    return RankTable(n, dict(_rows(None, n + 1)[n]))
 
 
-def nbar(m: int, n: int, cap: int = ENUM_CAP) -> int:
-    """Number of overpartitions of n with rank m (enumeration oracle)."""
-    return rank_table(n, cap).counts.get(m, 0)
+def nbar(m: int, n: int) -> int:
+    """Number of overpartitions of n with rank m (counting oracle)."""
+    return rank_table(n).counts.get(m, 0)
 
 
-def nbar_class(s: int, m: int, n: int, cap: int = ENUM_CAP) -> int:
-    """Number of overpartitions of n with rank congruent to s mod m."""
+def nbar_class(s: int, m: int, n: int) -> int:
+    """Number of overpartitions of n with rank congruent to s mod m (counting oracle)."""
     if not 0 <= s < m:
         raise ValueError(f"residue {s} not in [0, {m})")
-    return sum(c for r, c in rank_table(n, cap).counts.items() if r % m == s)
+    _check_weight(n)
+    return _rows(m, n + 1)[n][s]
 
 
 # ----------------------------------------------------------------------

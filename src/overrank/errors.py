@@ -29,5 +29,9 @@ class CapExceeded(OverrankError, ValueError):
     """Enumeration was requested above the configured cap."""
 
 
+class BadArgument(OverrankError, ValueError):
+    """An argument is outside the range the operation accepts (order < 1, modulus < 1, ...)."""
+
+
 class UnknownIdentity(OverrankError, KeyError):
     """The identity registry has no entry with the requested id."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
 from . import combinat, lambert, products, rankdiff
-from .combinat import ENUM_CAP, nbar, nbar_class, rank_table
-from .errors import UnknownIdentity
+from .combinat import nbar, nbar_class, rank_table
+from .errors import BadArgument, UnknownIdentity
 from .lambert import s_bar
 from .products import SignedMonomial as SM, p_mono, theta, triple_product
 from .report import IdentityReport, compare, merge
@@ -59,30 +59,29 @@ def _seed_note() -> str:
 # ----------------------------------------------------------------------
 
 
-def _enum_series(count, order: int) -> LaurentSeries:
-    return LaurentSeries.from_terms({n: count(n) for n in range(1, order)}, order)
+def _counted_series(count, order: int, start: int = 1) -> LaurentSeries:
+    # largest n first, so the counting table is built once at full size
+    return LaurentSeries.from_terms({n: count(n) for n in range(order - 1, start - 1, -1)},
+                                    order)
 
 
 def _build_pbar(order: int) -> IdentityReport:
-    order = min(order, ENUM_CAP + 1)
     series = combinat.pbar_series(order)
-    enum = LaurentSeries.from_terms({n: rank_table(n).total() for n in range(order)}, order)
-    return compare("oracle.pbar", series, enum)
+    counted = _counted_series(lambda n: rank_table(n).total(), order, start=0)
+    return compare("oracle.pbar", series, counted)
 
 
 def _build_gen(m: int):
     def build(order: int) -> IdentityReport:
-        order = min(order, ENUM_CAP + 1)
         return compare(f"gen@m={m}", combinat.nbar_series(m, order),
-                       _enum_series(lambda n: nbar(m, n), order), start=1, notes=N0_NOTE)
+                       _counted_series(lambda n: nbar(m, n), order), start=1, notes=N0_NOTE)
     return build
 
 
 def _build_gen1(s: int, m: int):
     def build(order: int) -> IdentityReport:
-        order = min(order, ENUM_CAP + 1)
         return compare(f"gen1@s={s},m={m}", combinat.nbar_class_series(s, m, order),
-                       _enum_series(lambda n: nbar_class(s, m, n), order), start=1,
+                       _counted_series(lambda n: nbar_class(s, m, n), order), start=1,
                        notes=N0_NOTE)
     return build
 
@@ -603,10 +602,12 @@ def list_identities() -> List[IdentityEntry]:
 
 
 def verify(id: str, order: int) -> IdentityReport:
-    """Run one identity check at the given truncation order."""
+    """Run one identity check at the given truncation order (at least 1)."""
     reg = _registry()
     if id not in reg:
         raise UnknownIdentity(f"no identity with id {id!r}")
+    if order < 1:
+        raise BadArgument(f"order must be at least 1, got {order}")
     entry = reg[id]
     t0 = time.perf_counter()
     report = entry.build(order)
@@ -620,6 +621,8 @@ def run_suite(order_scale: float = 1.0, parallelism: int = 1) -> List[IdentityRe
     Reports come back in id order regardless of execution interleaving, and
     per-entry failures are collected rather than aborting the run.
     """
+    if not order_scale > 0:
+        raise BadArgument(f"order scale must be positive, got {order_scale}")
     entries = list_identities()
 
     def run_one(entry: IdentityEntry) -> IdentityReport:

@@ -1,7 +1,12 @@
-"""Enumeration oracle and the rank generating functions."""
+"""Counting oracle, its enumeration reference, and the rank generating functions."""
+
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
+from overrank import combinat
 from overrank.combinat import (
     Overpartition,
     enumerate_overpartitions,
@@ -80,6 +85,42 @@ class TestRank:
             for m in range(0, 9):
                 assert counts.get(m, 0) == counts.get(-m, 0), (n, m)
 
+    def test_counts_match_enumeration(self):
+        # the counting DP is pinned to the object enumeration it replaced
+        for n in range(31):
+            enumerated = Counter(rank(o) for o in enumerate_overpartitions(n))
+            assert rank_table(n).counts == dict(enumerated), n
+
+    def test_weight_validation(self):
+        with pytest.raises(ValueError):
+            rank_table(-1)
+        with pytest.raises(ValueError):
+            nbar_class(0, 3, -1)
+        with pytest.raises(ValueError):
+            nbar_class(0, 0, 4)
+
+    def test_tables_grow_consistently_under_threads(self):
+        want = [[nbar_class(s, 5, n) for s in range(5)] for n in range(90)]
+        combinat._TABLES.pop(5)
+        results = {}
+
+        def work(i):
+            results[i] = [[nbar_class(s, 5, n) for s in range(5)] for n in range(i, 90, 7)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: want[i::7] for i in range(7)}
+        assert len(combinat._TABLES[5]) >= 90  # a shorter rebuild never replaces a longer one
+
     def test_class_symmetry(self):
         for m in (3, 5):
             for n in range(0, 31):
@@ -126,6 +167,13 @@ class TestSeries:
             for s in range(m):
                 series = nbar_class_series(s, m, 31)
                 for n in range(1, 31):
+                    assert series.coeff(n) == nbar_class(s, m, n), (s, m, n)
+
+    def test_class_counts_vs_series_past_enumeration(self):
+        for m in (3, 5):
+            for s in range(m):
+                series = nbar_class_series(s, m, 200)
+                for n in range(199, 0, -1):
                     assert series.coeff(n) == nbar_class(s, m, n), (s, m, n)
 
     def test_class_sum_completeness(self):

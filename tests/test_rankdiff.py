@@ -3,6 +3,7 @@ and mutation sensitivity of the transcription tables."""
 
 import dataclasses
 
+from overrank.combinat import nbar_class
 from overrank.lambert import s_bar
 from overrank.rankdiff import (
     BRACKET_TABLE,
@@ -25,7 +26,7 @@ from overrank.rankdiff import (
     verify_sbar_closed,
 )
 from overrank.report import compare
-from overrank.series import series_equal
+from overrank.series import LaurentSeries, first_mismatch, series_equal
 
 ALL_KEYS = [RankDiffKey(ell, s, t, d) for (ell, s, t, d) in THEOREM_TABLE]
 
@@ -62,6 +63,17 @@ class TestClosedForms:
             lhs = rank_diff_formula(key, 12)
             rhs = rank_diff_oracle(key, 12)
             assert series_equal(lhs, rhs), key
+
+    def test_formula_matches_counted_classes(self):
+        # third route: the counting oracle read on ell*n + d, with no rank-class
+        # generating function involved; n = 0 is left out (analytic convention)
+        order = 40
+        for key in ALL_KEYS:
+            counted = LaurentSeries.from_terms(
+                {j: nbar_class(key.s, key.ell, key.ell * j + key.d)
+                 - nbar_class(key.t, key.ell, key.ell * j + key.d)
+                 for j in range(order - 1, -1, -1) if key.ell * j + key.d >= 1}, order)
+            assert first_mismatch(rank_diff_formula(key, order), counted) is None, key
 
     def test_integer_coefficients(self):
         for key in ALL_KEYS:

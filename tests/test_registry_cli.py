@@ -8,7 +8,8 @@ import pytest
 
 from overrank import registry
 from overrank.cli import main
-from overrank.errors import UnknownIdentity
+from overrank.combinat import nbar_class_series, pbar_series
+from overrank.errors import OverrankError, UnknownIdentity
 from overrank.report import IdentityReport
 
 
@@ -42,6 +43,20 @@ class TestRegistry:
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
             registry.verify("bogus", 10)
+
+    def test_order_below_one_rejected(self):
+        for order in (0, -5):
+            with pytest.raises(OverrankError):
+                registry.verify("check1", order)
+        with pytest.raises(OverrankError):
+            registry.run_suite(order_scale=0)
+
+    def test_oracle_entries_reach_the_requested_order(self):
+        # no clamp at the old enumeration cap of 40
+        for entry_id, order in (("oracle.pbar", 400), ("gen@m=1", 200),
+                                ("gen1@s=1,m=5", 200)):
+            report = registry.verify(entry_id, order)
+            assert report.ok and report.checked_order == order, entry_id
 
     def test_suite_smoke_scale(self):
         reports = registry.run_suite(order_scale=0.1)
@@ -154,8 +169,37 @@ class TestCli:
         assert lines[4].split("\t") == ["3", "8", "4", "2", "2"]
         assert lines[5].split("\t") == ["4", "14", "6", "4", "4"]
 
-    def test_count_cap(self, capsys):
-        assert main(["count", "--n", "60", "--mod", "3"]) == 2
+    def test_count_beyond_enumeration_range(self, capsys):
+        assert main(["count", "--n", "60", "--mod", "3"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.strip().splitlines()]
+        assert len(rows) == 62
+        pb = pbar_series(61)
+        classes = [nbar_class_series(s, 3, 61) for s in range(3)]
+        for n, row in enumerate(rows[1:]):
+            assert int(row[0]) == n and int(row[1]) == pb.coeff(n)
+            if n >= 1:  # the series have constant term 0 (analytic convention)
+                assert [int(c) for c in row[2:]] == [c.coeff(n) for c in classes], n
+
+    def test_count_bad_input(self, capsys):
+        assert main(["count", "--n", "5", "--mod", "0"]) == 2
+        assert main(["count", "--n", "-1", "--mod", "3"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 2
+        assert all(line.startswith("error: ") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--id", "check1", "--order", "0"],
+        ["verify", "--id", "check1", "--order", "-5"],
+        ["verify", "--id", "thm3.R01.d0", "--order", "0"],
+        ["series", "--name", "pbar", "--order", "-2"],
+        ["suite", "--order-scale", "0"],
+    ])
+    def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_list(self, capsys):
         assert main(["list"]) == 0
