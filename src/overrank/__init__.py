@@ -48,12 +48,7 @@ from .lambert import (
     widened_summation,
 )
 from .products import (
-    PochFactor,
-    ProductSpec,
     SignedMonomial,
-    big_p,
-    eval_product,
-    p_index,
     p_mono,
     p_zero,
     pochhammer_inf,

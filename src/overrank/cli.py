@@ -45,7 +45,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    reports = registry.run_suite(order_scale=args.order_scale, parallelism=args.jobs)
+    reports = registry.run_suite(order_scale=args.order_scale)
     if args.json:
         print(registry.reports_json(reports, stable=args.stable_json))
     elif args.csv:
@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="verify every registered identity")
     p.add_argument("--order-scale", type=float, default=1.0,
                    help="multiply every default order by this factor")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

@@ -33,5 +33,5 @@ class BadArgument(OverrankError, ValueError):
     """An argument is outside the range the operation accepts (order < 1, modulus < 1, ...)."""
 
 
-class UnknownIdentity(OverrankError, KeyError):
+class UnknownIdentity(OverrankError, LookupError):
     """The identity registry has no entry with the requested id."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .errors import PoleHit, ZeroExponent
+from .errors import BadArgument, PoleHit, ZeroExponent
 from .products import SignedMonomial, p_mono, p_zero, theta, _poch_raw
 from .report import IdentityReport, compare
 from .series import LaurentSeries, mul, substitute_power
@@ -194,9 +194,11 @@ def sigma_primed(b: int, ell: int, order: int) -> LaurentSeries:
 
 def s_bar(b: int, ell: int, order: int) -> LaurentSeries:
     """Sbar(b) = sum'_{n != 0} (-1)^n q^(n^2 + bn) / (1 - q^(ell*n)), base q."""
+    if ell < 1:
+        raise BadArgument(f"Sbar needs ell >= 1, got {ell}")
     out = lambert_sum(1, b, -1, [(1, 0, ell)], order, primed=True)
-    if out.min_exp < 0:
-        raise AssertionError(f"Sbar({b}) produced negative exponents: {out!r}")
+    if out.min_exp < 0:  # only for b < -1 or b > ell + 1
+        raise BadArgument(f"Sbar({b}) with ell={ell} has negative exponents: {out!r}")
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .report import IdentityReport, compare
-from .series import Coefficient, LaurentSeries
+from .series import LaurentSeries
 
 
 @dataclass(frozen=True)
@@ -37,28 +37,6 @@ class SignedMonomial:
     def __str__(self):
         s = "-" if self.sign < 0 else ""
         return f"{s}q^{self.exp}" if self.exp else f"{s}1"
-
-
-@dataclass(frozen=True)
-class PochFactor:
-    """(arg; q^modulus)_inf raised to an integer multiplicity (< 0: denominator)."""
-
-    arg: SignedMonomial
-    modulus: int
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    """prefactor * q^leading_exp * prod_i factor_i^multiplicity_i."""
-
-    factors: Tuple[PochFactor, ...]
-    prefactor: Coefficient = 1
-    leading_exp: int = 0
 
 
 def _poch_raw(sign: int, r: int, m: int, order: int) -> LaurentSeries:
@@ -94,24 +72,6 @@ def pochhammer_inf(arg: SignedMonomial, modulus: int, order: int) -> LaurentSeri
     return _poch_raw(arg.sign, arg.exp, modulus, order)
 
 
-def eval_product(spec: ProductSpec, order: int) -> LaurentSeries:
-    """Evaluate a ProductSpec to the requested truncation order."""
-    need = order - spec.leading_exp
-    if need <= 0:
-        return LaurentSeries.zero(order)
-    num = LaurentSeries.one(need)
-    den = LaurentSeries.one(need)
-    for f in spec.factors:
-        p = _poch_raw(f.arg.sign, f.arg.exp, f.modulus, need)
-        for _ in range(abs(f.multiplicity)):
-            if f.multiplicity > 0:
-                num = num * p
-            else:
-                den = den * p
-    res = num if den == LaurentSeries.one(need) else num / den
-    return res.scale(spec.prefactor).shift(spec.leading_exp)
-
-
 # ----------------------------------------------------------------------
 # the two-sided product P
 # ----------------------------------------------------------------------
@@ -144,16 +104,6 @@ def p_mono(sign: int, exp: int, base: int, order: int) -> LaurentSeries:
     if ps < 0:
         res = -res
     return res.shift(pe)
-
-
-def big_p(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
-    """P(z, q^base) = (z; q^base)_inf (q^base/z; q^base)_inf, z = s*q^j."""
-    return p_mono(z.sign, z.exp, base, order)
-
-
-def p_index(a: int, ell: int, order: int) -> LaurentSeries:
-    """Index form P(a) = P(q^a, q^ell) in the base variable, any integer a."""
-    return p_mono(1, a, ell, order)
 
 
 def p_zero(ell: int, order: int) -> LaurentSeries:

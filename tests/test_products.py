@@ -5,12 +5,7 @@ import pytest
 
 from overrank.errors import ZeroLeadingTerm
 from overrank.products import (
-    PochFactor,
-    ProductSpec,
     SignedMonomial as SM,
-    big_p,
-    eval_product,
-    p_index,
     p_mono,
     p_zero,
     pochhammer_inf,
@@ -20,6 +15,7 @@ from overrank.products import (
     verify_hickerson,
     verify_lemma31,
 )
+from overrank.rankdiff import FormulaTerm, PochTerm, eval_terms
 from overrank.report import compare
 from overrank.series import LaurentSeries, first_mismatch, series_equal
 
@@ -49,38 +45,37 @@ class TestPochhammer:
 
 
 class TestEvalProduct:
+    """Products of Pochhammer symbols, evaluated through rankdiff.eval_terms."""
+
     def test_overpartition_gf(self):
-        spec = ProductSpec(factors=(PochFactor(SM(-1, 1), 1, 1), PochFactor(SM(1, 1), 1, -1)))
-        series = eval_product(spec, 10)
+        term = FormulaTerm(pochs=(PochTerm(-1, 1, 1, 1), PochTerm(1, 1, 1, -1)))
+        series = eval_terms((term,), 10)
         assert [series.coeff(n) for n in range(7)] == [1, 2, 4, 8, 14, 24, 40]
 
     def test_dissected_product_constant(self):
         # 2 (q^3;q^3)(q^6;q^6) / (q;q)
-        spec = ProductSpec(
-            factors=(PochFactor(SM(1, 3), 3, 1), PochFactor(SM(1, 6), 6, 1),
-                     PochFactor(SM(1, 1), 1, -1)),
-            prefactor=2,
-        )
-        assert eval_product(spec, 5).coeff(0) == 2
+        term = FormulaTerm(pref=2, pochs=(PochTerm(1, 3, 3, 1), PochTerm(1, 6, 6, 1),
+                                          PochTerm(1, 1, 1, -1)))
+        assert eval_terms((term,), 5).coeff(0) == 2
 
     def test_empty_product(self):
-        assert series_equal(eval_product(ProductSpec(factors=()), 6), LaurentSeries.one(6))
+        assert series_equal(eval_terms((FormulaTerm(),), 6), LaurentSeries.one(6))
 
     def test_zero_denominator_propagates(self):
-        spec = ProductSpec(factors=(PochFactor(SM(1, 0), 1, -1),))
+        term = FormulaTerm(pochs=(PochTerm(1, 0, 1, -1),))
         with pytest.raises(ZeroLeadingTerm):
-            eval_product(spec, 5)
+            eval_terms((term,), 5)
 
 
 class TestBigP:
     def test_matches_pochhammer_pair(self):
         order = 60
-        lhs = big_p(SM(1, 2), 5, order)
+        lhs = p_mono(1, 2, 5, order)
         rhs = pochhammer_inf(SM(1, 2), 5, order) * pochhammer_inf(SM(1, 3), 5, order)
         assert series_equal(lhs, rhs)
 
     def test_minus_one_constant(self):
-        assert big_p(SM(-1, 0), 7, 8).coeff(0) == 2
+        assert p_mono(-1, 0, 7, 8).coeff(0) == 2
 
     def test_reflection(self):
         # P(z^-1 q, q) = P(z, q) at z = q^2, base 7
@@ -97,11 +92,11 @@ class TestBigP:
         for ell in (3, 5, 7):
             for a in range(1, ell):
                 lhs = p_mono(1, -a, ell, 60)
-                rhs = (-p_index(a, ell, 60)).shift(-a).truncate(60)
+                rhs = (-p_mono(1, a, ell, 60)).shift(-a).truncate(60)
                 assert series_equal(lhs, rhs), (ell, a)
 
     def test_unit_is_zero_series(self):
-        assert big_p(SM(1, 0), 5, 20).is_zero()
+        assert p_mono(1, 0, 5, 20).is_zero()
 
     def test_p_zero(self):
         for ell in (3, 5, 7):

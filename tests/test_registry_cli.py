@@ -1,16 +1,27 @@
-"""Registry behavior (census, determinism, parallel soundness, isolation)
+"""Registry behavior (census, determinism, seeded sampling, isolation)
 and the command-line interface."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overrank import registry
 from overrank.cli import main
 from overrank.combinat import nbar_class_series, pbar_series
 from overrank.errors import OverrankError, UnknownIdentity
 from overrank.report import IdentityReport
+
+SAMPLED_IDS = [
+    "constant@sampled", "gees@sampled", "jtp@sampled", "lemma3.2@sampled",
+    "lemma3.3@sampled", "lemma3.4@sampled", "lemma3.5@sampled", "lemma3.6@sampled",
+    "lemma4.1@sampled", "part1@sampled", "short@sampled", "sigma-shift@sampled",
+    "step@sampled",
+]
 
 
 class TestRegistry:
@@ -23,6 +34,7 @@ class TestRegistry:
         for expected in ("thm5.R02.d2", "lemma2.1@ell=3", "check7", "g1@a=2,ell=5",
                          "lemma3.3@x=-q^5,z=-q^10,base=25", "bracket@ell=5,m=1"):
             assert expected in ids, expected
+        assert [i for i in ids if i.endswith("@sampled")] == SAMPLED_IDS
 
     def test_every_entry_has_anchor_and_tier(self):
         for e in registry.list_identities():
@@ -48,8 +60,10 @@ class TestRegistry:
         for order in (0, -5):
             with pytest.raises(OverrankError):
                 registry.verify("check1", order)
-        with pytest.raises(OverrankError):
-            registry.run_suite(order_scale=0)
+        # every scale that would run some entry below order 1, or not at all
+        for scale in (0, 0.001, 1 / 32, float("inf"), float("nan")):
+            with pytest.raises(OverrankError):
+                registry.run_suite(order_scale=scale)
 
     def test_oracle_entries_reach_the_requested_order(self):
         # no clamp at the old enumeration cap of 40
@@ -70,12 +84,6 @@ class TestRegistry:
         b = registry.reports_json(registry.run_suite(order_scale=0.1), stable=True)
         assert a == b
 
-    def test_parallel_soundness(self):
-        serial = registry.reports_json(registry.run_suite(order_scale=0.1), stable=True)
-        threaded = registry.reports_json(
-            registry.run_suite(order_scale=0.1, parallelism=4), stable=True)
-        assert serial == threaded
-
     def test_corrupted_entry_is_isolated(self, monkeypatch):
         reg = registry._registry()
         victim = "rels@b=1,ell=3"
@@ -90,11 +98,25 @@ class TestRegistry:
         others = [r for i, r in reports.items() if i != victim]
         assert all(r.ok for r in others)
 
-    def test_seed_env_override(self, monkeypatch):
+    @pytest.mark.parametrize("entry_id", SAMPLED_IDS)
+    def test_seed_env_override(self, monkeypatch, entry_id):
         monkeypatch.setenv("OVERRANK_SEED", "12345")
-        report = registry.verify("jtp@sampled", 40)
-        assert report.ok
-        assert "seed=12345" in report.notes
+        seeded = []
+        real_rng = registry._rng
+
+        def spy(eid):
+            rng = real_rng(eid)
+            seeded.append((eid, rng))
+            return rng
+
+        monkeypatch.setattr(registry, "_rng", spy)
+        report = registry.verify(entry_id, 20)
+        assert report.ok and report.checked_order == 20
+        assert report.notes == "seed=12345"
+        # one generator, seeded from the override and the id, and drawn from
+        [(eid, rng)] = seeded
+        assert eid == entry_id
+        assert rng.getstate() != random.Random(f"12345:{entry_id}").getstate()
 
 
 class TestReportJson:
@@ -120,6 +142,9 @@ class TestCli:
 
     def test_verify_unknown(self, capsys):
         assert main(["verify", "--id", "nope", "--order", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no identity with id 'nope'\n"
 
     def test_verify_json(self, capsys):
         assert main(["verify", "--id", "rels@b=1,ell=3", "--order", "30",
@@ -194,6 +219,9 @@ class TestCli:
         ["verify", "--id", "thm3.R01.d0", "--order", "0"],
         ["series", "--name", "pbar", "--order", "-2"],
         ["suite", "--order-scale", "0"],
+        ["suite", "--order-scale", "0.001"],
+        ["suite", "--order-scale", "inf"],
+        ["series", "--name", "sbar:1,0", "--order", "5"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
         assert main(argv) == 2
@@ -206,3 +234,48 @@ class TestCli:
         out = capsys.readouterr().out
         assert "thm5.R02.d2" in out
         assert "R02(2) = 0" in out
+
+
+SMALL = st.integers(-2, 6).map(str)
+INTS = st.integers(-3, 7)
+
+
+@st.composite
+def cli_argv(draw):
+    """verify, series, count and suite argvs at small orders, valid or not."""
+    cmd = draw(st.sampled_from(["verify", "series", "count", "suite"]))
+    if cmd == "verify":
+        entry_id = draw(st.sampled_from([e.id for e in registry.list_identities()] + ["nope"]))
+        return (["verify", "--id", entry_id, "--order", draw(SMALL)]
+                + draw(st.sampled_from([[], ["--json"], ["--json", "--stable-json"]])))
+    if cmd == "series":
+        key = st.builds("{}.{}{}.{}".format, INTS, INTS, INTS, INTS)
+        name = draw(st.one_of(
+            st.sampled_from(["pbar", "nbar:1", "sbar:x,3", "wat", ""]),
+            st.builds("nbar:{},{}".format, INTS, INTS),
+            st.builds("sbar:{},{}".format, INTS, INTS),
+            st.builds("{}:{}".format,
+                      st.sampled_from(["rankdiff-oracle", "rankdiff-formula"]), key),
+        ))
+        return (["series", "--name", name, "--order", draw(SMALL)]
+                + draw(st.sampled_from([[], ["--csv"]])))
+    if cmd == "count":
+        return ["count", "--n", draw(st.integers(-2, 8).map(str)),
+                "--mod", draw(st.integers(-1, 6).map(str))]
+    scale = draw(st.sampled_from(["0", "-1", "0.001", "0.04", "inf", "-inf", "nan", "x"]))
+    return (["suite", "--order-scale", scale]
+            + draw(st.sampled_from([[], ["--json", "--stable-json"], ["--csv"]])))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed values with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith(("error: ", "usage: ", "overrank "))
