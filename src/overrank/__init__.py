@@ -34,24 +34,20 @@ from .errors import (
 )
 from .lambert import (
     GFuncSpec,
-    LambertSpec,
-    expand_geom,
     g_func,
     g_index,
     g_series,
     s_bar,
-    sigma,
     sigma_ab,
     sigma_primed,
     verify_lemma41,
-    verify_lemma42,
     widened_summation,
 )
 from .products import (
+    P,
+    Product,
     SignedMonomial,
-    p_mono,
-    p_zero,
-    pochhammer_inf,
+    poch,
     theta,
     triple_product,
     verify_addition,
@@ -61,7 +57,6 @@ from .products import (
 from .rankdiff import (
     FinalFormSpec,
     FormulaTerm,
-    PochTerm,
     RankDiffKey,
     brackets,
     combination_lhs,
@@ -84,7 +79,6 @@ from .series import (
     coeff,
     extract_progression,
     first_mismatch,
-    inverse,
     mul,
     series_equal,
     substitute_power,

@@ -76,7 +76,7 @@ def _parse_rankdiff_key(text: str) -> RankDiffKey:
 
 def _named_series(name: str, order: int) -> LaurentSeries:
     kind, _, arg = name.partition(":")
-    if kind == "pbar":
+    if name == "pbar":
         return combinat.pbar_series(order)
     if kind == "nbar":
         s, m = (int(x) for x in arg.split(","))

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import CapExceeded
 from .lambert import lambert_sum, _geom
-from .products import _poch_raw
+from .products import poch
 from .series import LaurentSeries
 
 ENUM_CAP = 40
@@ -210,7 +210,7 @@ def nbar_class(s: int, m: int, n: int) -> int:
 
 def pbar_series(order: int) -> LaurentSeries:
     """(-q;q)_inf / (q;q)_inf = sum_n pbar(n) q^n."""
-    return _poch_raw(-1, 1, 1, order) / _poch_raw(1, 1, 1, order)
+    return (poch(-1, 1, 1) / poch(1, 1, 1)).expand(order)
 
 
 def nbar_series(m: int, order: int) -> LaurentSeries:

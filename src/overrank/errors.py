@@ -21,8 +21,9 @@ class ZeroExponent(OverrankError, ZeroDivisionError):
     """Geometric expansion of 1/(1 - q^e) requested with e = 0."""
 
 
-class PoleHit(OverrankError, ZeroDivisionError):
-    """A bilateral sum has a term whose denominator vanishes identically."""
+class PoleHit(ZeroLeadingTerm):
+    """A denominator vanishes identically: a term of a bilateral sum, or a
+    product factor (1; q^k)_inf."""
 
 
 class CapExceeded(OverrankError, ValueError):

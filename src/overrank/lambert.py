@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import BadArgument, PoleHit, ZeroExponent
-from .products import SignedMonomial, p_mono, p_zero, theta, _poch_raw
+from .products import P, Product, SignedMonomial, poch, theta
 from .report import IdentityReport, compare
 from .series import LaurentSeries, mul, substitute_power
 
@@ -41,22 +41,6 @@ def widened_summation(extra: int):
 
 
 @dataclass(frozen=True)
-class LambertSpec:
-    """Sum(z, zeta, q^base); primed sums omit the n = 0 term (and need z = q^0)."""
-
-    z: SignedMonomial
-    zeta: SignedMonomial
-    base: int
-    primed: bool = False
-
-    def __post_init__(self):
-        if self.base < 1:
-            raise ValueError("base must be positive")
-        if self.primed and (self.z.sign, self.z.exp) != (1, 0):
-            raise ValueError("primed sums are defined for z = q^0 only")
-
-
-@dataclass(frozen=True)
 class GFuncSpec:
     """Index form g(a) over the prime ell; a must not be a multiple of ell."""
 
@@ -66,11 +50,6 @@ class GFuncSpec:
     def __post_init__(self):
         if self.a % self.ell == 0:
             raise ValueError(f"index {self.a} is a multiple of {self.ell}")
-
-
-def expand_geom(e: int, order: int) -> LaurentSeries:
-    """1/(1 - q^e) for e != 0; e < 0 expands as -sum_{k>=1} q^(-k*e)."""
-    return _geom(1, e, order)
 
 
 def _geom(sign: int, e: int, order: int) -> LaurentSeries:
@@ -101,11 +80,14 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
 
     `denoms` is a sequence of (sign, offset, step) triples.  A denominator that
     vanishes identically at some n raises PoleHit, unless that n is 0 and the
-    sum is primed (n = 0 omitted).  A denominator equal to 2 at some n (sign -1,
-    exponent 0) contributes the exact scalar 1/2.
+    sum is primed (n = 0 omitted); a primed sum must have such a denominator
+    (z = q^0).  A denominator equal to 2 at some n (sign -1, exponent 0)
+    contributes the exact scalar 1/2.
     """
     if quad < 1:
         raise ValueError("quadratic coefficient must be positive")
+    if primed and (1, 0) not in {(s, off) for s, off, _ in denoms}:
+        raise ValueError("primed sums are defined for z = q^0 only")
     for s, off, step in denoms:
         if s == 1 and off % step == 0:
             n0 = -off // step
@@ -167,19 +149,6 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
     return total.truncate(order)
 
 
-def sigma(spec: LambertSpec, order: int) -> LaurentSeries:
-    """Sum(z, zeta, q^base) = sum_n (-1)^n zeta^n q^(base(n^2+n)) / (1 - z q^(base n))."""
-    z, zeta = spec.z, spec.zeta
-    return lambert_sum(
-        spec.base,
-        zeta.exp + spec.base,
-        -zeta.sign,
-        [(z.sign, z.exp, spec.base)],
-        order,
-        primed=spec.primed,
-    )
-
-
 def sigma_ab(a: int, b: int, ell: int, order: int) -> LaurentSeries:
     """Index form Sum(a, b) = sum_n (-1)^n y^(bn + ell*n(n+1)) / (1 - y^(ell*n + a)),
     as a series in the base variable y.  Any integer a with a % ell != 0 works;
@@ -219,12 +188,8 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     s, e = z_sign, z_exp
     n = order + 4 * abs(e) + 2 * base + 2
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
-    ratio = (p_mono(1, 2 * e, base, n) * p_mono(-1, 0, base, n)) / (
-        p_mono(s, e, base, n) * p_mono(-s, e, base, n)
-    )
-    f1 = mul(sig1, ratio).shift(e)
-    if s < 0:
-        f1 = -f1
+    ratio = Product(s, e) * P(1, 2 * e, base) * P(-1, 0, base) / (P(s, e, base) * P(-s, e, base))
+    f1 = mul(sig1, ratio.expand(n))
     f2 = lambert_sum(base, 2 * e + base, -1, [(1, 2 * e, base)], n).shift(2 * e)
     f3 = lambert_sum(base, base - 2 * e, -1, [(1, 0, base)], n, primed=True)
     return (f1 - f2 - f3).truncate(order)
@@ -279,8 +244,7 @@ def check_step(z: SignedMonomial, base: int, order: int) -> IdentityReport:
     n = order + 2 * (ez + base) + 2
     lhs = lambert_sum(base, base, -1, [(sz, ez, base)], n).shift(2 * ez)
     lhs = lhs + lambert_sum(base, base, -1, [(sz, ez + base, base)], n)
-    rhs = (_poch_raw(1, base, base, n) / _poch_raw(-1, base, base, n)).shift(ez)
-    rhs = rhs if sz < 0 else -rhs
+    rhs = (Product(-sz, ez) * poch(1, base, base) / poch(-1, base, base)).expand(n)
     tag = f"step@z={z},base={base}"
     return compare(tag, lhs.truncate(order), rhs.truncate(order))
 
@@ -324,12 +288,12 @@ def check_g1(a: int, ell: int, order: int) -> IdentityReport:
     n = order + 6 * ell + 8 * a
     lhs = 2 * g_series(1, a, ell, n) - g_series(1, 2 * a, ell, n)
     lhs = lhs + LaurentSeries.monomial(Fraction(1, 2), 0, n)
-    p0_sq = p_zero(ell, n) ** 2
-    rhs = (p_mono(-1, 4 * a, ell, n) * p0_sq) / (p_mono(1, 4 * a, ell, n) * p_mono(-1, 0, ell, n))
-    second = (p_mono(-1, 0, ell, n) ** 2 * p0_sq * p_mono(1, 2 * a, ell, n)) / (
-        p_mono(1, a, ell, n) ** 2 * p_mono(-1, a, ell, n) ** 2
+    p0_sq = poch(1, ell, ell, 2)
+    first = P(-1, 4 * a, ell) * p0_sq / (P(1, 4 * a, ell) * P(-1, 0, ell))
+    second = Product(1, a) * P(-1, 0, ell) ** 2 * p0_sq * P(1, 2 * a, ell) / (
+        P(1, a, ell) ** 2 * P(-1, a, ell) ** 2
     )
-    rhs = rhs + second.shift(a)
+    rhs = first.expand(n) + second.expand(n)
     return compare(f"g1@a={a},ell={ell}", lhs.truncate(order), rhs.truncate(order))
 
 
@@ -340,28 +304,13 @@ def check_part1(z: SignedMonomial, base: int, order: int) -> IdentityReport:
     n = order + 10 * e + 4 * base
     lhs = 2 * g_series(s, e, base, n) - g_series(1, 2 * e, base, n)
     lhs = lhs + LaurentSeries.monomial(Fraction(1, 2), 0, n)
-    esq = _poch_raw(1, base, base, n) ** 2
-    rhs = (esq * p_mono(-1, 4 * e, base, n)) / (p_mono(1, 4 * e, base, n) * p_mono(-1, 0, base, n))
-    second = (p_mono(-1, 0, base, n) ** 2 * esq * p_mono(1, 2 * e, base, n)) / (
-        p_mono(s, e, base, n) ** 2 * p_mono(-s, e, base, n) ** 2
+    esq = poch(1, base, base, 2)
+    first = esq * P(-1, 4 * e, base) / (P(1, 4 * e, base) * P(-1, 0, base))
+    second = Product(s, e) * P(-1, 0, base) ** 2 * esq * P(1, 2 * e, base) / (
+        P(s, e, base) ** 2 * P(-s, e, base) ** 2
     )
-    second = second.shift(e)
-    if s < 0:
-        second = -second
-    rhs = rhs + second
+    rhs = first.expand(n) + second.expand(n)
     return compare(f"part1@z={z},base={base}", lhs.truncate(order), rhs.truncate(order))
-
-
-def verify_lemma42(part: str, z: SignedMonomial, base: int, order: int) -> IdentityReport:
-    """The two halves of the second key identity: part1 as stated, part2 in the
-    reflected form g(z,q) + g(z^-1 q, q) = 1."""
-    if part == "part1":
-        return check_part1(z, base, order)
-    if part == "part2":
-        s, e = z.sign, z.exp
-        lhs = g_series(s, e, base, order) + g_series(s, base - e, base, order)
-        return compare(f"part2@z={z},base={base}", lhs, LaurentSeries.one(order))
-    raise ValueError(f"unknown part {part!r}")
 
 
 def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int, order: int) -> IdentityReport:
@@ -380,19 +329,13 @@ def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int, order: in
     lhs = lhs + lambert_sum(base, base + 2 * ec, -1, [(sz * sc, ez + ec, base)], n).shift(2 * ec)
 
     sig = lambert_sum(base, base, -1, [(sz, ez, base)], n)
-    coeff = (p_mono(1, 2 * ec, base, n) * p_mono(-1, 0, base, n)) / (
-        p_mono(sc, ec, base, n) * p_mono(-sc, ec, base, n)
+    coeff = Product(sc, ec) * P(1, 2 * ec, base) * P(-1, 0, base) / (
+        P(sc, ec, base) * P(-sc, ec, base)
     )
-    first = mul(sig, coeff).shift(ec)
-    if sc < 0:
-        first = -first
-    esq = _poch_raw(1, base, base, n) ** 2
-    prod = (p_mono(sc, ec, base, n) * p_mono(1, 2 * ec, base, n) * p_mono(-sz, ez, base, n) * esq) / (
-        p_mono(sz, ez, base, n)
-        * p_mono(sz * sc, ez + ec, base, n)
-        * p_mono(sz * sc, ez - ec, base, n)
-        * p_mono(-sc, ec, base, n)
+    first = mul(sig, coeff.expand(n))
+    prod = P(sc, ec, base) * P(1, 2 * ec, base) * P(-sz, ez, base) * poch(1, base, base, 2) / (
+        P(sz, ez, base) * P(sz * sc, ez + ec, base) * P(sz * sc, ez - ec, base) * P(-sc, ec, base)
     )
-    rhs = first + prod
+    rhs = first + prod.expand(n)
     tag = f"lemma4.1@zeta={zeta},z={z},base={base}"
     return compare(tag, lhs.truncate(order), rhs.truncate(order))

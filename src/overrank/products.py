@@ -10,15 +10,21 @@ product
 satisfies P(z^-1 q, q) = P(z, q) and P(zq, q) = -z^-1 P(z, q); arguments
 whose exponent falls outside [0, base) are reduced with these relations,
 accumulating an exact monomial prefactor.
+
+Every quotient of Pochhammer symbols in the package is one ``Product``
+value, and ``Product.expand`` is the only place that turns one into a series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, sub
 from typing import Tuple
 
+from .errors import PoleHit
 from .report import IdentityReport, compare
-from .series import LaurentSeries
+from .series import Coefficient, LaurentSeries, _norm
 
 
 @dataclass(frozen=True)
@@ -39,37 +45,109 @@ class SignedMonomial:
         return f"{s}q^{self.exp}" if self.exp else f"{s}1"
 
 
-def _poch_raw(sign: int, r: int, m: int, order: int) -> LaurentSeries:
-    """(sign*q^r; q^m)_inf truncated below `order`; requires r >= 0."""
-    if order <= 0:
-        return LaurentSeries.zero(order)
-    out = [0] * order
-    out[0] = 1
-    e = r
-    while e < order:
-        if e == 0:
-            if sign == 1:
-                return LaurentSeries.zero(order)  # factor (1 - 1)
-            out = [2 * c for c in out]
-        elif sign == 1:
-            for i in range(order - 1, e - 1, -1):
-                c = out[i - e]
-                if c:
-                    out[i] -= c
-        else:
-            for i in range(order - 1, e - 1, -1):
-                c = out[i - e]
-                if c:
-                    out[i] += c
-        e += m
-    return LaurentSeries(0, out, order)
+Factor = Tuple[Tuple[int, int, int], int]  # ((sign, r, step), mult)
 
 
-def pochhammer_inf(arg: SignedMonomial, modulus: int, order: int) -> LaurentSeries:
-    """Expand (arg; q^modulus)_inf = prod_{k>=0} (1 - arg*q^(k*modulus))."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return _poch_raw(arg.sign, arg.exp, modulus, order)
+@dataclass(frozen=True)
+class Product:
+    """scalar * q^qexp * prod (sign*q^r; q^step)_inf^mult, with r >= 1.
+
+    Build one with ``poch`` and ``P`` and combine with ``*``, ``/`` and integer
+    ``**``; these only add multiplicities, so equal factors cancel before any
+    series is built.  ``factors`` is sorted and holds no zero multiplicity;
+    the zero product has scalar 0 and no factors.  ``expand`` is the only way
+    to a series.
+    """
+
+    scalar: Coefficient = 1
+    qexp: int = 0
+    factors: Tuple[Factor, ...] = ()
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Product(other)
+        if not isinstance(other, Product):
+            return NotImplemented
+        return _product(self.scalar * other.scalar, self.qexp + other.qexp,
+                        self.factors, other.factors, 1)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Product(other)
+        if not isinstance(other, Product):
+            return NotImplemented
+        if not other.scalar:
+            raise PoleHit(f"division by the zero product {other}")
+        return _product(Fraction(self.scalar) / other.scalar, self.qexp - other.qexp,
+                        self.factors, other.factors, -1)
+
+    def __pow__(self, n: int) -> "Product":
+        if n < 0:
+            return Product() / self ** -n
+        return _product(self.scalar ** n, self.qexp * n, (), self.factors, n)
+
+    def __neg__(self) -> "Product":
+        return Product(-self.scalar, self.qexp, self.factors)
+
+    def expand(self, order: int) -> LaurentSeries:
+        """The series, exact below `order`.
+
+        Each numerator factor 1 - s*q^e is one descending pass
+        out[i] -= s*out[i-e]; each denominator factor divides by 1 - s*q^e with
+        one ascending pass out[i] += s*out[i-e].  Every pass stays in the
+        integers; the scalar is applied once at the end.
+        """
+        n = order - self.qexp
+        if n <= 0 or not self.scalar:
+            return LaurentSeries.zero(order)
+        out = [0] * n
+        out[0] = 1
+        for (sign, r, step), mult in self.factors:
+            if mult > 0:  # the right-hand slice holds the old values
+                op = sub if sign == 1 else add
+                for e in range(r, n, step):
+                    for _ in range(mult):
+                        out[e:] = map(op, out[e:], out[:n - e])
+            else:  # each block of e reads the block before it, already divided
+                op = add if sign == 1 else sub
+                for e in range(r, n, step):
+                    for _ in range(-mult):
+                        for a in range(e, n, e):
+                            out[a:a + e] = map(op, out[a:a + e], out[a - e:a])
+        if self.scalar != 1:
+            out = [self.scalar * c for c in out]
+        return LaurentSeries(self.qexp, out, order)
+
+
+def _product(scalar: Coefficient, qexp: int, a: Tuple[Factor, ...],
+             b: Tuple[Factor, ...], k: int) -> Product:
+    """scalar * q^qexp * (factors a) * (factors b)^k, in canonical form."""
+    if not scalar:
+        return Product(0)
+    mults = dict(a)
+    for key, m in b:
+        mults[key] = mults.get(key, 0) + k * m
+    factors = tuple(sorted((key, m) for key, m in mults.items() if m))
+    return Product(_norm(scalar), qexp, factors)
+
+
+def poch(sign: int, r: int, step: int, mult: int = 1) -> Product:
+    """(sign*q^r; q^step)_inf^mult for r >= 0 (mult < 0: a denominator).
+
+    At r = 0 the first factor is 1 - sign: for sign -1 it is the scalar 2, for
+    sign +1 the product is zero, and a pole in a denominator.
+    """
+    if sign not in (1, -1) or r < 0 or step < 1:
+        raise ValueError(f"bad Pochhammer (sign={sign}, r={r}, step={step})")
+    if r > 0:
+        return _product(1, 0, (), (((sign, r, step), 1),), mult)
+    if sign == -1:
+        return Product(2) ** mult * poch(-1, step, step, mult)
+    if mult < 0:
+        raise PoleHit(f"(1; q^{step})_inf = 0 in a denominator")
+    return Product(0 if mult else 1)
 
 
 # ----------------------------------------------------------------------
@@ -77,9 +155,14 @@ def pochhammer_inf(arg: SignedMonomial, modulus: int, order: int) -> LaurentSeri
 # ----------------------------------------------------------------------
 
 
-def _p_normalize(sign: int, exp: int, base: int) -> Tuple[int, int, int]:
-    """Reduce exp into [0, base); returns (pref_sign, pref_exp, reduced_exp)
-    with P(s*q^exp) = pref_sign * q^pref_exp * P(s*q^reduced_exp)."""
+def P(sign: int, exp: int, base: int) -> Product:
+    """P(sign*q^exp, q^base) = (z; q^base)_inf (q^base/z; q^base)_inf, z = sign*q^exp.
+
+    Any integer exponent works: it is first reduced into [0, base), which
+    collects a prefactor +-q^e with e possibly negative.
+    """
+    if base < 1:
+        raise ValueError("base must be positive")
     ps, pe = 1, 0
     while exp >= base:
         exp -= base
@@ -87,28 +170,7 @@ def _p_normalize(sign: int, exp: int, base: int) -> Tuple[int, int, int]:
     while exp < 0:
         ps, pe = ps * -sign, pe + exp
         exp += base
-    return ps, pe, exp
-
-
-def p_mono(sign: int, exp: int, base: int, order: int) -> LaurentSeries:
-    """P(sign*q^exp, q^base) for an arbitrary integer exponent.
-
-    Exponents outside [0, base) are reduced first, so the result may carry a
-    monomial prefactor with negative exponent (a genuine Laurent series).
-    """
-    ps, pe, e = _p_normalize(sign, exp, base)
-    need = order - pe
-    if need <= 0:
-        return LaurentSeries.zero(order)
-    res = _poch_raw(sign, e, base, need) * _poch_raw(sign, base - e, base, need)
-    if ps < 0:
-        res = -res
-    return res.shift(pe)
-
-
-def p_zero(ell: int, order: int) -> LaurentSeries:
-    """The special value P(0) = (q^ell; q^ell)_inf in the base variable."""
-    return _poch_raw(1, ell, ell, order)
+    return Product(ps, pe) * poch(sign, exp, base) * poch(sign, base - exp, base)
 
 
 # ----------------------------------------------------------------------
@@ -142,11 +204,8 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
     s, e = z.sign, z.exp
     if e > base:
         raise ValueError("triple product instantiation needs exp <= base")
-    return (
-        _poch_raw(-s, e + base, 2 * base, order)
-        * _poch_raw(-s, base - e, 2 * base, order)
-        * _poch_raw(1, 2 * base, 2 * base, order)
-    )
+    b2 = 2 * base
+    return (poch(-s, e + base, b2) * poch(-s, base - e, b2) * poch(1, b2, b2)).expand(order)
 
 
 # ----------------------------------------------------------------------
@@ -154,30 +213,26 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
+def _expand_sum(terms, order: int) -> LaurentSeries:
+    total = LaurentSeries.zero(order)
+    for t in terms:
+        total = total + t.expand(order)
+    return total
+
+
 def verify_lemma31(variant: str, order: int) -> IdentityReport:
     """Dissection of (q;q)/( -q;q) into base-9/18 (eq1) or base-25/50 (eq2) products."""
-    lhs = _poch_raw(1, 1, 1, order) / _poch_raw(-1, 1, 1, order)
+    lhs = (poch(1, 1, 1) / poch(-1, 1, 1)).expand(order)
     if variant == "eq1":
-        rhs = _poch_raw(1, 9, 9, order) / _poch_raw(-1, 9, 9, order)
-        rhs = rhs - 2 * (
-            _poch_raw(1, 3, 18, order) * _poch_raw(1, 15, 18, order) * _poch_raw(1, 18, 18, order)
-        ).shift(1).truncate(order)
+        rhs = [poch(1, 9, 9) / poch(-1, 9, 9),
+               Product(-2, 1) * poch(1, 3, 18) * poch(1, 15, 18) * poch(1, 18, 18)]
     elif variant == "eq2":
-        rhs = _poch_raw(1, 25, 25, order) / _poch_raw(-1, 25, 25, order)
-        rhs = rhs - 2 * (
-            _poch_raw(1, 15, 50, order) * _poch_raw(1, 35, 50, order) * _poch_raw(1, 50, 50, order)
-        ).shift(1).truncate(order)
-        rhs = rhs + 2 * (
-            _poch_raw(1, 5, 50, order) * _poch_raw(1, 45, 50, order) * _poch_raw(1, 50, 50, order)
-        ).shift(4).truncate(order)
+        rhs = [poch(1, 25, 25) / poch(-1, 25, 25),
+               Product(-2, 1) * poch(1, 15, 50) * poch(1, 35, 50) * poch(1, 50, 50),
+               Product(2, 4) * poch(1, 5, 50) * poch(1, 45, 50) * poch(1, 50, 50)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return compare(f"lemma3.1.{variant}", lhs, rhs)
-
-
-def _mono(sign: int, exp: int, series: LaurentSeries) -> LaurentSeries:
-    out = series.shift(exp)
-    return -out if sign < 0 else out
+    return compare(f"lemma3.1.{variant}", lhs, _expand_sum(rhs, order))
 
 
 def verify_hickerson(
@@ -187,36 +242,35 @@ def verify_hickerson(
     sx, ex = x.sign, x.exp
     sz, ez = z.sign, z.exp
     b2 = 2 * base
-    slack = max(0, ex - ez) + base  # q^2-side arguments may need reducing
-    n = order + slack
+    xm = Product(sx, ex)  # the monomial x
 
     def p1(s, e):
-        return p_mono(s, e, base, n)
+        return P(s, e, base)
 
     def p2(s, e):
-        return p_mono(s, e, b2, n)
+        return P(s, e, b2)
 
-    e_sq = _poch_raw(1, base, base, n) ** 2
-    e2_sq = _poch_raw(1, b2, b2, n) ** 2
+    e_sq = poch(1, base, base, 2)
+    e2_sq = poch(1, b2, b2, 2)
 
     if which == "lemma32":
-        lhs = p1(sx, ex) * p1(sz, ez) * e_sq
-        rhs = p2(-sx * sz, ex + ez) * p2(-sz * sx, base + ez - ex) * e2_sq
-        rhs = rhs - _mono(sx, ex, p2(-sx * sz, ex + ez + base) * p2(-sz * sx, ez - ex) * e2_sq)
+        lhs = [p1(sx, ex) * p1(sz, ez) * e_sq]
+        rhs = [p2(-sx * sz, ex + ez) * p2(-sz * sx, base + ez - ex) * e2_sq,
+               -xm * p2(-sx * sz, ex + ez + base) * p2(-sz * sx, ez - ex) * e2_sq]
     elif which == "lemma33":
-        lhs = p1(-sx, ex) * p1(sz, ez) * e_sq - p1(sx, ex) * p1(-sz, ez) * e_sq
-        rhs = 2 * _mono(sx, ex, p2(sz * sx, ez - ex) * p2(sx * sz, ex + ez + base) * e2_sq)
+        lhs = [p1(-sx, ex) * p1(sz, ez) * e_sq, -p1(sx, ex) * p1(-sz, ez) * e_sq]
+        rhs = [2 * xm * p2(sz * sx, ez - ex) * p2(sx * sz, ex + ez + base) * e2_sq]
     elif which == "lemma34":
-        lhs = p1(-sx, ex) * p1(sz, ez) * e_sq + p1(sx, ex) * p1(-sz, ez) * e_sq
-        rhs = 2 * p2(sx * sz, ex + ez) * p2(sz * sx, base + ez - ex) * e2_sq
+        lhs = [p1(-sx, ex) * p1(sz, ez) * e_sq, p1(sx, ex) * p1(-sz, ez) * e_sq]
+        rhs = [2 * p2(sx * sz, ex + ez) * p2(sz * sx, base + ez - ex) * e2_sq]
     elif which == "lemma35":
-        lhs = 3 * (p1(-sx, ex) * p1(sz, ez) * e_sq) - p1(sx, ex) * p1(-sz, ez) * e_sq
-        rhs = 2 * p2(sx * sz, ex + ez) * p2(sz * sx, ez + base - ex) * e2_sq
-        rhs = rhs + 4 * _mono(sx, ex, p2(sx * sz, ex + ez + base) * p2(sz * sx, ez - ex) * e2_sq)
+        lhs = [3 * p1(-sx, ex) * p1(sz, ez) * e_sq, -p1(sx, ex) * p1(-sz, ez) * e_sq]
+        rhs = [2 * p2(sx * sz, ex + ez) * p2(sz * sx, ez + base - ex) * e2_sq,
+               4 * xm * p2(sx * sz, ex + ez + base) * p2(sz * sx, ez - ex) * e2_sq]
     else:
         raise ValueError(f"unknown identity {which!r}")
     tag = f"{which}@x={x},z={z},base={base}"
-    return compare(tag, lhs.truncate(order), rhs.truncate(order))
+    return compare(tag, _expand_sum(lhs, order), _expand_sum(rhs, order))
 
 
 def verify_addition(
@@ -228,15 +282,12 @@ def verify_addition(
     sz, ez = z.sign, z.exp
     sc, ec = zeta.sign, zeta.exp
     st, et = t.sign, t.exp
-    n = order + max(0, et - ec) + base
 
     def p(s, e):
-        return p_mono(s, e, base, n)
+        return P(s, e, base)
 
-    total = p(sz, ez) ** 2 * p(sc * st, ec + et) * p(sc * st, ec - et)
-    total = total - p(sc, ec) ** 2 * p(sz * st, ez + et) * p(sz * st, ez - et)
-    third = p(st, et) ** 2 * p(sz * sc, ez + ec) * p(sz * sc, ez - ec)
-    total = total + _mono(sc * st, ec - et, third)
-    total = total.truncate(order)
+    total = [p(sz, ez) ** 2 * p(sc * st, ec + et) * p(sc * st, ec - et),
+             -p(sc, ec) ** 2 * p(sz * st, ez + et) * p(sz * st, ez - et),
+             Product(sc * st, ec - et) * p(st, et) ** 2 * p(sz * sc, ez + ec) * p(sz * sc, ez - ec)]
     tag = f"lemma3.6@z={z},zeta={zeta},t={t},base={base}"
-    return compare(tag, total, LaurentSeries.zero(order))
+    return compare(tag, _expand_sum(total, order), LaurentSeries.zero(order))

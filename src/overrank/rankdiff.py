@@ -2,7 +2,7 @@
 the supporting decompositions.
 
 Closed forms are transcribed into declarative tables (one FormulaTerm per
-additive term, one PochTerm per Pochhammer symbol, signs and exponents spelled
+additive term, one ``poch`` per Pochhammer symbol, signs and exponents spelled
 out) so each table row can be audited against the identity it encodes, factor
 by factor.  All series here live in the plain q variable; index-level
 objects (P(a), Sum(a,b), g(a)) are computed in the base variable y and lifted
@@ -17,9 +17,9 @@ from typing import Optional, Tuple
 
 from .combinat import nbar_class_series
 from .lambert import GFuncSpec, g_func, g_index, lambert_sum, s_bar, sigma_ab
-from .products import _poch_raw, p_mono, p_zero
+from .products import P, Product, poch
 from .report import IdentityReport, compare
-from .series import Coefficient, LaurentSeries, mul, substitute_power
+from .series import LaurentSeries, mul, substitute_power
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,10 @@ class FinalFormSpec:
 
 
 @dataclass(frozen=True)
-class PochTerm:
-    """(sign*q^r; q^mod)_inf^mult inside a product (mult < 0: denominator)."""
-
-    sign: int
-    r: int
-    mod: int
-    mult: int = 1
-
-
-@dataclass(frozen=True)
 class FormulaTerm:
-    """pref * q^qexp * prod(pochs) * [Sum(q^z, 1, q^base)] * [lifted g(a)]."""
+    """prod * [Sum(q^z, 1, q^base)] * [lifted g(a)]."""
 
-    pref: Coefficient = 1
-    qexp: int = 0
-    pochs: Tuple[PochTerm, ...] = ()
+    prod: Product = Product()
     lambert: Optional[Tuple[int, int]] = None  # (z exponent, base)
     g: Optional[Tuple[int, int]] = None  # (a, ell)
 
@@ -92,83 +80,69 @@ def eval_terms(terms: Tuple[FormulaTerm, ...], order: int) -> LaurentSeries:
     """Evaluate a sum of FormulaTerms to the requested order."""
     total = LaurentSeries.zero(order)
     for t in terms:
-        need = order - t.qexp
-        if need <= 0:
-            continue
-        acc = LaurentSeries.one(need)
-        den = LaurentSeries.one(need)
-        for p in t.pochs:
-            piece = _poch_raw(p.sign, p.r, p.mod, need)
-            for _ in range(abs(p.mult)):
-                if p.mult > 0:
-                    acc = acc * piece
-                else:
-                    den = den * piece
-        if den != LaurentSeries.one(need):
-            acc = acc / den
+        acc = t.prod.expand(order)
         if t.lambert is not None:
             z_exp, base = t.lambert
-            acc = acc * lambert_sum(base, base, -1, [(1, z_exp, base)], need)
+            acc = mul(acc, lambert_sum(base, base, -1, [(1, z_exp, base)], order))
         if t.g is not None:
             a, ell = t.g
-            acc = acc * g_func(GFuncSpec(a, ell), need)
-        total = total + acc.shift(t.qexp).scale(t.pref)
+            acc = mul(acc, g_func(GFuncSpec(a, ell), order))
+        total = total + acc
     return total.truncate(order)
 
 
-P = PochTerm
 T = FormulaTerm
 
 # closed forms for the thirteen dissected rank differences, keyed by
 # (ell, s, t, d); an empty tuple means the identically zero series
 THEOREM_TABLE = {
     (3, 0, 1, 0): (
-        T(pref=-1),
-        T(pochs=(P(1, 3, 3, 2), P(-1, 1, 1), P(1, 1, 1, -1), P(-1, 3, 3, -2))),
+        T(Product(-1)),
+        T(poch(1, 3, 3) ** 2 * poch(-1, 1, 1) / (poch(1, 1, 1) * poch(-1, 3, 3) ** 2)),
     ),
     (3, 0, 1, 1): (
-        T(pref=2, pochs=(P(1, 3, 3), P(1, 6, 6), P(1, 1, 1, -1))),
+        T(2 * poch(1, 3, 3) * poch(1, 6, 6) / poch(1, 1, 1)),
     ),
     (3, 0, 1, 2): (
-        T(pref=4, pochs=(P(-1, 3, 3, 2), P(1, 6, 6, 2), P(1, 2, 2, -1))),
-        T(pref=-6, pochs=(P(-1, 3, 3), P(1, 3, 3, -1)), lambert=(1, 3)),
+        T(4 * poch(-1, 3, 3) ** 2 * poch(1, 6, 6) ** 2 / poch(1, 2, 2)),
+        T(-6 * poch(-1, 3, 3) / poch(1, 3, 3), lambert=(1, 3)),
     ),
     (5, 1, 2, 0): (
-        T(pref=2, qexp=1, pochs=(P(1, 10, 10), P(1, 3, 10, -1), P(1, 4, 10, -1),
-                                 P(1, 6, 10, -1), P(1, 7, 10, -1))),
+        T(Product(2, 1) * poch(1, 10, 10)
+          / (poch(1, 3, 10) * poch(1, 4, 10) * poch(1, 6, 10) * poch(1, 7, 10))),
     ),
     (5, 1, 2, 1): (
-        T(pref=-2, qexp=1, pochs=(P(-1, 5, 5), P(1, 5, 5, -1)), lambert=(2, 5)),
+        T(Product(-2, 1) * poch(-1, 5, 5) / poch(1, 5, 5), lambert=(2, 5)),
     ),
     (5, 1, 2, 2): (
-        T(pref=2, pochs=(P(1, 10, 10), P(1, 1, 5, -1), P(1, 4, 5, -1))),
+        T(2 * poch(1, 10, 10) / (poch(1, 1, 5) * poch(1, 4, 5))),
     ),
     (5, 1, 2, 3): (
-        T(pref=-2, pochs=(P(1, 10, 10), P(1, 2, 5, -1), P(1, 3, 5, -1))),
+        T(-2 * poch(1, 10, 10) / (poch(1, 2, 5) * poch(1, 3, 5))),
     ),
     (5, 1, 2, 4): (
-        T(pref=6, pochs=(P(-1, 5, 5), P(1, 5, 5, -1)), lambert=(1, 5)),
-        T(pref=-4, pochs=(P(1, 2, 10), P(1, 8, 10), P(1, 10, 10), P(1, 4, 10, -2),
-                          P(1, 6, 10, -2), P(1, 1, 10, -1), P(1, 9, 10, -1))),
+        T(6 * poch(-1, 5, 5) / poch(1, 5, 5), lambert=(1, 5)),
+        T(-4 * poch(1, 2, 10) * poch(1, 8, 10) * poch(1, 10, 10)
+          / (poch(1, 4, 10) ** 2 * poch(1, 6, 10) ** 2 * poch(1, 1, 10) * poch(1, 9, 10))),
     ),
     (5, 0, 2, 0): (
-        T(pref=-1),
-        T(pochs=(P(-1, 2, 5), P(-1, 3, 5), P(1, 5, 5), P(1, 2, 5, -1),
-                 P(1, 3, 5, -1), P(-1, 5, 5, -1))),
+        T(Product(-1)),
+        T(poch(-1, 2, 5) * poch(-1, 3, 5) * poch(1, 5, 5)
+          / (poch(1, 2, 5) * poch(1, 3, 5) * poch(-1, 5, 5))),
     ),
     (5, 0, 2, 1): (
-        T(pref=2, pochs=(P(1, 4, 10), P(1, 6, 10), P(1, 10, 10), P(1, 2, 10, -2),
-                         P(1, 8, 10, -2), P(1, 3, 10, -1), P(1, 7, 10, -1))),
-        T(pref=4, qexp=1, pochs=(P(-1, 5, 5), P(1, 5, 5, -1)), lambert=(2, 5)),
+        T(2 * poch(1, 4, 10) * poch(1, 6, 10) * poch(1, 10, 10)
+          / (poch(1, 2, 10) ** 2 * poch(1, 8, 10) ** 2 * poch(1, 3, 10) * poch(1, 7, 10))),
+        T(Product(4, 1) * poch(-1, 5, 5) / poch(1, 5, 5), lambert=(2, 5)),
     ),
     (5, 0, 2, 2): (),
     (5, 0, 2, 3): (
-        T(pref=2, pochs=(P(1, 10, 10), P(1, 2, 5, -1), P(1, 3, 5, -1))),
+        T(2 * poch(1, 10, 10) / (poch(1, 2, 5) * poch(1, 3, 5))),
     ),
     (5, 0, 2, 4): (
-        T(pref=2, pochs=(P(1, 2, 10), P(1, 8, 10), P(1, 10, 10), P(1, 4, 10, -2),
-                         P(1, 6, 10, -2), P(1, 1, 10, -1), P(1, 9, 10, -1))),
-        T(pref=-2, pochs=(P(-1, 5, 5), P(1, 5, 5, -1)), lambert=(1, 5)),
+        T(2 * poch(1, 2, 10) * poch(1, 8, 10) * poch(1, 10, 10)
+          / (poch(1, 4, 10) ** 2 * poch(1, 6, 10) ** 2 * poch(1, 1, 10) * poch(1, 9, 10))),
+        T(-2 * poch(-1, 5, 5) / poch(1, 5, 5), lambert=(1, 5)),
     ),
 }
 
@@ -233,9 +207,7 @@ def s_bar_b_decomposition(spec: FinalFormSpec, order: int) -> LaurentSeries:
 
 def _p_ratio_bracket(a: int, ell: int, y_order: int) -> LaurentSeries:
     """P(2a) P(-1) / (P(a) P(-y^a)) in the base variable y."""
-    num = p_mono(1, 2 * a, ell, y_order) * p_mono(-1, 0, ell, y_order)
-    den = p_mono(1, a, ell, y_order) * p_mono(-1, a, ell, y_order)
-    return num / den
+    return (P(1, 2 * a, ell) * P(-1, 0, ell) / (P(1, a, ell) * P(-1, a, ell))).expand(y_order)
 
 
 def sigma_coefficient_bracket(spec: FinalFormSpec, order: int) -> LaurentSeries:
@@ -271,19 +243,10 @@ def s_bar_final_form(spec: FinalFormSpec, order: int) -> LaurentSeries:
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
         c = (a + m) * (a - m + ell) - 2 * a * ell
-        num = (
-            p_mono(1, a, ell, y_order)
-            * p_mono(1, 2 * a, ell, y_order)
-            * p_mono(-1, m, ell, y_order)
-            * p_zero(ell, y_order) ** 2
+        prod = P(1, a, ell) * P(1, 2 * a, ell) * P(-1, m, ell) * poch(1, ell, ell, 2) / (
+            P(1, m, ell) * P(1, m + a, ell) * P(1, m - a, ell) * P(-1, a, ell)
         )
-        den = (
-            p_mono(1, m, ell, y_order)
-            * p_mono(1, m + a, ell, y_order)
-            * p_mono(1, m - a, ell, y_order)
-            * p_mono(-1, a, ell, y_order)
-        )
-        piece = _lift(num / den, ell).shift(c).truncate(order)
+        piece = _lift(prod.expand(y_order), ell).shift(c).truncate(order)
         total = total + sgn * piece
     bracket = sigma_coefficient_bracket(spec, order + 2 * ell * ell)
     sig = _lifted_sigma(m, 0, ell, order + 2 * ell * ell, 0)
@@ -294,9 +257,15 @@ def s_bar_final_form(spec: FinalFormSpec, order: int) -> LaurentSeries:
 # Prop-style closed forms for the bracket, in the dissected variable:
 # +-q^e (q;q)(-q^L;q^L) / ((-q;q)(q^L;q^L))
 BRACKET_TABLE = {
-    (3, 1): (T(pref=-1, qexp=2, pochs=(P(1, 1, 1), P(-1, 9, 9), P(-1, 1, 1, -1), P(1, 9, 9, -1))),),
-    (5, 2): (T(pref=1, qexp=6, pochs=(P(1, 1, 1), P(-1, 25, 25), P(-1, 1, 1, -1), P(1, 25, 25, -1))),),
-    (5, 1): (T(pref=-1, qexp=4, pochs=(P(1, 1, 1), P(-1, 25, 25), P(-1, 1, 1, -1), P(1, 25, 25, -1))),),
+    (3, 1): (
+        T(Product(-1, 2) * poch(1, 1, 1) * poch(-1, 9, 9) / (poch(-1, 1, 1) * poch(1, 9, 9))),
+    ),
+    (5, 2): (
+        T(Product(1, 6) * poch(1, 1, 1) * poch(-1, 25, 25) / (poch(-1, 1, 1) * poch(1, 25, 25))),
+    ),
+    (5, 1): (
+        T(Product(-1, 4) * poch(1, 1, 1) * poch(-1, 25, 25) / (poch(-1, 1, 1) * poch(1, 25, 25))),
+    ),
 }
 
 
@@ -311,26 +280,24 @@ def brackets(spec: FinalFormSpec, order: int,
 # literal Sbar closed forms: Sbar(1) for ell=3, Sbar(1) and Sbar(3) for ell=5;
 # the lambert entries are the lifted Sum(m,0), i.e. Sum(q^(ell*m), 1, q^(ell^2))
 SBAR_CLOSED_TABLE = {
-    "s1too": (3, 1, (
-        T(pref=-1, g=(1, 3)),
-        T(pref=-1, qexp=2, pochs=(P(1, 1, 1), P(-1, 9, 9), P(-1, 1, 1, -1), P(1, 9, 9, -1)),
-          lambert=(3, 9)),
+    's1too': (3, 1, (
+        T(Product(-1), g=(1, 3)),
+        T(Product(-1, 2) * poch(1, 1, 1) * poch(-1, 9, 9)
+          / (poch(-1, 1, 1) * poch(1, 9, 9)), lambert=(3, 9)),
     )),
-    "s1": (5, 1, (
-        T(pref=-1, g=(2, 5)),
-        T(pref=1, qexp=6, pochs=(P(1, 1, 1), P(-1, 25, 25), P(-1, 1, 1, -1), P(1, 25, 25, -1)),
-          lambert=(10, 25)),
-        T(pref=-1, qexp=2, pochs=(P(1, 25, 25, 2), P(-1, 10, 25), P(-1, 15, 25),
-                                  P(1, 10, 25, -1), P(1, 15, 25, -1),
-                                  P(-1, 5, 25, -1), P(-1, 20, 25, -1))),
+    's1': (5, 1, (
+        T(Product(-1), g=(2, 5)),
+        T(Product(1, 6) * poch(1, 1, 1) * poch(-1, 25, 25)
+          / (poch(-1, 1, 1) * poch(1, 25, 25)), lambert=(10, 25)),
+        T(Product(-1, 2) * poch(1, 25, 25) ** 2 * poch(-1, 10, 25) * poch(-1, 15, 25)
+          / (poch(1, 10, 25) * poch(1, 15, 25) * poch(-1, 5, 25) * poch(-1, 20, 25))),
     )),
-    "s3": (5, 3, (
-        T(pref=-1, g=(1, 5)),
-        T(pref=-1, qexp=4, pochs=(P(1, 1, 1), P(-1, 25, 25), P(-1, 1, 1, -1), P(1, 25, 25, -1)),
-          lambert=(5, 25)),
-        T(pref=1, qexp=3, pochs=(P(1, 25, 25, 2), P(-1, 5, 25), P(-1, 20, 25),
-                                 P(1, 5, 25, -1), P(1, 20, 25, -1),
-                                 P(-1, 10, 25, -1), P(-1, 15, 25, -1))),
+    's3': (5, 3, (
+        T(Product(-1), g=(1, 5)),
+        T(Product(-1, 4) * poch(1, 1, 1) * poch(-1, 25, 25)
+          / (poch(-1, 1, 1) * poch(1, 25, 25)), lambert=(5, 25)),
+        T(Product(1, 3) * poch(1, 25, 25) ** 2 * poch(-1, 5, 25) * poch(-1, 20, 25)
+          / (poch(1, 5, 25) * poch(1, 20, 25) * poch(-1, 10, 25) * poch(-1, 15, 25))),
     )),
 }
 
@@ -356,6 +323,8 @@ COMBINATION_TABLE = {
     "ell5_02": (5, 0, 2, ((1, 5), (2, 1), (1, 3))),
 }
 
+_HALF_RATIO = Fraction(1, 2) * poch(1, 1, 1) / poch(-1, 1, 1)  # (q;q)/(2(-q;q))
+
 
 def combination_lhs(pair: str, order: int) -> LaurentSeries:
     """The stated Sbar combination for a class pair (e.g. 3*Sbar(1) + Sbar(3))."""
@@ -371,8 +340,7 @@ def combination_rank_side(pair: str, order: int) -> LaurentSeries:
     sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n * (q;q)/(2(-q;q))."""
     ell, s, t, _ = COMBINATION_TABLE[pair]
     diff = nbar_class_series(s, ell, order) - nbar_class_series(t, ell, order)
-    half_ratio = (_poch_raw(1, 1, 1, order) / _poch_raw(-1, 1, 1, order)).scale(Fraction(1, 2))
-    return mul(diff, half_ratio).truncate(order)
+    return mul(diff, _HALF_RATIO.expand(order)).truncate(order)
 
 
 def combination_theorem_side(pair: str, order: int) -> LaurentSeries:
@@ -384,8 +352,7 @@ def combination_theorem_side(pair: str, order: int) -> LaurentSeries:
     for d in range(ell):
         r = rank_diff_formula(RankDiffKey(ell, s, t, d), diss_order)
         total = total + substitute_power(r, ell).shift(d).truncate(ell * diss_order)
-    half_ratio = (_poch_raw(1, 1, 1, order) / _poch_raw(-1, 1, 1, order)).scale(Fraction(1, 2))
-    return mul(total, half_ratio).truncate(order)
+    return mul(total, _HALF_RATIO.expand(order)).truncate(order)
 
 
 # ----------------------------------------------------------------------
@@ -396,87 +363,90 @@ Fr = Fraction
 
 CHECK_TABLE = {
     0: (
-        (T(g=(2, 5)), T(pref=3, g=(1, 5))),
-        (T(qexp=5, pochs=(P(1, 25, 25, 2), P(1, 15, 50, -1), P(1, 20, 50, -1),
-                          P(1, 30, 50, -1), P(1, 35, 50, -1))),
-         T(pref=4, qexp=5, pochs=(P(1, 10, 50), P(1, 15, 50), P(1, 35, 50), P(1, 40, 50),
-                                  P(1, 50, 50, 2), P(1, 20, 50, -2), P(1, 30, 50, -2),
-                                  P(1, 5, 50, -1), P(1, 45, 50, -1)))),
+        (T(g=(2, 5)),
+         T(Product(3), g=(1, 5))),
+        (T(Product(1, 5) * poch(1, 25, 25) ** 2
+           / (poch(1, 15, 50) * poch(1, 20, 50) * poch(1, 30, 50) * poch(1, 35, 50))),
+         T(Product(4, 5) * poch(1, 10, 50) * poch(1, 15, 50) * poch(1, 35, 50) * poch(1, 40, 50)
+           * poch(1, 50, 50) ** 2
+           / (poch(1, 20, 50) ** 2 * poch(1, 30, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50)))),
     ),
     1: (
-        (T(qexp=5, pochs=(P(1, 50, 50), P(1, 15, 50), P(1, 35, 50), P(1, 50, 50),
-                          P(1, 15, 50, -1), P(1, 20, 50, -1), P(1, 30, 50, -1),
-                          P(1, 35, 50, -1))),),
-        (T(qexp=5, pochs=(P(1, 50, 50), P(1, 5, 50), P(1, 45, 50), P(1, 50, 50),
-                          P(1, 5, 25, -1), P(1, 20, 25, -1))),),
+        (T(Product(1, 5) * poch(1, 50, 50) * poch(1, 15, 50) * poch(1, 35, 50) * poch(1, 50, 50)
+           / (poch(1, 15, 50) * poch(1, 20, 50) * poch(1, 30, 50) * poch(1, 35, 50))),),
+        (T(Product(1, 5) * poch(1, 50, 50) * poch(1, 5, 50) * poch(1, 45, 50) * poch(1, 50, 50)
+           / (poch(1, 5, 25) * poch(1, 20, 25))),),
     ),
     2: (
-        (T(pochs=(P(1, 25, 25, 2), P(-1, 10, 25), P(-1, 15, 25), P(1, 10, 25, -1),
-                  P(1, 15, 25, -1), P(-1, 5, 25, -1), P(-1, 20, 25, -1))),),
-        (T(pochs=(P(1, 25, 25, 2), P(1, 5, 25, -1), P(1, 20, 25, -1))),
-         T(pref=-2, qexp=5, pochs=(P(1, 50, 50, 2), P(1, 5, 50), P(1, 45, 50),
-                                   P(1, 10, 25, -1), P(1, 15, 25, -1)))),
+        (T(poch(1, 25, 25) ** 2 * poch(-1, 10, 25) * poch(-1, 15, 25)
+           / (poch(1, 10, 25) * poch(1, 15, 25) * poch(-1, 5, 25) * poch(-1, 20, 25))),),
+        (T(poch(1, 25, 25) ** 2 / (poch(1, 5, 25) * poch(1, 20, 25))),
+         T(Product(-2, 5) * poch(1, 50, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50)
+           / (poch(1, 10, 25) * poch(1, 15, 25)))),
     ),
     3: (
-        (T(pref=3, pochs=(P(1, 25, 25, 2), P(-1, 5, 25), P(-1, 20, 25), P(1, 5, 25, -1),
-                          P(1, 20, 25, -1), P(-1, 10, 25, -1), P(-1, 15, 25, -1))),),
-        (T(pochs=(P(1, 25, 25, 2), P(1, 10, 25, -1), P(1, 15, 25, -1))),
-         T(pref=2, pochs=(P(1, 50, 50, 2), P(1, 15, 50), P(1, 35, 50),
-                          P(1, 5, 25, -1), P(1, 20, 25, -1))),
-         T(pref=4, qexp=5, pochs=(P(1, 10, 50), P(1, 40, 50), P(1, 50, 50, 2),
-                                  P(1, 20, 50, -2), P(1, 30, 50, -2)))),
+        (T(3 * poch(1, 25, 25) ** 2 * poch(-1, 5, 25) * poch(-1, 20, 25)
+           / (poch(1, 5, 25) * poch(1, 20, 25) * poch(-1, 10, 25) * poch(-1, 15, 25))),),
+        (T(poch(1, 25, 25) ** 2 / (poch(1, 10, 25) * poch(1, 15, 25))),
+         T(2 * poch(1, 50, 50) ** 2 * poch(1, 15, 50) * poch(1, 35, 50)
+           / (poch(1, 5, 25) * poch(1, 20, 25))),
+         T(Product(4, 5) * poch(1, 10, 50) * poch(1, 40, 50) * poch(1, 50, 50) ** 2
+           / (poch(1, 20, 50) ** 2 * poch(1, 30, 50) ** 2))),
     ),
     4: (
-        (T(pochs=(P(1, 10, 50), P(1, 40, 50), P(1, 50, 50), P(1, 25, 25),
-                  P(1, 20, 50, -2), P(1, 30, 50, -2), P(1, 5, 50, -1), P(1, 45, 50, -1),
-                  P(-1, 25, 25, -1))),),
-        (T(pochs=(P(1, 50, 50, 2), P(1, 15, 50), P(1, 35, 50),
-                  P(1, 10, 25, -1), P(1, 15, 25, -1))),
-         T(qexp=5, pochs=(P(1, 50, 50, 2), P(1, 5, 50), P(1, 45, 50),
-                          P(1, 15, 50, -1), P(1, 20, 50, -1), P(1, 30, 50, -1),
-                          P(1, 35, 50, -1)))),
+        (T(poch(1, 10, 50) * poch(1, 40, 50) * poch(1, 50, 50) * poch(1, 25, 25)
+           / (poch(1, 20, 50) ** 2 * poch(1, 30, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50)
+              * poch(-1, 25, 25))),),
+        (T(poch(1, 50, 50) ** 2 * poch(1, 15, 50) * poch(1, 35, 50)
+           / (poch(1, 10, 25) * poch(1, 15, 25))),
+         T(Product(1, 5) * poch(1, 50, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50)
+           / (poch(1, 15, 50) * poch(1, 20, 50) * poch(1, 30, 50) * poch(1, 35, 50)))),
     ),
     5: (
-        (T(pref=Fr(1, 2)), T(pref=-2, g=(2, 5)), T(pref=-1, g=(1, 5))),
-        (T(pref=Fr(1, 2), pochs=(P(-1, 10, 25), P(-1, 15, 25), P(1, 25, 25, 2),
-                                 P(1, 10, 25, -1), P(1, 15, 25, -1), P(-1, 25, 25, -2))),
-         T(pref=-2, qexp=5, pochs=(P(1, 10, 50), P(1, 40, 50), P(1, 15, 50), P(1, 35, 50),
-                                   P(1, 50, 50, 2), P(1, 20, 50, -2), P(1, 30, 50, -2),
-                                   P(1, 5, 50, -1), P(1, 45, 50, -1))),
-         T(pref=2, qexp=5, pochs=(P(1, 20, 50), P(1, 30, 50), P(1, 5, 50), P(1, 45, 50),
-                                  P(1, 50, 50, 2), P(1, 10, 50, -2), P(1, 40, 50, -2),
-                                  P(1, 15, 50, -1), P(1, 35, 50, -1)))),
+        (T(Product(Fr(1, 2))),
+         T(Product(-2), g=(2, 5)),
+         T(Product(-1), g=(1, 5))),
+        (T(Fr(1, 2) * poch(-1, 10, 25) * poch(-1, 15, 25) * poch(1, 25, 25) ** 2
+           / (poch(1, 10, 25) * poch(1, 15, 25) * poch(-1, 25, 25) ** 2)),
+         T(Product(-2, 5) * poch(1, 10, 50) * poch(1, 40, 50) * poch(1, 15, 50) * poch(1, 35, 50)
+           * poch(1, 50, 50) ** 2
+           / (poch(1, 20, 50) ** 2 * poch(1, 30, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50))),
+         T(Product(2, 5) * poch(1, 20, 50) * poch(1, 30, 50) * poch(1, 5, 50) * poch(1, 45, 50)
+           * poch(1, 50, 50) ** 2
+           / (poch(1, 10, 50) ** 2 * poch(1, 40, 50) ** 2 * poch(1, 15, 50) * poch(1, 35, 50)))),
     ),
     6: (
-        (T(pochs=(P(1, 20, 50), P(1, 30, 50), P(1, 50, 50), P(1, 25, 25),
-                  P(1, 10, 50, -2), P(1, 40, 50, -2), P(1, 15, 50, -1), P(1, 35, 50, -1),
-                  P(-1, 25, 25, -1))),),
-        (T(pochs=(P(-1, 10, 25), P(-1, 15, 25), P(1, 25, 25), P(1, 15, 50), P(1, 35, 50),
-                  P(1, 50, 50), P(1, 10, 25, -1), P(1, 15, 25, -1), P(-1, 25, 25, -1))),),
+        (T(poch(1, 20, 50) * poch(1, 30, 50) * poch(1, 50, 50) * poch(1, 25, 25)
+           / (poch(1, 10, 50) ** 2 * poch(1, 40, 50) ** 2 * poch(1, 15, 50) * poch(1, 35, 50)
+              * poch(-1, 25, 25))),),
+        (T(poch(-1, 10, 25) * poch(-1, 15, 25) * poch(1, 25, 25) * poch(1, 15, 50)
+           * poch(1, 35, 50) * poch(1, 50, 50)
+           / (poch(1, 10, 25) * poch(1, 15, 25) * poch(-1, 25, 25))),),
     ),
     7: (
-        (T(pochs=(P(1, 25, 25, 2), P(-1, 10, 25), P(-1, 15, 25), P(-1, 5, 25, -1),
-                  P(-1, 20, 25, -1), P(1, 10, 25, -1), P(1, 15, 25, -1))),),
-        (T(pochs=(P(1, 50, 50, 2), P(1, 20, 50), P(1, 30, 50),
-                  P(1, 10, 50, -2), P(1, 40, 50, -2))),
-         T(pref=-1, qexp=5, pochs=(P(1, 50, 50, 2), P(1, 5, 50), P(1, 45, 50),
-                                   P(1, 10, 25, -1), P(1, 15, 25, -1)))),
+        (T(poch(1, 25, 25) ** 2 * poch(-1, 10, 25) * poch(-1, 15, 25)
+           / (poch(-1, 5, 25) * poch(-1, 20, 25) * poch(1, 10, 25) * poch(1, 15, 25))),),
+        (T(poch(1, 50, 50) ** 2 * poch(1, 20, 50) * poch(1, 30, 50)
+           / (poch(1, 10, 50) ** 2 * poch(1, 40, 50) ** 2)),
+         T(Product(-1, 5) * poch(1, 50, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50)
+           / (poch(1, 10, 25) * poch(1, 15, 25)))),
     ),
     8: (
-        (T(pochs=(P(1, 25, 25, 2), P(-1, 5, 25), P(-1, 20, 25), P(-1, 10, 25, -1),
-                  P(-1, 15, 25, -1), P(1, 5, 25, -1), P(1, 20, 25, -1))),),
-        (T(pochs=(P(1, 25, 25, 2), P(1, 10, 25, -1), P(1, 15, 25, -1))),
-         T(pref=2, qexp=5, pochs=(P(1, 50, 50, 2), P(1, 10, 50), P(1, 40, 50),
-                                  P(1, 20, 50, -2), P(1, 30, 50, -2)))),
+        (T(poch(1, 25, 25) ** 2 * poch(-1, 5, 25) * poch(-1, 20, 25)
+           / (poch(-1, 10, 25) * poch(-1, 15, 25) * poch(1, 5, 25) * poch(1, 20, 25))),),
+        (T(poch(1, 25, 25) ** 2 / (poch(1, 10, 25) * poch(1, 15, 25))),
+         T(Product(2, 5) * poch(1, 50, 50) ** 2 * poch(1, 10, 50) * poch(1, 40, 50)
+           / (poch(1, 20, 50) ** 2 * poch(1, 30, 50) ** 2))),
     ),
     9: (
-        (T(pochs=(P(1, 10, 50), P(1, 40, 50), P(1, 50, 50), P(1, 25, 25),
-                  P(1, 20, 50, -2), P(1, 30, 50, -2), P(1, 5, 50, -1), P(1, 45, 50, -1),
-                  P(-1, 25, 25, -1))),
-         T(pochs=(P(-1, 10, 25), P(-1, 15, 25), P(1, 25, 25), P(1, 5, 50), P(1, 45, 50),
-                  P(1, 50, 50), P(1, 10, 25, -1), P(1, 15, 25, -1), P(-1, 25, 25, -1)))),
-        (T(pref=2, pochs=(P(1, 50, 50, 2), P(1, 15, 50), P(1, 35, 50),
-                          P(1, 10, 25, -1), P(1, 15, 25, -1))),),
+        (T(poch(1, 10, 50) * poch(1, 40, 50) * poch(1, 50, 50) * poch(1, 25, 25)
+           / (poch(1, 20, 50) ** 2 * poch(1, 30, 50) ** 2 * poch(1, 5, 50) * poch(1, 45, 50)
+              * poch(-1, 25, 25))),
+         T(poch(-1, 10, 25) * poch(-1, 15, 25) * poch(1, 25, 25) * poch(1, 5, 50)
+           * poch(1, 45, 50) * poch(1, 50, 50)
+           / (poch(1, 10, 25) * poch(1, 15, 25) * poch(-1, 25, 25)))),
+        (T(2 * poch(1, 50, 50) ** 2 * poch(1, 15, 50) * poch(1, 35, 50)
+           / (poch(1, 10, 25) * poch(1, 15, 25))),),
     ),
 }
 

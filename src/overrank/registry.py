@@ -26,7 +26,7 @@ from . import combinat, lambert, products, rankdiff
 from .combinat import nbar, nbar_class, rank_table
 from .errors import BadArgument, UnknownIdentity
 from .lambert import s_bar
-from .products import SignedMonomial as SM, p_mono, theta, triple_product
+from .products import P, Product, SignedMonomial as SM, poch, theta, triple_product
 from .report import IdentityReport, compare, merge
 from .series import LaurentSeries
 
@@ -127,28 +127,24 @@ def _jtp(z: SM, base: int, order: int) -> IdentityReport:
 
 def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
     """The P relations at z = +-q^a (p1, p2) or z = q^a (p3, p4), 0 < a < ell."""
-    def P(s: int, e: int) -> LaurentSeries:
-        return p_mono(s, e, ell, order)
-
     parts = []
     for a in range(1, ell):
         for s in ((1, -1) if rel in ("p1", "p2") else (1,)):
             if rel in ("p1", "p3"):
-                sides = [(P(s, ell - a), P(s, a))]
+                sides = [(P(s, ell - a, ell), P(s, a, ell))]
             elif rel == "p2":
-                sides = [(P(s, a + ell), P(s, a).shift(-a).scale(-s).truncate(order))]
+                sides = [(P(s, a + ell, ell), Product(-s, -a) * P(s, a, ell))]
             else:  # p4
-                left = P(1, -a)
-                sides = [(left, P(1, ell + a)),
-                         (left, P(1, a).shift(-a).scale(-1).truncate(order))]
-            parts += [compare("", lhs, rhs) for lhs, rhs in sides]
+                left = P(1, -a, ell)
+                sides = [(left, P(1, ell + a, ell)), (left, Product(-1, -a) * P(1, a, ell))]
+            parts += [compare("", lhs.expand(order), rhs.expand(order)) for lhs, rhs in sides]
     return merge("", parts)
 
 
 def _half_minus_ratio(order: int) -> LaurentSeries:
     """1/2 - (q;q)/(2(-q;q))."""
-    ratio = products._poch_raw(1, 1, 1, order) / products._poch_raw(-1, 1, 1, order)
-    return ratio.scale(Fraction(-1, 2)) + LaurentSeries.monomial(Fraction(1, 2), 0, order)
+    ratio = (Fraction(-1, 2) * poch(1, 1, 1) / poch(-1, 1, 1)).expand(order)
+    return ratio + LaurentSeries.monomial(Fraction(1, 2), 0, order)
 
 
 def _neg_s_bar(b: int, ell: int, order: int) -> LaurentSeries:

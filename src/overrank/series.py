@@ -168,19 +168,6 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return mul(self, inverse(other))
-
-    def __pow__(self, n: int) -> "LaurentSeries":
-        if n < 0:
-            return inverse(self) ** (-n)
-        out = LaurentSeries.one(self.order)
-        for _ in range(n):
-            out = mul(out, self)
-        return out
-
     def scale(self, c: Coefficient) -> "LaurentSeries":
         if not c:
             return LaurentSeries.zero(self.order)
@@ -196,9 +183,6 @@ class LaurentSeries:
             return self
         keep = max(0, min(len(self.coeffs), order - self.min_exp))
         return LaurentSeries(self.min_exp, self.coeffs[:keep], order)
-
-    def inverse(self) -> "LaurentSeries":
-        return inverse(self)
 
     def substitute_power(self, k: int) -> "LaurentSeries":
         return substitute_power(self, k)

@@ -13,6 +13,7 @@ import time
 from overrank import registry
 from overrank.combinat import nbar_class, pbar_series, rank_table
 from overrank.lambert import s_bar, sigma_ab, sigma_primed, widened_summation
+from overrank.products import poch
 from overrank.rankdiff import (
     CHECK_TABLE,
     THEOREM_TABLE,
@@ -185,22 +186,20 @@ def test_criterion_9_mutation_sensitivity():
     # 1: sign flip inside a theorem product
     key = RankDiffKey(3, 0, 1, 1)
     good = THEOREM_TABLE[(3, 0, 1, 1)]
-    pochs = list(good[0].pochs)
-    pochs[0] = dataclasses.replace(pochs[0], sign=-pochs[0].sign)
-    mutated = (dataclasses.replace(good[0], pochs=tuple(pochs)),)
+    flipped = good[0].prod / poch(1, 3, 3) * poch(-1, 3, 3)
+    mutated = (dataclasses.replace(good[0], prod=flipped),)
     r = compare("mut1", rank_diff_formula(key, 25, terms=mutated), rank_diff_oracle(key, 25))
     ok = ok and (not r.ok) and r.first_mismatch is not None
     # 2: exponent bump inside a coefficient identity
     lhs_terms, _ = CHECK_TABLE[1]
-    pochs = list(lhs_terms[0].pochs)
-    pochs[1] = dataclasses.replace(pochs[1], r=pochs[1].r + 5)
-    r = verify_check(1, 120, lhs_terms=(dataclasses.replace(lhs_terms[0], pochs=tuple(pochs)),))
+    bumped = lhs_terms[0].prod / poch(1, 15, 50) * poch(1, 20, 50)
+    r = verify_check(1, 120, lhs_terms=(dataclasses.replace(lhs_terms[0], prod=bumped),))
     ok = ok and (not r.ok) and r.first_mismatch is not None
     # 3: prefactor sign flip in a bracket closed form
     from overrank.rankdiff import BRACKET_TABLE
     good_b = BRACKET_TABLE[(3, 1)]
     r = brackets(FinalFormSpec(3, 1), 60,
-                 terms=(dataclasses.replace(good_b[0], pref=-good_b[0].pref),))
+                 terms=(dataclasses.replace(good_b[0], prod=-good_b[0].prod),))
     ok = ok and (not r.ok) and r.first_mismatch is not None and r.first_mismatch.exp == 2
     # the untouched entries still pass
     ok = ok and registry.verify("thm3.R01.d1", 25).ok

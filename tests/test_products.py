@@ -1,41 +1,47 @@
 """Pochhammer products, the two-sided product P, theta series, and the
 product-identity verifiers."""
 
-import pytest
+from fractions import Fraction
 
-from overrank.errors import ZeroLeadingTerm
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from overrank.errors import PoleHit, ZeroLeadingTerm
 from overrank.products import (
+    P,
+    Product,
     SignedMonomial as SM,
-    p_mono,
-    p_zero,
-    pochhammer_inf,
+    poch,
     theta,
     triple_product,
     verify_addition,
     verify_hickerson,
     verify_lemma31,
 )
-from overrank.rankdiff import FormulaTerm, PochTerm, eval_terms
+from overrank.rankdiff import FormulaTerm, eval_terms
 from overrank.report import compare
-from overrank.series import LaurentSeries, first_mismatch, series_equal
+from overrank.series import (
+    LaurentSeries,
+    first_mismatch,
+    inverse,
+    mul,
+    series_equal,
+    substitute_power,
+)
 
 
 class TestPochhammer:
     def test_pentagonal(self):
-        p = pochhammer_inf(SM(1, 1), 1, 13)
+        p = poch(1, 1, 1).expand(13)
         assert [p.coeff(n) for n in range(13)] == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
     def test_difference_of_squares(self):
         order = 40
-        prod = (
-            pochhammer_inf(SM(-1, 1), 1, order)
-            * pochhammer_inf(SM(1, 1), 1, order)
-            / pochhammer_inf(SM(1, 2), 2, order)
-        )
+        prod = (poch(-1, 1, 1) * poch(1, 1, 1) / poch(1, 2, 2)).expand(order)
         assert first_mismatch(prod, LaurentSeries.one(order)) is None
 
     def test_unit_argument_vanishes(self):
-        assert pochhammer_inf(SM(1, 0), 1, 10).is_zero()
+        assert poch(1, 0, 1).expand(10).is_zero()
 
     def test_invalid_monomial(self):
         with pytest.raises(ValueError):
@@ -48,59 +54,151 @@ class TestEvalProduct:
     """Products of Pochhammer symbols, evaluated through rankdiff.eval_terms."""
 
     def test_overpartition_gf(self):
-        term = FormulaTerm(pochs=(PochTerm(-1, 1, 1, 1), PochTerm(1, 1, 1, -1)))
+        term = FormulaTerm(poch(-1, 1, 1) / poch(1, 1, 1))
         series = eval_terms((term,), 10)
         assert [series.coeff(n) for n in range(7)] == [1, 2, 4, 8, 14, 24, 40]
 
     def test_dissected_product_constant(self):
         # 2 (q^3;q^3)(q^6;q^6) / (q;q)
-        term = FormulaTerm(pref=2, pochs=(PochTerm(1, 3, 3, 1), PochTerm(1, 6, 6, 1),
-                                          PochTerm(1, 1, 1, -1)))
+        term = FormulaTerm(2 * poch(1, 3, 3) * poch(1, 6, 6) / poch(1, 1, 1))
         assert eval_terms((term,), 5).coeff(0) == 2
 
     def test_empty_product(self):
         assert series_equal(eval_terms((FormulaTerm(),), 6), LaurentSeries.one(6))
 
     def test_zero_denominator_propagates(self):
-        term = FormulaTerm(pochs=(PochTerm(1, 0, 1, -1),))
         with pytest.raises(ZeroLeadingTerm):
-            eval_terms((term,), 5)
+            eval_terms((FormulaTerm(Product() / poch(1, 0, 1)),), 5)
 
 
 class TestBigP:
     def test_matches_pochhammer_pair(self):
         order = 60
-        lhs = p_mono(1, 2, 5, order)
-        rhs = pochhammer_inf(SM(1, 2), 5, order) * pochhammer_inf(SM(1, 3), 5, order)
+        lhs = P(1, 2, 5).expand(order)
+        rhs = poch(1, 2, 5).expand(order) * poch(1, 3, 5).expand(order)
         assert series_equal(lhs, rhs)
 
     def test_minus_one_constant(self):
-        assert p_mono(-1, 0, 7, 8).coeff(0) == 2
+        assert P(-1, 0, 7).expand(8).coeff(0) == 2
 
     def test_reflection(self):
         # P(z^-1 q, q) = P(z, q) at z = q^2, base 7
-        assert series_equal(p_mono(1, 5, 7, 120), p_mono(1, 2, 7, 120))
+        assert series_equal(P(1, 5, 7).expand(120), P(1, 2, 7).expand(120))
 
     def test_shift_relation(self):
         # P(zq, q) = -z^-1 P(z, q) at z = -q^3, base 5
-        lhs = p_mono(-1, 8, 5, 80)
-        rhs = p_mono(-1, 3, 5, 80).shift(-3).truncate(80)
+        lhs = P(-1, 8, 5).expand(80)
+        rhs = P(-1, 3, 5).expand(80).shift(-3).truncate(80)
         assert series_equal(lhs, rhs)
 
     def test_negative_index(self):
         # P(-a) = -y^-a P(a)
         for ell in (3, 5, 7):
             for a in range(1, ell):
-                lhs = p_mono(1, -a, ell, 60)
-                rhs = (-p_mono(1, a, ell, 60)).shift(-a).truncate(60)
+                lhs = P(1, -a, ell).expand(60)
+                rhs = (-P(1, a, ell).expand(60)).shift(-a).truncate(60)
                 assert series_equal(lhs, rhs), (ell, a)
 
     def test_unit_is_zero_series(self):
-        assert p_mono(1, 0, 5, 20).is_zero()
+        assert P(1, 0, 5).expand(20).is_zero()
 
     def test_p_zero(self):
+        # P(0) = (q^ell; q^ell)_inf is (q; q)_inf at q -> q^ell
         for ell in (3, 5, 7):
-            assert series_equal(p_zero(ell, 50), pochhammer_inf(SM(1, ell), ell, 50))
+            pentagonal = substitute_power(poch(1, 1, 1).expand(-(-50 // ell)), ell)
+            assert series_equal(poch(1, ell, ell).expand(50), pentagonal.truncate(50))
+
+
+class TestProduct:
+    def test_equal_factors_cancel(self):
+        assert P(1, 2, 5) / P(1, 2, 5) == Product()
+        assert P(1, 5, 7) == P(1, 2, 7)
+        assert (poch(1, 3, 10) ** 3) ** -1 * poch(1, 3, 10, 3) == Product()
+
+    def test_unit_argument(self):
+        assert poch(-1, 0, 4, 2) == 4 * poch(-1, 4, 4) ** 2
+        assert poch(-1, 0, 4, -1) == Product(Fraction(1, 2)) / poch(-1, 4, 4)
+        assert poch(1, 0, 4) == Product(0)
+        assert 3 * P(1, 7, 7) * poch(1, 1, 1) == Product(0)
+
+    def test_pole_in_a_denominator(self):
+        for build in (lambda: poch(1, 0, 3, -1), lambda: poch(1, 2, 3) / P(1, 6, 3),
+                      lambda: P(1, 0, 3) ** -2):
+            with pytest.raises(PoleHit):
+                build()
+
+    def test_out_of_range_exponents(self):
+        # P(s q^(e + k base)) collects (-s)^k q^(-k e - base k(k-1)/2)
+        assert P(-1, 8, 5) == Product(1, -3) * P(-1, 3, 5)
+        assert P(1, -2, 5) == Product(-1, -2) * P(1, 2, 5)
+        assert P(1, 13, 5) == Product(1, -11) * P(1, 3, 5)
+
+    def test_invalid_arguments(self):
+        for args in ((2, 1, 3), (1, -1, 3), (1, 1, 0)):
+            with pytest.raises(ValueError):
+                poch(*args)
+        with pytest.raises(ValueError):
+            P(1, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# Product.expand against products of binomials built with mul and inverse
+# ----------------------------------------------------------------------
+
+
+def _binomial(sign: int, e: int, order: int) -> LaurentSeries:
+    """1 - sign*q^e as an exact Laurent polynomial."""
+    return LaurentSeries.from_terms({0: 1, e: -sign} if e else {0: 1 - sign}, order)
+
+
+def _reference(scalar, qexp, factors, order: int) -> LaurentSeries:
+    """scalar * q^qexp * prod (1 - sign*q^e)^mult over (sign, e, mult), with
+    every exponent listed, negative ones included."""
+    low = sum(abs(e) * abs(m) for _, e, m in factors if e < 0)
+    big = order - qexp + 3 * low + 1
+    out = LaurentSeries.one(big)
+    for sign, e, mult in factors:
+        if e >= order - qexp + low:
+            continue  # only reaches exponents at or past the order
+        b = _binomial(sign, e, big)
+        for _ in range(abs(mult)):
+            out = mul(out, b if mult > 0 else inverse(b))
+    out = out.shift(qexp).scale(scalar)
+    assert out.order >= order  # the reference itself was built deep enough
+    return out.truncate(order)
+
+
+POCH = st.tuples(st.just("poch"), st.sampled_from((1, -1)), st.just(0) | st.integers(1, 60),
+                 st.integers(1, 50), st.integers(-3, 3)).filter(
+    lambda f: f[2] > 0 or f[1] == -1)  # (1; q^k) = 0 has its own tests
+BIG_P = st.integers(1, 12).flatmap(lambda base: st.tuples(
+    st.just("P"), st.sampled_from((1, -1)), st.integers(-2 * base, 2 * base),
+    st.just(base), st.integers(-3, 3)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(scalar=st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                        st.sampled_from((1, 2, 4, 8))),
+       qexp=st.integers(-6, 6), parts=st.lists(st.one_of(POCH, BIG_P), max_size=5),
+       order=st.integers(1, 50))
+def test_expand_matches_binomial_products(scalar, qexp, parts, order):
+    prod = Product(scalar, qexp)
+    factors = []
+    for kind, sign, a, b, mult in parts:
+        if kind == "poch":  # (sign q^a; q^b)^mult
+            piece = poch(sign, a, b, mult)
+            exps = range(a, 1000, b)
+        else:  # P(sign q^a, q^b)^mult = prod_j (1 - sign q^(a+jb)) (1 - sign q^(b(j+1)-a))
+            assume(sign == -1 or a % b or mult > 0)
+            piece = P(sign, a, b) ** mult
+            exps = [e for j in range(1000 // b) for e in (a + j * b, b * (j + 1) - a)]
+        prod = prod * piece
+        factors += [(sign, e, mult) for e in exps]
+    if prod == Product(0):
+        assert prod.expand(order).is_zero()
+        return
+    ref = _reference(scalar, qexp, factors, order)
+    assert prod.expand(order) == ref
 
 
 class TestTheta:
@@ -123,15 +221,13 @@ class TestVerifiers:
         assert verify_lemma31("eq2", 150).ok
 
     def test_lemma31_mutation_located(self):
-        from overrank.products import _poch_raw
         order = 60
-        lhs = _poch_raw(1, 1, 1, order) / _poch_raw(-1, 1, 1, order)
-        rhs = _poch_raw(1, 9, 9, order) / _poch_raw(-1, 9, 9, order)
+        lhs = (poch(1, 1, 1) / poch(-1, 1, 1)).expand(order)
+        rhs = (poch(1, 9, 9) / poch(-1, 9, 9)).expand(order)
         # flipped sign on the second term
-        rhs = rhs + 2 * (
-            _poch_raw(1, 3, 18, order) * _poch_raw(1, 15, 18, order)
-            * _poch_raw(1, 18, 18, order)
-        ).shift(1).truncate(order)
+        rhs = rhs + (
+            Product(2, 1) * poch(1, 3, 18) * poch(1, 15, 18) * poch(1, 18, 18)
+        ).expand(order)
         report = compare("mutated", lhs, rhs)
         assert not report.ok
         assert report.first_mismatch.exp == 1

@@ -5,6 +5,7 @@ import dataclasses
 
 from overrank.combinat import nbar_class
 from overrank.lambert import s_bar
+from overrank.products import poch
 from overrank.rankdiff import (
     BRACKET_TABLE,
     CHECK_TABLE,
@@ -127,25 +128,21 @@ class TestChecks:
             assert verify_check(i, 120).ok, i
 
 
-def _flip_sign(term: FormulaTerm, poch_idx: int) -> FormulaTerm:
-    pochs = list(term.pochs)
-    p = pochs[poch_idx]
-    pochs[poch_idx] = dataclasses.replace(p, sign=-p.sign)
-    return dataclasses.replace(term, pochs=tuple(pochs))
+def _flip_sign(term: FormulaTerm, sign: int, r: int, step: int) -> FormulaTerm:
+    """Replace the factor (sign q^r; q^step) of the term by (-sign q^r; q^step)."""
+    return dataclasses.replace(term, prod=term.prod / poch(sign, r, step) * poch(-sign, r, step))
 
 
-def _bump_exponent(term: FormulaTerm, poch_idx: int) -> FormulaTerm:
-    pochs = list(term.pochs)
-    p = pochs[poch_idx]
-    pochs[poch_idx] = dataclasses.replace(p, r=p.r + 1)
-    return dataclasses.replace(term, pochs=tuple(pochs))
+def _bump_exponent(term: FormulaTerm, sign: int, r: int, step: int) -> FormulaTerm:
+    """Replace the factor (sign q^r; q^step) of the term by (sign q^(r+1); q^step)."""
+    return dataclasses.replace(term, prod=term.prod / poch(sign, r, step) * poch(sign, r + 1, step))
 
 
 class TestMutationSensitivity:
     def test_sign_flip_in_theorem_table(self):
         key = RankDiffKey(3, 0, 1, 1)
         good = THEOREM_TABLE[(3, 0, 1, 1)]
-        mutated = (_flip_sign(good[0], 0),)
+        mutated = (_flip_sign(good[0], 1, 3, 3),)  # (q^3;q^3) -> (-q^3;q^3)
         report = compare("mut", rank_diff_formula(key, 20, terms=mutated),
                          rank_diff_oracle(key, 20))
         assert not report.ok and report.first_mismatch is not None
@@ -155,14 +152,14 @@ class TestMutationSensitivity:
 
     def test_exponent_bump_in_check_table(self):
         lhs_terms, rhs_terms = CHECK_TABLE[1]
-        mutated = (_bump_exponent(lhs_terms[0], 1),)
+        mutated = (_bump_exponent(lhs_terms[0], 1, 15, 50),)  # (q^15;q^50) -> (q^16;q^50)
         report = verify_check(1, 80, lhs_terms=mutated)
         assert not report.ok and report.first_mismatch is not None
         assert verify_check(1, 80).ok
 
     def test_prefactor_flip_in_bracket_table(self):
         good = BRACKET_TABLE[(3, 1)]
-        mutated = (dataclasses.replace(good[0], pref=-good[0].pref),)
+        mutated = (dataclasses.replace(good[0], prod=-good[0].prod),)
         report = brackets(FinalFormSpec(3, 1), 60, terms=mutated)
         assert not report.ok
         assert report.first_mismatch.exp == 2  # the leading coefficient flips

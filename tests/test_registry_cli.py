@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,20 @@ class TestRegistry:
                                 ("gen1@s=1,m=5", 200)):
             report = registry.verify(entry_id, order)
             assert report.ok and report.checked_order == order, entry_id
+
+    @pytest.mark.parametrize("entry_id", [f"{rel}@ell={ell}" for rel in ("p2", "p4")
+                                          for ell in (3, 5, 7)])
+    def test_shifted_p_relations_reach_the_requested_order(self, entry_id):
+        # the side multiplied by y^-a is built deeper, not cut short by a
+        for order in (200, 50):
+            report = registry.verify(entry_id, order)
+            assert report.ok and report.checked_order == order, order
+
+    def test_stable_report_matches_golden_file(self, monkeypatch):
+        monkeypatch.delenv("OVERRANK_SEED", raising=False)
+        golden = Path(__file__).parent / "data" / "suite_stable_0.25.json"
+        stable = registry.reports_json(registry.run_suite(order_scale=0.25), stable=True)
+        assert stable == golden.read_text()
 
     def test_suite_smoke_scale(self):
         reports = registry.run_suite(order_scale=0.1)
@@ -222,6 +237,7 @@ class TestCli:
         ["suite", "--order-scale", "0.001"],
         ["suite", "--order-scale", "inf"],
         ["series", "--name", "sbar:1,0", "--order", "5"],
+        ["series", "--name", "pbar:x", "--order", "4"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
         assert main(argv) == 2
