@@ -29,7 +29,6 @@ from .errors import (
     OverrankError,
     PoleHit,
     UnknownIdentity,
-    ZeroExponent,
     ZeroLeadingTerm,
 )
 from .lambert import (
@@ -40,6 +39,7 @@ from .lambert import (
     s_bar,
     sigma_ab,
     sigma_primed,
+    theta,
     verify_lemma41,
     widened_summation,
 )
@@ -48,7 +48,6 @@ from .products import (
     Product,
     SignedMonomial,
     poch,
-    theta,
     triple_product,
     verify_addition,
     verify_hickerson,

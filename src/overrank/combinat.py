@@ -20,11 +20,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import CapExceeded
-from .lambert import lambert_sum, _geom
-from .products import poch
+from .lambert import lambert_sum
+from .products import binomial_pass, poch
 from .series import LaurentSeries
 
 ENUM_CAP = 40
@@ -219,17 +220,17 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
 
     The constant term is 0 (analytic convention)."""
     m = abs(m)
-    inner = LaurentSeries.zero(order)
+    inner = [0] * order
     n = 1
     while n * n + m * n < order:
         lead = n * n + m * n
-        g = _geom(-1, n, order - lead)
-        piece = (g - g.shift(n).truncate(order - lead)).shift(lead)
-        if n % 2 == 0:
-            piece = -piece
-        inner = inner + piece
+        piece = [0] * (order - lead)
+        piece[0] = 1 if n % 2 else -1
+        binomial_pass(piece, 1, n, 1)
+        binomial_pass(piece, -1, n, -1)
+        inner[lead:] = map(add, inner[lead:], piece)
         n += 1
-    return (2 * pbar_series(order) * inner).truncate(order)
+    return (2 * pbar_series(order) * LaurentSeries(0, inner, order)).truncate(order)
 
 
 @lru_cache(maxsize=32)

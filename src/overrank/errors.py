@@ -17,10 +17,6 @@ class BeyondTruncation(OverrankError, IndexError):
     """A coefficient at or beyond the truncation order was requested."""
 
 
-class ZeroExponent(OverrankError, ZeroDivisionError):
-    """Geometric expansion of 1/(1 - q^e) requested with e = 0."""
-
-
 class PoleHit(ZeroLeadingTerm):
     """A denominator vanishes identically: a term of a bilateral sum, or a
     product factor (1; q^k)_inf."""

@@ -6,10 +6,11 @@ The workhorse is ``lambert_sum``, which evaluates
     sum_{n in Z} csign^n * q^(quad*n^2 + lin*n) / prod_i (1 - s_i q^(off_i + step_i*n))
 
 exactly as a truncated Laurent series.  Denominators with negative exponent
-are rewritten with 1/(1 - s*q^(-m)) = -sum_{k>=1} s^k q^(k*m), the single most
+are rewritten with 1/(1 - s*q^(-f)) = -s*q^f / (1 - s*q^f), the single most
 error-prone spot in this whole business, so it lives in one audited place.
-Results are assembled in the Laurent layer; power-series positivity is
-asserted only where the mathematics promises it.
+Every term is then divided out by ``products.binomial_pass`` into one integer
+list.  Power-series positivity is asserted only where the mathematics
+promises it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from operator import add
 
-from .errors import BadArgument, PoleHit, ZeroExponent
-from .products import P, Product, SignedMonomial, poch, theta
+from .errors import BadArgument, PoleHit
+from .products import P, Product, SignedMonomial, binomial_pass, poch
 from .report import IdentityReport, compare
 from .series import LaurentSeries, mul, substitute_power
 
@@ -52,29 +53,6 @@ class GFuncSpec:
             raise ValueError(f"index {self.a} is a multiple of {self.ell}")
 
 
-def _geom(sign: int, e: int, order: int) -> LaurentSeries:
-    if e == 0:
-        raise ZeroExponent("geometric expansion needs a nonzero exponent")
-    if order <= 0:
-        return LaurentSeries.zero(order)
-    if e > 0:
-        out = [0] * order
-        k = 0
-        while k * e < order:
-            out[k * e] = 1 if sign == 1 or k % 2 == 0 else -1
-            k += 1
-        return LaurentSeries(0, out, order)
-    f = -e
-    if f >= order:
-        return LaurentSeries.zero(order)
-    out = [0] * (order - f)
-    k = 1
-    while k * f < order:
-        out[k * f - f] = -1 if sign == 1 or k % 2 == 0 else 1
-        k += 1
-    return LaurentSeries(f, out, order)
-
-
 def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
     """Bilateral sum csign^n q^(quad n^2 + lin n) / prod (1 - s q^(off + step n)).
 
@@ -98,38 +76,24 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
     guard += max((abs(o) for _, o, _ in denoms), default=0) + 3
     extra = _EXTRA_RANGE.get()
 
-    def term_min(n):
-        m = quad * n * n + lin * n
-        for s, off, step in denoms:
-            e = off + step * n
-            if e < 0:
-                m -= e
-        return m
-
-    def build(n):
+    def term(n):
+        """The n-th term as c * q^shift / prod (1 - s q^e) / 2^halves, every e >= 1."""
         shift = quad * n * n + lin * n
         c = 1 if csign == 1 or n % 2 == 0 else -1
-        exps = []
         halves = 0
+        exps = []
         for s, off, step in denoms:
             e = off + step * n
             if e == 0:
                 halves += 1  # sign is -1 here: factor 1/(1+1)
-            else:
-                exps.append((s, e, max(0, -e)))
-        total_gmin = sum(g for _, _, g in exps)
-        rel = LaurentSeries.one(order - shift) if not exps else None
-        if exps:
-            parts = [
-                _geom(s, e, order - shift - (total_gmin - g)) for s, e, g in exps
-            ]
-            rel = reduce(mul, parts)
-        t = rel.shift(shift)
-        if halves:
-            c = c * Fraction(1, 2 ** halves)
-        return t if c == 1 else t.scale(c)
+            elif e > 0:
+                exps.append((s, e))
+            else:  # 1/(1 - s q^-f) = -s q^f / (1 - s q^f)
+                c, shift = -s * c, shift - e
+                exps.append((s, -e))
+        return shift, c, halves, exps
 
-    total = LaurentSeries.zero(order)
+    terms = []
     for direction in (1, -1):
         n = 0 if direction == 1 else -1
         stop_at = None
@@ -137,16 +101,35 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
             if primed and n == 0:
                 skip = True
             else:
-                skip = term_min(n) >= order
+                t = term(n)
+                skip = t[0] >= order
                 if not skip:
-                    total = total + build(n)
+                    terms.append(t)
             if skip and abs(n) > guard:
                 if stop_at is None:
                     stop_at = abs(n) + extra
                 if abs(n) >= stop_at:
                     break
             n += direction
-    return total.truncate(order)
+
+    # every term goes into one integer list, scaled by 2^top, divided once
+    lo = min((t[0] for t in terms), default=order)
+    top = max((t[2] for t in terms), default=0)
+    acc = [0] * (order - lo)
+    for shift, c, halves, exps in terms:
+        c <<= top - halves
+        i = shift - lo
+        if not exps:
+            acc[i] += c
+            continue
+        part = [0] * (order - shift)
+        part[0] = c
+        for s, e in exps:
+            binomial_pass(part, s, e, -1)
+        acc[i:] = map(add, acc[i:], part)
+    if top:
+        acc = [Fraction(a, 1 << top) for a in acc]
+    return LaurentSeries(lo, acc, order)
 
 
 def sigma_ab(a: int, b: int, ell: int, order: int) -> LaurentSeries:
@@ -214,9 +197,9 @@ def g_func(spec: GFuncSpec, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
-def bilateral_theta(quad: int, lin: int, csign: int, order: int) -> LaurentSeries:
-    """sum_{n in Z} csign^n q^(quad*n^2 + lin*n)."""
-    return lambert_sum(quad, lin, csign, [], order)
+def theta(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
+    """Bilateral theta sum sum_{n in Z} z^n q^(base*n^2), z = s*q^e."""
+    return lambert_sum(base, z.exp, z.sign, [], order)
 
 
 def check_sigma_shift(z: SignedMonomial, zeta: SignedMonomial, base: int, order: int) -> IdentityReport:
@@ -229,8 +212,8 @@ def check_sigma_shift(z: SignedMonomial, zeta: SignedMonomial, base: int, order:
     if sc < 0:
         rhs2 = -rhs2
     lhs = lhs + rhs2
-    t1 = bilateral_theta(base, ec - base, -sc, n)
-    t2 = bilateral_theta(base, ec, -sc, n).shift(ez)
+    t1 = lambert_sum(base, ec - base, -sc, [], n)
+    t2 = lambert_sum(base, ec, -sc, [], n).shift(ez)
     if sz < 0:
         t2 = -t2
     rhs = -(t1 + t2)

@@ -1,5 +1,5 @@
-"""Infinite products: Pochhammer symbols, the two-sided product P(z,q),
-theta series, and verifiers for the pure product identities.
+"""Infinite products: Pochhammer symbols, the two-sided product P(z,q), the
+triple product, and verifiers for the pure product identities.
 
 Throughout, generic product arguments are instantiated as signed monomials
 s*q^j (s = +-1), which keeps the whole engine univariate.  The two-sided
@@ -13,6 +13,8 @@ accumulating an exact monomial prefactor.
 
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, and ``Product.expand`` is the only place that turns one into a series.
+Its factor pass, ``binomial_pass``, also serves the Lambert sums and
+``combinat.nbar_series``.
 """
 
 from __future__ import annotations
@@ -92,33 +94,41 @@ class Product:
         return Product(-self.scalar, self.qexp, self.factors)
 
     def expand(self, order: int) -> LaurentSeries:
-        """The series, exact below `order`.
-
-        Each numerator factor 1 - s*q^e is one descending pass
-        out[i] -= s*out[i-e]; each denominator factor divides by 1 - s*q^e with
-        one ascending pass out[i] += s*out[i-e].  Every pass stays in the
-        integers; the scalar is applied once at the end.
-        """
+        """The series, exact below `order`: one ``binomial_pass`` per factor
+        1 - s*q^e, all in integers, with the scalar applied once at the end."""
         n = order - self.qexp
         if n <= 0 or not self.scalar:
             return LaurentSeries.zero(order)
         out = [0] * n
         out[0] = 1
         for (sign, r, step), mult in self.factors:
-            if mult > 0:  # the right-hand slice holds the old values
-                op = sub if sign == 1 else add
-                for e in range(r, n, step):
-                    for _ in range(mult):
-                        out[e:] = map(op, out[e:], out[:n - e])
-            else:  # each block of e reads the block before it, already divided
-                op = add if sign == 1 else sub
-                for e in range(r, n, step):
-                    for _ in range(-mult):
-                        for a in range(e, n, e):
-                            out[a:a + e] = map(op, out[a:a + e], out[a - e:a])
+            for e in range(r, n, step):
+                binomial_pass(out, sign, e, mult)
         if self.scalar != 1:
             out = [self.scalar * c for c in out]
         return LaurentSeries(self.qexp, out, order)
+
+
+def binomial_pass(out: list, sign: int, e: int, mult: int) -> None:
+    """Multiply the power series `out` in place by (1 - sign*q^e)^mult, e >= 1,
+    truncated at len(out); mult < 0 divides.
+
+    Multiplying is one descending pass out[i] -= sign*out[i-e] per power (a
+    slice ``map``, so the right-hand slice holds the old values).  Dividing is
+    one ascending pass out[i] += sign*out[i-e] per power, in blocks of e, each
+    block reading the block before it, already divided.  Integer input stays
+    integer.
+    """
+    n = len(out)
+    if mult > 0:
+        op = sub if sign == 1 else add
+        for _ in range(mult):
+            out[e:] = map(op, out[e:], out[:n - e])
+    else:
+        op = add if sign == 1 else sub
+        for _ in range(-mult):
+            for a in range(e, n, e):
+                out[a:a + e] = map(op, out[a:a + e], out[a - e:a])
 
 
 def _product(scalar: Coefficient, qexp: int, a: Tuple[Factor, ...],
@@ -174,29 +184,8 @@ def P(sign: int, exp: int, base: int) -> Product:
 
 
 # ----------------------------------------------------------------------
-# theta series and the triple product
+# the triple product
 # ----------------------------------------------------------------------
-
-
-def theta(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
-    """Bilateral theta sum sum_{n in Z} z^n q^(base*n^2), z = s*q^e."""
-    s, e = z.sign, z.exp
-    terms: dict = {}
-    n = 0
-    while True:
-        exp = base * n * n + e * n
-        if n > 0 and exp >= order:
-            break
-        if exp < order:
-            terms[exp] = terms.get(exp, 0) + (1 if s == 1 or n % 2 == 0 else -1)
-        n += 1
-    k = 1
-    while k <= e // base + 1 or base * k * k - e * k < order:
-        exp = base * k * k - e * k
-        if exp < order:
-            terms[exp] = terms.get(exp, 0) + (1 if s == 1 or k % 2 == 0 else -1)
-        k += 1
-    return LaurentSeries.from_terms(terms, order)
 
 
 def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:

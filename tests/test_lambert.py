@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from overrank.errors import PoleHit, ZeroExponent
+from overrank.errors import PoleHit
 from overrank.lambert import (
     GFuncSpec,
-    _geom,
     check_constant,
     check_g1,
     check_g2,
@@ -27,7 +27,14 @@ from overrank.lambert import (
     widened_summation,
 )
 from overrank.products import SignedMonomial as SM, poch
-from overrank.series import LaurentSeries, first_mismatch, series_equal, substitute_power
+from overrank.series import (
+    LaurentSeries,
+    first_mismatch,
+    inverse,
+    mul,
+    series_equal,
+    substitute_power,
+)
 
 
 def _sigma(z: SM, zeta: SM, base: int, order: int, primed: bool = False) -> LaurentSeries:
@@ -36,7 +43,15 @@ def _sigma(z: SM, zeta: SM, base: int, order: int, primed: bool = False) -> Laur
                        primed=primed)
 
 
+def _geom(sign: int, e: int, order: int) -> LaurentSeries:
+    """1/(1 - sign*q^e) below `order`, as a Lambert sum with one term: with
+    quad = step = order every term but n = 0 starts at or past the order."""
+    return lambert_sum(order, 0, 1, [(sign, e, order)], order)
+
+
 class TestGeom:
+    """One denominator of a Lambert sum, negative exponents included."""
+
     def test_positive(self):
         assert list(_geom(1, 3, 10).terms()) == [(0, 1), (3, 1), (6, 1), (9, 1)]
 
@@ -49,7 +64,7 @@ class TestGeom:
         assert first_mismatch(prod, LaurentSeries.one(50)) is None
 
     def test_zero_exponent(self):
-        with pytest.raises(ZeroExponent):
+        with pytest.raises(PoleHit):
             _geom(1, 0, 10)
 
 
@@ -186,3 +201,52 @@ class TestRangeStability:
             widened = [f() for f in cases]
         for a, b in zip(plain, widened):
             assert series_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# lambert_sum against a term-by-term reference built with mul and inverse
+# ----------------------------------------------------------------------
+
+
+def _lambert_reference(quad, lin, csign, denoms, order, primed) -> LaurentSeries:
+    """The sum of lambert_sum, one term at a time: csign^n q^(quad n^2 + lin n)
+    times series.inverse of each Laurent binomial 1 - s q^e (1/2 for 1 + q^0),
+    over every n in [-30, 30].  Raises PoleHit where a denominator vanishes."""
+    big = order + 40  # each term is exact to here before its shift of >= -16
+    total = LaurentSeries.zero(order)
+    for n in range(-30, 31):
+        if primed and n == 0:
+            continue
+        exps = [(s, off + step * n) for s, off, step in denoms]
+        if (1, 0) in exps:
+            raise PoleHit(f"pole at n = {n}")
+        shift = quad * n * n + lin * n
+        if shift >= order:  # the denominators only add positive exponents
+            continue
+        term = LaurentSeries.monomial(1 if csign == 1 or n % 2 == 0 else -1, 0, big)
+        for s, e in exps:
+            if e == 0:
+                term = term.scale(Fraction(1, 2))
+            else:
+                term = mul(term, inverse(LaurentSeries.from_terms({0: 1, e: -s}, big)))
+        total = total + term.shift(shift)
+    assert total.order == order  # the reference was built deep enough
+    return total
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(quad=st.integers(1, 4), lin=st.integers(-8, 8), csign=st.sampled_from((1, -1)),
+       denoms=st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-8, 8),
+                                 st.integers(1, 6)), max_size=2),
+       prime=st.none() | st.integers(1, 6), order=st.integers(1, 40))
+def test_lambert_sum_matches_termwise_reference(quad, lin, csign, denoms, prime, order):
+    primed = prime is not None
+    if primed:  # a primed sum omits n = 0 and needs the denominator 1 - q^(step n)
+        denoms = [(1, 0, prime)] + denoms
+    try:
+        ref = _lambert_reference(quad, lin, csign, denoms, order, primed)
+    except PoleHit:
+        with pytest.raises(PoleHit):
+            lambert_sum(quad, lin, csign, denoms, order, primed=primed)
+        return
+    assert lambert_sum(quad, lin, csign, denoms, order, primed=primed) == ref

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from overrank.errors import PoleHit, ZeroLeadingTerm
+from overrank.lambert import theta
 from overrank.products import (
     P,
     Product,
     SignedMonomial as SM,
     poch,
-    theta,
     triple_product,
     verify_addition,
     verify_hickerson,

@@ -87,6 +87,23 @@ class TestRegistry:
         stable = registry.reports_json(registry.run_suite(order_scale=0.25), stable=True)
         assert stable == golden.read_text()
 
+    def test_stable_report_matches_golden_file_at_default_orders(self, monkeypatch):
+        monkeypatch.delenv("OVERRANK_SEED", raising=False)
+        golden = Path(__file__).parent / "data" / "suite_stable_1.0.json"
+        stable = registry.reports_json(registry.run_suite(order_scale=1.0), stable=True)
+        assert stable == golden.read_text()
+
+    def test_short_check_is_a_failure(self, monkeypatch):
+        # a check that compares fewer coefficients than asked is not a PASS
+        def build(order):
+            return IdentityReport(id="", ok=True, checked_order=order - 1, notes="seed=1")
+
+        stub = registry.IdentityEntry("stub", "", 10, "product", build)
+        monkeypatch.setitem(registry._registry(), "stub", stub)
+        report = registry.verify("stub", 10)
+        assert not report.ok and report.checked_order == 9
+        assert report.notes == "seed=1; short check: 9 of 10 coefficients compared"
+
     def test_suite_smoke_scale(self):
         reports = registry.run_suite(order_scale=0.1)
         assert len(reports) == len(registry.list_identities())
