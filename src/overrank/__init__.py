@@ -41,7 +41,6 @@ from .lambert import (
     sigma_primed,
     theta,
     verify_lemma41,
-    widened_summation,
 )
 from .products import (
     P,
@@ -75,7 +74,6 @@ from .series import (
     Coefficient,
     LaurentSeries,
     add,
-    coeff,
     extract_progression,
     first_mismatch,
     mul,

@@ -8,6 +8,9 @@ The workhorse is ``lambert_sum``, which evaluates
 exactly as a truncated Laurent series.  Denominators with negative exponent
 are rewritten with 1/(1 - s*q^(-f)) = -s*q^f / (1 - s*q^f), the single most
 error-prone spot in this whole business, so it lives in one audited place.
+The lowest exponent of term n is quad*n^2 + lin*n + sum_i max(0, -(off_i +
+step_i*n)), a convex function of n, so the terms below the truncation order
+are one run of n around its minimum, and the sum visits exactly that run.
 Every term is then divided out by ``products.binomial_pass`` into one integer
 list.  Power-series positivity is asserted only where the mathematics
 promises it.
@@ -15,8 +18,6 @@ promises it.
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -25,21 +26,6 @@ from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
 from .report import IdentityReport, compare
 from .series import LaurentSeries, mul, substitute_power
-
-# extra scan margin past the natural stopping point of a bilateral sum; tests
-# widen it to confirm that no contributing term is ever cut off
-_EXTRA_RANGE: contextvars.ContextVar = contextvars.ContextVar("overrank_extra_range", default=0)
-
-
-@contextmanager
-def widened_summation(extra: int):
-    """Scan `extra` additional indices on both sides of every bilateral sum."""
-    token = _EXTRA_RANGE.set(extra)
-    try:
-        yield
-    finally:
-        _EXTRA_RANGE.reset(token)
-
 
 @dataclass(frozen=True)
 class GFuncSpec:
@@ -72,10 +58,6 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
             if not (primed and n0 == 0):
                 raise PoleHit(f"denominator 1 - q^({off} + {step}n) vanishes at n = {n0}")
 
-    guard = (abs(lin) + sum(abs(s) for _, _, s in denoms)) // quad
-    guard += max((abs(o) for _, o, _ in denoms), default=0) + 3
-    extra = _EXTRA_RANGE.get()
-
     def term(n):
         """The n-th term as c * q^shift / prod (1 - s q^e) / 2^halves, every e >= 1."""
         shift = quad * n * n + lin * n
@@ -93,23 +75,21 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
                 exps.append((s, -e))
         return shift, c, halves, exps
 
-    terms = []
+    # the lowest exponent f(n) = term(n)[0] is convex in n, so the terms below
+    # the order are one run of n around a minimum of f: walk downhill from 0,
+    # then extend both ways while f(n) < order
+    def f(n):
+        return term(n)[0]
+
+    low = 0
     for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        stop_at = None
-        while True:
-            if primed and n == 0:
-                skip = True
-            else:
-                t = term(n)
-                skip = t[0] >= order
-                if not skip:
-                    terms.append(t)
-            if skip and abs(n) > guard:
-                if stop_at is None:
-                    stop_at = abs(n) + extra
-                if abs(n) >= stop_at:
-                    break
+        while f(low + direction) < f(low):
+            low += direction
+    terms = []
+    for n, direction in ((low, 1), (low - 1, -1)):
+        while (t := term(n))[0] < order:
+            if not (primed and n == 0):
+                terms.append(t)
             n += direction
 
     # every term goes into one integer list, scaled by 2^top, divided once
@@ -173,8 +153,8 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
     ratio = Product(s, e) * P(1, 2 * e, base) * P(-1, 0, base) / (P(s, e, base) * P(-s, e, base))
     f1 = mul(sig1, ratio.expand(n))
-    f2 = lambert_sum(base, 2 * e + base, -1, [(1, 2 * e, base)], n).shift(2 * e)
-    f3 = lambert_sum(base, base - 2 * e, -1, [(1, 0, base)], n, primed=True)
+    f2 = sigma_ab(2 * e, 2 * e, base, n).shift(2 * e)
+    f3 = sigma_primed(-2 * e, base, n)
     return (f1 - f2 - f3).truncate(order)
 
 
@@ -263,21 +243,6 @@ def check_g2(a: int, ell: int, order: int) -> IdentityReport:
     lhs = g_index(a, ell, order) + g_index(ell - a, ell, order)
     rhs = LaurentSeries.one(order)
     return compare(f"g2@a={a},ell={ell}", lhs, rhs)
-
-
-def check_g1(a: int, ell: int, order: int) -> IdentityReport:
-    """2g(a) - g(2a) + 1/2 = P(-y^4a)P(0)^2/(P(4a)P(-1))
-    + y^a P(-1)^2 P(0)^2 P(2a) / (P(a)^2 P(-y^a)^2), in the base variable y."""
-    n = order + 6 * ell + 8 * a
-    lhs = 2 * g_series(1, a, ell, n) - g_series(1, 2 * a, ell, n)
-    lhs = lhs + LaurentSeries.monomial(Fraction(1, 2), 0, n)
-    p0_sq = poch(1, ell, ell, 2)
-    first = P(-1, 4 * a, ell) * p0_sq / (P(1, 4 * a, ell) * P(-1, 0, ell))
-    second = Product(1, a) * P(-1, 0, ell) ** 2 * p0_sq * P(1, 2 * a, ell) / (
-        P(1, a, ell) ** 2 * P(-1, a, ell) ** 2
-    )
-    rhs = first.expand(n) + second.expand(n)
-    return compare(f"g1@a={a},ell={ell}", lhs.truncate(order), rhs.truncate(order))
 
 
 def check_part1(z: SignedMonomial, base: int, order: int) -> IdentityReport:

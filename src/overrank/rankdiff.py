@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .combinat import nbar_class_series
-from .lambert import GFuncSpec, g_func, g_index, lambert_sum, s_bar, sigma_ab
+from .lambert import GFuncSpec, g_func, g_index, s_bar, sigma_ab, sigma_primed
 from .products import P, Product, poch
 from .report import IdentityReport, compare
-from .series import LaurentSeries, mul, substitute_power
+from .series import LaurentSeries, extract_progression, mul, substitute_power
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def eval_terms(terms: Tuple[FormulaTerm, ...], order: int) -> LaurentSeries:
         acc = t.prod.expand(order)
         if t.lambert is not None:
             z_exp, base = t.lambert
-            acc = mul(acc, lambert_sum(base, base, -1, [(1, z_exp, base)], order))
+            acc = mul(acc, sigma_ab(z_exp, 0, base, order))
         if t.g is not None:
             a, ell = t.g
             acc = mul(acc, g_func(GFuncSpec(a, ell), order))
@@ -165,7 +165,7 @@ def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
     diff = nbar_class_series(key.s, key.ell, src_order) - nbar_class_series(
         key.t, key.ell, src_order
     )
-    return diff.extract_progression(key.ell, key.d)
+    return extract_progression(diff, key.ell, key.d)
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +173,10 @@ def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
-def _lift(series_y: LaurentSeries, ell: int) -> LaurentSeries:
-    return substitute_power(series_y, ell)
-
-
 def _lifted_sigma(a: int, b: int, ell: int, q_order: int, shift: int) -> LaurentSeries:
     """q^shift * Sum(a, b) lifted to the q variable, exact below q_order."""
     y_order = max(1, -(-(q_order - shift) // ell))
-    return _lift(sigma_ab(a, b, ell, y_order), ell).shift(shift)
+    return substitute_power(sigma_ab(a, b, ell, y_order), ell).shift(shift)
 
 
 def s_bar_b_decomposition(spec: FinalFormSpec, order: int) -> LaurentSeries:
@@ -193,9 +189,7 @@ def s_bar_b_decomposition(spec: FinalFormSpec, order: int) -> LaurentSeries:
     sgn_m = -1 if m % 2 else 1
     total = sgn_m * _lifted_sigma(m, 0, ell, order, m * (ell - m))
     y_order = max(1, -(-order // ell))
-    total = total + _lift(
-        lambert_sum(ell, -2 * m + ell, -1, [(1, 0, ell)], y_order, primed=True), ell
-    ).truncate(order)
+    total = total + substitute_power(sigma_primed(-2 * m, ell, y_order), ell).truncate(order)
     total = total + _lifted_sigma(2 * m, 2 * m, ell, order, 2 * m * ell)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
@@ -220,11 +214,12 @@ def sigma_coefficient_bracket(spec: FinalFormSpec, order: int) -> LaurentSeries:
     sgn_m = -1 if m % 2 else 1
     total = LaurentSeries.monomial(sgn_m, m * (ell - m), order)
     y_order = max(1, -(-order // ell)) + 2 * m + 2
-    total = total + _lift(_p_ratio_bracket(m, ell, y_order), ell).shift(m * ell).truncate(order)
+    lead = substitute_power(_p_ratio_bracket(m, ell, y_order), ell).shift(m * ell)
+    total = total + lead.truncate(order)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
         c = (a + m) * (a - m + ell) - a * ell
-        piece = _lift(_p_ratio_bracket(a, ell, y_order), ell).shift(c).truncate(order)
+        piece = substitute_power(_p_ratio_bracket(a, ell, y_order), ell).shift(c).truncate(order)
         total = total + sgn * piece
     return total.truncate(order)
 
@@ -239,14 +234,14 @@ def s_bar_final_form(spec: FinalFormSpec, order: int) -> LaurentSeries:
     """
     ell, m = spec.ell, spec.m
     y_order = max(1, -(-order // ell)) + 4 * ell
-    total = -_lift(g_index(m, ell, y_order), ell).truncate(order)
+    total = -substitute_power(g_index(m, ell, y_order), ell).truncate(order)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
         c = (a + m) * (a - m + ell) - 2 * a * ell
         prod = P(1, a, ell) * P(1, 2 * a, ell) * P(-1, m, ell) * poch(1, ell, ell, 2) / (
             P(1, m, ell) * P(1, m + a, ell) * P(1, m - a, ell) * P(-1, a, ell)
         )
-        piece = _lift(prod.expand(y_order), ell).shift(c).truncate(order)
+        piece = substitute_power(prod.expand(y_order), ell).shift(c).truncate(order)
         total = total + sgn * piece
     bracket = sigma_coefficient_bracket(spec, order + 2 * ell * ell)
     sig = _lifted_sigma(m, 0, ell, order + 2 * ell * ell, 0)

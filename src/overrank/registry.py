@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from . import combinat, lambert, products, rankdiff
 from .combinat import nbar, nbar_class, rank_table
@@ -64,9 +64,9 @@ def _seed_note() -> str:
 
 
 def _pair(lhs: Callable[[int], LaurentSeries], rhs: Callable[[int], LaurentSeries],
-          start: Optional[int] = None, notes: str = "") -> Callable[[int], IdentityReport]:
+          notes: str = "") -> Callable[[int], IdentityReport]:
     """Compare lhs(order) against rhs(order); lhs is built first."""
-    return lambda order: compare("", lhs(order), rhs(order), start=start, notes=notes)
+    return lambda order: compare("", lhs(order), rhs(order), notes=notes)
 
 
 def _sampled(entry_id: str, check: Callable[..., IdentityReport],
@@ -159,8 +159,7 @@ def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
 
 def _half_minus_ratio(order: int) -> LaurentSeries:
     """1/2 - (q;q)/(2(-q;q))."""
-    ratio = (Fraction(-1, 2) * poch(1, 1, 1) / poch(-1, 1, 1)).expand(order)
-    return ratio + LaurentSeries.monomial(Fraction(1, 2), 0, order)
+    return LaurentSeries.monomial(Fraction(1, 2), 0, order) - rankdiff._HALF_RATIO.expand(order)
 
 
 def _neg_s_bar(b: int, ell: int, order: int) -> LaurentSeries:
@@ -189,7 +188,7 @@ def _entries() -> List[IdentityEntry]:
                      "q^(n^2+|m|n)(1-q^n)/(1+q^n)",
                      31, "oracle",
                      _pair(partial(combinat.nbar_series, m),
-                           partial(_counted_series, partial(nbar, m)), start=1, notes=N0_NOTE)))
+                           partial(_counted_series, partial(nbar, m)), notes=N0_NOTE)))
     for s, m in ((0, 3), (1, 3), (0, 5), (1, 5), (2, 5)):
         out.append(E(f"gen1@s={s},m={m}",
                      "sum Nbar(s,m,n) q^n = 2(-q;q)/(q;q) sum'_n (-1)^n q^(n^2+n)"
@@ -197,7 +196,7 @@ def _entries() -> List[IdentityEntry]:
                      31, "oracle",
                      _pair(partial(combinat.nbar_class_series, s, m),
                            partial(_counted_series, partial(nbar_class, s, m)),
-                           start=1, notes=N0_NOTE)))
+                           notes=N0_NOTE)))
 
     # the thirteen dissected rank differences
     anchors = {
@@ -344,7 +343,7 @@ def _entries() -> List[IdentityEntry]:
         out.append(E(f"g1@a={a},ell={ell}",
                      "2g(a) - g(2a) + 1/2 = P(-y^4a)P(0)^2/(P(4a)P(-1))"
                      " + y^a P(-1)^2 P(0)^2 P(2a)/(P(a)^2 P(-y^a)^2)",
-                     300, "lambert", partial(lambert.check_g1, a, ell)))
+                     300, "lambert", partial(lambert.check_part1, SM(1, a), ell)))
     out.append(E("constant@z=q^1,base=3", "g(z,q) - g(zq,q) = -2", 200, "lambert",
                  partial(lambert.check_constant, SM(1, 1), 3)))
     out.append(E("constant@sampled", "g(z,q) - g(zq,q) = -2", 150, "lambert",

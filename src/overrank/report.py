@@ -80,14 +80,13 @@ def compare(
     id: str,
     lhs: LaurentSeries,
     rhs: LaurentSeries,
-    start: Optional[int] = None,
     notes: str = "",
 ) -> IdentityReport:
     """Compare two series on their common guaranteed range."""
     _assert_dyadic(lhs)
     _assert_dyadic(rhs)
     checked = min(lhs.order, rhs.order)
-    fm = first_mismatch(lhs, rhs, start=start)
+    fm = first_mismatch(lhs, rhs)
     if fm is None:
         return IdentityReport(id=id, ok=True, checked_order=checked, notes=notes)
     e = fm[0]

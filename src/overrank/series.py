@@ -112,10 +112,6 @@ class LaurentSeries:
             return self.coeffs[i]
         return 0
 
-    def coeff_range(self, lo: int, hi: int) -> list:
-        """Coefficients of q^lo .. q^(hi-1); all must be below the order."""
-        return [self.coeff(n) for n in range(lo, hi)]
-
     def terms(self) -> Iterator[Tuple[int, Coefficient]]:
         for i, c in enumerate(self.coeffs):
             if c:
@@ -183,12 +179,6 @@ class LaurentSeries:
             return self
         keep = max(0, min(len(self.coeffs), order - self.min_exp))
         return LaurentSeries(self.min_exp, self.coeffs[:keep], order)
-
-    def substitute_power(self, k: int) -> "LaurentSeries":
-        return substitute_power(self, k)
-
-    def extract_progression(self, m: int, d: int) -> "LaurentSeries":
-        return extract_progression(self, m, d)
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -308,24 +298,16 @@ def extract_progression(a: LaurentSeries, m: int, d: int) -> LaurentSeries:
     return LaurentSeries(0, out, max(0, g_order))
 
 
-def coeff(a: LaurentSeries, n: int) -> Coefficient:
-    return a.coeff(n)
-
-
 def first_mismatch(
-    a: LaurentSeries, b: LaurentSeries, start: Optional[int] = None
+    a: LaurentSeries, b: LaurentSeries
 ) -> Optional[Tuple[int, Coefficient, Coefficient]]:
     """First exponent below min(a.order, b.order) where the two series differ.
 
     Returns (exponent, a-coefficient, b-coefficient), or None if the series
-    agree on the whole compared range.  ``start`` restricts the comparison to
-    exponents >= start.
+    agree on the whole compared range.
     """
     hi = min(a.order, b.order)
-    lo = min(a.min_exp, b.min_exp)
-    if start is not None:
-        lo = max(lo, start)
-    for n in range(lo, hi):
+    for n in range(min(a.min_exp, b.min_exp), hi):
         ca = a.coeff(n)
         cb = b.coeff(n)
         if ca != cb:
@@ -333,5 +315,5 @@ def first_mismatch(
     return None
 
 
-def series_equal(a: LaurentSeries, b: LaurentSeries, start: Optional[int] = None) -> bool:
-    return first_mismatch(a, b, start=start) is None
+def series_equal(a: LaurentSeries, b: LaurentSeries) -> bool:
+    return first_mismatch(a, b) is None

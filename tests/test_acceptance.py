@@ -12,7 +12,7 @@ import time
 
 from overrank import registry
 from overrank.combinat import nbar_class, pbar_series, rank_table
-from overrank.lambert import s_bar, sigma_ab, sigma_primed, widened_summation
+from overrank.lambert import s_bar, sigma_ab, sigma_primed
 from overrank.products import poch
 from overrank.rankdiff import (
     CHECK_TABLE,
@@ -32,6 +32,7 @@ from overrank.series import (
     series_equal,
     substitute_power,
 )
+from test_lambert import _lambert_reference
 
 THM_IDS_3 = [f"thm3.R01.d{d}" for d in range(3)]
 THM_IDS_5 = [f"thm5.R{s}{t}.d{d}" for (s, t) in ((1, 2), (0, 2)) for d in range(5)]
@@ -164,10 +165,11 @@ def test_criterion_8_property_suites():
                 piece = substitute_power(extract_progression(f, m, d), m).shift(d)
                 total = total + piece.truncate(f.order)
             ok = ok and series_equal(total, f)
-    plain = [sigma_ab(1, 0, 5, 60), sigma_primed(-2, 5, 60), s_bar(1, 5, 60)]
-    with widened_summation(30):
-        widened = [sigma_ab(1, 0, 5, 60), sigma_primed(-2, 5, 60), s_bar(1, 5, 60)]
-    ok = ok and all(series_equal(x, y) for x, y in zip(plain, widened))
+    named = [sigma_ab(1, 0, 5, 60), sigma_primed(-2, 5, 60), s_bar(1, 5, 60)]
+    termwise = [_lambert_reference(5, 5, -1, [(1, 1, 5)], 60, False),
+                _lambert_reference(5, 3, -1, [(1, 0, 5)], 60, True),
+                _lambert_reference(1, 1, -1, [(1, 0, 5)], 60, True)]
+    ok = ok and all(series_equal(x, y) for x, y in zip(named, termwise))
     for n in range(31):
         counts = rank_table(n).counts
         ok = ok and all(counts.get(m, 0) == counts.get(-m, 0) for m in range(9))
@@ -177,8 +179,9 @@ def test_criterion_8_property_suites():
         for s in range(m):
             total = total + nbar_class_series(s, m, 31)
         ok = ok and first_mismatch(total, pbar_series(31)) is None
-    _criterion(8, "ring axioms, dissection completeness, bilateral range-doubling "
-                  "stability, rank symmetry, and class-sum completeness", ok)
+    _criterion(8, "ring axioms, dissection completeness, bilateral sums against "
+                  "their term-by-term reference, rank symmetry, and class-sum "
+                  "completeness", ok)
 
 
 def test_criterion_9_mutation_sensitivity():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from overrank.errors import BeyondTruncation, NegativeExponent, ZeroLeadingTerm
 from overrank.series import (
     LaurentSeries,
-    coeff,
     extract_progression,
     first_mismatch,
     inverse,
@@ -96,10 +95,10 @@ class TestExamples:
 
     def test_coeff(self):
         f = S(0, [1, 2], 3)
-        assert coeff(f, 1) == 2
-        assert coeff(f, 2) == 0
+        assert f.coeff(1) == 2
+        assert f.coeff(2) == 0
         with pytest.raises(BeyondTruncation):
-            coeff(f, 5)
+            f.coeff(5)
 
     def test_inverse_needs_leading_term(self):
         with pytest.raises(ZeroLeadingTerm):
