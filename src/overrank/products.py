@@ -13,16 +13,20 @@ accumulating an exact monomial prefactor.
 
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, and ``Product.expand`` is the only place that turns one into a series.
-Its factor pass, ``binomial_pass``, also serves the Lambert sums and
-``combinat.nbar_series``.
+It memoises the expansion of each factor multiset, so a product met again at
+the same or a shorter length costs one slice.  Its factor pass,
+``binomial_pass``, also serves the Lambert sums and ``combinat.nbar_series``,
+which do not go through the memo.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .errors import PoleHit
 from .report import IdentityReport, compare
@@ -94,19 +98,61 @@ class Product:
         return Product(-self.scalar, self.qexp, self.factors)
 
     def expand(self, order: int) -> LaurentSeries:
-        """The series, exact below `order`: one ``binomial_pass`` per factor
-        1 - s*q^e, all in integers, with the scalar applied once at the end."""
+        """The series, exact below `order`: the factors' expansion, memoised
+        by ``_expand_factors``, shifted by q^qexp and times the scalar."""
         n = order - self.qexp
         if n <= 0 or not self.scalar:
             return LaurentSeries.zero(order)
-        out = [0] * n
-        out[0] = 1
-        for (sign, r, step), mult in self.factors:
-            for e in range(r, n, step):
-                binomial_pass(out, sign, e, mult)
+        out = _expand_factors(self.factors, n)
         if self.scalar != 1:
             out = [self.scalar * c for c in out]
         return LaurentSeries(self.qexp, out, order)
+
+
+# Product.factors -> the longest expansion of those factors made so far.  At
+# most _EXPAND_LIMIT coefficients are kept in all; the oldest insertions go
+# first.  Entries are tuples, so no caller can change one.
+_EXPAND_LIMIT = 1 << 20
+_expanded: Dict[Tuple[Factor, ...], Tuple[int, ...]] = {}
+_expand_counts = {"hits": 0, "misses": 0, "stored": 0}
+_expand_lock = threading.Lock()
+
+ExpandCacheInfo = namedtuple("ExpandCacheInfo", "hits misses maxsize currsize")
+
+
+def expand_cache_info() -> ExpandCacheInfo:
+    """Hits, misses, the bound and the stored coefficients of the ``expand``
+    memo, in the shape of ``functools.lru_cache``'s ``cache_info()``."""
+    with _expand_lock:
+        c = _expand_counts
+        return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"])
+
+
+def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Tuple[int, ...]:
+    """The first n coefficients of prod (1 - s*q^e)^mult over the factors: a
+    slice of a memo entry at least n long, or else one ``binomial_pass`` per
+    factor 1 - s*q^e, all in integers, stored in place of any shorter entry."""
+    with _expand_lock:
+        known = _expanded.get(factors)
+        if known is not None and len(known) >= n:
+            _expand_counts["hits"] += 1
+            return known[:n]
+        _expand_counts["misses"] += 1
+    out = [0] * n
+    out[0] = 1
+    for (sign, r, step), mult in factors:
+        for e in range(r, n, step):
+            binomial_pass(out, sign, e, mult)
+    out = tuple(out)
+    if n <= _EXPAND_LIMIT:
+        with _expand_lock:
+            old = _expanded.pop(factors, ())
+            _expanded[factors] = out
+            stored = _expand_counts["stored"] + n - len(old)
+            while stored > _EXPAND_LIMIT:
+                stored -= len(_expanded.pop(next(iter(_expanded))))
+            _expand_counts["stored"] = stored
+    return out
 
 
 def binomial_pass(out: list, sign: int, e: int, mult: int) -> None:

@@ -14,6 +14,7 @@ compare exactly, so the union behaves as a single exact-rational scalar type.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import BeyondTruncation, NegativeExponent, ZeroLeadingTerm
@@ -42,7 +43,9 @@ class LaurentSeries:
     order: int
 
     def __init__(self, min_exp: int, coeffs: Iterable[Coefficient], order: int):
-        cs = [_norm(c) for c in coeffs]
+        cs = tuple(coeffs)
+        if Fraction in set(map(type, cs)):
+            cs = tuple(map(_norm, cs))
         lo, hi = 0, len(cs)
         while lo < hi and not cs[lo]:
             lo += 1
@@ -60,7 +63,7 @@ class LaurentSeries:
         if min_exp > order:
             raise ValueError(f"min_exp {min_exp} exceeds order {order}")
         object.__setattr__(self, "min_exp", min_exp)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
@@ -194,12 +197,78 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(lo, out, order)
 
 
+# Below these sizes (either operand) packing costs more than the schoolbook
+# loop, which skips zeros; the pentagonal (q;q)_inf has fewer than 32 nonzero
+# coefficients below order 377.
+_KRONECKER_MIN_LEN = 64
+_KRONECKER_MIN_NONZEROS = 32
+
+
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Cauchy product.
 
     The result is exact below min(a.order + b.min_exp, b.order + a.min_exp):
     the first unknown coefficient of either factor first affects that exponent.
+
+    Operands of at least 64 coefficients and 32 nonzeros each are multiplied
+    by Kronecker substitution: each side, truncated to the output window and
+    with its denominators cleared, is packed into one integer at q = 2^w, and
+    one bigint product carries every coefficient (D. Harvey,
+    arXiv:0712.4046).  Smaller or sparser operands use ``_mul_schoolbook``.
     """
+    order = min(a.order + b.min_exp, b.order + a.min_exp)
+    lo = a.min_exp + b.min_exp
+    if not a.coeffs or not b.coeffs:
+        return LaurentSeries.zero(order)
+    n = order - lo
+    ac, bc = a.coeffs[:n], b.coeffs[:n]
+    if (min(len(ac), len(bc)) < _KRONECKER_MIN_LEN
+            or len(ac) - ac.count(0) < _KRONECKER_MIN_NONZEROS
+            or len(bc) - bc.count(0) < _KRONECKER_MIN_NONZEROS):
+        return _mul_schoolbook(a, b)
+    ac, da = _clear_denominators(ac)
+    bc, db = _clear_denominators(bc)
+    # every output coefficient is a sum of at most min(len) products, so it
+    # lies strictly inside (-2^(w-2), 2^(w-2)): the slots never overlap
+    bound = max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
+    size = (bound.bit_length() + 2 + 7) // 8
+    half = 1 << (8 * size - 1)
+    m = min(n, len(ac) + len(bc) - 1)
+    prod = _pack(ac, size, half) * _pack(bc, size, half)
+    # add half to every slot below m, so each slot is a nonnegative offset
+    # value and no borrow crosses a slot boundary
+    raw = ((prod + _slot_run(m, size, half)) & ((1 << (8 * size * m)) - 1)).to_bytes(
+        size * m, "little")
+    out = [int.from_bytes(raw[i:i + size], "little") - half
+           for i in range(0, size * m, size)]
+    if da * db != 1:
+        out = [Fraction(c, da * db) for c in out]
+    return LaurentSeries(lo, out, order)
+
+
+def _clear_denominators(cs: Tuple[Coefficient, ...]) -> Tuple[Tuple[int, ...], int]:
+    """(d * cs as ints, d) for the least common denominator d."""
+    if Fraction not in set(map(type, cs)):
+        return cs, 1
+    d = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (d // c.denominator) for c in cs), d
+
+
+def _slot_run(count: int, size: int, half: int) -> int:
+    """half * sum_{i < count} 2^(8 size i): the offset half in each of count slots."""
+    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+def _pack(cs: Tuple[int, ...], size: int, half: int) -> int:
+    """sum_i cs[i] 2^(8 size i), each |cs[i]| < half, built from offset slots."""
+    packed = b"".join([(c + half).to_bytes(size, "little") for c in cs])
+    return int.from_bytes(packed, "little") - _slot_run(len(cs), size, half)
+
+
+def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """Cauchy product by the quadratic loop over nonzero pairs: ``mul``'s path
+    for small or sparse operands, and the reference its packed path is tested
+    against."""
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
     if not a.coeffs or not b.coeffs:
@@ -307,12 +376,19 @@ def first_mismatch(
     agree on the whole compared range.
     """
     hi = min(a.order, b.order)
-    for n in range(min(a.min_exp, b.min_exp), hi):
-        ca = a.coeff(n)
-        cb = b.coeff(n)
-        if ca != cb:
-            return (n, ca, cb)
-    return None
+    lo = min(a.min_exp, b.min_exp)
+    wa, wb = _window(a, lo, hi), _window(b, lo, hi)
+    if wa == wb:
+        return None
+    i = next(i for i, (ca, cb) in enumerate(zip(wa, wb)) if ca != cb)
+    return (lo + i, wa[i], wb[i])
+
+
+def _window(a: LaurentSeries, lo: int, hi: int) -> Tuple[Coefficient, ...]:
+    """The coefficients of a at exponents lo <= n < hi, for lo <= a.min_exp."""
+    head = min(a.min_exp, hi) - lo
+    body = a.coeffs[:hi - lo - head]
+    return (0,) * head + body + (0,) * (hi - lo - head - len(body))
 
 
 def series_equal(a: LaurentSeries, b: LaurentSeries) -> bool:

@@ -6,12 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from overrank import products
+from overrank.combinat import _count_by_residue
 from overrank.errors import PoleHit, ZeroLeadingTerm
-from overrank.lambert import theta
+from overrank.lambert import lambert_sum, theta
 from overrank.products import (
     P,
     Product,
     SignedMonomial as SM,
+    binomial_pass,
+    expand_cache_info,
     poch,
     triple_product,
     verify_addition,
@@ -199,6 +203,77 @@ def test_expand_matches_binomial_products(scalar, qexp, parts, order):
         return
     ref = _reference(scalar, qexp, factors, order)
     assert prod.expand(order) == ref
+
+
+# ----------------------------------------------------------------------
+# the expand memo
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty expand memo for one test; the shared one is restored after."""
+    monkeypatch.setattr(products, "_expanded", {})
+    monkeypatch.setattr(products, "_expand_counts", {"hits": 0, "misses": 0, "stored": 0})
+    return products._expanded
+
+
+def _fresh(prod, order):
+    """prod.expand(order) taken with the memo cleared."""
+    products._expanded.clear()
+    products._expand_counts.update(hits=0, misses=0, stored=0)
+    return prod.expand(order)
+
+
+class TestExpandMemo:
+    X = poch(-1, 1, 1) / poch(1, 1, 1) * P(1, 2, 5) ** 2
+
+    def test_short_after_long_is_a_hit(self, memo):
+        self.X.expand(120)
+        short = self.X.expand(50)
+        assert expand_cache_info()[:2] == (1, 1)
+        assert short == _fresh(self.X, 50)
+
+    def test_scalar_and_qexp_share_one_entry(self, memo):
+        plain = self.X.expand(80)
+        scaled = (Product(Fraction(-1, 2), 3) * self.X).expand(83)
+        assert expand_cache_info()[:2] == (1, 1) and len(memo) == 1
+        assert scaled == plain.shift(3).scale(Fraction(-1, 2))
+        assert scaled == _fresh(Product(Fraction(-1, 2), 3) * self.X, 83)
+
+    def test_long_after_short_replaces_the_entry(self, memo):
+        self.X.expand(40)
+        long = self.X.expand(150)
+        info = expand_cache_info()
+        assert info.hits == 0 and info.misses == 2
+        assert list(memo) == [self.X.factors] and info.currsize == 150
+        assert long == _fresh(self.X, 150)
+
+    def test_callers_cannot_change_an_entry(self, memo):
+        first = self.X.expand(90)
+        work = list(first.coeffs)
+        binomial_pass(work, 1, 1, 3)
+        binomial_pass(work, -1, 2, -1)
+        assert self.X.expand(90) == first
+        assert self.X.expand(60) == first.truncate(60)
+        assert expand_cache_info().hits == 2
+
+    def test_bound_evicts_the_oldest(self, memo):
+        n = products._EXPAND_LIMIT // 4
+        keys = [poch(1, n - i, n) for i in range(1, 6)]  # 1 - q^(n-i) each
+        for k in keys:
+            k.expand(n)
+        assert list(memo) == [k.factors for k in keys[1:]]
+        assert expand_cache_info().currsize == 4 * n <= products._EXPAND_LIMIT
+        keys[0].expand(n)  # a miss again, which evicts the next oldest
+        assert list(memo) == [k.factors for k in keys[2:] + keys[:1]]
+        assert expand_cache_info()[:2] == (0, 6)
+        assert expand_cache_info().currsize <= products._EXPAND_LIMIT
+
+    def test_lambert_sums_and_counting_bypass_it(self, memo):
+        lambert_sum(1, 2, -1, [(-1, 0, 1), (1, 0, 5)], 80, primed=True)
+        _count_by_residue(5, 80)
+        assert expand_cache_info()[:2] == (0, 0) and not memo
 
 
 class TestTheta:

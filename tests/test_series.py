@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overrank import series
 from overrank.errors import BeyondTruncation, NegativeExponent, ZeroLeadingTerm
 from overrank.series import (
     LaurentSeries,
+    _mul_schoolbook,
     extract_progression,
     first_mismatch,
     inverse,
@@ -125,6 +127,23 @@ class TestExamples:
         assert (f + f).coeff(0) == 1
         assert (f * f).coeff(0) == Fraction(1, 4)
 
+    def test_integral_fractions_become_int(self):
+        f = S(0, [Fraction(4, 2), Fraction(1, 2), 3, Fraction(-6, 3), Fraction(2, 3)], 5)
+        assert f.coeffs == (2, Fraction(1, 2), 3, -2, Fraction(2, 3))
+        assert [type(c) for c in f.coeffs] == [int, Fraction, int, int, Fraction]
+        assert S(0, [Fraction(0), Fraction(5, 1)], 3).coeffs == (5,)
+        assert type(S(0, [Fraction(5, 1)], 3).coeffs[0]) is int
+
+    def test_dense_operands_take_the_packed_path(self, monkeypatch):
+        def schoolbook_called(a, b):
+            raise AssertionError("dense operands fell back to the schoolbook loop")
+
+        a = S(-3, [(-1) ** i * (i + 1) for i in range(80)], 77)
+        b = S(2, [Fraction(i, 2) for i in range(1, 70)], 71)
+        expected = _mul_schoolbook(a, b)
+        monkeypatch.setattr(series, "_mul_schoolbook", schoolbook_called)
+        assert mul(a, b) == expected
+
 
 coeffs_st = st.lists(st.integers(-9, 9), min_size=0, max_size=10)
 
@@ -200,3 +219,66 @@ class TestRingAxioms:
             substitute_power(mul(a, b), k),
             mul(substitute_power(a, k), substitute_power(b, k)),
         )
+
+
+# ----------------------------------------------------------------------
+# the packed (Kronecker) product against the schoolbook reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def long_series_st(draw):
+    """At least 64 stored coefficients, so the packed path can run: dense or
+    sparse, small or above 2^200, integral, dyadic or with denominator 3, and
+    runs of zeros at both ends of the drawn window before it is trimmed."""
+    size = draw(st.sampled_from((9, 1 << 20, 1 << 210)))
+    entry = st.integers(-size, size)
+    if draw(st.booleans()):  # sparse: mostly zeros
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    body = draw(st.lists(entry, min_size=64, max_size=130))
+    body[0] = body[0] or 1
+    body[-1] = body[-1] or -1
+    den = draw(st.sampled_from((1, 1, 2, 4, 3)))
+    cs = [0] * draw(st.integers(0, 5)) + [Fraction(c, den) for c in body] \
+        + [0] * draw(st.integers(0, 5))
+    min_exp = draw(st.integers(-40, 40))
+    return LaurentSeries(min_exp, cs, min_exp + len(cs) + draw(st.integers(0, 90)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(long_series_st(), long_series_st())
+@example(S(0, [255] * 130, 130), S(0, [-255] * 130, 130))  # a coefficient at the bound
+def test_packed_mul_matches_schoolbook(a, b):
+    got = mul(a, b)
+    assert got == _mul_schoolbook(a, b)
+    assert not any(type(c) is Fraction and c.denominator == 1 for c in got.coeffs)
+
+
+# ----------------------------------------------------------------------
+# first_mismatch against the per-exponent loop
+# ----------------------------------------------------------------------
+
+
+def _first_mismatch_reference(a, b):
+    for n in range(min(a.min_exp, b.min_exp), min(a.order, b.order)):
+        if a.coeff(n) != b.coeff(n):
+            return (n, a.coeff(n), b.coeff(n))
+    return None
+
+
+coeff_value_st = st.one_of(st.integers(-3, 3), st.sampled_from((Fraction(1, 2), Fraction(-3, 4))))
+
+
+@settings(max_examples=300)
+@given(terms=st.dictionaries(st.integers(-10, 30), coeff_value_st, max_size=12),
+       changes=st.dictionaries(st.integers(-20, 45), coeff_value_st, max_size=3),
+       order_a=st.integers(-15, 45), order_b=st.integers(-15, 45))
+@example(terms={0: 1, 1: 2}, changes={-5: 1}, order_a=10, order_b=12)  # before both windows
+@example(terms={0: 1, 5: 2}, changes={3: 1}, order_a=10, order_b=12)  # inside them
+@example(terms={0: 1, 1: 2}, changes={8: 1}, order_a=10, order_b=12)  # after both windows
+@example(terms={0: 1, 1: 2}, changes={11: 1}, order_a=10, order_b=12)  # past one order
+def test_first_mismatch_matches_loop(terms, changes, order_a, order_b):
+    a = LaurentSeries.from_terms(terms, order_a)
+    b = LaurentSeries.from_terms({**terms, **changes}, order_b)
+    assert first_mismatch(a, b) == _first_mismatch_reference(a, b)
+    assert first_mismatch(b, a) == _first_mismatch_reference(b, a)
