@@ -131,7 +131,8 @@ def expand_cache_info() -> ExpandCacheInfo:
 def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Tuple[int, ...]:
     """The first n coefficients of prod (1 - s*q^e)^mult over the factors: a
     slice of a memo entry at least n long, or else one ``binomial_pass`` per
-    factor 1 - s*q^e, all in integers, stored in place of any shorter entry."""
+    factor 1 - s*q^e, all in integers, stored in place of any shorter entry
+    (another thread may have stored a longer one meanwhile)."""
     with _expand_lock:
         known = _expanded.get(factors)
         if known is not None and len(known) >= n:
@@ -146,12 +147,14 @@ def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Tuple[int, ...]:
     out = tuple(out)
     if n <= _EXPAND_LIMIT:
         with _expand_lock:
-            old = _expanded.pop(factors, ())
-            _expanded[factors] = out
-            stored = _expand_counts["stored"] + n - len(old)
-            while stored > _EXPAND_LIMIT:
-                stored -= len(_expanded.pop(next(iter(_expanded))))
-            _expand_counts["stored"] = stored
+            old = _expanded.get(factors, ())
+            if len(old) < n:
+                _expanded.pop(factors, None)
+                _expanded[factors] = out
+                stored = _expand_counts["stored"] + n - len(old)
+                while stored > _EXPAND_LIMIT:
+                    stored -= len(_expanded.pop(next(iter(_expanded))))
+                _expand_counts["stored"] = stored
     return out
 
 

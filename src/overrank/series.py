@@ -29,6 +29,11 @@ def _norm(c: Coefficient) -> Coefficient:
     return c
 
 
+def _has_fraction(cs: Tuple[Coefficient, ...]) -> bool:
+    """Whether any coefficient is a Fraction, by one C-level scan of the types."""
+    return Fraction in set(map(type, cs))
+
+
 class LaurentSeries:
     """A truncated Laurent series sum_{n >= min_exp} c_n q^n + O(q^order).
 
@@ -44,7 +49,7 @@ class LaurentSeries:
 
     def __init__(self, min_exp: int, coeffs: Iterable[Coefficient], order: int):
         cs = tuple(coeffs)
-        if Fraction in set(map(type, cs)):
+        if _has_fraction(cs):
             cs = tuple(map(_norm, cs))
         lo, hi = 0, len(cs)
         while lo < hi and not cs[lo]:
@@ -197,11 +202,14 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(lo, out, order)
 
 
-# Below these sizes (either operand) packing costs more than the schoolbook
-# loop, which skips zeros; the pentagonal (q;q)_inf has fewer than 32 nonzero
-# coefficients below order 377.
-_KRONECKER_MIN_LEN = 64
-_KRONECKER_MIN_NONZEROS = 32
+# The schoolbook loop makes one pass over one operand per nonzero coefficient
+# of the other; packing costs a few byte-slot operations per coefficient of
+# both operands and of the product.  Timing every ``mul`` call of a
+# ``run_suite`` at order scales 0.25 and 1.0 and of seven entries at 4-10x
+# their default orders on both paths put the crossover at 4 nonzeros on the
+# sparser side: with this cutoff each workload's total came within 0.2 ms of
+# always taking the faster path.
+_SCHOOLBOOK_MAX_NONZEROS = 4
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -210,11 +218,12 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     The result is exact below min(a.order + b.min_exp, b.order + a.min_exp):
     the first unknown coefficient of either factor first affects that exponent.
 
-    Operands of at least 64 coefficients and 32 nonzeros each are multiplied
-    by Kronecker substitution: each side, truncated to the output window and
-    with its denominators cleared, is packed into one integer at q = 2^w, and
-    one bigint product carries every coefficient (D. Harvey,
-    arXiv:0712.4046).  Smaller or sparser operands use ``_mul_schoolbook``.
+    The product is taken by Kronecker substitution: each side, truncated to
+    the output window and with its denominators cleared, is packed into one
+    integer at q = 2^w, and one bigint product carries every coefficient
+    (D. Harvey, arXiv:0712.4046).  When either side has at most
+    ``_SCHOOLBOOK_MAX_NONZEROS`` nonzero coefficients, ``_mul_schoolbook``
+    is faster and is used instead.
     """
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
@@ -222,9 +231,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return LaurentSeries.zero(order)
     n = order - lo
     ac, bc = a.coeffs[:n], b.coeffs[:n]
-    if (min(len(ac), len(bc)) < _KRONECKER_MIN_LEN
-            or len(ac) - ac.count(0) < _KRONECKER_MIN_NONZEROS
-            or len(bc) - bc.count(0) < _KRONECKER_MIN_NONZEROS):
+    if min(len(ac) - ac.count(0), len(bc) - bc.count(0)) <= _SCHOOLBOOK_MAX_NONZEROS:
         return _mul_schoolbook(a, b)
     ac, da = _clear_denominators(ac)
     bc, db = _clear_denominators(bc)
@@ -248,7 +255,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def _clear_denominators(cs: Tuple[Coefficient, ...]) -> Tuple[Tuple[int, ...], int]:
     """(d * cs as ints, d) for the least common denominator d."""
-    if Fraction not in set(map(type, cs)):
+    if not _has_fraction(cs):
         return cs, 1
     d = lcm(*(c.denominator for c in cs))
     return tuple(c.numerator * (d // c.denominator) for c in cs), d
@@ -267,8 +274,8 @@ def _pack(cs: Tuple[int, ...], size: int, half: int) -> int:
 
 def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Cauchy product by the quadratic loop over nonzero pairs: ``mul``'s path
-    for small or sparse operands, and the reference its packed path is tested
-    against."""
+    when one operand has very few nonzeros, and the reference its packed path
+    is tested against."""
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
     if not a.coeffs or not b.coeffs:

@@ -249,6 +249,24 @@ class TestExpandMemo:
         assert list(memo) == [self.X.factors] and info.currsize == 150
         assert long == _fresh(self.X, 150)
 
+    def test_a_longer_entry_stored_meanwhile_is_kept(self, memo, monkeypatch):
+        # a long expansion, as from another thread, finishes while a short
+        # miss of the same factors is still in its passes
+        real, started = products.binomial_pass, []
+
+        def interleaved(*args):
+            if not started:
+                started.append(True)
+                self.X.expand(150)
+            real(*args)
+
+        monkeypatch.setattr(products, "binomial_pass", interleaved)
+        short = self.X.expand(40)
+        info = expand_cache_info()
+        assert info.misses == 2 and info.currsize == 150
+        assert list(memo) == [self.X.factors] and len(memo[self.X.factors]) == 150
+        assert short == _fresh(self.X, 40)
+
     def test_callers_cannot_change_an_entry(self, memo):
         first = self.X.expand(90)
         work = list(first.coeffs)

@@ -144,6 +144,16 @@ class TestExamples:
         monkeypatch.setattr(series, "_mul_schoolbook", schoolbook_called)
         assert mul(a, b) == expected
 
+    def test_a_side_with_few_nonzeros_takes_the_schoolbook_path(self, monkeypatch):
+        def pack_called(cs, size, half):
+            raise AssertionError("a 4-nonzero operand took the packed path")
+
+        a = S(0, [1, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1], 90)
+        b = S(-5, [(-1) ** i * (i + 1) for i in range(80)], 75)
+        expected = _mul_schoolbook(a, b)
+        monkeypatch.setattr(series, "_pack", pack_called)
+        assert mul(a, b) == expected
+
 
 coeffs_st = st.lists(st.integers(-9, 9), min_size=0, max_size=10)
 
@@ -228,9 +238,11 @@ class TestRingAxioms:
 
 @st.composite
 def long_series_st(draw):
-    """At least 64 stored coefficients, so the packed path can run: dense or
-    sparse, small or above 2^200, integral, dyadic or with denominator 3, and
-    runs of zeros at both ends of the drawn window before it is trimmed."""
+    """At least 64 stored coefficients, so nearly every pair has more than
+    ``_SCHOOLBOOK_MAX_NONZEROS`` nonzeros a side and takes the packed path:
+    dense or sparse, small or above 2^200, integral, dyadic or with
+    denominator 3, and runs of zeros at both ends of the drawn window before
+    it is trimmed."""
     size = draw(st.sampled_from((9, 1 << 20, 1 << 210)))
     entry = st.integers(-size, size)
     if draw(st.booleans()):  # sparse: mostly zeros
