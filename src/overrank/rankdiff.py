@@ -6,20 +6,25 @@ additive term, one ``poch`` per Pochhammer symbol, signs and exponents spelled
 out) so each table row can be audited against the identity it encodes, factor
 by factor.  All series here live in the plain q variable; index-level
 objects (P(a), Sum(a,b), g(a)) are computed in the base variable y and lifted
-through q -> q^ell substitution.
+through q -> q^ell substitution by ``_lift``, which builds each at the least
+y order that the requested q order needs.
+
+The identities (``brackets``, ``verify_sbar_closed``, ``verify_check``)
+return their two sides, each exact below the requested order; the registry
+compares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 from .combinat import nbar_class_series
 from .lambert import GFuncSpec, g_func, g_index, s_bar, sigma_ab, sigma_primed
 from .products import P, Product, poch
-from .report import IdentityReport, compare
-from .series import LaurentSeries, extract_progression, mul, substitute_power
+from .series import LaurentSeries, Sides, extract_progression, mul, substitute_power
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def eval_terms(terms: Tuple[FormulaTerm, ...], order: int) -> LaurentSeries:
             a, ell = t.g
             acc = mul(acc, g_func(GFuncSpec(a, ell), order))
         total = total + acc
-    return total.truncate(order)
+    return total
 
 
 T = FormulaTerm
@@ -147,15 +152,9 @@ THEOREM_TABLE = {
 }
 
 
-def rank_diff_formula(key: RankDiffKey, order: int,
-                      terms: Optional[Tuple[FormulaTerm, ...]] = None) -> LaurentSeries:
-    """Closed form of R_st(d) in the dissected variable, from the table.
-
-    `terms` overrides the table entry (used by mutation sensitivity tests).
-    """
-    if terms is None:
-        terms = THEOREM_TABLE[(key.ell, key.s, key.t, key.d)]
-    return eval_terms(terms, order)
+def rank_diff_formula(key: RankDiffKey, order: int) -> LaurentSeries:
+    """Closed form of R_st(d) in the dissected variable, from the table."""
+    return eval_terms(THEOREM_TABLE[(key.ell, key.s, key.t, key.d)], order)
 
 
 def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
@@ -173,10 +172,12 @@ def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
-def _lifted_sigma(a: int, b: int, ell: int, q_order: int, shift: int) -> LaurentSeries:
-    """q^shift * Sum(a, b) lifted to the q variable, exact below q_order."""
-    y_order = max(1, -(-(q_order - shift) // ell))
-    return substitute_power(sigma_ab(a, b, ell, y_order), ell).shift(shift)
+def _lift(build: Callable[[int], LaurentSeries], ell: int, order: int,
+          shift: int = 0) -> LaurentSeries:
+    """q^shift * build(y) at y = q^ell, exact below `order`; build(y_order) is
+    a series in y exact below y_order, called at the least such order."""
+    y_order = max(1, -(-(order - shift) // ell))
+    return substitute_power(build(y_order), ell).shift(shift).truncate(order)
 
 
 def s_bar_b_decomposition(spec: FinalFormSpec, order: int) -> LaurentSeries:
@@ -187,16 +188,16 @@ def s_bar_b_decomposition(spec: FinalFormSpec, order: int) -> LaurentSeries:
     """
     ell, m = spec.ell, spec.m
     sgn_m = -1 if m % 2 else 1
-    total = sgn_m * _lifted_sigma(m, 0, ell, order, m * (ell - m))
-    y_order = max(1, -(-order // ell))
-    total = total + substitute_power(sigma_primed(-2 * m, ell, y_order), ell).truncate(order)
-    total = total + _lifted_sigma(2 * m, 2 * m, ell, order, 2 * m * ell)
+    total = sgn_m * _lift(partial(sigma_ab, m, 0, ell), ell, order, m * (ell - m))
+    total = total + _lift(partial(sigma_primed, -2 * m, ell), ell, order)
+    total = total + _lift(partial(sigma_ab, 2 * m, 2 * m, ell), ell, order, 2 * m * ell)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
         c = (a + m) * (a - m + ell)
-        total = total + sgn * _lifted_sigma(m + a, 2 * a, ell, order, c)
-        total = total + sgn * _lifted_sigma(m - a, -2 * a, ell, order, c - 2 * a * ell)
-    return total.truncate(order)
+        total = total + sgn * _lift(partial(sigma_ab, m + a, 2 * a, ell), ell, order, c)
+        total = total + sgn * _lift(partial(sigma_ab, m - a, -2 * a, ell), ell, order,
+                                    c - 2 * a * ell)
+    return total
 
 
 def _p_ratio_bracket(a: int, ell: int, y_order: int) -> LaurentSeries:
@@ -213,15 +214,12 @@ def sigma_coefficient_bracket(spec: FinalFormSpec, order: int) -> LaurentSeries:
     ell, m = spec.ell, spec.m
     sgn_m = -1 if m % 2 else 1
     total = LaurentSeries.monomial(sgn_m, m * (ell - m), order)
-    y_order = max(1, -(-order // ell)) + 2 * m + 2
-    lead = substitute_power(_p_ratio_bracket(m, ell, y_order), ell).shift(m * ell)
-    total = total + lead.truncate(order)
+    total = total + _lift(partial(_p_ratio_bracket, m, ell), ell, order, m * ell)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
         c = (a + m) * (a - m + ell) - a * ell
-        piece = substitute_power(_p_ratio_bracket(a, ell, y_order), ell).shift(c).truncate(order)
-        total = total + sgn * piece
-    return total.truncate(order)
+        total = total + sgn * _lift(partial(_p_ratio_bracket, a, ell), ell, order, c)
+    return total
 
 
 def s_bar_final_form(spec: FinalFormSpec, order: int) -> LaurentSeries:
@@ -233,20 +231,16 @@ def s_bar_final_form(spec: FinalFormSpec, order: int) -> LaurentSeries:
         + Sum(m,0) * { sigma_coefficient_bracket }
     """
     ell, m = spec.ell, spec.m
-    y_order = max(1, -(-order // ell)) + 4 * ell
-    total = -substitute_power(g_index(m, ell, y_order), ell).truncate(order)
+    total = -_lift(partial(g_index, m, ell), ell, order)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
         c = (a + m) * (a - m + ell) - 2 * a * ell
         prod = P(1, a, ell) * P(1, 2 * a, ell) * P(-1, m, ell) * poch(1, ell, ell, 2) / (
             P(1, m, ell) * P(1, m + a, ell) * P(1, m - a, ell) * P(-1, a, ell)
         )
-        piece = substitute_power(prod.expand(y_order), ell).shift(c).truncate(order)
-        total = total + sgn * piece
-    bracket = sigma_coefficient_bracket(spec, order + 2 * ell * ell)
-    sig = _lifted_sigma(m, 0, ell, order + 2 * ell * ell, 0)
-    total = total + mul(bracket, sig).truncate(order)
-    return total.truncate(order)
+        total = total + sgn * _lift(prod.expand, ell, order, c)
+    sig = _lift(partial(sigma_ab, m, 0, ell), ell, order)
+    return total + mul(sigma_coefficient_bracket(spec, order), sig)
 
 
 # Prop-style closed forms for the bracket, in the dissected variable:
@@ -264,12 +258,10 @@ BRACKET_TABLE = {
 }
 
 
-def brackets(spec: FinalFormSpec, order: int,
-             terms: Optional[Tuple[FormulaTerm, ...]] = None) -> IdentityReport:
+def brackets(spec: FinalFormSpec, order: int) -> Sides:
     """Assembled Sum(m,0)-coefficient vs its product closed form."""
-    lhs = sigma_coefficient_bracket(spec, order)
-    rhs = eval_terms(terms if terms is not None else BRACKET_TABLE[(spec.ell, spec.m)], order)
-    return compare(f"bracket@ell={spec.ell},m={spec.m}", lhs, rhs)
+    return (sigma_coefficient_bracket(spec, order),
+            eval_terms(BRACKET_TABLE[(spec.ell, spec.m)], order))
 
 
 # literal Sbar closed forms: Sbar(1) for ell=3, Sbar(1) and Sbar(3) for ell=5;
@@ -297,12 +289,10 @@ SBAR_CLOSED_TABLE = {
 }
 
 
-def verify_sbar_closed(which: str, order: int,
-                       terms: Optional[Tuple[FormulaTerm, ...]] = None) -> IdentityReport:
+def verify_sbar_closed(which: str, order: int) -> Sides:
     """Sbar(b) against its literal closed form (-g +- product*Sum +- product)."""
-    ell, b, table_terms = SBAR_CLOSED_TABLE[which]
-    rhs = eval_terms(terms if terms is not None else table_terms, order)
-    return compare(which, s_bar(b, ell, order), rhs)
+    ell, b, terms = SBAR_CLOSED_TABLE[which]
+    return s_bar(b, ell, order), eval_terms(terms, order)
 
 
 # ----------------------------------------------------------------------
@@ -335,19 +325,17 @@ def combination_rank_side(pair: str, order: int) -> LaurentSeries:
     sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n * (q;q)/(2(-q;q))."""
     ell, s, t, _ = COMBINATION_TABLE[pair]
     diff = nbar_class_series(s, ell, order) - nbar_class_series(t, ell, order)
-    return mul(diff, _HALF_RATIO.expand(order)).truncate(order)
+    return mul(diff, _HALF_RATIO.expand(order))
 
 
 def combination_theorem_side(pair: str, order: int) -> LaurentSeries:
     """The same series assembled from the closed forms: the degree-(ell-1)
     polynomial sum_d q^d r_st(d)(q^ell), times (q;q)/(2(-q;q))."""
     ell, s, t, _ = COMBINATION_TABLE[pair]
-    diss_order = max(1, -(-order // ell))
-    total = LaurentSeries.zero(ell * diss_order)
+    total = LaurentSeries.zero(order)
     for d in range(ell):
-        r = rank_diff_formula(RankDiffKey(ell, s, t, d), diss_order)
-        total = total + substitute_power(r, ell).shift(d).truncate(ell * diss_order)
-    return mul(total, _HALF_RATIO.expand(order)).truncate(order)
+        total = total + _lift(partial(rank_diff_formula, RankDiffKey(ell, s, t, d)), ell, order, d)
+    return mul(total, _HALF_RATIO.expand(order))
 
 
 # ----------------------------------------------------------------------
@@ -446,14 +434,10 @@ CHECK_TABLE = {
 }
 
 
-def verify_check(idx: int, order: int,
-                 lhs_terms: Optional[Tuple[FormulaTerm, ...]] = None,
-                 rhs_terms: Optional[Tuple[FormulaTerm, ...]] = None) -> IdentityReport:
+def verify_check(idx: int, order: int) -> Sides:
     """One of the ten coefficient identities extracted from the polynomial
     comparison of the two Sbar routes (all in base q^25/q^50, with y = q^5)."""
     if idx not in CHECK_TABLE:
         raise ValueError(f"check index must be 0..9, got {idx}")
-    lhs_t, rhs_t = CHECK_TABLE[idx]
-    lhs = eval_terms(lhs_terms if lhs_terms is not None else lhs_t, order)
-    rhs = eval_terms(rhs_terms if rhs_terms is not None else rhs_t, order)
-    return compare(f"check{idx}", lhs, rhs)
+    lhs, rhs = CHECK_TABLE[idx]
+    return eval_terms(lhs, order), eval_terms(rhs, order)

@@ -3,11 +3,11 @@ suite runner.
 
 The registry is a table with one row per identity: an id, the statement
 (anchor), a default truncation order, a tier, and a check bound to its
-arguments that builds both sides at a requested order and reports the first
-mismatching coefficient, if any.  Sampled entries draw monomial
-instantiations from a seeded generator (override the seed with the
-OVERRANK_SEED environment variable); the seed is recorded in the report notes
-so sampled runs are reproducible.
+arguments that builds both sides at a requested order.  The registry alone
+compares the sides and sets each report's id, runtime and notes.  Sampled
+entries draw monomial instantiations from a seeded generator (override the
+seed with the OVERRANK_SEED environment variable); the seed is recorded in the
+report notes so sampled runs are reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import BadArgument, UnknownIdentity
 from .lambert import s_bar, theta
 from .products import P, Product, SignedMonomial as SM, poch, triple_product
 from .report import IdentityReport, compare, merge
-from .series import LaurentSeries, mul
+from .series import LaurentSeries, Sides, mul
 
 DEFAULT_SEED = 271828
 
@@ -59,23 +59,29 @@ def _seed_note() -> str:
 
 
 # ----------------------------------------------------------------------
-# checks: each binds to its arguments and maps an order to a report
+# builds: each binds a check to its arguments and maps an order to a report
 # ----------------------------------------------------------------------
+
+
+def _check(check: Callable[..., Sides], *args) -> Callable[[int], IdentityReport]:
+    """Compare the two sides that check(*args, order) returns."""
+    return lambda order: compare(*check(*args, order))
 
 
 def _pair(lhs: Callable[[int], LaurentSeries], rhs: Callable[[int], LaurentSeries],
           notes: str = "") -> Callable[[int], IdentityReport]:
     """Compare lhs(order) against rhs(order); lhs is built first."""
-    return lambda order: compare("", lhs(order), rhs(order), notes=notes)
+    return lambda order: compare(lhs(order), rhs(order), notes)
 
 
-def _sampled(entry_id: str, check: Callable[..., IdentityReport],
+def _sampled(entry_id: str, check: Callable[..., Sides],
              draw: Callable[[random.Random], tuple], n: int) -> Callable[[int], IdentityReport]:
-    """Merge n runs of check(*draw(rng), order) over the entry's seeded generator."""
+    """Merge n comparisons of check(*draw(rng), order) over the entry's seeded
+    generator."""
     def build(order: int) -> IdentityReport:
         rng = _rng(entry_id)
-        parts = [check(*draw(rng), order) for _ in range(n)]
-        return merge(entry_id, parts).with_notes(_seed_note())
+        parts = [compare(*check(*draw(rng), order)) for _ in range(n)]
+        return replace(merge(parts), notes=_seed_note())
     return build
 
 
@@ -121,8 +127,8 @@ def _counted_series(count, order: int, start: int = 1) -> LaurentSeries:
                                     order)
 
 
-def _jtp(z: SM, base: int, order: int) -> IdentityReport:
-    return compare("", theta(z, base, order), triple_product(z, base, order))
+def _jtp(z: SM, base: int, order: int) -> Sides:
+    return theta(z, base, order), triple_product(z, base, order)
 
 
 def _p_by_definition(s: int, a: int, ell: int, order: int) -> LaurentSeries:
@@ -131,7 +137,7 @@ def _p_by_definition(s: int, a: int, ell: int, order: int) -> LaurentSeries:
     exponents >= 0; nothing of P's exponent reduction is used."""
     binomial = LaurentSeries.one(order) - LaurentSeries.monomial(s, -a, order)
     rest = poch(s, ell - a, ell) * poch(s, a + ell, ell)
-    return mul(binomial, rest.expand(order + a))
+    return mul(binomial, rest.expand(order + a))  # + a: the binomial's q^-a takes off a
 
 
 def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
@@ -153,8 +159,8 @@ def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
                 left = _p_by_definition(1, a, ell, order)
                 sides = [(left, P(1, -a, ell)), (left, P(1, ell + a, ell)),
                          (left, Product(-1, -a) * P(1, a, ell))]
-            parts += [compare("", lhs, rhs.expand(order)) for lhs, rhs in sides]
-    return merge("", parts)
+            parts += [compare(lhs, rhs.expand(order)) for lhs, rhs in sides]
+    return merge(parts)
 
 
 def _half_minus_ratio(order: int) -> LaurentSeries:
@@ -226,9 +232,9 @@ def _entries() -> List[IdentityEntry]:
 
     # triple product
     out.append(E("jtp@z=q^1,base=1", "sum z^n q^(n^2) = (-zq,-q/z,q^2;q^2)",
-                 200, "product", partial(_jtp, SM(1, 1), 1)))
+                 200, "product", _check(_jtp, SM(1, 1), 1)))
     out.append(E("jtp@z=-1,base=1", "sum (-1)^n q^(n^2) = (q;q)/(-q;q)",
-                 200, "product", partial(_jtp, SM(-1, 0), 1)))
+                 200, "product", _check(_jtp, SM(-1, 0), 1)))
     out.append(E("jtp@sampled", "sum z^n q^(base n^2) = (-zq,-q/z,q^2;q^2) at q=q^base",
                  200, "product", _sampled("jtp@sampled", _jtp, _draw_jtp, 10)))
 
@@ -247,11 +253,11 @@ def _entries() -> List[IdentityEntry]:
     # product dissections of (q;q)/(-q;q)
     out.append(E("lemma3.1.eq1",
                  "(q;q)/(-q;q) = (q^9;q^9)/(-q^9;q^9) - 2q (q^3,q^15,q^18;q^18)",
-                 150, "product", partial(products.verify_lemma31, "eq1")))
+                 150, "product", _check(products.verify_lemma31, "eq1")))
     out.append(E("lemma3.1.eq2",
                  "(q;q)/(-q;q) = (q^25;q^25)/(-q^25;q^25) - 2q (q^15,q^35,q^50;q^50)"
                  " + 2q^4 (q^5,q^45,q^50;q^50)",
-                 150, "product", partial(products.verify_lemma31, "eq2")))
+                 150, "product", _check(products.verify_lemma31, "eq2")))
 
     # two-term product identities (base q vs base q^2)
     hick_anchor = {
@@ -271,7 +277,7 @@ def _entries() -> List[IdentityEntry]:
     ]
     for which, x, z, base, order in named_hick:
         out.append(E(f"lemma3.{which[-1]}@x={x},z={z},base={base}", hick_anchor[which], order,
-                     "product", partial(products.verify_hickerson, which, x, z, base)))
+                     "product", _check(products.verify_hickerson, which, x, z, base)))
     for which in ("lemma32", "lemma33", "lemma34", "lemma35"):
         eid = f"lemma3.{which[-1]}@sampled"
         out.append(E(eid, hick_anchor[which], 300, "product",
@@ -282,9 +288,9 @@ def _entries() -> List[IdentityEntry]:
     add_anchor = ("P^2(z)P(zeta t)P(zeta/t) - P^2(zeta)P(zt)P(z/t)"
                   " + (zeta/t)P^2(t)P(z zeta)P(z/zeta) = 0")
     out.append(E("lemma3.6@z=q^20,zeta=q^10,t=q^5,base=50", add_anchor, 400, "product",
-                 partial(products.verify_addition, SM(1, 20), SM(1, 10), SM(1, 5), 50)))
+                 _check(products.verify_addition, SM(1, 20), SM(1, 10), SM(1, 5), 50)))
     out.append(E("lemma3.6@z=q^20,zeta=q^15,t=q^10,base=50", add_anchor, 400, "product",
-                 partial(products.verify_addition, SM(1, 20), SM(1, 15), SM(1, 10), 50)))
+                 _check(products.verify_addition, SM(1, 20), SM(1, 15), SM(1, 10), 50)))
     out.append(E("lemma3.6@sampled", add_anchor, 300, "product",
                  _sampled("lemma3.6@sampled", products.verify_addition,
                           lambda rng: (_mono(rng, 1, 12), _mono(rng, 1, 12),
@@ -306,7 +312,7 @@ def _entries() -> List[IdentityEntry]:
                  150, "lambert", _sampled("sigma-shift@sampled", lambert.check_sigma_shift,
                                           _draw_sigma_shift, 6)))
     out.append(E("step@z=q^2,base=7", "z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)/(-q;q)",
-                 200, "lambert", partial(lambert.check_step, SM(1, 2), 7)))
+                 200, "lambert", _check(lambert.check_step, SM(1, 2), 7)))
     out.append(E("step@sampled", "z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)/(-q;q)",
                  150, "lambert",
                  _sampled("step@sampled", lambert.check_step, _draw_z(3, 5, 7), 6)))
@@ -320,11 +326,11 @@ def _entries() -> List[IdentityEntry]:
                   " + zeta^(2n+2)/(1-z zeta q^n)] = zeta P(zeta^2)P(-1)/(P(zeta)P(-zeta))"
                   " Sum(z,1,q) + P(zeta)P(zeta^2)P(-z)(q)^2/(P(z)P(z zeta)P(z/zeta)P(-zeta))")
     out.append(E("lemma4.1@zeta=q^1,z=q^2,base=5", l41_anchor, 300, "lambert",
-                 partial(lambert.verify_lemma41, SM(1, 1), SM(1, 2), 5)))
+                 _check(lambert.verify_lemma41, SM(1, 1), SM(1, 2), 5)))
     out.append(E("lemma4.1@zeta=q^2,z=q^1,base=5", l41_anchor, 300, "lambert",
-                 partial(lambert.verify_lemma41, SM(1, 2), SM(1, 1), 5)))
+                 _check(lambert.verify_lemma41, SM(1, 2), SM(1, 1), 5)))
     out.append(E("lemma4.1@zeta=-q^1,z=q^1,base=3", l41_anchor, 200, "lambert",
-                 partial(lambert.verify_lemma41, SM(-1, 1), SM(1, 1), 3)))
+                 _check(lambert.verify_lemma41, SM(-1, 1), SM(1, 1), 3)))
     out.append(E("lemma4.1@sampled", l41_anchor, 200, "lambert",
                  _sampled("lemma4.1@sampled", lambert.verify_lemma41, _draw_lemma41, 10)))
 
@@ -332,24 +338,24 @@ def _entries() -> List[IdentityEntry]:
     part1_anchor = ("2g(z,q) - g(z^2,q) + 1/2 = (q)^2 P(-z^4)/(P(z^4)P(-1))"
                     " + z P(-1)^2 (q)^2 P(z^2)/(P(z)^2 P(-z)^2)")
     out.append(E("part1@z=q^1,base=5", part1_anchor, 300, "lambert",
-                 partial(lambert.check_part1, SM(1, 1), 5)))
+                 _check(lambert.check_part1, SM(1, 1), 5)))
     out.append(E("part1@z=q^1,base=3", part1_anchor, 200, "lambert",
-                 partial(lambert.check_part1, SM(1, 1), 3)))
+                 _check(lambert.check_part1, SM(1, 1), 3)))
     out.append(E("part1@sampled", part1_anchor, 150, "lambert",
                  _sampled("part1@sampled", lambert.check_part1, _draw_z(5, 7), 6)))
     for a, ell in ((1, 3), (1, 5), (2, 5)):
         out.append(E(f"g2@a={a},ell={ell}", "g(a) + g(ell-a) = 1", 200, "lambert",
-                     partial(lambert.check_g2, a, ell)))
+                     _check(lambert.check_g2, a, ell)))
         out.append(E(f"g1@a={a},ell={ell}",
                      "2g(a) - g(2a) + 1/2 = P(-y^4a)P(0)^2/(P(4a)P(-1))"
                      " + y^a P(-1)^2 P(0)^2 P(2a)/(P(a)^2 P(-y^a)^2)",
-                     300, "lambert", partial(lambert.check_part1, SM(1, a), ell)))
+                     300, "lambert", _check(lambert.check_part1, SM(1, a), ell)))
     out.append(E("constant@z=q^1,base=3", "g(z,q) - g(zq,q) = -2", 200, "lambert",
-                 partial(lambert.check_constant, SM(1, 1), 3)))
+                 _check(lambert.check_constant, SM(1, 1), 3)))
     out.append(E("constant@sampled", "g(z,q) - g(zq,q) = -2", 150, "lambert",
                  _sampled("constant@sampled", lambert.check_constant, _draw_z(3, 5), 5)))
     out.append(E("gees@z=q^1,base=5", "g(z^-1,q) + g(z,q) = -1", 200, "lambert",
-                 partial(lambert.check_gees, SM(1, 1), 5)))
+                 _check(lambert.check_gees, SM(1, 1), 5)))
     out.append(E("gees@sampled", "g(z^-1,q) + g(z,q) = -1", 150, "lambert",
                  _sampled("gees@sampled", lambert.check_gees, _draw_z(3, 5), 5)))
 
@@ -369,19 +375,19 @@ def _entries() -> List[IdentityEntry]:
                      _pair(partial(s_bar, ell - 2 * m, ell),
                            partial(rankdiff.s_bar_final_form, spec))))
     out.append(E("bracket@ell=3,m=1", "{ } = -q^2 " + _BRK + ", L=9", 200,
-                 "combination", partial(rankdiff.brackets, rankdiff.FinalFormSpec(3, 1))))
+                 "combination", _check(rankdiff.brackets, rankdiff.FinalFormSpec(3, 1))))
     out.append(E("bracket@ell=5,m=2", "{ } = q^6 " + _BRK + ", L=25", 300,
-                 "combination", partial(rankdiff.brackets, rankdiff.FinalFormSpec(5, 2))))
+                 "combination", _check(rankdiff.brackets, rankdiff.FinalFormSpec(5, 2))))
     out.append(E("bracket@ell=5,m=1", "{ } = -q^4 " + _BRK + ", L=25", 300,
-                 "combination", partial(rankdiff.brackets, rankdiff.FinalFormSpec(5, 1))))
+                 "combination", _check(rankdiff.brackets, rankdiff.FinalFormSpec(5, 1))))
     out.append(E("s1too", "Sbar(1) = -g(1) - q^2 Sum(1,0) " + _BRK + " (ell=3, L=9)",
-                 150, "combination", partial(rankdiff.verify_sbar_closed, "s1too")))
+                 150, "combination", _check(rankdiff.verify_sbar_closed, "s1too")))
     out.append(E("s1", "Sbar(1) = -g(2) + qy Sum(2,0) " + _BRK + " - q^2 (q^25;q^25)^2"
                  "(-q^10,-q^15;q^25)/((q^10,q^15;q^25)(-q^5,-q^20;q^25)) (ell=5, L=25)",
-                 150, "combination", partial(rankdiff.verify_sbar_closed, "s1")))
+                 150, "combination", _check(rankdiff.verify_sbar_closed, "s1")))
     out.append(E("s3", "Sbar(3) = -g(1) - q^4 Sum(1,0) " + _BRK + " + q^3 (q^25;q^25)^2"
                  "(-q^5,-q^20;q^25)/((q^5,q^20;q^25)(-q^10,-q^15;q^25)) (ell=5, L=25)",
-                 150, "combination", partial(rankdiff.verify_sbar_closed, "s3")))
+                 150, "combination", _check(rankdiff.verify_sbar_closed, "s3")))
 
     # class-difference combinations, against both independent routes
     combo_anchor = {
@@ -434,7 +440,7 @@ def _entries() -> List[IdentityEntry]:
     for i in range(10):
         tier = "lambert" if i in (0, 5) else "product"
         out.append(E(f"check{i}", check_anchor[i], 400, tier,
-                     partial(rankdiff.verify_check, i)))
+                     _check(rankdiff.verify_check, i)))
 
     return out
 
@@ -469,7 +475,7 @@ def _run(entry: IdentityEntry, order: int) -> IdentityReport:
         short = f"short check: {report.checked_order} of {order} coefficients compared"
         report = replace(report, ok=False,
                          notes="; ".join(n for n in (report.notes, short) if n))
-    return report.with_id(entry.id).with_runtime(ms)
+    return replace(report, id=entry.id, runtime_ms=ms)
 
 
 def verify(id: str, order: int) -> IdentityReport:

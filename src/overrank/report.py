@@ -1,9 +1,16 @@
-"""Verification reports: the uniform result record for every identity check."""
+"""Verification reports: the uniform result record for every identity check.
+
+A check is plain mathematics: it returns the two sides of its identity, each
+exact below the requested order.  Only the registry turns a pair into a report
+(``compare``), joins several into one (``merge``), and sets a report's id,
+runtime and notes, with ``dataclasses.replace``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from .series import Coefficient, LaurentSeries, first_mismatch
@@ -34,15 +41,6 @@ class IdentityReport:
     notes: str = ""
     window: Tuple[Tuple[int, Coefficient, Coefficient], ...] = ()
 
-    def with_id(self, new_id: str) -> "IdentityReport":
-        return replace(self, id=new_id)
-
-    def with_runtime(self, ms: int) -> "IdentityReport":
-        return replace(self, runtime_ms=ms)
-
-    def with_notes(self, notes: str) -> "IdentityReport":
-        return replace(self, notes=notes)
-
     def to_json_dict(self, include_runtime: bool = True) -> dict:
         fm = None
         if self.first_mismatch is not None:
@@ -69,33 +67,29 @@ def _frac_str(c: Coefficient) -> str:
 
 def _assert_dyadic(series: LaurentSeries) -> None:
     # the only non-integer scalars in this circle of identities are halves, so
-    # every denominator must be a power of two; anything else is an engine bug
-    for _, c in series.terms():
-        d = c.denominator
-        if d & (d - 1):
-            raise AssertionError(f"non-dyadic coefficient {c} in {series!r}")
+    # every denominator must be a power of two; anything else is an engine bug.
+    # The distinct denominators are collected in one C-level scan.
+    if any(d & (d - 1) for d in set(map(attrgetter("denominator"), series.coeffs))):
+        c = next(c for c in series.coeffs if c.denominator & (c.denominator - 1))
+        raise AssertionError(f"non-dyadic coefficient {c} in {series!r}")
 
 
-def compare(
-    id: str,
-    lhs: LaurentSeries,
-    rhs: LaurentSeries,
-    notes: str = "",
-) -> IdentityReport:
-    """Compare two series on their common guaranteed range."""
+def compare(lhs: LaurentSeries, rhs: LaurentSeries, notes: str = "") -> IdentityReport:
+    """Compare two series on their common guaranteed range; the report's id
+    is left empty for the caller to set."""
     _assert_dyadic(lhs)
     _assert_dyadic(rhs)
     checked = min(lhs.order, rhs.order)
     fm = first_mismatch(lhs, rhs)
     if fm is None:
-        return IdentityReport(id=id, ok=True, checked_order=checked, notes=notes)
+        return IdentityReport(id="", ok=True, checked_order=checked, notes=notes)
     e = fm[0]
     window = tuple(
         (n, lhs.coeff(n), rhs.coeff(n))
         for n in range(max(e - 2, min(lhs.min_exp, rhs.min_exp)), min(e + 3, checked))
     )
     return IdentityReport(
-        id=id,
+        id="",
         ok=False,
         checked_order=checked,
         first_mismatch=Mismatch(exp=e, lhs=fm[1], rhs=fm[2]),
@@ -104,7 +98,7 @@ def compare(
     )
 
 
-def merge(id: str, reports: list) -> IdentityReport:
+def merge(reports: list) -> IdentityReport:
     """Combine sub-checks (e.g. several sampled instantiations) into one report.
 
     The merged report fails with the first failing sub-report's mismatch; its
@@ -116,5 +110,5 @@ def merge(id: str, reports: list) -> IdentityReport:
     notes = "; ".join(sorted({r.notes for r in reports if r.notes}))
     for r in reports:
         if not r.ok:
-            return replace(r, id=id, checked_order=checked, notes=notes)
-    return IdentityReport(id=id, ok=True, checked_order=checked, notes=notes)
+            return replace(r, checked_order=checked, notes=notes)
+    return IdentityReport(id="", ok=True, checked_order=checked, notes=notes)

@@ -189,6 +189,10 @@ class LaurentSeries:
         return LaurentSeries(self.min_exp, self.coeffs[:keep], order)
 
 
+# the two sides of an identity, as a check returns them
+Sides = Tuple[LaurentSeries, LaurentSeries]
+
+
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Coefficientwise sum; order = min(a.order, b.order)."""
     order = min(a.order, b.order)

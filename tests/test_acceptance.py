@@ -9,6 +9,7 @@ lines as they complete.
 import dataclasses
 import random
 import time
+from unittest.mock import patch
 
 from overrank import registry
 from overrank.combinat import nbar_class, pbar_series, rank_table
@@ -191,18 +192,22 @@ def test_criterion_9_mutation_sensitivity():
     good = THEOREM_TABLE[(3, 0, 1, 1)]
     flipped = good[0].prod / poch(1, 3, 3) * poch(-1, 3, 3)
     mutated = (dataclasses.replace(good[0], prod=flipped),)
-    r = compare("mut1", rank_diff_formula(key, 25, terms=mutated), rank_diff_oracle(key, 25))
+    with patch.dict(THEOREM_TABLE, {(3, 0, 1, 1): mutated}):
+        r = compare(rank_diff_formula(key, 25), rank_diff_oracle(key, 25))
     ok = ok and (not r.ok) and r.first_mismatch is not None
     # 2: exponent bump inside a coefficient identity
-    lhs_terms, _ = CHECK_TABLE[1]
+    lhs_terms, rhs_terms = CHECK_TABLE[1]
     bumped = lhs_terms[0].prod / poch(1, 15, 50) * poch(1, 20, 50)
-    r = verify_check(1, 120, lhs_terms=(dataclasses.replace(lhs_terms[0], prod=bumped),))
+    bumped_lhs = (dataclasses.replace(lhs_terms[0], prod=bumped),)
+    with patch.dict(CHECK_TABLE, {1: (bumped_lhs, rhs_terms)}):
+        r = compare(*verify_check(1, 120))
     ok = ok and (not r.ok) and r.first_mismatch is not None
     # 3: prefactor sign flip in a bracket closed form
     from overrank.rankdiff import BRACKET_TABLE
     good_b = BRACKET_TABLE[(3, 1)]
-    r = brackets(FinalFormSpec(3, 1), 60,
-                 terms=(dataclasses.replace(good_b[0], prod=-good_b[0].prod),))
+    flipped_b = (dataclasses.replace(good_b[0], prod=-good_b[0].prod),)
+    with patch.dict(BRACKET_TABLE, {(3, 1): flipped_b}):
+        r = compare(*brackets(FinalFormSpec(3, 1), 60))
     ok = ok and (not r.ok) and r.first_mismatch is not None and r.first_mismatch.exp == 2
     # the untouched entries still pass
     ok = ok and registry.verify("thm3.R01.d1", 25).ok

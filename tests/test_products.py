@@ -310,8 +310,8 @@ class TestTheta:
 
 class TestVerifiers:
     def test_lemma31_passes(self):
-        assert verify_lemma31("eq1", 100).ok
-        assert verify_lemma31("eq2", 150).ok
+        assert compare(*verify_lemma31("eq1", 100)).ok
+        assert compare(*verify_lemma31("eq2", 150)).ok
 
     def test_lemma31_mutation_located(self):
         order = 60
@@ -321,21 +321,21 @@ class TestVerifiers:
         rhs = rhs + (
             Product(2, 1) * poch(1, 3, 18) * poch(1, 15, 18) * poch(1, 18, 18)
         ).expand(order)
-        report = compare("mutated", lhs, rhs)
+        report = compare(lhs, rhs)
         assert not report.ok
         assert report.first_mismatch.exp == 1
 
     def test_hickerson_named_cases(self):
-        assert verify_hickerson("lemma33", SM(-1, 5), SM(-1, 10), 25, 150).ok
-        assert verify_hickerson("lemma33", SM(1, 5), SM(1, 10), 25, 150).ok
-        assert verify_hickerson("lemma34", SM(1, 5), SM(1, 10), 25, 150).ok
-        assert verify_hickerson("lemma35", SM(1, 5), SM(1, 10), 25, 150).ok
-        assert verify_hickerson("lemma32", SM(1, 3), SM(-1, 7), 11, 100).ok
+        assert compare(*verify_hickerson("lemma33", SM(-1, 5), SM(-1, 10), 25, 150)).ok
+        assert compare(*verify_hickerson("lemma33", SM(1, 5), SM(1, 10), 25, 150)).ok
+        assert compare(*verify_hickerson("lemma34", SM(1, 5), SM(1, 10), 25, 150)).ok
+        assert compare(*verify_hickerson("lemma35", SM(1, 5), SM(1, 10), 25, 150)).ok
+        assert compare(*verify_hickerson("lemma32", SM(1, 3), SM(-1, 7), 11, 100)).ok
 
     def test_addition_named_cases(self):
-        assert verify_addition(SM(1, 20), SM(1, 10), SM(1, 5), 50, 200).ok
-        assert verify_addition(SM(1, 20), SM(1, 15), SM(1, 10), 50, 200).ok
+        assert compare(*verify_addition(SM(1, 20), SM(1, 10), SM(1, 5), 50, 200)).ok
+        assert compare(*verify_addition(SM(1, 20), SM(1, 15), SM(1, 10), 50, 200)).ok
 
     def test_addition_degenerate(self):
         # z = zeta: first two terms cancel, third carries P(1) = 0
-        assert verify_addition(SM(1, 4), SM(1, 4), SM(1, 2), 9, 60).ok
+        assert compare(*verify_addition(SM(1, 4), SM(1, 4), SM(1, 2), 9, 60)).ok

@@ -96,17 +96,16 @@ class TestSbarMachinery:
             assert series_equal(lhs, rhs), (ell, m)
 
     def test_brackets(self):
-        assert brackets(FinalFormSpec(3, 1), 120).ok
-        r = brackets(FinalFormSpec(5, 2), 150)
-        assert r.ok
+        assert compare(*brackets(FinalFormSpec(3, 1), 120)).ok
+        assert compare(*brackets(FinalFormSpec(5, 2), 150)).ok
         assert sigma_coefficient_bracket(FinalFormSpec(5, 2), 20).min_exp == 6
         lead = sigma_coefficient_bracket(FinalFormSpec(5, 1), 20)
         assert lead.min_exp == 4 and lead.coeff(4) == -1
-        assert brackets(FinalFormSpec(5, 1), 150).ok
+        assert compare(*brackets(FinalFormSpec(5, 1), 150)).ok
 
     def test_sbar_closed_forms(self):
         for which in ("s1too", "s1", "s3"):
-            assert verify_sbar_closed(which, 90).ok, which
+            assert compare(*verify_sbar_closed(which, 90)).ok, which
 
     def test_excluded_indices(self):
         assert FinalFormSpec(3, 1).excluded_sum_indices() == ()
@@ -125,7 +124,7 @@ class TestCombinations:
 class TestChecks:
     def test_all_pass(self):
         for i in range(10):
-            assert verify_check(i, 120).ok, i
+            assert compare(*verify_check(i, 120)).ok, i
 
 
 def _flip_sign(term: FormulaTerm, sign: int, r: int, step: int) -> FormulaTerm:
@@ -139,28 +138,33 @@ def _bump_exponent(term: FormulaTerm, sign: int, r: int, step: int) -> FormulaTe
 
 
 class TestMutationSensitivity:
-    def test_sign_flip_in_theorem_table(self):
+    def test_sign_flip_in_theorem_table(self, monkeypatch):
         key = RankDiffKey(3, 0, 1, 1)
         good = THEOREM_TABLE[(3, 0, 1, 1)]
         mutated = (_flip_sign(good[0], 1, 3, 3),)  # (q^3;q^3) -> (-q^3;q^3)
-        report = compare("mut", rank_diff_formula(key, 20, terms=mutated),
-                         rank_diff_oracle(key, 20))
+        with monkeypatch.context() as mp:
+            mp.setitem(THEOREM_TABLE, (3, 0, 1, 1), mutated)
+            report = compare(rank_diff_formula(key, 20), rank_diff_oracle(key, 20))
         assert not report.ok and report.first_mismatch is not None
         # every untouched entry still passes
         for other in ALL_KEYS:
             assert series_equal(rank_diff_formula(other, 10), rank_diff_oracle(other, 10))
 
-    def test_exponent_bump_in_check_table(self):
+    def test_exponent_bump_in_check_table(self, monkeypatch):
         lhs_terms, rhs_terms = CHECK_TABLE[1]
         mutated = (_bump_exponent(lhs_terms[0], 1, 15, 50),)  # (q^15;q^50) -> (q^16;q^50)
-        report = verify_check(1, 80, lhs_terms=mutated)
+        with monkeypatch.context() as mp:
+            mp.setitem(CHECK_TABLE, 1, (mutated, rhs_terms))
+            report = compare(*verify_check(1, 80))
         assert not report.ok and report.first_mismatch is not None
-        assert verify_check(1, 80).ok
+        assert compare(*verify_check(1, 80)).ok
 
-    def test_prefactor_flip_in_bracket_table(self):
+    def test_prefactor_flip_in_bracket_table(self, monkeypatch):
         good = BRACKET_TABLE[(3, 1)]
         mutated = (dataclasses.replace(good[0], prod=-good[0].prod),)
-        report = brackets(FinalFormSpec(3, 1), 60, terms=mutated)
+        with monkeypatch.context() as mp:
+            mp.setitem(BRACKET_TABLE, (3, 1), mutated)
+            report = compare(*brackets(FinalFormSpec(3, 1), 60))
         assert not report.ok
         assert report.first_mismatch.exp == 2  # the leading coefficient flips
-        assert brackets(FinalFormSpec(3, 1), 60).ok
+        assert compare(*brackets(FinalFormSpec(3, 1), 60)).ok

@@ -73,6 +73,22 @@ class TestRegistry:
             report = registry.verify(entry_id, order)
             assert report.ok and report.checked_order == order, entry_id
 
+    @pytest.mark.parametrize("seed", [None, "1", "12345"])
+    def test_every_entry_reaches_the_requested_order(self, monkeypatch, seed):
+        # each check builds its sides at the order asked for, padded only by
+        # the negative shifts it applies; a side cut short shows up here
+        if seed is None:
+            monkeypatch.delenv("OVERRANK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OVERRANK_SEED", seed)
+        bad = []
+        for entry in registry.list_identities():
+            for order in (1, 2, 7, entry.default_order // 2):
+                report = registry.verify(entry.id, order)
+                if not (report.ok and report.checked_order == order):
+                    bad.append((entry.id, order, report.checked_order, report.notes))
+        assert not bad
+
     @pytest.mark.parametrize("entry_id", [f"{rel}@ell={ell}" for rel in ("p2", "p4")
                                           for ell in (3, 5, 7)])
     def test_shifted_p_relations_reach_the_requested_order(self, entry_id):
