@@ -11,9 +11,10 @@ error-prone spot in this whole business, so it lives in one audited place.
 The lowest exponent of term n is quad*n^2 + lin*n + sum_i max(0, -(off_i +
 step_i*n)), a convex function of n, so the terms below the truncation order
 are one run of n around its minimum, and the sum visits exactly that run.
-Every term is then divided out by ``products.binomial_pass`` into one integer
-list.  Power-series positivity is asserted only where the mathematics
-promises it.
+Every term goes into one integer list: a term c / (1 - s q^e) is the
+geometric run c s^k at q^(ek), added by one strided slice, and
+``products.binomial_pass`` divides a term by any further denominators.
+Power-series positivity is asserted only where the mathematics promises it.
 
 The identities of this layer (``check_*`` and ``verify_lemma41``) return
 their two sides, each exact below the requested order; the registry compares
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import cycle, islice, repeat
+from operator import add, itemgetter
 
 from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
@@ -106,11 +108,18 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
         if not exps:
             acc[i] += c
             continue
-        part = [0] * (order - shift)
-        part[0] = c
-        for s, e in exps:
-            binomial_pass(part, s, e, -1)
-        acc[i:] = map(add, acc[i:], part)
+        # c / (1 - s q^e) is c s^k at q^(ek): one strided add, for the
+        # denominator of least e; binomial_pass divides by any others
+        (s, e), *rest = sorted(exps, key=itemgetter(1))
+        geometric = repeat(c) if s == 1 else cycle((c, -c))
+        if rest:
+            part = [0] * (order - shift)
+            part[::e] = islice(geometric, -(-len(part) // e))
+            for s, e in rest:
+                binomial_pass(part, s, e, -1)
+            acc[i:] = map(add, acc[i:], part)
+        else:
+            acc[i::e] = map(add, acc[i::e], geometric)
     if top:
         acc = [Fraction(a, 1 << top) for a in acc]
     return LaurentSeries(lo, acc, order)

@@ -14,9 +14,13 @@ accumulating an exact monomial prefactor.
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, and ``Product.expand`` is the only place that turns one into a series.
 It memoises the expansion of each factor multiset, so a product met again at
-the same or a shorter length costs one slice.  Its factor pass,
-``binomial_pass``, also serves the Lambert sums and ``combinat.nbar_series``,
-which do not go through the memo.
+the same or a shorter length costs one slice.  A miss is carried in one
+integer at q = 2^w (Kronecker substitution), where each binomial factor is
+one shift-add, or a few for a denominator, and w comes from a proven bound on
+the coefficients; a product in q^g is expanded in q and spread.  The
+in-place list pass ``binomial_pass`` serves the Lambert sums and
+``combinat.nbar_series``, which do not go through the memo, and is the
+reference ``expand`` is tested against.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, sqrt
 from operator import add, sub
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import Coefficient, LaurentSeries, Sides, _norm
+from .series import Coefficient, LaurentSeries, Sides, _norm, _unpack
 
 
 @dataclass(frozen=True)
@@ -127,23 +132,29 @@ def expand_cache_info() -> ExpandCacheInfo:
         return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"])
 
 
-def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Tuple[int, ...]:
+def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Sequence[int]:
     """The first n coefficients of prod (1 - s*q^e)^mult over the factors: a
-    slice of a memo entry at least n long, or else one ``binomial_pass`` per
-    factor 1 - s*q^e, all in integers, stored in place of any shorter entry
-    (another thread may have stored a longer one meanwhile)."""
+    slice of a memo entry at least n long, or else ``_expand_packed``, stored
+    in place of any shorter entry (another thread may have stored a longer
+    one meanwhile).
+
+    When every r and step share a divisor g > 1 the product is G(q^g): G is
+    expanded, and memoised, at ceil(n/g) and spread over every g-th slot, so
+    (q^5;q^5)^k and (q;q)^k share one entry.
+    """
+    g = gcd(*(x for (_, r, step), _ in factors for x in (r, step)))
+    if g > 1:
+        out = [0] * n
+        out[::g] = _expand_factors(
+            tuple(((s, r // g, step // g), m) for (s, r, step), m in factors), -(-n // g))
+        return out
     with _expand_lock:
         known = _expanded.get(factors)
         if known is not None and len(known) >= n:
             _expand_counts["hits"] += 1
             return known[:n]
         _expand_counts["misses"] += 1
-    out = [0] * n
-    out[0] = 1
-    for (sign, r, step), mult in factors:
-        for e in range(r, n, step):
-            binomial_pass(out, sign, e, mult)
-    out = tuple(out)
+    out = tuple(_expand_packed(factors, n))
     if n <= _EXPAND_LIMIT:
         with _expand_lock:
             old = _expanded.get(factors, ())
@@ -155,6 +166,61 @@ def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Tuple[int, ...]:
                     stored -= len(_expanded.pop(next(iter(_expanded))))
                 _expand_counts["stored"] = stored
     return out
+
+
+def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
+    """The first n coefficients of prod (1 - s*q^e)^mult over the factors,
+    carried in one integer v = F(2^w) mod 2^(w n) (Kronecker substitution).
+
+    q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as rings, so every step is exact
+    on v whatever the size of the coefficients met on the way; only the final
+    ones must fit a slot, and ``_slot_bits`` bounds them.  One power of
+    1 - s*q^e is the shift-add v - s*(v << w e), keeping the slots below q^n;
+    dividing by it multiplies by (1 + s*q^e)(1 + q^2e)(1 + q^4e)... while the
+    exponent stays below n.
+    """
+    size = (_slot_bits(factors, n) + 7) // 8
+    w = 8 * size
+    mask = (1 << (w * n)) - 1
+    v = 1
+    for (sign, r, step), mult in factors:
+        for e in range(r, n, step):
+            if mult > 0:
+                adds = [(e, -sign)]
+            else:
+                adds = [(e << j, 1) for j in range(((n - 1) // e).bit_length())]
+                adds[0] = (e, sign)
+            adds = [(w * k, s, mask >> (w * k)) for k, s in adds]
+            for _ in range(abs(mult)):
+                for shift, s, low in adds:
+                    t = (v & low) << shift
+                    v = v + t if s == 1 else v - t
+    return _unpack(v, size, 1 << (w - 1), n)
+
+
+def _slot_bits(factors: Tuple[Factor, ...], n: int) -> int:
+    """A slot width, in bits and sign included, that holds each of the first n
+    coefficients f_i of prod (1 - s*q^e)^mult over the factors."""
+    # The majorant M = prod (1 + q^e)^mult over the numerator binomials times
+    # prod (1 - q^e)^-|mult| over the denominator ones, e < n, has
+    # nonnegative coefficients and |f_i| <= [q^i] M.  So by Cauchy's
+    # inequality |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1.
+    # At x = exp(-t), log M(x) is about a / t, and t = sqrt(a / (n - 1)) puts
+    # the bound near its minimum; any t > 0 gives a true bound.
+    a = fsum(abs(m) / step * (pi * pi / 12 if m > 0 else pi * pi / 6)
+             for (_, _, step), m in factors)
+    t = sqrt(a / max(n - 1, 1))
+    log_m = fsum(m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
+                 for (_, r, step), m in factors for e in range(r, n, step))
+    bits = (log_m + (n - 1) * t) / log(2)
+    # Margin: bits is the bound at x = exp(-t) up to float rounding.  Each
+    # term is off by a few ulps of itself plus at most 2^-51: exp, expm1, log
+    # and log1p are correct to an ulp, and the rounding of t*e moves
+    # -log(1 - e^-u) by at most 2^-53, as u / (e^u - 1) <= 1.  fsum adds
+    # exactly.  So while n * sum |mult| < 2^40, which no expansion that fits
+    # in memory reaches, bits is off by less than 2^-9 + bits * 2^-49: one
+    # bit covers that, and one more holds the sign.
+    return ceil(bits) + 2
 
 
 def binomial_pass(out: list, sign: int, e: int, mult: int) -> None:

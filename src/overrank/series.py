@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import BeyondTruncation, NegativeExponent, ZeroLeadingTerm
 
@@ -245,13 +245,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     size = (bound.bit_length() + 2 + 7) // 8
     half = 1 << (8 * size - 1)
     m = min(n, len(ac) + len(bc) - 1)
-    prod = _pack(ac, size, half) * _pack(bc, size, half)
-    # add half to every slot below m, so each slot is a nonnegative offset
-    # value and no borrow crosses a slot boundary
-    raw = ((prod + _slot_run(m, size, half)) & ((1 << (8 * size * m)) - 1)).to_bytes(
-        size * m, "little")
-    out = [int.from_bytes(raw[i:i + size], "little") - half
-           for i in range(0, size * m, size)]
+    out = _unpack(_pack(ac, size, half) * _pack(bc, size, half), size, half, m)
     if da * db != 1:
         out = [Fraction(c, da * db) for c in out]
     return LaurentSeries(lo, out, order)
@@ -274,6 +268,19 @@ def _pack(cs: Tuple[int, ...], size: int, half: int) -> int:
     """sum_i cs[i] 2^(8 size i), each |cs[i]| < half, built from offset slots."""
     packed = b"".join([(c + half).to_bytes(size, "little") for c in cs])
     return int.from_bytes(packed, "little") - _slot_run(len(cs), size, half)
+
+
+def _unpack(v: int, size: int, half: int, count: int) -> List[int]:
+    """The count signed slots c_i of v = sum_i c_i 2^(8 size i) mod 2^(8 size
+    count), each -half <= c_i < half.
+
+    Adding half to every slot makes each one a nonnegative offset value, so no
+    borrow crosses a slot boundary, and one ``to_bytes`` splits them all.
+    """
+    raw = ((v + _slot_run(count, size, half)) & ((1 << (8 * size * count)) - 1)).to_bytes(
+        size * count, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, size * count, size)]
 
 
 def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

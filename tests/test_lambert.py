@@ -245,6 +245,10 @@ class TestRangeStability:
 # or at n >= 2 (lin = -14) that is reached only by walking downhill from 0
 @example(quad=1, lin=14, csign=1, denoms=[(1, -40, 3)], prime=None, order=20)
 @example(quad=1, lin=-14, csign=1, denoms=[(1, -40, 3)], prime=None, order=20)
+# one denominator of sign -1 (alternating geometric terms), and one whose
+# exponent is past the length of every term that reaches below the order
+@example(quad=1, lin=0, csign=1, denoms=[(-1, 3, 1)], prime=None, order=30)
+@example(quad=2, lin=1, csign=-1, denoms=[(1, 25, 1)], prime=None, order=20)
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(quad=st.integers(1, 4), lin=st.integers(-40, 40), csign=st.sampled_from((1, -1)),
        denoms=st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-40, 40),

@@ -4,7 +4,7 @@ product-identity verifiers."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from overrank import products
 from overrank.combinat import _count_by_residue
@@ -205,6 +205,51 @@ def test_expand_matches_binomial_products(scalar, qexp, parts, order):
     assert prod.expand(order) == ref
 
 
+def _pass_reference(factors, n):
+    """The first n coefficients of prod (1 - s q^e)^mult over Product.factors,
+    by one binomial_pass per binomial on an integer list."""
+    out = [1] + [0] * (n - 1)
+    for (sign, r, step), mult in factors:
+        for e in range(r, n, step):
+            binomial_pass(out, sign, e, mult)
+    return out
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(parts=st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 60),
+                                st.integers(1, 50), st.integers(-8, 8).filter(bool)),
+                      min_size=1, max_size=3),
+       dilation=st.sampled_from((1, 1, 2, 3)), order=st.integers(1, 600))
+# the majorant is the product itself, so the slot width is at its tightest
+@example(parts=[(1, 1, 1, -8)], dilation=1, order=600)
+@example(parts=[(-1, 1, 1, 8)], dilation=1, order=600)
+@example(parts=[(-1, 1, 1, 8), (1, 1, 2, -8)], dilation=1, order=600)
+def test_packed_expand_matches_binomial_pass(parts, dilation, order):
+    prod = Product()
+    for sign, r, step, mult in parts:
+        prod = prod * poch(sign, dilation * r, dilation * step, mult)
+    with pytest.MonkeyPatch.context() as mp:  # expand, not a memo hit
+        mp.setattr(products, "_expanded", {})
+        mp.setattr(products, "_expand_counts", {"hits": 0, "misses": 0, "stored": 0})
+        got = prod.expand(order)
+    assert got == LaurentSeries(0, _pass_reference(prod.factors, order), order)
+
+
+# products equal to their majorant: numerators 1 + q^e, denominators 1 - q^e
+@pytest.mark.parametrize("prod, n", [
+    (poch(1, 1, 1, -8), 800),
+    (poch(-1, 1, 1, 8), 800),
+    (poch(-1, 1, 1, 3) * poch(1, 2, 2, -2), 500),
+    (poch(1, 2, 5, -4) * poch(1, 3, 5, -4), 900),
+    (poch(-1, 1, 7, 5) * poch(1, 3, 7, -6), 700),
+    (poch(1, 1, 1, -1), 2),
+])
+def test_slot_bits_hold_the_largest_coefficient(prod, n):
+    true = max(abs(c).bit_length() for c in _pass_reference(prod.factors, n))
+    bits = products._slot_bits(prod.factors, n)
+    assert true + 1 <= bits <= true + 16
+
+
 # ----------------------------------------------------------------------
 # the expand memo
 # ----------------------------------------------------------------------
@@ -251,21 +296,31 @@ class TestExpandMemo:
 
     def test_a_longer_entry_stored_meanwhile_is_kept(self, memo, monkeypatch):
         # a long expansion, as from another thread, finishes while a short
-        # miss of the same factors is still in its passes
-        real, started = products.binomial_pass, []
+        # miss of the same factors is still in its kernel
+        real, started = products._expand_packed, []
 
         def interleaved(*args):
             if not started:
                 started.append(True)
                 self.X.expand(150)
-            real(*args)
+            return real(*args)
 
-        monkeypatch.setattr(products, "binomial_pass", interleaved)
+        monkeypatch.setattr(products, "_expand_packed", interleaved)
         short = self.X.expand(40)
         info = expand_cache_info()
         assert info.misses == 2 and info.currsize == 150
         assert list(memo) == [self.X.factors] and len(memo[self.X.factors]) == 150
         assert short == _fresh(self.X, 40)
+
+    def test_a_dilated_product_shares_its_entry(self, memo):
+        plain = poch(1, 1, 1, 3) * poch(-1, 2, 3, -1)
+        dilated = poch(1, 5, 5, 3) * poch(-1, 10, 15, -1)  # plain at q -> q^5
+        plain.expand(60)
+        got = dilated.expand(298)  # needs plain to ceil(298 / 5) = 60
+        assert expand_cache_info()[:2] == (1, 1) and list(memo) == [plain.factors]
+        assert got == substitute_power(plain.expand(60), 5).truncate(298)
+        assert got == _fresh(dilated, 298)
+        assert got == LaurentSeries(0, _pass_reference(dilated.factors, 298), 298)
 
     def test_callers_cannot_change_an_entry(self, memo):
         first = self.X.expand(90)
@@ -278,7 +333,8 @@ class TestExpandMemo:
 
     def test_bound_evicts_the_oldest(self, memo):
         n = products._EXPAND_LIMIT // 4
-        keys = [poch(1, n - i, n) for i in range(1, 6)]  # 1 - q^(n-i) each
+        # 1 - q^(n-2i+1) each: an odd exponent, so no key is a dilated one
+        keys = [poch(1, n - 2 * i + 1, n) for i in range(1, 6)]
         for k in keys:
             k.expand(n)
         assert list(memo) == [k.factors for k in keys[1:]]
