@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import cycle, islice, repeat
 from operator import add, itemgetter
 
@@ -152,6 +153,9 @@ def s_bar(b: int, ell: int, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
+# every argument is an int and the result is immutable, so a repeat, as
+# between checks that share a g, is a lookup
+@lru_cache(maxsize=64)
 def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     """Generic g(z, q^base) at z = s*q^e:
 

@@ -14,13 +14,16 @@ accumulating an exact monomial prefactor.
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, and ``Product.expand`` is the only place that turns one into a series.
 It memoises the expansion of each factor multiset, so a product met again at
-the same or a shorter length costs one slice.  A miss is carried in one
-integer at q = 2^w (Kronecker substitution), where each binomial factor is
-one shift-add, or a few for a denominator, and w comes from a proven bound on
-the coefficients; a product in q^g is expanded in q and spread.  The
-in-place list pass ``binomial_pass`` serves the Lambert sums and
-``combinat.nbar_series``, which do not go through the memo, and is the
-reference ``expand`` is tested against.
+the same or a shorter length costs one slice; a product in q^g is expanded in
+q and spread.  A miss first becomes one list of binomials: the factors'
+Euler exponents a_e of prod (1 - q^e)^(a_e), in which the binomials of all
+factors cancel, with 1 + q^e kept as a numerator where 1 - q^2e meets a
+matching 1 / (1 - q^e).  The list is carried in one integer at q = 2^w
+(Kronecker substitution), where each binomial is one shift-add, or a few
+for a denominator, and w is a proven bound on the coefficients, taken from
+the rewritten list.  The in-place list pass ``binomial_pass`` serves the
+Lambert sums and ``combinat.nbar_series``, which do not go through the memo,
+and is the reference ``expand`` is tested against.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, sqrt
-from operator import add, sub
+from operator import add, gt, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleHit
@@ -172,54 +176,90 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
     """The first n coefficients of prod (1 - s*q^e)^mult over the factors,
     carried in one integer v = F(2^w) mod 2^(w n) (Kronecker substitution).
 
-    q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as rings, so every step is exact
-    on v whatever the size of the coefficients met on the way; only the final
-    ones must fit a slot, and ``_slot_bits`` bounds them.  One power of
-    1 - s*q^e is the shift-add v - s*(v << w e), keeping the slots below q^n;
-    dividing by it multiplies by (1 + s*q^e)(1 + q^2e)(1 + q^4e)... while the
-    exponent stays below n.
+    The factors are first rewritten by ``_binomials``, so binomials that
+    cancel across factors cost nothing.  q -> 2^w maps Z[q]/(q^n) onto
+    Z/2^(w n) as rings, so every step is exact on v whatever the size of the
+    coefficients met on the way; only the final ones must fit a slot, and
+    ``_slot_bits`` bounds them.  One power of 1 - s*q^e is the shift-add
+    v - s*(v << w e), keeping the slots below q^n; dividing by 1 - q^e
+    multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays
+    below n.
     """
-    size = (_slot_bits(factors, n) + 7) // 8
+    binomials = _binomials(factors, n)
+    size = (_slot_bits(binomials, n) + 7) // 8
     w = 8 * size
     mask = (1 << (w * n)) - 1
     v = 1
-    for (sign, r, step), mult in factors:
-        for e in range(r, n, step):
-            if mult > 0:
-                adds = [(e, -sign)]
-            else:
-                adds = [(e << j, 1) for j in range(((n - 1) // e).bit_length())]
-                adds[0] = (e, sign)
-            adds = [(w * k, s, mask >> (w * k)) for k, s in adds]
-            for _ in range(abs(mult)):
-                for shift, s, low in adds:
-                    t = (v & low) << shift
-                    v = v + t if s == 1 else v - t
+    for e, sign, mult in binomials:
+        if mult > 0:
+            adds = [(e, -sign)]
+        else:  # only 1 - q^e is ever a denominator
+            adds = [(e << j, 1) for j in range(((n - 1) // e).bit_length())]
+        adds = [(w * k, s, mask >> (w * k)) for k, s in adds]
+        for _ in range(abs(mult)):
+            for shift, s, low in adds:
+                t = (v & low) << shift
+                v = v + t if s == 1 else v - t
     return _unpack(v, size, 1 << (w - 1), n)
 
 
-def _slot_bits(factors: Tuple[Factor, ...], n: int) -> int:
+def _binomials(factors: Tuple[Factor, ...], n: int) -> List[Tuple[int, int, int]]:
+    """(e, sign, mult) triples, 0 < e < n, whose product of (1 - sign*q^e)^mult
+    equals the product of the factors mod q^n, with the binomials of all the
+    factors cancelled against each other.
+
+    Every factor goes into the Euler exponents a_e of prod (1 - q^e)^(a_e),
+    by strided slices: (q^r; q^step)^m adds m to a_e for e = r, r + step, ...,
+    and (-q^r; q^step)^m, by 1 + q^e = (1 - q^2e) / (1 - q^e), subtracts m
+    from a_e and adds m to a_2e while 2e < n.  Going up e once, k =
+    min(-a_e, a_2e) of a pair a_e < 0 < a_2e is turned back into the
+    numerator (1 + q^e)^k, which costs one shift-add per power where
+    1 / (1 - q^e) costs a chain.  Every other nonzero a_e is a binomial of
+    sign +1: a numerator when a_e > 0, a denominator when a_e < 0.
+    """
+    a = [0] * n
+    for (sign, r, step), m in factors:
+        a[r::step] = map(add if sign == 1 else sub, a[r::step], repeat(m))
+        if sign == -1:
+            a[2 * r::2 * step] = map(add, a[2 * r::2 * step], repeat(m))
+    out = []
+    for e in list(compress(range((n + 1) // 2), map(gt, repeat(0), a))):
+        k = min(-a[e], a[2 * e])
+        if k > 0:
+            a[e] += k
+            a[2 * e] -= k
+            out.append((e, -1, k))
+    out += zip(compress(range(n), a), repeat(1), filter(None, a))
+    return out
+
+
+def _slot_bits(binomials: Sequence[Tuple[int, int, int]], n: int) -> int:
     """A slot width, in bits and sign included, that holds each of the first n
-    coefficients f_i of prod (1 - s*q^e)^mult over the factors."""
+    coefficients f_i of prod (1 - s*q^e)^mult over the (e, s, mult) binomials
+    of ``_binomials``."""
+    if not binomials:
+        return 2  # the product is 1
     # The majorant M = prod (1 + q^e)^mult over the numerator binomials times
-    # prod (1 - q^e)^-|mult| over the denominator ones, e < n, has
-    # nonnegative coefficients and |f_i| <= [q^i] M.  So by Cauchy's
-    # inequality |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1.
-    # At x = exp(-t), log M(x) is about a / t, and t = sqrt(a / (n - 1)) puts
-    # the bound near its minimum; any t > 0 gives a true bound.
-    a = fsum(abs(m) / step * (pi * pi / 12 if m > 0 else pi * pi / 6)
-             for (_, _, step), m in factors)
-    t = sqrt(a / max(n - 1, 1))
+    # prod (1 - q^e)^-|mult| over the denominator ones has nonnegative
+    # coefficients and |f_i| <= [q^i] M.  So by Cauchy's inequality
+    # |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1.  At
+    # x = exp(-t), binomials at a density d among the e < n add about
+    # c d |mult| / t to log M(x), with c = pi^2/12 for a numerator and pi^2/6
+    # for a denominator.  So log M(x) is about a / ((n - 1) t) with
+    # a = sum c |mult| over the binomials, and t = sqrt(a) / (n - 1) puts the
+    # bound near its minimum; any t > 0 gives a true bound.
+    a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in binomials)
+    t = sqrt(a) / max(n - 1, 1)
     log_m = fsum(m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
-                 for (_, r, step), m in factors for e in range(r, n, step))
+                 for e, _, m in binomials)
     bits = (log_m + (n - 1) * t) / log(2)
     # Margin: bits is the bound at x = exp(-t) up to float rounding.  Each
-    # term is off by a few ulps of itself plus at most 2^-51: exp, expm1, log
-    # and log1p are correct to an ulp, and the rounding of t*e moves
-    # -log(1 - e^-u) by at most 2^-53, as u / (e^u - 1) <= 1.  fsum adds
-    # exactly.  So while n * sum |mult| < 2^40, which no expansion that fits
-    # in memory reaches, bits is off by less than 2^-9 + bits * 2^-49: one
-    # bit covers that, and one more holds the sign.
+    # term is off by a few ulps of itself plus at most |mult| 2^-51: exp,
+    # expm1, log and log1p are correct to an ulp, and the rounding of t*e
+    # moves -log(1 - e^-u) by at most 2^-53, as u / (e^u - 1) <= 1.  fsum
+    # adds exactly.  So while sum |mult| over the binomials < 2^40, which no
+    # expansion that fits in memory reaches, bits is off by less than
+    # 2^-9 + bits * 2^-49: one bit covers that, and one more holds the sign.
     return ceil(bits) + 2
 
 

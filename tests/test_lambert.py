@@ -163,6 +163,13 @@ class TestG:
         lhs = g_series(1, 2, 5, 120) + g_series(1, 5 - 2, 5, 120)
         assert series_equal(lhs, LaurentSeries.one(120))
 
+    def test_g_series_repeat_is_a_cache_hit(self):
+        first = g_series(-1, 3, 7, 90)
+        hits = g_series.cache_info().hits
+        assert g_series(-1, 3, 7, 90) is first
+        assert g_series.cache_info().hits == hits + 1
+        assert first == g_series.__wrapped__(-1, 3, 7, 90)  # a fresh build
+
     def test_g_func_is_lift_of_index_form(self):
         g_y = g_index(1, 5, 20)
         g_q = g_func(GFuncSpec(1, 5), 100)

@@ -41,8 +41,9 @@ class TestPochhammer:
 
     def test_difference_of_squares(self):
         order = 40
-        prod = (poch(-1, 1, 1) * poch(1, 1, 1) / poch(1, 2, 2)).expand(order)
-        assert first_mismatch(prod, LaurentSeries.one(order)) is None
+        prod = poch(-1, 1, 1) * poch(1, 1, 1) / poch(1, 2, 2)
+        assert products._binomials(prod.factors, order) == []  # all cancel
+        assert first_mismatch(prod.expand(order), LaurentSeries.one(order)) is None
 
     def test_unit_argument_vanishes(self):
         assert poch(1, 0, 1).expand(10).is_zero()
@@ -235,19 +236,63 @@ def test_packed_expand_matches_binomial_pass(parts, dilation, order):
     assert got == LaurentSeries(0, _pass_reference(prod.factors, order), order)
 
 
-# products equal to their majorant: numerators 1 + q^e, denominators 1 - q^e
+# (q,q^4;q^5)(q^5;q^5)^2(-q^5;q^5)^4 / (q^2,q^3,-q^2,-q^3;q^5)^2: its
+# binomials largely cancel, and its coefficients below q^1198 have 3 bits
+BASE5_QUOTIENT = poch(1, 1, 5) * poch(1, 4, 5) * poch(1, 5, 5, 2) * poch(-1, 5, 5, 4) / (
+    poch(1, 2, 5) * poch(1, 3, 5) * poch(-1, 2, 5) * poch(-1, 3, 5)) ** 2
+
+# (sign, r, step, mult) factors over one base step b: shared steps b and
+# doubled steps 2b, so that (1 + q^e) meets 1 - q^2e in another factor
+REWRITE_PARTS = st.integers(1, 12).flatmap(lambda b: st.lists(st.tuples(
+    st.sampled_from((1, -1)), st.integers(1, 2 * b), st.sampled_from((b, 2 * b)),
+    st.integers(-4, 4).filter(bool)), min_size=1, max_size=6))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(parts=REWRITE_PARTS, order=st.integers(1, 400))
+@example(parts=[(1, 1, 1, 1), (-1, 1, 1, 1), (1, 2, 2, -1)], order=400)  # all cancel
+@example(parts=[(-1, 1, 1, 8)], order=600)
+@example(parts=[(1, 1, 5, 1), (1, 4, 5, 1), (1, 5, 5, 2), (-1, 5, 5, 4), (1, 2, 5, -2),
+                (1, 3, 5, -2), (-1, 2, 5, -2), (-1, 3, 5, -2)], order=1198)
+def test_binomials_rewrite_the_product(parts, order):
+    prod = Product()
+    for sign, r, step, mult in parts:
+        prod = prod * poch(sign, r, step, mult)
+    binomials = products._binomials(prod.factors, order)
+    out = [1] + [0] * (order - 1)
+    for e, sign, mult in binomials:
+        binomial_pass(out, sign, e, mult)
+    ref = _pass_reference(prod.factors, order)
+    assert out == ref
+    # every exponent once per sign, below the order; only 1 - q^e divides,
+    # and no 1 - q^e divides where 1 - q^2e multiplies
+    assert len({(e, sign) for e, sign, _ in binomials}) == len(binomials)
+    assert all(0 < e < order for e, _, _ in binomials)
+    assert all(sign == 1 for _, sign, mult in binomials if mult < 0)
+    numerators = {e for e, sign, mult in binomials if sign == 1 and mult > 0}
+    assert not any(2 * e in numerators for e, _, mult in binomials if mult < 0)
+    with pytest.MonkeyPatch.context() as mp:  # expand, not a memo hit
+        mp.setattr(products, "_expanded", {})
+        mp.setattr(products, "_expand_counts", {"hits": 0, "misses": 0, "stored": 0})
+        assert prod.expand(order) == LaurentSeries(0, ref, order)
+
+
 @pytest.mark.parametrize("prod, n", [
+    # equal to their majorant: numerators 1 + q^e, denominators 1 - q^e
     (poch(1, 1, 1, -8), 800),
     (poch(-1, 1, 1, 8), 800),
     (poch(-1, 1, 1, 3) * poch(1, 2, 2, -2), 500),
     (poch(1, 2, 5, -4) * poch(1, 3, 5, -4), 900),
     (poch(-1, 1, 7, 5) * poch(1, 3, 7, -6), 700),
     (poch(1, 1, 1, -1), 2),
+    # far below its majorant; bounded on its binomials before they cancel,
+    # the width would be 194
+    (BASE5_QUOTIENT, 1198),
 ])
 def test_slot_bits_hold_the_largest_coefficient(prod, n):
     true = max(abs(c).bit_length() for c in _pass_reference(prod.factors, n))
-    bits = products._slot_bits(prod.factors, n)
-    assert true + 1 <= bits <= true + 16
+    bits = products._slot_bits(products._binomials(prod.factors, n), n)
+    assert true + 1 <= bits <= (96 if prod == BASE5_QUOTIENT else true + 16)
 
 
 # ----------------------------------------------------------------------
