@@ -15,15 +15,19 @@ Every quotient of Pochhammer symbols in the package is one ``Product``
 value, and ``Product.expand`` is the only place that turns one into a series.
 It memoises the expansion of each factor multiset, so a product met again at
 the same or a shorter length costs one slice; a product in q^g is expanded in
-q and spread.  A miss first becomes one list of binomials: the factors'
-Euler exponents a_e of prod (1 - q^e)^(a_e), in which the binomials of all
-factors cancel, with 1 + q^e kept as a numerator where 1 - q^2e meets a
-matching 1 / (1 - q^e).  The list is carried in one integer at q = 2^w
-(Kronecker substitution), where each binomial is one shift-add, or a few
-for a denominator, and w is a proven bound on the coefficients, taken from
-the rewritten list.  The in-place list pass ``binomial_pass`` serves the
-Lambert sums and ``combinat.nbar_series``, which do not go through the memo,
-and is the reference ``expand`` is tested against.
+q and spread.  A miss is split into theta functions theta_s(r, p) =
+(s q^r, s q^(p-r), q^p; q^p)_inf, whose sums by Jacobi's triple product have
+O(sqrt(n/p)) terms below q^n, and binomials: the complete thetas of the
+factor multiset, then the Euler exponents a_e of prod (1 - q^e)^(a_e) of the
+rest, in which the binomials of all factors cancel and which give up the
+thetas theta_+ and pentagonal (q^d; q^d) they hold.  Everything is carried in
+one integer at q = 2^w (Kronecker substitution): a numerator theta costs one
+shift-add per term, a binomial one shift-add or a few for a denominator, and
+the denominator thetas are divided out by one 2-adic Newton inverse whose
+products with them are shift-adds too.  w is a proven bound on the
+coefficients.  The in-place list pass ``binomial_pass`` serves the Lambert
+sums, ``combinat.nbar_series`` and ``triple_product``, which do not go
+through the memo, and is the reference ``expand`` is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, sqrt
 from operator import add, gt, sub
 from typing import Dict, List, Sequence, Tuple
@@ -176,20 +180,28 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
     """The first n coefficients of prod (1 - s*q^e)^mult over the factors,
     carried in one integer v = F(2^w) mod 2^(w n) (Kronecker substitution).
 
-    The factors are first rewritten by ``_binomials``, so binomials that
-    cancel across factors cost nothing.  q -> 2^w maps Z[q]/(q^n) onto
-    Z/2^(w n) as rings, so every step is exact on v whatever the size of the
-    coefficients met on the way; only the final ones must fit a slot, and
-    ``_slot_bits`` bounds them.  One power of 1 - s*q^e is the shift-add
-    v - s*(v << w e), keeping the slots below q^n; dividing by 1 - q^e
-    multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays
-    below n.
+    ``_decompose`` splits the factors into theta functions, each a sparse
+    sum by the triple product, and binomials, in which binomials that cancel
+    across factors cost nothing.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
+    rings, so every step is exact on v whatever the size of the coefficients
+    met on the way; only the final ones must fit a slot, and ``_slot_bits``
+    bounds them.  The product D of the denominator thetas has D(2^w) odd,
+    so it is divided out first by one 2-adic inverse (``_inverse_packed``).
+    A numerator theta is one shift-add per term of its sum.  One power of 1 - s*q^e is the
+    shift-add v - s*(v << w e), keeping the slots below q^n; dividing by
+    1 - q^e multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent
+    stays below n.
     """
-    binomials = _binomials(factors, n)
-    size = (_slot_bits(binomials, n) + 7) // 8
+    thetas, binomials = _decompose(factors, n)
+    size = (_slot_bits(thetas, binomials, n) + 7) // 8
     w = 8 * size
     mask = (1 << (w * n)) - 1
-    v = 1
+    sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
+    dens = [(shifts, -k) for shifts, k in sums if k < 0]
+    v = _inverse_packed(dens, w, n) if dens else 1
+    for shifts, k in sums:
+        for _ in range(k):  # none for a denominator
+            v = _times_theta(v, shifts, mask)
     for e, sign, mult in binomials:
         if mult > 0:
             adds = [(e, -sign)]
@@ -201,6 +213,172 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
                 t = (v & low) << shift
                 v = v + t if s == 1 else v - t
     return _unpack(v, size, 1 << (w - 1), n)
+
+
+Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 <= r <= p / 2
+
+
+def _theta_classes(s: int, r: int, p: int) -> List[Tuple[Tuple[int, int, int], int]]:
+    """The Pochhammer classes ((sign, r', p), times) whose product is the
+    theta function theta_s(r, p) = (s q^r, s q^(p-r), q^p; q^p)_inf, with
+    (s q^r; q^p) twice at r = p/2; r = 0 stands for (-q^p; q^p)^2 (q^p; q^p),
+    half of theta_-(0, p)."""
+    if r == 0:
+        return [((-1, p, p), 2), ((1, p, p), 1)]
+    if 2 * r == p:
+        return [((s, r, p), 2), ((1, p, p), 1)]
+    return [((s, r, p), 1), ((s, p - r, p), 1), ((1, p, p), 1)]
+
+
+def _theta_terms(s: int, r: int, p: int, n: int) -> List[Tuple[int, int]]:
+    """The terms (e, c), 0 < e < n, of theta_s(r, p) by increasing e; its
+    constant term is 1.
+
+    By Jacobi's triple product theta_s(r, p) is the sum of
+    (-s)^m q^(p m(m-1)/2 + r m) over all integers m.  m = j and m = -j,
+    j >= 1, give the exponents p j(j-1)/2 + r j <= p j(j+1)/2 - r j, which
+    meet when 2r = p, and lie below those of j + 1.  At r = 0 the two runs
+    are one, so (-q^p; q^p)^2 (q^p; q^p) is the sum of q^(p j(j+1)/2) over
+    j >= 0.
+    """
+    out, c = [], 1
+    for j in count(1):
+        c *= -s
+        lo = p * j * (j - 1) // 2 + r * j
+        hi = lo + (p - 2 * r) * j
+        if (hi if r == 0 else lo) >= n:
+            return out
+        if r == 0:
+            out.append((hi, 1))
+        elif lo == hi:
+            out.append((lo, 2 * c))
+        else:
+            out.append((lo, c))
+            if hi < n:
+                out.append((hi, c))
+
+
+def _theta_shifts(theta: Theta, w: int, n: int) -> List[Tuple[int, bool]]:
+    """(shift, negative) for each term c q^e of the theta below q^n at
+    q = 2^w: 2^shift = |c| 2^(w e), as |c| is 1 or 2."""
+    return [(w * e + (abs(c) == 2), c < 0) for e, c in _theta_terms(*theta, n)]
+
+
+def _times_theta(v: int, shifts: List[Tuple[int, bool]], mask: int) -> int:
+    """v times the theta of ``_theta_shifts`` mod mask + 1 = 2^(w m): one
+    shift-add per term below q^m."""
+    acc = v
+    for shift, negative in shifts:
+        low = mask >> shift
+        if not low:
+            break
+        t = (v & low) << shift
+        acc = acc - t if negative else acc + t
+    return acc & mask
+
+
+def _inverse_packed(dens: List[Tuple[List[Tuple[int, bool]], int]], w: int, n: int) -> int:
+    """y with y D(2^w) = 1 mod 2^(w n), for D the product of the thetas
+    (shifts, k) of ``_theta_shifts``, each to the power k > 0.
+
+    D(0) = 1, so D(2^w) is odd and y = 1 mod 2^w.  Newton's step lifts
+    D y = 1 mod 2^a to mod 2^b, b <= 2a: with d = D y mod 2^b and
+    h = d >> a, y - 2^a (y h mod 2^(b-a)) is the inverse mod 2^b, as
+    (1 + 2^a h)(1 - 2^a h) = 1 mod 2^b.  D y is taken by shift-adds, so the
+    step's one multiplication is y h, of two numbers of b - a bits.
+    """
+    sizes = []
+    while n > 1:
+        sizes.append(n)
+        n = (n + 1) // 2
+    y, a = 1, w
+    for size in reversed(sizes):
+        b = w * size
+        mask = (1 << b) - 1
+        d = y
+        for shifts, k in dens:
+            for _ in range(k):
+                d = _times_theta(d, shifts, mask)
+        low = (1 << (b - a)) - 1
+        y += ((-(y & low) * (d >> a)) & low) << a
+        a = b
+    return y
+
+
+def _decompose(factors: Tuple[Factor, ...], n: int
+               ) -> Tuple[List[Tuple[Theta, int]], List[Tuple[int, int, int]]]:
+    """(thetas, binomials) whose product is the product of the factors mod
+    q^n: (theta, k) pairs of a ``Theta`` and a power, k < 0 in the
+    denominator, and ``_binomials``' (e, sign, mult) triples.
+
+    First the factor multiset gives up every complete theta it holds: for
+    each factor (s q^r; q^p) with 2r <= p, and each (-q^p; q^p), the
+    greatest power k whose classes (``_theta_classes``) all carry k times
+    their multiplicity in the theta, with the factor's sign.  The rest goes
+    through ``_binomials``.  Then its Euler exponents a_e give up
+    theta_+(r, p), which needs a_e of one sign on the classes r, p - r and
+    0 mod p, and the pentagonal (q^d; q^d) = theta_+(d, 3d), on the
+    multiples of d, for every p and d among the rest's steps and their
+    doubles: first the denominators; then 1 / (1 - q^e) becomes 1 + q^e,
+    equal mod q^n where 2e >= n; then the numerators.  Each class's first
+    entry is checked before it is sliced.
+    """
+    mults = dict(factors)
+    thetas: List[Tuple[Theta, int]] = []
+    for (s, r, p), m in factors:
+        sign = 1 if m > 0 else -1
+        if (2 * r <= p or (s == -1 and r == p)) and sign * mults.get((1, p, p), 0) > 0:
+            theta = (s, r % p, p)
+            classes = _theta_classes(*theta)
+            k = min(sign * mults.get(key, 0) // times for key, times in classes)
+            if k > 0:
+                for key, times in classes:
+                    mults[key] -= sign * k * times
+                thetas.append((theta, sign * k))
+    rest = [item for item in mults.items() if item[1]]
+    binomials = _binomials(tuple(rest), n)
+    if not binomials:
+        return thetas, binomials
+    a = [0] * n
+    out = []
+    for e, sign, mult in binomials:
+        if sign == 1:
+            a[e] = mult
+        else:
+            out.append((e, sign, mult))
+    periods = sorted({step * d for (s, _, step), _ in rest for d in ((1, 2) if s == -1 else (1,))
+                      if step * d < n})
+
+    def take(theta: Theta, sign: int) -> None:
+        classes = [(r, p, times) for (_, r, p), times in _theta_classes(*theta) if r < n]
+        if any(sign * a[r] < times for r, _, times in classes):
+            return
+        k = min((min(a[r::p]) if sign == 1 else -max(a[r::p])) // times
+                for r, p, times in classes)
+        if k > 0:
+            for r, p, times in classes:
+                a[r::p] = map(sub, a[r::p], repeat(sign * k * times))
+            thetas.append((theta, sign * k))
+
+    def take_all(sign: int) -> None:
+        for p in periods:
+            if sign * a[p] > 0:
+                for r in range(1, p // 2 + 1):
+                    if sign * a[r] > 0 and sign * a[p - r] > 0:
+                        take((1, r, p), sign)
+        for d in periods:
+            if sign * a[d] > 0:
+                take((1, d, 3 * d), sign)
+
+    if min(a) < 0:
+        take_all(-1)
+        half = (n + 1) // 2
+        out += [(e, -1, -a[e]) for e in range(half, n) if a[e] < 0]
+        a[half:] = map(max, a[half:], repeat(0))
+    if max(a) > 0:
+        take_all(1)
+    out += zip(compress(range(n), a), repeat(1), filter(None, a))
+    return thetas, out
 
 
 def _binomials(factors: Tuple[Factor, ...], n: int) -> List[Tuple[int, int, int]]:
@@ -233,33 +411,53 @@ def _binomials(factors: Tuple[Factor, ...], n: int) -> List[Tuple[int, int, int]
     return out
 
 
-def _slot_bits(binomials: Sequence[Tuple[int, int, int]], n: int) -> int:
+def _slot_bits(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],
+               n: int) -> int:
     """A slot width, in bits and sign included, that holds each of the first n
-    coefficients f_i of prod (1 - s*q^e)^mult over the (e, s, mult) binomials
-    of ``_binomials``."""
-    if not binomials:
+    coefficients f_i of the product of the thetas and binomials of
+    ``_decompose``."""
+    # the binomials of the majorant, and (terms, k) theta sums
+    majorant = binomials
+    sums = []
+    for theta, k in thetas:
+        if k < 0:
+            majorant = majorant + [(e, 1, k * times) for (_, r, p), times in
+                                   _theta_classes(*theta) for e in range(r, n, p)]
+        else:
+            sums.append((_theta_terms(*theta, n), k))
+    if not majorant and not sums:
         return 2  # the product is 1
-    # The majorant M = prod (1 + q^e)^mult over the numerator binomials times
-    # prod (1 - q^e)^-|mult| over the denominator ones has nonnegative
-    # coefficients and |f_i| <= [q^i] M.  So by Cauchy's inequality
-    # |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1.  At
-    # x = exp(-t), binomials at a density d among the e < n add about
-    # c d |mult| / t to log M(x), with c = pi^2/12 for a numerator and pi^2/6
-    # for a denominator.  So log M(x) is about a / ((n - 1) t) with
-    # a = sum c |mult| over the binomials, and t = sqrt(a) / (n - 1) puts the
-    # bound near its minimum; any t > 0 gives a true bound.
-    a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in binomials)
-    t = sqrt(a) / max(n - 1, 1)
-    log_m = fsum(m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
-                 for e, _, m in binomials)
+    # The majorant M, the product of (1 + q^e)^mult over the numerator
+    # binomials, (1 - q^e)^-|mult| over the denominator ones and over every
+    # binomial of a denominator theta, and (sum |c| q^e)^k over the terms
+    # below q^n of each numerator theta, has nonnegative coefficients and
+    # |f_i| <= [q^i] M.  So by Cauchy's inequality |f_i| <= M(x) / x^i <=
+    # M(x) / x^(n-1) for every 0 < x < 1.  At x = exp(-t), binomials at a
+    # density d among the e < n add about c d |mult| / t to log M(x), with
+    # c = pi^2/12 for a numerator and pi^2/6 for a denominator; a theta sum
+    # adds only about k log(1/t) / 2.  So log M(x) is about a / ((n - 1) t)
+    # with a = sum c |mult| over the binomials, and t = sqrt(a) / (n - 1)
+    # puts the bound near its minimum, or t = 1 / (n - 1) with thetas alone;
+    # any t > 0 gives a true bound.
+    a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in majorant)
+    t = (sqrt(a) if a else 1.0) / max(n - 1, 1)
+    log_m = fsum([m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
+                  for e, _, m in majorant]
+                 + [k * log(fsum([1.0] + [abs(c) * exp(-t * e) for e, c in terms]))
+                    for terms, k in sums])
     bits = (log_m + (n - 1) * t) / log(2)
     # Margin: bits is the bound at x = exp(-t) up to float rounding.  Each
-    # term is off by a few ulps of itself plus at most |mult| 2^-51: exp,
-    # expm1, log and log1p are correct to an ulp, and the rounding of t*e
-    # moves -log(1 - e^-u) by at most 2^-53, as u / (e^u - 1) <= 1.  fsum
-    # adds exactly.  So while sum |mult| over the binomials < 2^40, which no
-    # expansion that fits in memory reaches, bits is off by less than
-    # 2^-9 + bits * 2^-49: one bit covers that, and one more holds the sign.
+    # binomial term is off by a few ulps of itself plus at most |mult| 2^-51:
+    # exp, expm1, log and log1p are correct to an ulp, and the rounding of
+    # t*e moves -log(1 - e^-u) by at most 2^-53, as u / (e^u - 1) <= 1.  fsum
+    # adds exactly.  A theta's sum S >= 1 is off by a relative
+    # (u + 2) 2^-53 at most, u = t*e <= (n - 1) t <= bits log 2, and
+    # log S <= bits log 2, as no term of log_m is negative; so k log S is off
+    # by less than k (3 bits + 3) 2^-53.  So while sum |mult| over the
+    # majorant's binomials < 2^40 and sum k over the theta sums < 2^30, which
+    # no expansion that fits in memory reaches, bits is off by less than
+    # 2^-9 + bits * 2^-49 + (bits + 1) 2^-20, below 1/2 for any slot under
+    # 2^18 bits: one bit covers that, and one more holds the sign.
     return ceil(bits) + 2
 
 
@@ -348,7 +546,17 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
     if e > base:
         raise ValueError("triple product instantiation needs exp <= base")
     b2 = 2 * base
-    return (poch(-s, e + base, b2) * poch(-s, base - e, b2) * poch(1, b2, b2)).expand(order)
+    prod = poch(-s, e + base, b2) * poch(-s, base - e, b2) * poch(1, b2, b2)
+    if order <= 0 or not prod.scalar:
+        return LaurentSeries.zero(order)
+    # Not prod.expand: that takes a complete theta by its triple-product sum,
+    # which is the identity this series is compared against (jtp@*), so it
+    # is built binomial by binomial over its three Pochhammer classes.
+    out = [1] + [0] * (order - 1)
+    for (sign, r, step), mult in prod.factors:
+        for x in range(r, order, step):
+            binomial_pass(out, sign, x, mult)
+    return LaurentSeries(0, out, order).scale(prod.scalar)
 
 
 # ----------------------------------------------------------------------

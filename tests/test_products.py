@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from overrank import products
+from overrank import products, registry
 from overrank.combinat import _count_by_residue
 from overrank.errors import PoleHit, ZeroLeadingTerm
 from overrank.lambert import lambert_sum, theta
@@ -277,6 +277,15 @@ def test_binomials_rewrite_the_product(parts, order):
         assert prod.expand(order) == LaurentSeries(0, ref, order)
 
 
+# theta_-(1, 11) theta_-(3, 11) = (-q, -q^3, -q^8, -q^10; q^11)(q^11; q^11)^2
+THETA_PAIR = poch(-1, 1, 11) * poch(-1, 3, 11) * poch(-1, 8, 11) * poch(-1, 10, 11) * poch(
+    1, 11, 11, 2)
+# (q;q)/(-q;q) = theta_+(1, 2), the sum of (-1)^m q^(m^2)
+PENTAGONAL_QUOTIENT = poch(1, 1, 1) / poch(-1, 1, 1)
+# each slot width no wider than this, where the majorant lies far above the product
+SLOT_CEILINGS = {BASE5_QUOTIENT: 96, THETA_PAIR: 24, PENTAGONAL_QUOTIENT: 16}
+
+
 @pytest.mark.parametrize("prod, n", [
     # equal to their majorant: numerators 1 + q^e, denominators 1 - q^e
     (poch(1, 1, 1, -8), 800),
@@ -288,11 +297,106 @@ def test_binomials_rewrite_the_product(parts, order):
     # far below its majorant; bounded on its binomials before they cancel,
     # the width would be 194
     (BASE5_QUOTIENT, 1198),
+    # numerator thetas, bounded by their sparse sums; on their binomials
+    # the widths would be 63 and 103
+    (THETA_PAIR, 1000),
+    (PENTAGONAL_QUOTIENT, 1000),
 ])
 def test_slot_bits_hold_the_largest_coefficient(prod, n):
     true = max(abs(c).bit_length() for c in _pass_reference(prod.factors, n))
-    bits = products._slot_bits(products._binomials(prod.factors, n), n)
-    assert true + 1 <= bits <= (96 if prod == BASE5_QUOTIENT else true + 16)
+    bits = products._slot_bits(*products._decompose(prod.factors, n), n)
+    assert true + 1 <= bits <= SLOT_CEILINGS.get(prod, true + 16)
+
+
+# ----------------------------------------------------------------------
+# thetas in the expansion
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [(1, 1, 3), (-1, 1, 3), (1, 2, 7), (-1, 3, 7), (1, 1, 2),
+                                   (-1, 3, 6), (-1, 0, 4), (-1, 0, 1), (1, 4, 12)])
+def test_theta_terms_are_the_product_of_their_classes(theta):
+    n = 300
+    sparse = [1] + [0] * (n - 1)
+    for e, c in products._theta_terms(*theta, n):
+        assert sparse[e] == 0 and abs(c) in (1, 2)
+        sparse[e] = c
+    classes = tuple(products._theta_classes(*theta))
+    assert all(1 <= r <= p for (_, r, p), _ in classes)
+    assert sparse == _pass_reference(classes, n)
+
+
+def _theta_product(s, r, p, k):
+    """theta_s(r, p)^k from its Pochhammer classes; r = 0 is
+    (-q^p; q^p)^(2k) (q^p; q^p)^k."""
+    if r == 0:
+        return poch(-1, p, p, 2 * k) * poch(1, p, p, k)
+    return poch(s, r, p, k) * poch(s, p - r, p, k) * poch(1, p, p, k)
+
+
+MULTS = st.integers(-3, 3).filter(bool)
+THETA = st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.just("theta"), st.sampled_from((1, -1)), st.integers(0, p // 2), st.just(p), MULTS))
+PENTAGONAL = st.tuples(st.just("poch"), st.just(1), st.integers(1, 6), st.just(0), MULTS)
+CLASS = st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.just("poch"), st.sampled_from((1, -1)), st.integers(1, p), st.just(p), MULTS))
+
+
+def _euler_exponents(factors, n):
+    """a_e, 0 < e < n, with prod (1 - q^e)^(a_e) the factors mod q^n, where
+    1 + q^e = (1 - q^2e) / (1 - q^e)."""
+    a = [0] * n
+    for (sign, r, step), m in factors:
+        for e in range(r, n, step):
+            a[e] += m if sign == 1 else -m
+            if sign == -1 and 2 * e < n:
+                a[2 * e] += m
+    return a
+
+
+def _check_thetas_are_classes(factors, thetas, n):
+    """Every theta consists of classes of the input: of its factors, or, for
+    a theta_+ taken from the Euler exponents, of exponents of its sign."""
+    left = dict(factors)
+    euler = []
+    for theta, k in thetas:
+        classes = products._theta_classes(*theta)
+        if all((left.get(key, 0) * k > 0 and abs(left[key]) >= abs(k) * count)
+               for key, count in classes):
+            for key, count in classes:
+                left[key] -= k * count
+        else:
+            euler.append((theta, k))
+    a = _euler_exponents(left.items(), n)
+    for theta, k in euler:
+        assert theta[0] == 1 and theta[1] >= 1, theta
+        for (_, r, p), count in products._theta_classes(*theta):
+            for e in range(r, n, p):
+                a[e] -= k * count
+                assert a[e] * k >= 0, (theta, k, e)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(parts=st.lists(st.one_of(THETA, THETA, PENTAGONAL, CLASS), min_size=1, max_size=5),
+       order=st.integers(1, 400))
+@example(parts=[("poch", -1, 1, 1, 1), ("poch", 1, 1, 1, -1)], order=400)  # pbar
+@example(parts=[("poch", 1, 1, 1, 1), ("poch", -1, 1, 1, -1)], order=300)
+@example(parts=[("poch", 1, 1, 0, -8)], order=800)
+# theta_-(1, 11) theta_-(5, 11): the doubled classes of -q^5 and -q^6 meet
+# those of -q^10 and -q mod 11, so only the factors show these thetas
+@example(parts=[("theta", -1, 1, 11, 1), ("theta", -1, 5, 11, 1)], order=1000)
+@example(parts=[("theta", -1, 2, 7, 2), ("theta", 1, 1, 5, -1), ("theta", -1, 0, 3, -1)],
+         order=500)
+def test_theta_route_matches_binomial_pass(parts, order):
+    prod = Product()
+    for kind, s, r, p, k in parts:
+        prod = prod * (_theta_product(s, r, p, k) if kind == "theta" else
+                       poch(s, r, p or r, k))
+    assume(prod.factors)
+    thetas, binomials = products._decompose(prod.factors, order)
+    _check_thetas_are_classes(prod.factors, thetas, order)
+    # the kernel itself, so neither the memo nor a dilation stands in between
+    assert products._expand_packed(prod.factors, order) == _pass_reference(prod.factors, order)
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +511,20 @@ class TestTheta:
     def test_triple_product(self):
         assert series_equal(theta(SM(1, 1), 1, 50), triple_product(SM(1, 1), 1, 50))
         assert series_equal(theta(SM(-1, 2), 3, 80), triple_product(SM(-1, 2), 3, 80))
+
+    def test_triple_product_never_takes_the_theta_route(self, memo, monkeypatch):
+        # jtp@* compares the theta sum with the triple product; if the product
+        # were expanded by its own triple-product sum, it would compare a sum
+        # with itself
+        def no_theta(*args):
+            raise AssertionError("a triple product reached the theta route")
+
+        monkeypatch.setattr(products, "_theta_terms", no_theta)
+        for z, base in ((SM(1, 1), 1), (SM(-1, 0), 1), (SM(-1, 2), 3), (SM(1, 3), 3)):
+            assert series_equal(theta(z, base, 120), triple_product(z, base, 120))
+        assert registry.verify("jtp@sampled", 200).ok
+        with pytest.raises(AssertionError, match="theta route"):
+            (poch(1, 1, 1) / poch(-1, 1, 1)).expand(50)  # the patch is live
 
 
 class TestVerifiers:
