@@ -9,6 +9,11 @@ functions it validates coefficient by coefficient; it has no size cap.
 Enumeration of ``Overpartition`` objects is kept, with its cap, as the
 small-n reference the counts are checked against.
 
+Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
+times a Lambert sum, ``rank_class_sum``, which is cached; callers that
+combine classes, as ``rankdiff`` does, subtract the sums before they multiply
+by the product, or cancel the product against their own.
+
 Convention at n = 0: the analytic rank generating functions have constant
 term 0 for every rank class, while the counts include the empty
 overpartition (rank 0) once.  The series builders below follow the analytic
@@ -26,7 +31,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from .errors import CapExceeded
 from .lambert import lambert_sum
 from .products import binomial_pass, poch
-from .series import LaurentSeries
+from .series import LaurentSeries, mul
 
 ENUM_CAP = 40
 
@@ -233,20 +238,31 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
     return (2 * pbar_series(order) * LaurentSeries(0, inner, order)).truncate(order)
 
 
+# the product of every rank-class series
+RANK_CLASS_PRODUCT = 2 * poch(-1, 1, 1) / poch(1, 1, 1)
+
+
 @lru_cache(maxsize=32)
-def nbar_class_series(s: int, m: int, order: int) -> LaurentSeries:
-    """sum_n Nbar(s,m,n) q^n
-    = 2 (-q;q)/(q;q) sum'_{n in Z} (-1)^n q^(n^2+n) (q^(sn) + q^((m-s)n))
-      / ((1 + q^n)(1 - q^(mn))).
+def rank_class_sum(s: int, m: int, order: int) -> LaurentSeries:
+    """sum'_{n in Z} (-1)^n q^(n^2+n) (q^(sn) + q^((m-s)n)) / ((1 + q^n)(1 - q^(mn))),
+    the Lambert sum of the rank-class series of s mod m.
 
     The n = 0 term is omitted; negative-n denominators expand exactly through
-    the Laurent layer.  Constant term 0 (analytic convention)."""
+    the Laurent layer.  A power series with constant term 0."""
     if not 0 <= s < m:
         raise ValueError(f"residue {s} not in [0, {m})")
     denoms = [(-1, 0, 1), (1, 0, m)]
-    inner = lambert_sum(1, 1 + s, -1, denoms, order, primed=True)
-    inner = inner + lambert_sum(1, 1 + m - s, -1, denoms, order, primed=True)
-    out = (2 * pbar_series(order) * inner).truncate(order)
+    out = (lambert_sum(1, 1 + s, -1, denoms, order, primed=True)
+           + lambert_sum(1, 1 + m - s, -1, denoms, order, primed=True))
     if out.min_exp < 0:
-        raise AssertionError(f"rank-class series ({s},{m}) has negative exponents")
+        raise AssertionError(f"rank-class sum ({s},{m}) has negative exponents")
     return out
+
+
+def nbar_class_series(s: int, m: int, order: int) -> LaurentSeries:
+    """sum_n Nbar(s,m,n) q^n = RANK_CLASS_PRODUCT * rank_class_sum(s, m)
+    = 2 (-q;q)/(q;q) sum'_{n in Z} (-1)^n q^(n^2+n) (q^(sn) + q^((m-s)n))
+      / ((1 + q^n)(1 - q^(mn))).
+
+    Constant term 0 (analytic convention)."""
+    return mul(RANK_CLASS_PRODUCT.expand(order), rank_class_sum(s, m, order))

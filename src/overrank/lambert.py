@@ -13,7 +13,14 @@ step_i*n)), a convex function of n, so the terms below the truncation order
 are one run of n around its minimum, and the sum visits exactly that run.
 Every term goes into one integer list: a term c / (1 - s q^e) is the
 geometric run c s^k at q^(ek), added by one strided slice, and
-``products.binomial_pass`` divides a term by any further denominators.
+``products.binomial_pass`` divides a term by any further denominators.  A
+term c / D with two or more denominators, no two sharing a root of unity
+(``_share_a_root``), is periodic: D divides 1 - q^L and c / D = c N / (1 -
+q^L), so where the term is longer than L each nonzero of N is one strided
+add of step L.  L grows with the lcm of the exponents, not with the
+order, so it is found first and N is built only for such a term.  The
+rank-class denominators (1 + q^n)(1 - q^(mn)) are such a term for odd m,
+with L = 2mn and N = 1 - q^n + q^2n - ... + q^((m-1)n).
 Power-series positivity is asserted only where the mathematics promises it.
 
 The identities of this layer (``check_*`` and ``verify_lemma41``) return
@@ -28,11 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, islice, repeat
+from math import lcm
 from operator import add, itemgetter
+from typing import Optional, Tuple
 
 from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
-from .series import LaurentSeries, Sides, mul, substitute_power
+from .series import LaurentSeries, Sides, _divide, mul, substitute_power
 
 @dataclass(frozen=True)
 class GFuncSpec:
@@ -109,6 +118,11 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
         if not exps:
             acc[i] += c
             continue
+        if len(exps) > 1 and (period := _period(tuple(exps))) and order - shift > period:
+            # c N / (1 - q^L): one strided add of step L per nonzero of N
+            for j, x in _period_numerator(tuple(exps)):
+                acc[i + j::period] = map(add, acc[i + j::period], repeat(c * x))
+            continue
         # c / (1 - s q^e) is c s^k at q^(ek): one strided add, for the
         # denominator of least e; binomial_pass divides by any others
         (s, e), *rest = sorted(exps, key=itemgetter(1))
@@ -121,9 +135,55 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
             acc[i:] = map(add, acc[i:], part)
         else:
             acc[i::e] = map(add, acc[i::e], geometric)
-    if top:
-        acc = [Fraction(a, 1 << top) for a in acc]
-    return LaurentSeries(lo, acc, order)
+    return LaurentSeries(lo, _divide(acc, 1 << top), order)
+
+
+def _share_a_root(s: int, a: int, t: int, b: int) -> bool:
+    """Whether 1 - s q^a and 1 - t q^b vanish at a common root of unity.
+
+    1 - q^a vanishes at the roots of unity whose order divides a, 1 + q^a at
+    those whose order divides 2a and has exactly one factor 2 more than a.
+    So two factors 1 - q^a and 1 - q^b share the root 1, 1 + q^a and 1 + q^b
+    share a root iff a and b hold the same power of 2, and 1 + q^a and
+    1 - q^b iff b holds a higher one.  x & -x is the power of 2 in x.
+    """
+    if s == t:
+        return s == 1 or a & -a == b & -b
+    if s == 1:
+        a, b = b, a
+    return b & -b > a & -a
+
+
+# a denominator met again, as in the other sum of a rank class, is a lookup
+@lru_cache(maxsize=1024)
+def _period(exps: Tuple[Tuple[int, int], ...]) -> Optional[int]:
+    """The least L with D = prod (1 - s q^e) over the (s, e) pairs dividing
+    1 - q^L; None when no such L exists.
+
+    1 - q^L is the product of 1 - zeta q over the L-th roots of unity zeta,
+    each once.  So it is a multiple of D exactly when no two binomials share
+    a root, and then L is the lcm of the orders of all their roots: e for
+    1 - q^e and 2e for 1 + q^e.  L may be far past any order a term needs,
+    so this does not build N.
+    """
+    for k, (s, a) in enumerate(exps):
+        for t, b in exps[:k]:
+            if _share_a_root(s, a, t, b):
+                return None
+    return lcm(*[e if s == 1 else 2 * e for s, e in exps])
+
+
+@lru_cache(maxsize=1024)
+def _period_numerator(exps: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero coefficients, as (j, N_j), of N = (1 - q^L) / D, for D
+    and L = ``_period(exps)`` as there; N has degree L - sum e.
+
+    N agrees with 1 / D below q^L, so binomial_pass divides D out of 1.
+    """
+    numer = [1] + [0] * (_period(exps) - sum(e for _, e in exps))
+    for s, e in exps:
+        binomial_pass(numer, s, e, -1)
+    return tuple((j, x) for j, x in enumerate(numer) if x)
 
 
 def sigma_ab(a: int, b: int, ell: int, order: int) -> LaurentSeries:

@@ -42,7 +42,7 @@ from operator import add, gt, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import Coefficient, LaurentSeries, Sides, _norm, _unpack
+from .series import Coefficient, LaurentSeries, Sides, _divide, _norm, _unpack
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,10 @@ class Product:
         if n <= 0 or not self.scalar:
             return LaurentSeries.zero(order)
         out = _expand_factors(self.factors, n)
-        if self.scalar != 1:
-            out = [self.scalar * c for c in out]
-        return LaurentSeries(self.qexp, out, order)
+        num, den = self.scalar.numerator, self.scalar.denominator
+        if num != 1:
+            out = [num * c for c in out]
+        return LaurentSeries(self.qexp, _divide(out, den), order)
 
 
 # Product.factors -> the longest expansion of those factors made so far.  At
@@ -309,13 +310,14 @@ def _decompose(factors: Tuple[Factor, ...], n: int
                ) -> Tuple[List[Tuple[Theta, int]], List[Tuple[int, int, int]]]:
     """(thetas, binomials) whose product is the product of the factors mod
     q^n: (theta, k) pairs of a ``Theta`` and a power, k < 0 in the
-    denominator, and ``_binomials``' (e, sign, mult) triples.
+    denominator, and (e, sign, mult) triples, 0 < e < n, for the binomials
+    (1 - sign*q^e)^mult.
 
     First the factor multiset gives up every complete theta it holds: for
     each factor (s q^r; q^p) with 2r <= p, and each (-q^p; q^p), the
     greatest power k whose classes (``_theta_classes``) all carry k times
     their multiplicity in the theta, with the factor's sign.  The rest goes
-    through ``_binomials``.  Then its Euler exponents a_e give up
+    into ``_euler_exponents``.  Then its Euler exponents a_e give up
     theta_+(r, p), which needs a_e of one sign on the classes r, p - r and
     0 mod p, and the pentagonal (q^d; q^d) = theta_+(d, 3d), on the
     multiples of d, for every p and d among the rest's steps and their
@@ -336,16 +338,9 @@ def _decompose(factors: Tuple[Factor, ...], n: int
                     mults[key] -= sign * k * times
                 thetas.append((theta, sign * k))
     rest = [item for item in mults.items() if item[1]]
-    binomials = _binomials(tuple(rest), n)
-    if not binomials:
-        return thetas, binomials
-    a = [0] * n
-    out = []
-    for e, sign, mult in binomials:
-        if sign == 1:
-            a[e] = mult
-        else:
-            out.append((e, sign, mult))
+    a, out = _euler_exponents(rest, n)
+    if not out and not any(a):
+        return thetas, out
     periods = sorted({step * d for (s, _, step), _ in rest for d in ((1, 2) if s == -1 else (1,))
                       if step * d < n})
 
@@ -381,34 +376,34 @@ def _decompose(factors: Tuple[Factor, ...], n: int
     return thetas, out
 
 
-def _binomials(factors: Tuple[Factor, ...], n: int) -> List[Tuple[int, int, int]]:
-    """(e, sign, mult) triples, 0 < e < n, whose product of (1 - sign*q^e)^mult
-    equals the product of the factors mod q^n, with the binomials of all the
-    factors cancelled against each other.
+def _euler_exponents(factors: Sequence[Factor], n: int
+                     ) -> Tuple[List[int], List[Tuple[int, int, int]]]:
+    """(a, pairs): the Euler exponents a_e, 0 <= e < n, and (e, -1, k)
+    triples whose product of prod (1 - q^e)^(a_e) and the numerators
+    (1 + q^e)^k equals the product of the factors mod q^n, with the
+    binomials of all the factors cancelled against each other.
 
-    Every factor goes into the Euler exponents a_e of prod (1 - q^e)^(a_e),
-    by strided slices: (q^r; q^step)^m adds m to a_e for e = r, r + step, ...,
-    and (-q^r; q^step)^m, by 1 + q^e = (1 - q^2e) / (1 - q^e), subtracts m
-    from a_e and adds m to a_2e while 2e < n.  Going up e once, k =
-    min(-a_e, a_2e) of a pair a_e < 0 < a_2e is turned back into the
-    numerator (1 + q^e)^k, which costs one shift-add per power where
-    1 / (1 - q^e) costs a chain.  Every other nonzero a_e is a binomial of
-    sign +1: a numerator when a_e > 0, a denominator when a_e < 0.
+    Every factor goes into a by strided slices: (q^r; q^step)^m adds m to a_e
+    for e = r, r + step, ..., and (-q^r; q^step)^m, by 1 + q^e =
+    (1 - q^2e) / (1 - q^e), subtracts m from a_e and adds m to a_2e while
+    2e < n.  Going up e once, k = min(-a_e, a_2e) of a pair a_e < 0 < a_2e
+    is turned back into the numerator (1 + q^e)^k, which costs one shift-add
+    per power where 1 / (1 - q^e) costs a chain.  Every nonzero a_e left is
+    a numerator when a_e > 0, a denominator when a_e < 0.
     """
     a = [0] * n
     for (sign, r, step), m in factors:
         a[r::step] = map(add if sign == 1 else sub, a[r::step], repeat(m))
         if sign == -1:
             a[2 * r::2 * step] = map(add, a[2 * r::2 * step], repeat(m))
-    out = []
+    pairs = []
     for e in list(compress(range((n + 1) // 2), map(gt, repeat(0), a))):
         k = min(-a[e], a[2 * e])
         if k > 0:
             a[e] += k
             a[2 * e] -= k
-            out.append((e, -1, k))
-    out += zip(compress(range(n), a), repeat(1), filter(None, a))
-    return out
+            pairs.append((e, -1, k))
+    return a, pairs
 
 
 def _slot_bits(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],

@@ -9,6 +9,11 @@ objects (P(a), Sum(a,b), g(a)) are computed in the base variable y and lifted
 through q -> q^ell substitution by ``_lift``, which builds each at the least
 y order that the requested q order needs.
 
+The rank side of a class difference is built from ``combinat``'s parts:
+the two classes' Lambert sums are subtracted first, so the oracle multiplies
+by the product 2(-q;q)/(q;q) once, and the combinations, whose factor
+(q;q)/(2(-q;q)) cancels that product as ``Product`` values, not at all.
+
 The identities (``brackets``, ``verify_sbar_closed``, ``verify_check``)
 return their two sides, each exact below the requested order; the registry
 compares them.
@@ -21,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Tuple
 
-from .combinat import nbar_class_series
+from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
 from .lambert import GFuncSpec, g_func, g_index, s_bar, sigma_ab, sigma_primed
 from .products import P, Product, poch
 from .series import LaurentSeries, Sides, extract_progression, mul, substitute_power
@@ -159,12 +164,11 @@ def rank_diff_formula(key: RankDiffKey, order: int) -> LaurentSeries:
 
 def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
     """R_st(d) built from the rank-class generating functions alone:
-    extract the progression ell*n + d from the class-series difference."""
+    extract the progression ell*n + d from the class-series difference, the
+    difference of the two Lambert sums times their common product."""
     src_order = key.ell * order + key.d
-    diff = nbar_class_series(key.s, key.ell, src_order) - nbar_class_series(
-        key.t, key.ell, src_order
-    )
-    return extract_progression(diff, key.ell, key.d)
+    diff = rank_class_sum(key.s, key.ell, src_order) - rank_class_sum(key.t, key.ell, src_order)
+    return extract_progression(mul(RANK_CLASS_PRODUCT.expand(src_order), diff), key.ell, key.d)
 
 
 # ----------------------------------------------------------------------
@@ -322,10 +326,12 @@ def combination_lhs(pair: str, order: int) -> LaurentSeries:
 
 def combination_rank_side(pair: str, order: int) -> LaurentSeries:
     """The same series built independently:
-    sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n * (q;q)/(2(-q;q))."""
+    sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n * (q;q)/(2(-q;q)), as the
+    difference of the two classes' Lambert sums times the product of the
+    class series and that ratio, which cancel to 1."""
     ell, s, t, _ = COMBINATION_TABLE[pair]
-    diff = nbar_class_series(s, ell, order) - nbar_class_series(t, ell, order)
-    return mul(diff, _HALF_RATIO.expand(order))
+    diff = rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order)
+    return mul(diff, (RANK_CLASS_PRODUCT * _HALF_RATIO).expand(order))
 
 
 def combination_theorem_side(pair: str, order: int) -> LaurentSeries:

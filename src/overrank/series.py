@@ -29,6 +29,11 @@ def _norm(c: Coefficient) -> Coefficient:
     return c
 
 
+def _divide(cs: List[int], d: int) -> List[Coefficient]:
+    """The integers cs over d > 0: an int wherever d divides, else a Fraction."""
+    return cs if d == 1 else [c // d if not c % d else Fraction(c, d) for c in cs]
+
+
 def _has_fraction(cs: Tuple[Coefficient, ...]) -> bool:
     """Whether any coefficient is a Fraction, by one C-level scan of the types."""
     return Fraction in set(map(type, cs))
@@ -246,9 +251,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     half = 1 << (8 * size - 1)
     m = min(n, len(ac) + len(bc) - 1)
     out = _unpack(_pack(ac, size, half) * _pack(bc, size, half), size, half, m)
-    if da * db != 1:
-        out = [Fraction(c, da * db) for c in out]
-    return LaurentSeries(lo, out, order)
+    return LaurentSeries(lo, _divide(out, da * db), order)
 
 
 def _clear_denominators(cs: Tuple[Coefficient, ...]) -> Tuple[Tuple[int, ...], int]:

@@ -176,6 +176,15 @@ class TestSeries:
                 for n in range(199, 0, -1):
                     assert series.coeff(n) == nbar_class(s, m, n), (s, m, n)
 
+    def test_class_series_vs_counts_other_moduli(self):
+        # the odd modulus 1 takes the periodic Lambert path, the even ones
+        # the full-length path
+        for m in (1, 2, 4, 6):
+            for s in range(m):
+                series = nbar_class_series(s, m, 120)
+                assert [series.coeff(n) for n in range(1, 120)] == \
+                    [nbar_class(s, m, n) for n in range(1, 120)], (s, m)
+
     def test_class_sum_completeness(self):
         for m in (3, 5):
             total = LaurentSeries.one(31)

@@ -1,6 +1,7 @@
 """Bilateral Lambert sums, Sbar, the g-functions, and their identities."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from overrank.errors import PoleHit
 from overrank.lambert import (
     GFuncSpec,
+    _period,
+    _period_numerator,
+    _share_a_root,
     check_constant,
     check_g2,
     check_gees,
@@ -247,6 +251,14 @@ class TestRangeStability:
             assert got == _lambert_reference(*args), args
 
 
+# the rank-class sums sum' (-1)^n q^(n^2 + lin n) / ((1 + q^n)(1 - q^(mn))):
+# m = 3 and 5 take the periodic path, m = 4 the full-length one
+@example(quad=1, lin=2, csign=-1, denoms=[(-1, 0, 1)], prime=3, order=200)
+@example(quad=1, lin=5, csign=-1, denoms=[(-1, 0, 1)], prime=5, order=240)
+@example(quad=1, lin=3, csign=-1, denoms=[(-1, 0, 1)], prime=4, order=200)
+# two denominators with no common root and a period L near 2 * 10^6, at an
+# order far below it: the terms take the full-length path
+@example(quad=1, lin=0, csign=1, denoms=[(-1, 1000, 1), (-1, 1001, 1)], prime=None, order=20)
 # the lowest exponent f(n) = n^2 + lin n + max(0, 40 - 3n) is past the order
 # at n = -1, 0 and 1, so the terms below it form a run at n <= -2 (lin = 14)
 # or at n >= 2 (lin = -14) that is reached only by walking downhill from 0
@@ -272,3 +284,66 @@ def test_lambert_sum_matches_termwise_reference(quad, lin, csign, denoms, prime,
             lambert_sum(quad, lin, csign, denoms, order, primed=primed)
         return
     assert lambert_sum(quad, lin, csign, denoms, order, primed=primed) == ref
+
+
+def _divide_polynomial(num, den):
+    """(quotient, remainder) of the integer polynomials num / den, as
+    coefficient lists from q^0 up; den's leading coefficient is +-1."""
+    rem = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    terms = [(j, d) for j, d in enumerate(den) if d]
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1] * den[-1]
+        quot[k] = c
+        for j, d in terms:
+            rem[k + j] -= c * d
+    return quot, rem
+
+
+def test_share_a_root_matches_polynomial_division():
+    """D = (1 - s q^a)(1 - t q^b) divides 1 - q^L, L the lcm of the orders of
+    its roots, exactly when the predicate finds no common root; then
+    ``_period`` returns L and ``_period_numerator`` the nonzeros of the
+    exact quotient."""
+    for s in (1, -1):
+        for t in (1, -1):
+            for a in range(1, 25):
+                for b in range(1, 25):
+                    period = lcm(a if s == 1 else 2 * a, b if t == 1 else 2 * b)
+                    den = [0] * (a + b + 1)
+                    den[0] += 1
+                    den[a] -= s
+                    den[b] -= t
+                    den[a + b] += s * t
+                    quot, rem = _divide_polynomial([1] + [0] * (period - 1) + [-1], den)
+                    divides = not any(rem)
+                    assert _share_a_root(s, a, t, b) == (not divides), (s, a, t, b)
+                    exps = ((s, a), (t, b))
+                    assert _period(exps) == (period if divides else None), exps
+                    if divides:
+                        want = tuple((j, c) for j, c in enumerate(quot) if c)
+                        assert _period_numerator(exps) == want, exps
+
+
+def test_rank_class_denominators_are_periodic_for_odd_moduli():
+    for m in range(1, 9):
+        for n in (1, 2, 3, 6):
+            exps = ((-1, n), (1, m * n))
+            if m % 2:
+                assert _period(exps) == 2 * m * n, (m, n)
+                assert _period_numerator(exps) == tuple((j * n, (-1) ** j) for j in range(m)), (m, n)
+            else:
+                assert _period(exps) is None, (m, n)
+
+
+def test_numerator_is_built_only_for_terms_longer_than_the_period():
+    """A term with no common root but a period far past the order takes the
+    full-length path, and N, of L - sum e + 1 coefficients, is never built."""
+    _period_numerator.cache_clear()
+    denoms = [(-1, 1000, 1), (-1, 1001, 1)]
+    assert _period(((-1, 1000), (-1, 1001))) == 2000 * 1001
+    lambert_sum(1, 0, 1, denoms, 30)
+    assert _period_numerator.cache_info().currsize == 0
+    # a rank-class term of m = 3 at n = 1 is longer than L = 6 and builds N
+    lambert_sum(1, 2, -1, [(1, 0, 3), (-1, 0, 1)], 30, primed=True)
+    assert _period_numerator.cache_info().currsize > 0

@@ -3,14 +3,16 @@ and mutation sensitivity of the transcription tables."""
 
 import dataclasses
 
-from overrank.combinat import nbar_class
+from overrank import series
+from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series
 from overrank.lambert import s_bar
-from overrank.products import poch
+from overrank.products import Product, poch
 from overrank.rankdiff import (
     BRACKET_TABLE,
     CHECK_TABLE,
     COMBINATION_TABLE,
     THEOREM_TABLE,
+    _HALF_RATIO,
     FinalFormSpec,
     FormulaTerm,
     RankDiffKey,
@@ -27,7 +29,13 @@ from overrank.rankdiff import (
     verify_sbar_closed,
 )
 from overrank.report import compare
-from overrank.series import LaurentSeries, first_mismatch, series_equal
+from overrank.series import (
+    LaurentSeries,
+    extract_progression,
+    first_mismatch,
+    mul,
+    series_equal,
+)
 
 ALL_KEYS = [RankDiffKey(ell, s, t, d) for (ell, s, t, d) in THEOREM_TABLE]
 
@@ -50,6 +58,40 @@ class TestOracle:
             RankDiffKey(5, 0, 1, 0)
         with pytest.raises(ValueError):
             RankDiffKey(3, 0, 1, 3)
+
+
+class TestRankSide:
+    """The rank side subtracts the class sums before it multiplies; it must
+    equal the difference of the whole class series, with less work."""
+
+    def test_oracle_is_the_class_series_difference(self):
+        order = 60
+        for key in ALL_KEYS:
+            src = key.ell * order + key.d
+            diff = nbar_class_series(key.s, key.ell, src) - nbar_class_series(key.t, key.ell, src)
+            assert rank_diff_oracle(key, order) == extract_progression(diff, key.ell, key.d), key
+
+    def test_combination_rank_side_is_the_class_series_difference(self):
+        order = 200
+        for pair, (ell, s, t, _) in COMBINATION_TABLE.items():
+            diff = nbar_class_series(s, ell, order) - nbar_class_series(t, ell, order)
+            assert combination_rank_side(pair, order) == mul(diff, _HALF_RATIO.expand(order)), pair
+
+    def test_packed_products(self, monkeypatch):
+        """One packed product per oracle call, none per combination: the
+        combination's ratio cancels the class product as Product values."""
+        packs = []
+        pack = series._pack
+        monkeypatch.setattr(series, "_pack", lambda *args: packs.append(args) or pack(*args))
+        for key in ALL_KEYS:
+            packs.clear()
+            rank_diff_oracle(key, 40)
+            assert len(packs) == 2, key  # a product packs both of its operands
+        assert RANK_CLASS_PRODUCT * _HALF_RATIO == Product()
+        for pair in COMBINATION_TABLE:
+            packs.clear()
+            combination_rank_side(pair, 200)
+            assert not packs, pair
 
 
 class TestClosedForms:
