@@ -92,8 +92,7 @@ def _named_series(name: str, order: int) -> LaurentSeries:
 
 
 def _cmd_series(args) -> int:
-    if args.order < 1:
-        raise BadArgument(f"order must be at least 1, got {args.order}")
+    registry.check_order(args.order)
     try:
         series = _named_series(args.name, args.order)
     except (ValueError, KeyError) as exc:

@@ -25,7 +25,10 @@ one integer at q = 2^w (Kronecker substitution): a numerator theta costs one
 shift-add per term, a binomial one shift-add or a few for a denominator, and
 the denominator thetas are divided out by one 2-adic Newton inverse whose
 products with them are shift-adds too.  w is a proven bound on the
-coefficients.  The in-place list pass ``binomial_pass`` serves the Lambert
+coefficients.  A long miss that is a quotient of thetas alone is first
+expanded at one byte per slot, as such quotients mostly have small
+coefficients, and kept only once multiplying it back by the denominator
+proves it.  The in-place list pass ``binomial_pass`` serves the Lambert
 sums, ``combinat.nbar_series`` and ``triple_product``, which do not go
 through the memo, and is the reference ``expand`` is tested against.
 """
@@ -37,12 +40,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, sqrt
+from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, prod, sqrt
 from operator import add, gt, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import Coefficient, LaurentSeries, Sides, _divide, _norm, _unpack
+from .series import Coefficient, LaurentSeries, Sides, _divide, _norm, _pack, _unpack
 
 
 @dataclass(frozen=True)
@@ -127,18 +130,21 @@ class Product:
 # first.  Entries are tuples, so no caller can change one.
 _EXPAND_LIMIT = 1 << 20
 _expanded: Dict[Tuple[Factor, ...], Tuple[int, ...]] = {}
-_expand_counts = {"hits": 0, "misses": 0, "stored": 0}
+_expand_counts = {"hits": 0, "misses": 0, "stored": 0, "verified": 0, "fallbacks": 0}
 _expand_lock = threading.Lock()
 
-ExpandCacheInfo = namedtuple("ExpandCacheInfo", "hits misses maxsize currsize")
+ExpandCacheInfo = namedtuple("ExpandCacheInfo", "hits misses maxsize currsize verified fallbacks")
 
 
 def expand_cache_info() -> ExpandCacheInfo:
     """Hits, misses, the bound and the stored coefficients of the ``expand``
-    memo, in the shape of ``functools.lru_cache``'s ``cache_info()``."""
+    memo, in the shape of ``functools.lru_cache``'s ``cache_info()``, then
+    the misses expanded at one byte and proven by multiplying back
+    (``_verified_quotient``) and those that fell back to a majorant width."""
     with _expand_lock:
         c = _expand_counts
-        return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"])
+        return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"],
+                               c["verified"], c["fallbacks"])
 
 
 def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Sequence[int]:
@@ -181,28 +187,32 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
     """The first n coefficients of prod (1 - s*q^e)^mult over the factors,
     carried in one integer v = F(2^w) mod 2^(w n) (Kronecker substitution).
 
+    From ``_VERIFIED_MIN_LENGTH`` on, a product that ``_theta_quotient``
+    writes as a quotient of thetas with a denominator is first tried by
+    ``_verified_quotient``, and returned if it passes.  Otherwise
     ``_decompose`` splits the factors into theta functions, each a sparse
     sum by the triple product, and binomials, in which binomials that cancel
     across factors cost nothing.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
     rings, so every step is exact on v whatever the size of the coefficients
     met on the way; only the final ones must fit a slot, and ``_slot_bits``
-    bounds them.  The product D of the denominator thetas has D(2^w) odd,
-    so it is divided out first by one 2-adic inverse (``_inverse_packed``).
-    A numerator theta is one shift-add per term of its sum.  One power of 1 - s*q^e is the
-    shift-add v - s*(v << w e), keeping the slots below q^n; dividing by
-    1 - q^e multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent
-    stays below n.
+    bounds them.  The thetas are taken by ``_times_thetas``.  One power of
+    1 - s*q^e is the shift-add v - s*(v << w e), keeping the slots below q^n;
+    dividing by 1 - q^e multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while
+    the exponent stays below n.
     """
+    if n >= _VERIFIED_MIN_LENGTH:
+        quotient = _theta_quotient(factors)
+        if quotient and min(k for _, k in quotient) < 0:
+            out = _verified_quotient(quotient, n)
+            with _expand_lock:
+                _expand_counts["fallbacks" if out is None else "verified"] += 1
+            if out is not None:
+                return out
     thetas, binomials = _decompose(factors, n)
     size = (_slot_bits(thetas, binomials, n) + 7) // 8
     w = 8 * size
     mask = (1 << (w * n)) - 1
-    sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
-    dens = [(shifts, -k) for shifts, k in sums if k < 0]
-    v = _inverse_packed(dens, w, n) if dens else 1
-    for shifts, k in sums:
-        for _ in range(k):  # none for a denominator
-            v = _times_theta(v, shifts, mask)
+    v = _times_thetas(thetas, w, n)
     for e, sign, mult in binomials:
         if mult > 0:
             adds = [(e, -sign)]
@@ -214,6 +224,62 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
                 t = (v & low) << shift
                 v = v + t if s == 1 else v - t
     return _unpack(v, size, 1 << (w - 1), n)
+
+
+# The one-byte try of _verified_quotient pays on quotients whose majorant
+# slot is wide and whose coefficients are small; on the growth quotients it
+# is wasted and adds to the majorant run.  Timing both routes on every
+# recorded miss of ``run_suite`` at order scales 0.25, 1 and 8 and of seven
+# entries at 4-10x their default orders (2 cores, Python 3.11) gave each
+# workload its least total, up to 0.5%, for any cutoff from 320 to 512; a
+# cutoff of 256 slowed ``run_suite`` at scale 1, and one of 1024 lost a
+# third of the gain on the long entries.
+_VERIFIED_MIN_LENGTH = 512
+
+
+def _verified_quotient(quotient: List[Tuple[Theta, int]], n: int) -> Optional[List[int]]:
+    """The first n coefficients of the product of the thetas of the quotient,
+    each to its power, or None when they do not fit in one byte.
+
+    The kernel is exact mod 2^(8 n) at one byte per slot, so its decode f is
+    the product as soon as every coefficient lies in [-2^7, 2^7).  f is
+    dropped at the first |f_i| >= 2^6, first at n/4, which turns most growth
+    quotients away cheaply, then at n, and kept only if ``_multiplies_back``
+    proves it.
+    """
+    for m in (n // 4, n):
+        f = _unpack(_times_thetas(quotient, 8, m), 1, 1 << 7, m)
+        if max(map(abs, f), default=0) >= 1 << 6:
+            return None
+    return f if _multiplies_back(f, quotient, n) else None
+
+
+def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int) -> bool:
+    """Whether f D = N mod q^n, for N and D the products of the numerator and
+    the denominator thetas of the quotient; as D has constant term 1, then f
+    is N / D mod q^n.
+
+    Each coefficient of f D - N below q^n has size at most
+    max|f| |D|_1 + |N|_1, where |.|_1 is the sum of the sizes of the
+    coefficients below q^n, at most the product of those of the theta sums,
+    each to its power.  At q = 2^w with that bound below 2^(w-1), the packed
+    f D - N is 0 mod 2^(w n) only if every one of those coefficients is 0.
+    """
+    norms = {theta: 1 + sum(abs(c) for _, c in _theta_terms(*theta, n)) for theta, _ in quotient}
+    num = prod(norms[theta] ** k for theta, k in quotient if k > 0)
+    den = prod(norms[theta] ** -k for theta, k in quotient if k < 0)
+    size = ((max(map(abs, f)) * den + num).bit_length() + 8) // 8
+    w = 8 * size
+    mask = (1 << (w * n)) - 1
+    lhs, rhs = _pack(f, size, 1 << (w - 1)), 1
+    for theta, k in quotient:
+        shifts = _theta_shifts(theta, w, n)
+        for _ in range(abs(k)):
+            if k < 0:
+                lhs = _times_theta(lhs, shifts, mask)
+            else:
+                rhs = _times_theta(rhs, shifts, mask)
+    return not (lhs - rhs) & mask
 
 
 Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 <= r <= p / 2
@@ -278,6 +344,20 @@ def _times_theta(v: int, shifts: List[Tuple[int, bool]], mask: int) -> int:
     return acc & mask
 
 
+def _times_thetas(thetas: Sequence[Tuple[Theta, int]], w: int, n: int) -> int:
+    """The product of the thetas, each to its power k, mod 2^(w n) at
+    q = 2^w: the denominators (k < 0) by one ``_inverse_packed``, then one
+    ``_times_theta`` per numerator power."""
+    mask = (1 << (w * n)) - 1
+    sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
+    dens = [(shifts, -k) for shifts, k in sums if k < 0]
+    v = _inverse_packed(dens, w, n) if dens else 1
+    for shifts, k in sums:
+        for _ in range(k):  # none for a denominator
+            v = _times_theta(v, shifts, mask)
+    return v
+
+
 def _inverse_packed(dens: List[Tuple[List[Tuple[int, bool]], int]], w: int, n: int) -> int:
     """y with y D(2^w) = 1 mod 2^(w n), for D the product of the thetas
     (shifts, k) of ``_theta_shifts``, each to the power k > 0.
@@ -304,6 +384,37 @@ def _inverse_packed(dens: List[Tuple[List[Tuple[int, bool]], int]], w: int, n: i
         y += ((-(y & low) * (d >> a)) & low) << a
         a = b
     return y
+
+
+def _theta_quotient(factors: Tuple[Factor, ...]) -> Optional[List[Tuple[Theta, int]]]:
+    """(theta, k) pairs, k != 0, whose product of theta^k is the product of
+    the factors, or None when some factor has no place in such a quotient.
+
+    Each class pair (s q^r, s q^(p-r); q^p) is theta_s(r, p) / (q^p; q^p),
+    and (s q^(p/2); q^p)^2 likewise; (q^p; q^p) is the pentagonal
+    theta_+(p, 3p), and (-q^p; q^p) = (q^2p; q^2p) / (q^p; q^p).  So a
+    class borrows the (q^p; q^p) its theta lacks, and the thetas of one
+    argument add their powers.  A class whose partner has another
+    multiplicity, the class p/2 to an odd power or r > p has no such form.
+    """
+    powers: Dict[Theta, int] = {}
+    mults = dict(factors)
+
+    def put(theta: Theta, k: int) -> None:
+        powers[theta] = powers.get(theta, 0) + k
+
+    for (s, r, p), m in factors:
+        if r > p or (r != p and mults.get((s, p - r, p)) != m) or (2 * r == p and m % 2):
+            return None
+        if r == p:  # (q^p; q^p), or (-q^p; q^p) = (q^2p; q^2p) / (q^p; q^p)
+            if s == -1:
+                put((1, 2 * p, 6 * p), m)
+            put((1, p, 3 * p), s * m)
+        elif 2 * r <= p:
+            k = m // 2 if 2 * r == p else m
+            put((s, r, p), k)
+            put((1, p, 3 * p), -k)
+    return sorted((theta, k) for theta, k in powers.items() if k)
 
 
 def _decompose(factors: Tuple[Factor, ...], n: int

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Tuple
 from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
 from .lambert import GFuncSpec, g_func, g_index, s_bar, sigma_ab, sigma_primed
 from .products import P, Product, poch
-from .series import LaurentSeries, Sides, extract_progression, mul, substitute_power
+from .series import LaurentSeries, Sides, extract_progression_product, mul, substitute_power
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,16 @@ def rank_diff_formula(key: RankDiffKey, order: int) -> LaurentSeries:
 def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
     """R_st(d) built from the rank-class generating functions alone:
     extract the progression ell*n + d from the class-series difference, the
-    difference of the two Lambert sums times their common product."""
-    src_order = key.ell * order + key.d
-    diff = rank_class_sum(key.s, key.ell, src_order) - rank_class_sum(key.t, key.ell, src_order)
-    return extract_progression(mul(RANK_CLASS_PRODUCT.expand(src_order), diff), key.ell, key.d)
+    difference of the two Lambert sums times their common product.
+
+    The class sums and the product are built at ell*order + ell - 1, enough
+    for every residue, so the ell residues of one class pair share them
+    through the caches; the sum difference is cut to ell*order + d."""
+    ell = key.ell
+    full = ell * order + ell - 1
+    diff = (rank_class_sum(key.s, ell, full) - rank_class_sum(key.t, ell, full)).truncate(
+        ell * order + key.d)
+    return extract_progression_product(RANK_CLASS_PRODUCT.expand(full), diff, ell, key.d)
 
 
 # ----------------------------------------------------------------------

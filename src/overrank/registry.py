@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -478,21 +479,30 @@ def _run(entry: IdentityEntry, order: int) -> IdentityReport:
     return replace(report, id=entry.id, runtime_ms=ms)
 
 
+def check_order(order: int) -> None:
+    """Raise ``BadArgument`` for an order below 1, or above ``sys.maxsize``,
+    past which no series of that length can be indexed."""
+    if order < 1:
+        raise BadArgument(f"order must be at least 1, got {order}")
+    if order > sys.maxsize:
+        raise BadArgument(f"order must be at most {sys.maxsize}, got {order}")
+
+
 def verify(id: str, order: int) -> IdentityReport:
-    """Run one identity check at the given truncation order (at least 1)."""
+    """Run one identity check at the given truncation order (``check_order``)."""
     reg = _registry()
     if id not in reg:
         raise UnknownIdentity(f"no identity with id {id!r}")
-    if order < 1:
-        raise BadArgument(f"order must be at least 1, got {order}")
+    check_order(order)
     return _run(reg[id], order)
 
 
 def run_suite(order_scale: float = 1.0) -> List[IdentityReport]:
     """Verify every entry at int(default_order * order_scale), in id order.
 
-    The scale must leave every entry at order 1 or more.  A failure inside one
-    entry is reported as that entry's failure; the run goes on.
+    The scale must leave every entry at an order ``check_order`` accepts.  A
+    failure inside one entry is reported as that entry's failure; the run
+    goes on.
     """
     if not (order_scale > 0 and math.isfinite(order_scale)):
         raise BadArgument(f"order scale must be positive and finite, got {order_scale}")
@@ -501,6 +511,10 @@ def run_suite(order_scale: float = 1.0) -> List[IdentityReport]:
     if int(low.default_order * order_scale) < 1:
         raise BadArgument(f"order scale {order_scale} puts {low.id} (default order "
                           f"{low.default_order}) below order 1")
+    high = max(entries, key=lambda e: e.default_order)
+    if int(high.default_order * order_scale) > sys.maxsize:
+        raise BadArgument(f"order scale {order_scale} puts {high.id} (default order "
+                          f"{high.default_order}) above order {sys.maxsize}")
     reports = []
     for entry in entries:
         try:

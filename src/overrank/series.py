@@ -13,6 +13,7 @@ compare exactly, so the union behaves as a single exact-rational scalar type.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
@@ -205,9 +206,9 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     out = [0] * (order - lo)
     for src in (a, b):
         base = src.min_exp - lo
-        for i, c in enumerate(src.coeffs):
-            if c and base + i < len(out):
-                out[base + i] += c
+        end = min(base + len(src.coeffs), len(out))
+        if base < end:
+            out[base:end] = map(operator.add, out[base:end], src.coeffs)
     return LaurentSeries(lo, out, order)
 
 
@@ -386,6 +387,33 @@ def extract_progression(a: LaurentSeries, m: int, d: int) -> LaurentSeries:
         i = e - a.min_exp
         out.append(a.coeffs[i] if 0 <= i < len(a.coeffs) else 0)
     return LaurentSeries(0, out, max(0, g_order))
+
+
+def extract_progression_product(a: LaurentSeries, b: LaurentSeries, m: int,
+                                d: int) -> LaurentSeries:
+    """extract_progression(mul(a, b), m, d), multiplying only what reaches it.
+
+    With a = sum_r q^r A_r(q^m) and b likewise, the coefficients of a b on
+    mn + d are those of the sum of A_r B_s over r + s = d, plus q A_r B_s over
+    r + s = d + m: m products of series m times shorter in place of one.
+    Requires a.min_exp >= 0, b.min_exp >= 0 and 0 <= d < m.
+    """
+    if min(a.min_exp, b.min_exp) < 0:
+        raise NegativeExponent(
+            f"progression extraction needs power series, found min_exp "
+            f"{min(a.min_exp, b.min_exp)}")
+    if not 0 <= d < m:
+        raise ValueError(f"residue {d} not in [0, {m})")
+    # the order of extract_progression(mul(a, b), m, d)
+    order = max(0, -((d - min(a.order + b.min_exp, b.order + a.min_exp)) // m))
+    total = LaurentSeries.zero(order)
+    bs = [extract_progression(b, m, s) for s in range(m)]
+    for r in range(m):
+        x, y = extract_progression(a, m, r), bs[(d - r) % m]
+        if x.coeffs and y.coeffs:
+            term = mul(x, y)
+            total = total + (term if r <= d else term.shift(1)).truncate(order)
+    return total
 
 
 def first_mismatch(

@@ -231,7 +231,7 @@ def test_packed_expand_matches_binomial_pass(parts, dilation, order):
         prod = prod * poch(sign, dilation * r, dilation * step, mult)
     with pytest.MonkeyPatch.context() as mp:  # expand, not a memo hit
         mp.setattr(products, "_expanded", {})
-        mp.setattr(products, "_expand_counts", {"hits": 0, "misses": 0, "stored": 0})
+        mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
         got = prod.expand(order)
     assert got == LaurentSeries(0, _pass_reference(prod.factors, order), order)
 
@@ -280,7 +280,7 @@ def test_binomials_rewrite_the_product(parts, order):
     assert not any(2 * e in numerators for e, _, mult in binomials if mult < 0)
     with pytest.MonkeyPatch.context() as mp:  # expand, not a memo hit
         mp.setattr(products, "_expanded", {})
-        mp.setattr(products, "_expand_counts", {"hits": 0, "misses": 0, "stored": 0})
+        mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
         assert prod.expand(order) == LaurentSeries(0, ref, order)
 
 
@@ -407,6 +407,110 @@ def test_theta_route_matches_binomial_pass(parts, order):
 
 
 # ----------------------------------------------------------------------
+# theta quotients expanded at one byte and proven by multiplying back
+# ----------------------------------------------------------------------
+
+
+def _quotient_part(kind, s, r, p, k):
+    """A factor group with a pure theta form: a class pair, a class p/2 to
+    an even power, (-q^p; q^p) or the pentagonal (q^p; q^p), which the
+    other groups borrow from."""
+    if kind == "pair" and 2 * r < p:
+        return poch(s, r, p, k) * poch(s, p - r, p, k)
+    if kind == "half" and p % 2 == 0:
+        return poch(s, p // 2, p, 2 * k)
+    if kind == "minus":
+        return poch(-1, p, p, k)
+    return poch(1, p, p, k)
+
+
+def _theta_quotient_series(quotient, n):
+    """The product of each theta sum to its power, by ``mul`` and the
+    reference ``inverse``."""
+    out = LaurentSeries.one(n)
+    for theta_key, k in quotient:
+        t = LaurentSeries.from_terms({0: 1, **dict(products._theta_terms(*theta_key, n))}, n)
+        for _ in range(abs(k)):
+            out = mul(out, t if k > 0 else inverse(t))
+    return out
+
+
+QUOTIENT_PART = st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.sampled_from(("pair", "half", "minus", "pentagonal")), st.sampled_from((1, -1)),
+    st.integers(1, max(1, (p - 1) // 2)), st.just(p), MULTS))
+# the majorant runs of `deep` whose pure theta form has small coefficients
+BASE5_PAIRS = (poch(-1, 2, 5) * poch(-1, 3, 5) * poch(1, 5, 5, 2)
+               / (poch(-1, 1, 5) * poch(-1, 4, 5) * poch(1, 2, 5) * poch(1, 3, 5)))
+# P(2a)P(-1) / (P(a)P(-a)) at a = 1, ell = 5: coefficients of 20-60 bits
+GROWTH_QUOTIENT = P(1, 2, 5) * P(-1, 0, 5) / (P(1, 1, 5) * P(-1, 1, 5))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(parts=st.lists(QUOTIENT_PART, min_size=1, max_size=4), order=st.integers(1, 200))
+@example(parts=[("pair", -1, 2, 5, 1), ("pentagonal", 1, 1, 5, 2), ("pair", -1, 1, 5, -1),
+                ("pair", 1, 2, 5, -1)], order=200)
+@example(parts=[("half", -1, 1, 2, 1), ("minus", 1, 1, 3, -2)], order=200)
+@example(parts=[("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)], order=200)  # pbar
+def test_theta_quotient_is_the_product(parts, order):
+    prod = Product()
+    for part in parts:
+        prod = prod * _quotient_part(*part)
+    assume(prod.factors)
+    quotient = products._theta_quotient(prod.factors)
+    ref = _pass_reference(prod.factors, order)
+    assert _theta_quotient_series(quotient, order) == LaurentSeries(0, ref, order)
+    # every length takes the one-byte try where the quotient has a denominator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
+        mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
+        assert products._expand_packed(prod.factors, order) == ref
+        tried = products._expand_counts["verified"] + products._expand_counts["fallbacks"]
+    assert tried == (min(k for _, k in quotient) < 0 if quotient else 0)
+
+
+@pytest.mark.parametrize("prod", [
+    poch(1, 1, 5),  # no partner
+    poch(1, 1, 5) * poch(1, 4, 5, 2),  # a partner of another multiplicity
+    poch(-1, 1, 5) * poch(1, 4, 5),  # a partner of another sign
+    poch(1, 2, 4) * poch(1, 4, 4),  # the class p/2 to an odd power
+    poch(1, 7, 5) * poch(1, 5, 5),  # r > p
+])
+def test_theta_quotient_needs_every_class_placed(prod):
+    assert products._theta_quotient(prod.factors) is None
+
+
+def test_small_quotient_is_verified(memo):
+    n = 600
+    got = BASE5_PAIRS.expand(n)
+    assert got == LaurentSeries(0, _pass_reference(BASE5_PAIRS.factors, n), n)
+    assert expand_cache_info()[1:] == (1, products._EXPAND_LIMIT, n, 1, 0)
+
+
+def test_growth_quotient_falls_back_to_its_majorant(memo):
+    n = 600
+    quotient = products._theta_quotient(GROWTH_QUOTIENT.factors)
+    ref = _pass_reference(GROWTH_QUOTIENT.factors, n)
+    assert max(abs(c) for c in ref).bit_length() > 7
+    # forced to one byte, the decode is wrong and the check says so
+    narrow = products._unpack(products._times_thetas(quotient, 8, n), 1, 1 << 7, n)
+    assert narrow != ref and not products._multiplies_back(narrow, quotient, n)
+    assert GROWTH_QUOTIENT.expand(n) == LaurentSeries(0, ref, n).scale(GROWTH_QUOTIENT.scalar)
+    assert expand_cache_info()[-2:] == (0, 1)
+
+
+@pytest.mark.parametrize("shift", [256, -256])
+def test_check_rejects_a_coefficient_moved_by_the_slot(shift):
+    n = 600
+    quotient = products._theta_quotient(BASE5_PAIRS.factors)
+    f = _pass_reference(BASE5_PAIRS.factors, n)
+    assert products._multiplies_back(f, quotient, n)
+    for i in (0, 1, n // 2, n - 1):
+        moved = list(f)
+        moved[i] += shift
+        assert not products._multiplies_back(moved, quotient, n), i
+
+
+# ----------------------------------------------------------------------
 # the expand memo
 # ----------------------------------------------------------------------
 
@@ -415,14 +519,14 @@ def test_theta_route_matches_binomial_pass(parts, order):
 def memo(monkeypatch):
     """An empty expand memo for one test; the shared one is restored after."""
     monkeypatch.setattr(products, "_expanded", {})
-    monkeypatch.setattr(products, "_expand_counts", {"hits": 0, "misses": 0, "stored": 0})
+    monkeypatch.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
     return products._expanded
 
 
 def _fresh(prod, order):
     """prod.expand(order) taken with the memo cleared."""
     products._expanded.clear()
-    products._expand_counts.update(hits=0, misses=0, stored=0)
+    products._expand_counts.update(dict.fromkeys(products._expand_counts, 0))
     return prod.expand(order)
 
 

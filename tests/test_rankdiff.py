@@ -4,7 +4,7 @@ and mutation sensitivity of the transcription tables."""
 import dataclasses
 
 from overrank import series
-from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series
+from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series, rank_class_sum
 from overrank.lambert import s_bar
 from overrank.products import Product, poch
 from overrank.rankdiff import (
@@ -71,6 +71,12 @@ class TestRankSide:
             diff = nbar_class_series(key.s, key.ell, src) - nbar_class_series(key.t, key.ell, src)
             assert rank_diff_oracle(key, order) == extract_progression(diff, key.ell, key.d), key
 
+    def test_oracle_residues_share_the_class_sums(self):
+        rank_class_sum.cache_clear()
+        for d in range(5):
+            rank_diff_oracle(RankDiffKey(5, 1, 2, d), 40)
+        assert rank_class_sum.cache_info()[:2] == (8, 2)  # one build per class
+
     def test_combination_rank_side_is_the_class_series_difference(self):
         order = 200
         for pair, (ell, s, t, _) in COMBINATION_TABLE.items():
@@ -78,15 +84,18 @@ class TestRankSide:
             assert combination_rank_side(pair, order) == mul(diff, _HALF_RATIO.expand(order)), pair
 
     def test_packed_products(self, monkeypatch):
-        """One packed product per oracle call, none per combination: the
-        combination's ratio cancels the class product as Product values."""
+        """One packed product per residue pair r + s = d mod ell of an oracle
+        call, none per combination: the combination's ratio cancels the class
+        product as Product values."""
         packs = []
         pack = series._pack
         monkeypatch.setattr(series, "_pack", lambda *args: packs.append(args) or pack(*args))
         for key in ALL_KEYS:
             packs.clear()
             rank_diff_oracle(key, 40)
-            assert len(packs) == 2, key  # a product packs both of its operands
+            # the class product meets the sum difference once, split into
+            # ell products, each packing both of its operands
+            assert len(packs) == 2 * key.ell, key
         assert RANK_CLASS_PRODUCT * _HALF_RATIO == Product()
         for pair in COMBINATION_TABLE:
             packs.clear()

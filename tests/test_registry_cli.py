@@ -271,6 +271,9 @@ class TestCli:
         ["suite", "--order-scale", "inf"],
         ["series", "--name", "sbar:1,0", "--order", "5"],
         ["series", "--name", "pbar:x", "--order", "4"],
+        ["verify", "--id", "check5", "--order", "99999999999999999999"],
+        ["series", "--name", "pbar", "--order", "99999999999999999999"],
+        ["suite", "--order-scale", "1e300"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
         assert main(argv) == 2

@@ -12,6 +12,7 @@ from overrank.series import (
     LaurentSeries,
     _mul_schoolbook,
     extract_progression,
+    extract_progression_product,
     first_mismatch,
     inverse,
     mul,
@@ -222,6 +223,21 @@ class TestRingAxioms:
             piece = substitute_power(extract_progression(f, m, d), m).shift(d)
             total = total + piece.truncate(f.order)
         assert series_equal(total, f)
+
+    @given(series_st(), series_st())
+    def test_add_is_coefficientwise(self, a, b):
+        total, order = a + b, min(a.order, b.order)
+        assert total.order == order
+        assert all(total.coeff(n) == a.coeff(n) + b.coeff(n)
+                   for n in range(min(a.min_exp, b.min_exp, order), order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_series_st(), power_series_st(),
+           st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
+    @example(S(0, list(range(1, 40)), 40), S(1, [3, -1] * 20, 41), (5, 4))  # packed products
+    def test_progression_of_a_product(self, a, b, md):
+        m, d = md
+        assert extract_progression_product(a, b, m, d) == extract_progression(mul(a, b), m, d)
 
     @given(series_st(), series_st(), st.integers(1, 4))
     def test_substitution_homomorphism(self, a, b, k):
