@@ -15,28 +15,30 @@ Every quotient of Pochhammer symbols in the package is one ``Product``
 value, and ``Product.expand`` is the only place that turns one into a series.
 It memoises the expansion of each factor multiset, so a product met again at
 the same or a shorter length costs one slice; a product in q^g is expanded in
-q and spread.  A miss is split into theta functions theta_s(r, p) =
-(s q^r, s q^(p-r), q^p; q^p)_inf, whose sums by Jacobi's triple product have
-O(sqrt(n/p)) terms below q^n, and binomials: the complete thetas of the
-factor multiset, then the Euler exponents a_e of prod (1 - q^e)^(a_e) of the
-rest, in which the binomials of all factors cancel and which give up the
-thetas theta_+ and pentagonal (q^d; q^d) they hold.  Everything is carried in
-one integer at q = 2^w (Kronecker substitution): a numerator theta costs one
-shift-add per term, a binomial one shift-add or a few for a denominator, and
-the denominator thetas are divided out by one 2-adic Newton inverse whose
-products with them are shift-adds too.  w is a proven bound on the
-coefficients.  A long miss that is a quotient of thetas alone is first
-expanded at one byte per slot, as such quotients mostly have small
-coefficients, and kept only once multiplying it back by the denominator
-proves it.  The in-place list pass ``binomial_pass`` serves the Lambert
-sums, ``combinat.nbar_series`` and ``triple_product``, which do not go
-through the memo, and is the reference ``expand`` is tested against.
+q and spread.  A miss is written by ``_decompose`` as theta functions
+theta_s(r, p) = (s q^r, s q^(p-r), q^p; q^p)_inf to integer powers, whose
+sums by Jacobi's triple product have O(sqrt(n/p)) terms below q^n: a class
+pair borrows the pentagonal (q^p; q^p) = theta_+(p, 3p) its theta lacks.  The
+classes that pair with nothing are left as binomials, in which the binomials
+of those factors cancel.  Everything is carried in one integer at q = 2^w
+(Kronecker substitution): a numerator theta costs one shift-add per term, a
+binomial one shift-add or a few for a denominator, and the denominator
+thetas are divided out by one 2-adic Newton inverse whose products with them
+are shift-adds too.  w is a proven bound on the coefficients: on the theta
+sums and binomials where neither has a denominator, else on the factors'
+Euler exponents, in which the borrowed pentagonals cancel.  A long miss that
+is a quotient of thetas alone is first expanded at one byte per slot, as
+such quotients mostly have small coefficients, and kept only once
+multiplying it back by the denominator proves it.  The in-place list pass
+``binomial_pass`` serves the Lambert sums, ``combinat.nbar_series`` and
+``triple_product``, which do not go through the memo, and is the reference
+``expand`` is tested against.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
@@ -187,29 +189,28 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
     """The first n coefficients of prod (1 - s*q^e)^mult over the factors,
     carried in one integer v = F(2^w) mod 2^(w n) (Kronecker substitution).
 
-    From ``_VERIFIED_MIN_LENGTH`` on, a product that ``_theta_quotient``
-    writes as a quotient of thetas with a denominator is first tried by
-    ``_verified_quotient``, and returned if it passes.  Otherwise
-    ``_decompose`` splits the factors into theta functions, each a sparse
-    sum by the triple product, and binomials, in which binomials that cancel
-    across factors cost nothing.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
-    rings, so every step is exact on v whatever the size of the coefficients
-    met on the way; only the final ones must fit a slot, and ``_slot_bits``
-    bounds them.  The thetas are taken by ``_times_thetas``.  One power of
-    1 - s*q^e is the shift-add v - s*(v << w e), keeping the slots below q^n;
-    dividing by 1 - q^e multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while
-    the exponent stays below n.
+    ``_decompose`` writes the factors as theta functions, each a sparse sum
+    by the triple product, and a rest, which ``_euler_exponents`` writes as
+    binomials that cancel across its factors.  From ``_VERIFIED_MIN_LENGTH``
+    on, a quotient of thetas alone with a denominator is first tried by
+    ``_verified_quotient``, and returned if it passes.  Otherwise the thetas
+    are taken by ``_times_thetas``, then the binomials, at the slot width of
+    ``_slot_bits``.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as rings, so
+    every step is exact on v whatever the size of the coefficients met on the
+    way; only the final ones must fit a slot.  One power of 1 - s*q^e is the
+    shift-add v - s*(v << w e), keeping the slots below q^n; dividing by
+    1 - q^e multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent
+    stays below n.
     """
-    if n >= _VERIFIED_MIN_LENGTH:
-        quotient = _theta_quotient(factors)
-        if quotient and min(k for _, k in quotient) < 0:
-            out = _verified_quotient(quotient, n)
-            with _expand_lock:
-                _expand_counts["fallbacks" if out is None else "verified"] += 1
-            if out is not None:
-                return out
-    thetas, binomials = _decompose(factors, n)
-    size = (_slot_bits(thetas, binomials, n) + 7) // 8
+    thetas, rest = _decompose(factors)
+    if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
+        out = _verified_quotient(thetas, n)
+        with _expand_lock:
+            _expand_counts["fallbacks" if out is None else "verified"] += 1
+        if out is not None:
+            return out
+    binomials = _euler_exponents(rest, n) if rest else []
+    size = (_slot_bits(factors, thetas, binomials, n) + 7) // 8
     w = 8 * size
     mask = (1 << (w * n)) - 1
     v = _times_thetas(thetas, w, n)
@@ -228,12 +229,13 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
 
 # The one-byte try of _verified_quotient pays on quotients whose majorant
 # slot is wide and whose coefficients are small; on the growth quotients it
-# is wasted and adds to the majorant run.  Timing both routes on every
+# is wasted and adds to the majorant run.  Both routes were timed on every
 # recorded miss of ``run_suite`` at order scales 0.25, 1 and 8 and of seven
-# entries at 4-10x their default orders (2 cores, Python 3.11) gave each
-# workload its least total, up to 0.5%, for any cutoff from 320 to 512; a
-# cutoff of 256 slowed ``run_suite`` at scale 1, and one of 1024 lost a
-# third of the gain on the long entries.
+# entries at 4-10x their default orders (2 cores, Python 3.11), the majorant
+# run at the width of the factors' Euler exponents.  Cutoffs of 448 and 512
+# gave each workload its least total; 320 and 384 cost the long entries
+# 0.3-0.6%, 256 cost ``run_suite`` at scale 1 4%, and 640 to 1024 cost it
+# 0.4-1.4% at scale 8 and the long entries up to 7.5%.
 _VERIFIED_MIN_LENGTH = 512
 
 
@@ -282,19 +284,7 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int) ->
     return not (lhs - rhs) & mask
 
 
-Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 <= r <= p / 2
-
-
-def _theta_classes(s: int, r: int, p: int) -> List[Tuple[Tuple[int, int, int], int]]:
-    """The Pochhammer classes ((sign, r', p), times) whose product is the
-    theta function theta_s(r, p) = (s q^r, s q^(p-r), q^p; q^p)_inf, with
-    (s q^r; q^p) twice at r = p/2; r = 0 stands for (-q^p; q^p)^2 (q^p; q^p),
-    half of theta_-(0, p)."""
-    if r == 0:
-        return [((-1, p, p), 2), ((1, p, p), 1)]
-    if 2 * r == p:
-        return [((s, r, p), 2), ((1, p, p), 1)]
-    return [((s, r, p), 1), ((s, p - r, p), 1), ((1, p, p), 1)]
+Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 < r <= p / 2
 
 
 def _theta_terms(s: int, r: int, p: int, n: int) -> List[Tuple[int, int]]:
@@ -304,20 +294,16 @@ def _theta_terms(s: int, r: int, p: int, n: int) -> List[Tuple[int, int]]:
     By Jacobi's triple product theta_s(r, p) is the sum of
     (-s)^m q^(p m(m-1)/2 + r m) over all integers m.  m = j and m = -j,
     j >= 1, give the exponents p j(j-1)/2 + r j <= p j(j+1)/2 - r j, which
-    meet when 2r = p, and lie below those of j + 1.  At r = 0 the two runs
-    are one, so (-q^p; q^p)^2 (q^p; q^p) is the sum of q^(p j(j+1)/2) over
-    j >= 0.
+    meet when 2r = p, and lie below those of j + 1.
     """
     out, c = [], 1
     for j in count(1):
         c *= -s
         lo = p * j * (j - 1) // 2 + r * j
-        hi = lo + (p - 2 * r) * j
-        if (hi if r == 0 else lo) >= n:
+        if lo >= n:
             return out
-        if r == 0:
-            out.append((hi, 1))
-        elif lo == hi:
+        hi = lo + (p - 2 * r) * j
+        if lo == hi:
             out.append((lo, 2 * c))
         else:
             out.append((lo, c))
@@ -386,113 +372,42 @@ def _inverse_packed(dens: List[Tuple[List[Tuple[int, bool]], int]], w: int, n: i
     return y
 
 
-def _theta_quotient(factors: Tuple[Factor, ...]) -> Optional[List[Tuple[Theta, int]]]:
-    """(theta, k) pairs, k != 0, whose product of theta^k is the product of
-    the factors, or None when some factor has no place in such a quotient.
+def _decompose(factors: Tuple[Factor, ...]) -> Tuple[List[Tuple[Theta, int]], List[Factor]]:
+    """(thetas, rest) whose product is the product of the factors: (theta, k)
+    pairs of a ``Theta`` and a power k != 0, k < 0 in the denominator, and
+    the factors that have no place in a theta.
 
-    Each class pair (s q^r, s q^(p-r); q^p) is theta_s(r, p) / (q^p; q^p),
-    and (s q^(p/2); q^p)^2 likewise; (q^p; q^p) is the pentagonal
-    theta_+(p, 3p), and (-q^p; q^p) = (q^2p; q^2p) / (q^p; q^p).  So a
-    class borrows the (q^p; q^p) its theta lacks, and the thetas of one
-    argument add their powers.  A class whose partner has another
-    multiplicity, the class p/2 to an odd power or r > p has no such form.
+    A class pair (s q^r, s q^(p-r); q^p)^k is theta_s(r, p)^k / (q^p; q^p)^k,
+    and so is (s q^(p/2); q^p)^(2k); (q^p; q^p) is the pentagonal
+    theta_+(p, 3p), and (-q^p; q^p) = 1 / (q^p; q^2p) is
+    theta_+(p, 3p) / theta_+(p, 2p).  So each class borrows the (q^p; q^p)
+    its theta lacks, and the thetas of one argument add their powers.  A
+    class whose partner has another multiplicity or sign, the class p/2 to
+    an odd power and r > p stay in the rest.
     """
-    powers: Dict[Theta, int] = {}
+    powers = Counter()
     mults = dict(factors)
-
-    def put(theta: Theta, k: int) -> None:
-        powers[theta] = powers.get(theta, 0) + k
-
+    rest = []
     for (s, r, p), m in factors:
-        if r > p or (r != p and mults.get((s, p - r, p)) != m) or (2 * r == p and m % 2):
-            return None
-        if r == p:  # (q^p; q^p), or (-q^p; q^p) = (q^2p; q^2p) / (q^p; q^p)
+        if r == p:
+            powers[(1, p, 3 * p)] += m
             if s == -1:
-                put((1, 2 * p, 6 * p), m)
-            put((1, p, 3 * p), s * m)
-        elif 2 * r <= p:
+                powers[(1, p, 2 * p)] -= m
+        elif r > p or mults.get((s, p - r, p)) != m or (2 * r == p and m % 2):
+            rest.append(((s, r, p), m))
+        elif 2 * r <= p:  # with its partner p - r, which places none itself
             k = m // 2 if 2 * r == p else m
-            put((s, r, p), k)
-            put((1, p, 3 * p), -k)
-    return sorted((theta, k) for theta, k in powers.items() if k)
+            powers[(s, r, p)] += k
+            powers[(1, p, 3 * p)] -= k
+    return sorted((theta, k) for theta, k in powers.items() if k), rest
 
 
-def _decompose(factors: Tuple[Factor, ...], n: int
-               ) -> Tuple[List[Tuple[Theta, int]], List[Tuple[int, int, int]]]:
-    """(thetas, binomials) whose product is the product of the factors mod
-    q^n: (theta, k) pairs of a ``Theta`` and a power, k < 0 in the
-    denominator, and (e, sign, mult) triples, 0 < e < n, for the binomials
-    (1 - sign*q^e)^mult.
-
-    First the factor multiset gives up every complete theta it holds: for
-    each factor (s q^r; q^p) with 2r <= p, and each (-q^p; q^p), the
-    greatest power k whose classes (``_theta_classes``) all carry k times
-    their multiplicity in the theta, with the factor's sign.  The rest goes
-    into ``_euler_exponents``.  Then its Euler exponents a_e give up
-    theta_+(r, p), which needs a_e of one sign on the classes r, p - r and
-    0 mod p, and the pentagonal (q^d; q^d) = theta_+(d, 3d), on the
-    multiples of d, for every p and d among the rest's steps and their
-    doubles: first the denominators; then 1 / (1 - q^e) becomes 1 + q^e,
-    equal mod q^n where 2e >= n; then the numerators.  Each class's first
-    entry is checked before it is sliced.
-    """
-    mults = dict(factors)
-    thetas: List[Tuple[Theta, int]] = []
-    for (s, r, p), m in factors:
-        sign = 1 if m > 0 else -1
-        if (2 * r <= p or (s == -1 and r == p)) and sign * mults.get((1, p, p), 0) > 0:
-            theta = (s, r % p, p)
-            classes = _theta_classes(*theta)
-            k = min(sign * mults.get(key, 0) // times for key, times in classes)
-            if k > 0:
-                for key, times in classes:
-                    mults[key] -= sign * k * times
-                thetas.append((theta, sign * k))
-    rest = [item for item in mults.items() if item[1]]
-    a, out = _euler_exponents(rest, n)
-    if not out and not any(a):
-        return thetas, out
-    periods = sorted({step * d for (s, _, step), _ in rest for d in ((1, 2) if s == -1 else (1,))
-                      if step * d < n})
-
-    def take(theta: Theta, sign: int) -> None:
-        classes = [(r, p, times) for (_, r, p), times in _theta_classes(*theta) if r < n]
-        if any(sign * a[r] < times for r, _, times in classes):
-            return
-        k = min((min(a[r::p]) if sign == 1 else -max(a[r::p])) // times
-                for r, p, times in classes)
-        if k > 0:
-            for r, p, times in classes:
-                a[r::p] = map(sub, a[r::p], repeat(sign * k * times))
-            thetas.append((theta, sign * k))
-
-    def take_all(sign: int) -> None:
-        for p in periods:
-            if sign * a[p] > 0:
-                for r in range(1, p // 2 + 1):
-                    if sign * a[r] > 0 and sign * a[p - r] > 0:
-                        take((1, r, p), sign)
-        for d in periods:
-            if sign * a[d] > 0:
-                take((1, d, 3 * d), sign)
-
-    if min(a) < 0:
-        take_all(-1)
-        half = (n + 1) // 2
-        out += [(e, -1, -a[e]) for e in range(half, n) if a[e] < 0]
-        a[half:] = map(max, a[half:], repeat(0))
-    if max(a) > 0:
-        take_all(1)
-    out += zip(compress(range(n), a), repeat(1), filter(None, a))
-    return thetas, out
-
-
-def _euler_exponents(factors: Sequence[Factor], n: int
-                     ) -> Tuple[List[int], List[Tuple[int, int, int]]]:
-    """(a, pairs): the Euler exponents a_e, 0 <= e < n, and (e, -1, k)
-    triples whose product of prod (1 - q^e)^(a_e) and the numerators
-    (1 + q^e)^k equals the product of the factors mod q^n, with the
-    binomials of all the factors cancelled against each other.
+def _euler_exponents(factors: Sequence[Factor], n: int) -> List[Tuple[int, int, int]]:
+    """(e, sign, mult) triples, 0 < e < n, whose binomials
+    (1 - sign*q^e)^mult multiply to the product of the factors mod q^n, with
+    the binomials of all the factors cancelled against each other: first
+    numerators (1 + q^e)^k, then (1 - q^e)^(a_e) for each nonzero Euler
+    exponent a_e.
 
     Every factor goes into a by strided slices: (q^r; q^step)^m adds m to a_e
     for e = r, r + step, ..., and (-q^r; q^step)^m, by 1 + q^e =
@@ -507,48 +422,47 @@ def _euler_exponents(factors: Sequence[Factor], n: int
         a[r::step] = map(add if sign == 1 else sub, a[r::step], repeat(m))
         if sign == -1:
             a[2 * r::2 * step] = map(add, a[2 * r::2 * step], repeat(m))
-    pairs = []
+    out = []
     for e in list(compress(range((n + 1) // 2), map(gt, repeat(0), a))):
         k = min(-a[e], a[2 * e])
         if k > 0:
             a[e] += k
             a[2 * e] -= k
-            pairs.append((e, -1, k))
-    return a, pairs
+            out.append((e, -1, k))
+    out += zip(compress(range(n), a), repeat(1), filter(None, a))
+    return out
 
 
-def _slot_bits(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],
-               n: int) -> int:
+def _slot_bits(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
+               binomials: Sequence[Tuple[int, int, int]], n: int) -> int:
     """A slot width, in bits and sign included, that holds each of the first n
-    coefficients f_i of the product of the thetas and binomials of
-    ``_decompose``."""
-    # the binomials of the majorant, and (terms, k) theta sums
-    majorant = binomials
-    sums = []
-    for theta, k in thetas:
-        if k < 0:
-            majorant = majorant + [(e, 1, k * times) for (_, r, p), times in
-                                   _theta_classes(*theta) for e in range(r, n, p)]
-        else:
-            sums.append((_theta_terms(*theta, n), k))
-    if not majorant and not sums:
+    coefficients f_i of the product of the factors, which ``_decompose`` and
+    ``_euler_exponents`` write as the thetas times the binomials.
+
+    That form is bounded where it has no denominator.  Otherwise the
+    factors' own Euler exponents are, in which the (q^p; q^p) a class
+    borrows for its theta cancels.
+    """
+    if any(k < 0 for _, k in thetas) or any(m < 0 for _, _, m in binomials):
+        thetas, binomials = [], _euler_exponents(factors, n)
+    sums = [(_theta_terms(*theta, n), k) for theta, k in thetas]
+    if not binomials and not sums:
         return 2  # the product is 1
     # The majorant M, the product of (1 + q^e)^mult over the numerator
-    # binomials, (1 - q^e)^-|mult| over the denominator ones and over every
-    # binomial of a denominator theta, and (sum |c| q^e)^k over the terms
-    # below q^n of each numerator theta, has nonnegative coefficients and
-    # |f_i| <= [q^i] M.  So by Cauchy's inequality |f_i| <= M(x) / x^i <=
-    # M(x) / x^(n-1) for every 0 < x < 1.  At x = exp(-t), binomials at a
-    # density d among the e < n add about c d |mult| / t to log M(x), with
-    # c = pi^2/12 for a numerator and pi^2/6 for a denominator; a theta sum
-    # adds only about k log(1/t) / 2.  So log M(x) is about a / ((n - 1) t)
-    # with a = sum c |mult| over the binomials, and t = sqrt(a) / (n - 1)
-    # puts the bound near its minimum, or t = 1 / (n - 1) with thetas alone;
-    # any t > 0 gives a true bound.
-    a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in majorant)
+    # binomials, (1 - q^e)^-|mult| over the denominator ones and
+    # (sum |c| q^e)^k over the terms below q^n of each theta, has
+    # nonnegative coefficients and |f_i| <= [q^i] M.  So by Cauchy's
+    # inequality |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1.
+    # At x = exp(-t), binomials at a density d among the e < n add about
+    # c d |mult| / t to log M(x), with c = pi^2/12 for a numerator and
+    # pi^2/6 for a denominator; a theta sum adds only about k log(1/t) / 2.
+    # So log M(x) is about a / ((n - 1) t) with a = sum c |mult| over the
+    # binomials, and t = sqrt(a) / (n - 1) puts the bound near its minimum,
+    # or t = 1 / (n - 1) with thetas alone; any t > 0 gives a true bound.
+    a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in binomials)
     t = (sqrt(a) if a else 1.0) / max(n - 1, 1)
     log_m = fsum([m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
-                  for e, _, m in majorant]
+                  for e, _, m in binomials]
                  + [k * log(fsum([1.0] + [abs(c) * exp(-t * e) for e, c in terms]))
                     for terms, k in sums])
     bits = (log_m + (n - 1) * t) / log(2)

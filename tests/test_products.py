@@ -42,7 +42,7 @@ class TestPochhammer:
     def test_difference_of_squares(self):
         order = 40
         prod = poch(-1, 1, 1) * poch(1, 1, 1) / poch(1, 2, 2)
-        assert _binomials(prod.factors, order) == []  # all cancel
+        assert products._euler_exponents(prod.factors, order) == []  # all cancel
         assert first_mismatch(prod.expand(order), LaurentSeries.one(order)) is None
 
     def test_unit_argument_vanishes(self):
@@ -248,13 +248,6 @@ REWRITE_PARTS = st.integers(1, 12).flatmap(lambda b: st.lists(st.tuples(
     st.integers(-4, 4).filter(bool)), min_size=1, max_size=6))
 
 
-def _binomials(factors, n):
-    """The (e, sign, mult) triples of ``_euler_exponents``: its numerators
-    (1 + q^e)^k, then (1 - q^e)^(a_e) for every nonzero a_e."""
-    a, pairs = products._euler_exponents(factors, n)
-    return pairs + [(e, 1, m) for e, m in enumerate(a) if m]
-
-
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(parts=REWRITE_PARTS, order=st.integers(1, 400))
 @example(parts=[(1, 1, 1, 1), (-1, 1, 1, 1), (1, 2, 2, -1)], order=400)  # all cancel
@@ -265,7 +258,7 @@ def test_binomials_rewrite_the_product(parts, order):
     prod = Product()
     for sign, r, step, mult in parts:
         prod = prod * poch(sign, r, step, mult)
-    binomials = _binomials(prod.factors, order)
+    binomials = products._euler_exponents(prod.factors, order)
     out = [1] + [0] * (order - 1)
     for e, sign, mult in binomials:
         binomial_pass(out, sign, e, mult)
@@ -311,7 +304,8 @@ SLOT_CEILINGS = {BASE5_QUOTIENT: 96, THETA_PAIR: 24, PENTAGONAL_QUOTIENT: 16}
 ])
 def test_slot_bits_hold_the_largest_coefficient(prod, n):
     true = max(abs(c).bit_length() for c in _pass_reference(prod.factors, n))
-    bits = products._slot_bits(*products._decompose(prod.factors, n), n)
+    thetas, rest = products._decompose(prod.factors)
+    bits = products._slot_bits(prod.factors, thetas, products._euler_exponents(rest, n), n)
     assert true + 1 <= bits <= SLOT_CEILINGS.get(prod, true + 16)
 
 
@@ -321,16 +315,14 @@ def test_slot_bits_hold_the_largest_coefficient(prod, n):
 
 
 @pytest.mark.parametrize("theta", [(1, 1, 3), (-1, 1, 3), (1, 2, 7), (-1, 3, 7), (1, 1, 2),
-                                   (-1, 3, 6), (-1, 0, 4), (-1, 0, 1), (1, 4, 12)])
+                                   (-1, 3, 6), (1, 3, 6), (1, 2, 6), (1, 4, 12)])
 def test_theta_terms_are_the_product_of_their_classes(theta):
     n = 300
     sparse = [1] + [0] * (n - 1)
     for e, c in products._theta_terms(*theta, n):
         assert sparse[e] == 0 and abs(c) in (1, 2)
         sparse[e] = c
-    classes = tuple(products._theta_classes(*theta))
-    assert all(1 <= r <= p for (_, r, p), _ in classes)
-    assert sparse == _pass_reference(classes, n)
+    assert sparse == _pass_reference(_theta_product(*theta, 1).factors, n)
 
 
 def _theta_product(s, r, p, k):
@@ -349,40 +341,6 @@ CLASS = st.integers(1, 12).flatmap(lambda p: st.tuples(
     st.just("poch"), st.sampled_from((1, -1)), st.integers(1, p), st.just(p), MULTS))
 
 
-def _euler_exponents(factors, n):
-    """a_e, 0 < e < n, with prod (1 - q^e)^(a_e) the factors mod q^n, where
-    1 + q^e = (1 - q^2e) / (1 - q^e)."""
-    a = [0] * n
-    for (sign, r, step), m in factors:
-        for e in range(r, n, step):
-            a[e] += m if sign == 1 else -m
-            if sign == -1 and 2 * e < n:
-                a[2 * e] += m
-    return a
-
-
-def _check_thetas_are_classes(factors, thetas, n):
-    """Every theta consists of classes of the input: of its factors, or, for
-    a theta_+ taken from the Euler exponents, of exponents of its sign."""
-    left = dict(factors)
-    euler = []
-    for theta, k in thetas:
-        classes = products._theta_classes(*theta)
-        if all((left.get(key, 0) * k > 0 and abs(left[key]) >= abs(k) * count)
-               for key, count in classes):
-            for key, count in classes:
-                left[key] -= k * count
-        else:
-            euler.append((theta, k))
-    a = _euler_exponents(left.items(), n)
-    for theta, k in euler:
-        assert theta[0] == 1 and theta[1] >= 1, theta
-        for (_, r, p), count in products._theta_classes(*theta):
-            for e in range(r, n, p):
-                a[e] -= k * count
-                assert a[e] * k >= 0, (theta, k, e)
-
-
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(parts=st.lists(st.one_of(THETA, THETA, PENTAGONAL, CLASS), min_size=1, max_size=5),
        order=st.integers(1, 400))
@@ -390,7 +348,7 @@ def _check_thetas_are_classes(factors, thetas, n):
 @example(parts=[("poch", 1, 1, 1, 1), ("poch", -1, 1, 1, -1)], order=300)
 @example(parts=[("poch", 1, 1, 0, -8)], order=800)
 # theta_-(1, 11) theta_-(5, 11): the doubled classes of -q^5 and -q^6 meet
-# those of -q^10 and -q mod 11, so only the factors show these thetas
+# those of -q^10 and -q mod 11, so its Euler exponents hide these thetas
 @example(parts=[("theta", -1, 1, 11, 1), ("theta", -1, 5, 11, 1)], order=1000)
 @example(parts=[("theta", -1, 2, 7, 2), ("theta", 1, 1, 5, -1), ("theta", -1, 0, 3, -1)],
          order=500)
@@ -400,27 +358,29 @@ def test_theta_route_matches_binomial_pass(parts, order):
         prod = prod * (_theta_product(s, r, p, k) if kind == "theta" else
                        poch(s, r, p or r, k))
     assume(prod.factors)
-    thetas, binomials = products._decompose(prod.factors, order)
-    _check_thetas_are_classes(prod.factors, thetas, order)
     # the kernel itself, so neither the memo nor a dilation stands in between
     assert products._expand_packed(prod.factors, order) == _pass_reference(prod.factors, order)
 
 
 # ----------------------------------------------------------------------
-# theta quotients expanded at one byte and proven by multiplying back
+# the theta form, and theta quotients expanded at one byte and proven by
+# multiplying back
 # ----------------------------------------------------------------------
 
 
 def _quotient_part(kind, s, r, p, k):
-    """A factor group with a pure theta form: a class pair, a class p/2 to
-    an even power, (-q^p; q^p) or the pentagonal (q^p; q^p), which the
-    other groups borrow from."""
+    """A factor group: a class pair; the class p/2 to the power k, which has a
+    theta form only for even k; (-q^p; q^p); one class (s q^r; q^p),
+    r <= 2p, paired only where another group holds its partner; or the
+    pentagonal (q^p; q^p), which the classes borrow from."""
     if kind == "pair" and 2 * r < p:
         return poch(s, r, p, k) * poch(s, p - r, p, k)
     if kind == "half" and p % 2 == 0:
-        return poch(s, p // 2, p, 2 * k)
+        return poch(s, p // 2, p, k)
     if kind == "minus":
         return poch(-1, p, p, k)
+    if kind == "class":
+        return poch(s, r, p, k)
     return poch(1, p, p, k)
 
 
@@ -438,6 +398,8 @@ def _theta_quotient_series(quotient, n):
 QUOTIENT_PART = st.integers(1, 12).flatmap(lambda p: st.tuples(
     st.sampled_from(("pair", "half", "minus", "pentagonal")), st.sampled_from((1, -1)),
     st.integers(1, max(1, (p - 1) // 2)), st.just(p), MULTS))
+LONE_CLASS = st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.just("class"), st.sampled_from((1, -1)), st.integers(1, 2 * p), st.just(p), MULTS))
 # the majorant runs of `deep` whose pure theta form has small coefficients
 BASE5_PAIRS = (poch(-1, 2, 5) * poch(-1, 3, 5) * poch(1, 5, 5, 2)
                / (poch(-1, 1, 5) * poch(-1, 4, 5) * poch(1, 2, 5) * poch(1, 3, 5)))
@@ -446,37 +408,49 @@ GROWTH_QUOTIENT = P(1, 2, 5) * P(-1, 0, 5) / (P(1, 1, 5) * P(-1, 1, 5))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(parts=st.lists(QUOTIENT_PART, min_size=1, max_size=4), order=st.integers(1, 200))
+@given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), min_size=1,
+                      max_size=5),
+       order=st.integers(1, 200), expect=st.none())
 @example(parts=[("pair", -1, 2, 5, 1), ("pentagonal", 1, 1, 5, 2), ("pair", -1, 1, 5, -1),
-                ("pair", 1, 2, 5, -1)], order=200)
-@example(parts=[("half", -1, 1, 2, 1), ("minus", 1, 1, 3, -2)], order=200)
-@example(parts=[("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)], order=200)  # pbar
-def test_theta_quotient_is_the_product(parts, order):
+                ("pair", 1, 2, 5, -1)], order=200, expect=None)
+@example(parts=[("half", -1, 1, 2, 2), ("minus", 1, 1, 3, -2)], order=200, expect=None)
+# pbar = (-q; q) / (q; q) is the one theta 1 / theta_+(1, 2)
+@example(parts=[("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)], order=200,
+         expect=([((1, 1, 2), -1)], []))
+@example(parts=[("pair", -1, 1, 11, 1), ("pair", -1, 5, 11, 1), ("pentagonal", 1, 1, 11, 2)],
+         order=1000, expect=([((-1, 1, 11), 1), ((-1, 5, 11), 1)], []))
+# classes with no theta form: no partner, a partner of another multiplicity
+# or sign, the class p/2 to an odd power, r > p
+@example(parts=[("class", 1, 1, 5, 1)], order=200, expect=([], [((1, 1, 5), 1)]))
+@example(parts=[("class", 1, 1, 5, 1), ("class", 1, 4, 5, 2)], order=200,
+         expect=([], [((1, 1, 5), 1), ((1, 4, 5), 2)]))
+@example(parts=[("class", -1, 1, 5, 1), ("class", 1, 4, 5, 1)], order=200,
+         expect=([], [((-1, 1, 5), 1), ((1, 4, 5), 1)]))
+@example(parts=[("half", 1, 1, 4, 1), ("pentagonal", 1, 1, 4, 1)], order=200,
+         expect=([((1, 4, 12), 1)], [((1, 2, 4), 1)]))
+@example(parts=[("class", 1, 7, 5, 1), ("pentagonal", 1, 1, 5, 1)], order=200,
+         expect=([((1, 5, 15), 1)], [((1, 7, 5), 1)]))
+def test_theta_quotient_is_the_product(parts, order, expect):
     prod = Product()
     for part in parts:
         prod = prod * _quotient_part(*part)
     assume(prod.factors)
-    quotient = products._theta_quotient(prod.factors)
+    thetas, rest = products._decompose(prod.factors)
+    if expect is not None:
+        assert (thetas, rest) == expect
+    assert all(k and 0 < r <= p / 2 for (_, r, p), k in thetas)
+    assert set(rest) <= set(prod.factors)
+    # the theta sums to their powers, times the rest's binomials
     ref = _pass_reference(prod.factors, order)
-    assert _theta_quotient_series(quotient, order) == LaurentSeries(0, ref, order)
-    # every length takes the one-byte try where the quotient has a denominator
+    rest_series = LaurentSeries(0, _pass_reference(rest, order), order)
+    assert mul(_theta_quotient_series(thetas, order), rest_series) == LaurentSeries(0, ref, order)
+    # every length takes the one-byte try where the thetas alone have a denominator
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
         mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
         assert products._expand_packed(prod.factors, order) == ref
         tried = products._expand_counts["verified"] + products._expand_counts["fallbacks"]
-    assert tried == (min(k for _, k in quotient) < 0 if quotient else 0)
-
-
-@pytest.mark.parametrize("prod", [
-    poch(1, 1, 5),  # no partner
-    poch(1, 1, 5) * poch(1, 4, 5, 2),  # a partner of another multiplicity
-    poch(-1, 1, 5) * poch(1, 4, 5),  # a partner of another sign
-    poch(1, 2, 4) * poch(1, 4, 4),  # the class p/2 to an odd power
-    poch(1, 7, 5) * poch(1, 5, 5),  # r > p
-])
-def test_theta_quotient_needs_every_class_placed(prod):
-    assert products._theta_quotient(prod.factors) is None
+    assert tried == (not rest and any(k < 0 for _, k in thetas))
 
 
 def test_small_quotient_is_verified(memo):
@@ -488,7 +462,8 @@ def test_small_quotient_is_verified(memo):
 
 def test_growth_quotient_falls_back_to_its_majorant(memo):
     n = 600
-    quotient = products._theta_quotient(GROWTH_QUOTIENT.factors)
+    quotient, rest = products._decompose(GROWTH_QUOTIENT.factors)
+    assert not rest
     ref = _pass_reference(GROWTH_QUOTIENT.factors, n)
     assert max(abs(c) for c in ref).bit_length() > 7
     # forced to one byte, the decode is wrong and the check says so
@@ -501,13 +476,30 @@ def test_growth_quotient_falls_back_to_its_majorant(memo):
 @pytest.mark.parametrize("shift", [256, -256])
 def test_check_rejects_a_coefficient_moved_by_the_slot(shift):
     n = 600
-    quotient = products._theta_quotient(BASE5_PAIRS.factors)
+    quotient, _ = products._decompose(BASE5_PAIRS.factors)
     f = _pass_reference(BASE5_PAIRS.factors, n)
     assert products._multiplies_back(f, quotient, n)
     for i in (0, 1, n // 2, n - 1):
         moved = list(f)
         moved[i] += shift
         assert not products._multiplies_back(moved, quotient, n), i
+
+
+def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
+    # the kernel on the products the registry builds; the memo starts empty,
+    # so each of them is a miss at least once
+    misses, real = [], products._expand_packed
+
+    def record(factors, n):
+        out = real(factors, n)
+        misses.append((factors, n, out))
+        return out
+
+    monkeypatch.setattr(products, "_expand_packed", record)
+    assert all(report.ok for report in registry.run_suite(1.0))
+    assert len(misses) > 200  # 267 in a fresh process
+    for factors, n, out in misses:
+        assert out == _pass_reference(factors, n), (factors, n)
 
 
 # ----------------------------------------------------------------------
