@@ -32,8 +32,6 @@ from .errors import (
     ZeroLeadingTerm,
 )
 from .lambert import (
-    GFuncSpec,
-    g_func,
     g_index,
     g_series,
     s_bar,

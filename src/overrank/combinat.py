@@ -25,13 +25,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, cycle
 from operator import add
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import CapExceeded
 from .lambert import lambert_sum
-from .products import binomial_pass, poch
-from .series import LaurentSeries, mul
+from .products import poch
+from .series import LaurentSeries, _unpack, mul
 
 ENUM_CAP = 40
 
@@ -150,9 +151,7 @@ def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
             ranks[n] += 2 * rotate(new, back)  # largest part exactly L: rank L - k
     out = []
     for packed in ranks:
-        raw = packed.to_bytes(modulus * nbytes, "little")
-        slots = [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
-                 for k in range(modulus)]
+        slots = _unpack(packed, nbytes, 0, modulus)  # half 0: unsigned slots
         out.append([slots[-s % modulus] for s in range(modulus)])
     return out
 
@@ -223,19 +222,16 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
     """sum_n Nbar(m,n) q^n
     = 2 (-q;q)/(q;q) sum_{n>=1} (-1)^(n-1) q^(n^2+|m|n) (1-q^n)/(1+q^n).
 
-    The constant term is 0 (analytic convention)."""
+    The constant term is 0 (analytic convention).  As (1 - x)/(1 + x) =
+    1 - 2x + 2x^2 - ..., each term is one strided add of step n."""
     m = abs(m)
     inner = [0] * order
     n = 1
-    while n * n + m * n < order:
-        lead = n * n + m * n
-        piece = [0] * (order - lead)
-        piece[0] = 1 if n % 2 else -1
-        binomial_pass(piece, 1, n, 1)
-        binomial_pass(piece, -1, n, -1)
-        inner[lead:] = map(add, inner[lead:], piece)
+    while (lead := n * n + m * n) < order:
+        c = 1 if n % 2 else -1
+        inner[lead::n] = map(add, inner[lead::n], chain((c,), cycle((-2 * c, 2 * c))))
         n += 1
-    return (2 * pbar_series(order) * LaurentSeries(0, inner, order)).truncate(order)
+    return mul(RANK_CLASS_PRODUCT.expand(order), LaurentSeries(0, inner, order))
 
 
 # the product of every rank-class series

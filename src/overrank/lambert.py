@@ -31,7 +31,6 @@ cut it short, and then by exactly that shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, islice, repeat
@@ -41,18 +40,7 @@ from typing import Optional, Tuple
 
 from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
-from .series import LaurentSeries, Sides, _divide, mul, substitute_power
-
-@dataclass(frozen=True)
-class GFuncSpec:
-    """Index form g(a) over the prime ell; a must not be a multiple of ell."""
-
-    a: int
-    ell: int
-
-    def __post_init__(self):
-        if self.a % self.ell == 0:
-            raise ValueError(f"index {self.a} is a multiple of {self.ell}")
+from .series import LaurentSeries, Sides, _divide, mul
 
 
 def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
@@ -213,6 +201,12 @@ def s_bar(b: int, ell: int, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
+def p_ratio(s: int, e: int, base: int) -> Product:
+    """z P(z^2) P(-1) / (P(z) P(-z)) at z = s*q^e, the P-quotient that
+    multiplies Sum(z, 1, q) in g(z, q) and in Lemma 4.1, with q = q^base."""
+    return Product(s, e) * P(1, 2 * e, base) * P(-1, 0, base) / (P(s, e, base) * P(-s, e, base))
+
+
 # every argument is an int and the result is immutable, so a repeat, as
 # between checks that share a g, is a lookup
 @lru_cache(maxsize=64)
@@ -228,8 +222,7 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     s, e = z_sign, z_exp
     n = order + 2 * abs(e)  # for e < 0, f2's shift(2 * e) loses 2|e|
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
-    ratio = Product(s, e) * P(1, 2 * e, base) * P(-1, 0, base) / (P(s, e, base) * P(-s, e, base))
-    f1 = mul(sig1, ratio.expand(n))
+    f1 = mul(sig1, p_ratio(s, e, base).expand(n))
     f2 = sigma_ab(2 * e, 2 * e, base, n).shift(2 * e)
     f3 = sigma_primed(-2 * e, base, n)
     return (f1 - f2 - f3).truncate(order)
@@ -241,12 +234,6 @@ def g_index(a: int, ell: int, order: int) -> LaurentSeries:
     if out.min_exp < 0:
         raise AssertionError(f"g({a}) produced negative exponents: {out!r}")
     return out
-
-
-def g_func(spec: GFuncSpec, order: int) -> LaurentSeries:
-    """g(a) as a q-series, with y = q^ell."""
-    y_order = -(-order // spec.ell)
-    return substitute_power(g_index(spec.a, spec.ell, y_order), spec.ell).truncate(order)
 
 
 # ----------------------------------------------------------------------
@@ -340,10 +327,7 @@ def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int, order: in
     lhs += lambert_sum(base, base + 2 * ec, -1, [(sz * sc, ez + ec, base)], order).shift(2 * ec)
 
     sig = lambert_sum(base, base, -1, [(sz, ez, base)], order)
-    coeff = Product(sc, ec) * P(1, 2 * ec, base) * P(-1, 0, base) / (
-        P(sc, ec, base) * P(-sc, ec, base)
-    )
-    first = mul(sig, coeff.expand(order))
+    first = mul(sig, p_ratio(sc, ec, base).expand(order))
     prod = P(sc, ec, base) * P(1, 2 * ec, base) * P(-sz, ez, base) * poch(1, base, base, 2) / (
         P(sz, ez, base) * P(sz * sc, ez + ec, base) * P(sz * sc, ez - ec, base) * P(-sc, ec, base)
     )

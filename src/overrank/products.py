@@ -30,9 +30,8 @@ Euler exponents, in which the borrowed pentagonals cancel.  A long miss that
 is a quotient of thetas alone is first expanded at one byte per slot, as
 such quotients mostly have small coefficients, and kept only once
 multiplying it back by the denominator proves it.  The in-place list pass
-``binomial_pass`` serves the Lambert sums, ``combinat.nbar_series`` and
-``triple_product``, which do not go through the memo, and is the reference
-``expand`` is tested against.
+``binomial_pass`` serves the Lambert sums and ``triple_product``, which do
+not go through the memo, and is the reference ``expand`` is tested against.
 """
 
 from __future__ import annotations
@@ -193,14 +192,14 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
     by the triple product, and a rest, which ``_euler_exponents`` writes as
     binomials that cancel across its factors.  From ``_VERIFIED_MIN_LENGTH``
     on, a quotient of thetas alone with a denominator is first tried by
-    ``_verified_quotient``, and returned if it passes.  Otherwise the thetas
-    are taken by ``_times_thetas``, then the binomials, at the slot width of
-    ``_slot_bits``.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as rings, so
-    every step is exact on v whatever the size of the coefficients met on the
-    way; only the final ones must fit a slot.  One power of 1 - s*q^e is the
-    shift-add v - s*(v << w e), keeping the slots below q^n; dividing by
-    1 - q^e multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent
-    stays below n.
+    ``_verified_quotient``, and returned if it passes.  Otherwise the thetas,
+    then the binomials, each a sparse sum too, are taken by ``_times_thetas``
+    at the slot width of ``_slot_bits``.  q -> 2^w maps Z[q]/(q^n) onto
+    Z/2^(w n) as rings, so every step is exact on v whatever the size of the
+    coefficients met on the way; only the final ones must fit a slot.  One
+    power of 1 - s*q^e is the shift-add v - s*(v << w e), keeping the slots
+    below q^n; dividing by 1 - q^e multiplies by (1 + q^e)(1 + q^2e)
+    (1 + q^4e)... while the exponent stays below n.
     """
     thetas, rest = _decompose(factors)
     if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
@@ -212,19 +211,13 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
     binomials = _euler_exponents(rest, n) if rest else []
     size = (_slot_bits(factors, thetas, binomials, n) + 7) // 8
     w = 8 * size
-    mask = (1 << (w * n)) - 1
-    v = _times_thetas(thetas, w, n)
+    sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
     for e, sign, mult in binomials:
         if mult > 0:
-            adds = [(e, -sign)]
+            sums.append(([(w * e, sign == 1)], mult))
         else:  # only 1 - q^e is ever a denominator
-            adds = [(e << j, 1) for j in range(((n - 1) // e).bit_length())]
-        adds = [(w * k, s, mask >> (w * k)) for k, s in adds]
-        for _ in range(abs(mult)):
-            for shift, s, low in adds:
-                t = (v & low) << shift
-                v = v + t if s == 1 else v - t
-    return _unpack(v, size, 1 << (w - 1), n)
+            sums += [([(w * e << j, False)], -mult) for j in range(((n - 1) // e).bit_length())]
+    return _unpack(_times_thetas(sums, w, n), size, 1 << (w - 1), n)
 
 
 # The one-byte try of _verified_quotient pays on quotients whose majorant
@@ -249,8 +242,9 @@ def _verified_quotient(quotient: List[Tuple[Theta, int]], n: int) -> Optional[Li
     quotients away cheaply, then at n, and kept only if ``_multiplies_back``
     proves it.
     """
+    sums = [(_theta_shifts(theta, 8, n), k) for theta, k in quotient]
     for m in (n // 4, n):
-        f = _unpack(_times_thetas(quotient, 8, m), 1, 1 << 7, m)
+        f = _unpack(_times_thetas(sums, 8, m), 1, 1 << 7, m)
         if max(map(abs, f), default=0) >= 1 << 6:
             return None
     return f if _multiplies_back(f, quotient, n) else None
@@ -272,16 +266,10 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int) ->
     den = prod(norms[theta] ** -k for theta, k in quotient if k < 0)
     size = ((max(map(abs, f)) * den + num).bit_length() + 8) // 8
     w = 8 * size
-    mask = (1 << (w * n)) - 1
-    lhs, rhs = _pack(f, size, 1 << (w - 1)), 1
-    for theta, k in quotient:
-        shifts = _theta_shifts(theta, w, n)
-        for _ in range(abs(k)):
-            if k < 0:
-                lhs = _times_theta(lhs, shifts, mask)
-            else:
-                rhs = _times_theta(rhs, shifts, mask)
-    return not (lhs - rhs) & mask
+    dens = [(_theta_shifts(theta, w, n), -k) for theta, k in quotient if k < 0]
+    nums = [(_theta_shifts(theta, w, n), k) for theta, k in quotient if k > 0]
+    lhs = _times_thetas(dens, w, n, _pack(f, size, 1 << (w - 1)))
+    return not (lhs - _times_thetas(nums, w, n)) & ((1 << (w * n)) - 1)
 
 
 Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 < r <= p / 2
@@ -318,8 +306,9 @@ def _theta_shifts(theta: Theta, w: int, n: int) -> List[Tuple[int, bool]]:
 
 
 def _times_theta(v: int, shifts: List[Tuple[int, bool]], mask: int) -> int:
-    """v times the theta of ``_theta_shifts`` mod mask + 1 = 2^(w m): one
-    shift-add per term below q^m."""
+    """v times the sparse sum of ``_theta_shifts`` mod mask + 1 = 2^(w m): one
+    shift-add per term below q^m.  Every product of a packed value with a
+    theta or a binomial is taken here."""
     acc = v
     for shift, negative in shifts:
         low = mask >> shift
@@ -330,14 +319,16 @@ def _times_theta(v: int, shifts: List[Tuple[int, bool]], mask: int) -> int:
     return acc & mask
 
 
-def _times_thetas(thetas: Sequence[Tuple[Theta, int]], w: int, n: int) -> int:
-    """The product of the thetas, each to its power k, mod 2^(w n) at
-    q = 2^w: the denominators (k < 0) by one ``_inverse_packed``, then one
+def _times_thetas(sums: Sequence[Tuple[List[Tuple[int, bool]], int]], w: int, n: int,
+                  v: int = 1) -> int:
+    """v times the product of the sparse sums (shifts, k) of
+    ``_theta_shifts``, each to its power k, mod 2^(w n) at q = 2^w: the
+    denominators (k < 0) by one ``_inverse_packed``, then one
     ``_times_theta`` per numerator power."""
     mask = (1 << (w * n)) - 1
-    sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
     dens = [(shifts, -k) for shifts, k in sums if k < 0]
-    v = _inverse_packed(dens, w, n) if dens else 1
+    if dens:
+        v = v * _inverse_packed(dens, w, n) & mask
     for shifts, k in sums:
         for _ in range(k):  # none for a denominator
             v = _times_theta(v, shifts, mask)
@@ -361,11 +352,7 @@ def _inverse_packed(dens: List[Tuple[List[Tuple[int, bool]], int]], w: int, n: i
     y, a = 1, w
     for size in reversed(sizes):
         b = w * size
-        mask = (1 << b) - 1
-        d = y
-        for shifts, k in dens:
-            for _ in range(k):
-                d = _times_theta(d, shifts, mask)
+        d = _times_thetas(dens, w, size, y)
         low = (1 << (b - a)) - 1
         y += ((-(y & low) * (d >> a)) & low) << a
         a = b

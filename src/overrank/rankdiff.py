@@ -27,7 +27,7 @@ from functools import partial
 from typing import Callable, Optional, Tuple
 
 from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
-from .lambert import GFuncSpec, g_func, g_index, s_bar, sigma_ab, sigma_primed
+from .lambert import g_index, p_ratio, s_bar, sigma_ab, sigma_primed
 from .products import P, Product, poch
 from .series import LaurentSeries, Sides, extract_progression_product, mul, substitute_power
 
@@ -96,7 +96,7 @@ def eval_terms(terms: Tuple[FormulaTerm, ...], order: int) -> LaurentSeries:
             acc = mul(acc, sigma_ab(z_exp, 0, base, order))
         if t.g is not None:
             a, ell = t.g
-            acc = mul(acc, g_func(GFuncSpec(a, ell), order))
+            acc = mul(acc, _lift(partial(g_index, a, ell), ell, order))
         total = total + acc
     return total
 
@@ -210,11 +210,6 @@ def s_bar_b_decomposition(spec: FinalFormSpec, order: int) -> LaurentSeries:
     return total
 
 
-def _p_ratio_bracket(a: int, ell: int, y_order: int) -> LaurentSeries:
-    """P(2a) P(-1) / (P(a) P(-y^a)) in the base variable y."""
-    return (P(1, 2 * a, ell) * P(-1, 0, ell) / (P(1, a, ell) * P(-1, a, ell))).expand(y_order)
-
-
 def sigma_coefficient_bracket(spec: FinalFormSpec, order: int) -> LaurentSeries:
     """The coefficient of Sum(m,0) in the final form of Sbar(ell-2m):
 
@@ -224,11 +219,11 @@ def sigma_coefficient_bracket(spec: FinalFormSpec, order: int) -> LaurentSeries:
     ell, m = spec.ell, spec.m
     sgn_m = -1 if m % 2 else 1
     total = LaurentSeries.monomial(sgn_m, m * (ell - m), order)
-    total = total + _lift(partial(_p_ratio_bracket, m, ell), ell, order, m * ell)
+    total = total + _lift(p_ratio(1, m, ell).expand, ell, order)
     for a in spec.excluded_sum_indices():
         sgn = -1 if (m + a) % 2 else 1
-        c = (a + m) * (a - m + ell) - a * ell
-        total = total + sgn * _lift(partial(_p_ratio_bracket, a, ell), ell, order, c)
+        c = (a + m) * (a - m + ell) - 2 * a * ell  # y^-a is y^-2a times p_ratio's y^a
+        total = total + sgn * _lift(p_ratio(1, a, ell).expand, ell, order, c)
     return total
 
 

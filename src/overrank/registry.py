@@ -26,10 +26,10 @@ from typing import Callable, Dict, List, Sequence
 from . import combinat, lambert, products, rankdiff
 from .combinat import nbar, nbar_class, rank_table
 from .errors import BadArgument, UnknownIdentity
-from .lambert import s_bar, theta
+from .lambert import lambert_sum, s_bar, theta
 from .products import P, Product, SignedMonomial as SM, poch, triple_product
 from .report import IdentityReport, compare, merge
-from .series import LaurentSeries, Sides, mul
+from .series import LaurentSeries, Sides, extract_progression
 
 DEFAULT_SEED = 271828
 
@@ -132,35 +132,35 @@ def _jtp(z: SM, base: int, order: int) -> Sides:
     return theta(z, base, order), triple_product(z, base, order)
 
 
-def _p_by_definition(s: int, a: int, ell: int, order: int) -> LaurentSeries:
-    """P(s*q^(a+ell), q^ell) = (s q^-a; q^ell)(s q^(a+ell); q^ell), 0 < a < ell,
-    as the Laurent binomial 1 - s q^-a times the Pochhammer factors with
-    exponents >= 0; nothing of P's exponent reduction is used."""
-    binomial = LaurentSeries.one(order) - LaurentSeries.monomial(s, -a, order)
-    rest = poch(s, ell - a, ell) * poch(s, a + ell, ell)
-    return mul(binomial, rest.expand(order + a))  # + a: the binomial's q^-a takes off a
+def _p_triple_product(s: int, e: int, ell: int, order: int) -> LaurentSeries:
+    """P(s*q^e, q^ell) (q^ell; q^ell) by Jacobi's triple product, the sum of
+    (-s)^n q^(ell n(n-1)/2 + en) over all n, with nothing of ``products``.
+
+    It is built in x = q^(1/2), where every exponent ell n(n-1) + 2en is
+    even, and its even part is taken; a Laurent sum is shifted up first."""
+    x = lambert_sum(ell, 2 * e - ell, -s, [], 2 * order)
+    up = max(0, -x.min_exp)
+    return extract_progression(x.shift(up), 2, 0).shift(-up // 2)
 
 
 def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
-    """The P relations at z = +-q^a (p1, p2) or z = q^a (p3, p4), 0 < a < ell.
-
-    p2 and p4 compare P's own reduction and the stated relation against P
-    built from its definition; p1 and p3 are the symmetry of that definition
-    and compare two P values.
-    """
+    """The P relations at z = +-q^a (p1, p2) or z = q^a (p3, p4), 0 < a < ell:
+    each ``Product`` form of one P value that the relation lists, times
+    (q^ell; q^ell), against the triple-product sum of that value.  Forms
+    that P's exponent reduction makes equal as ``Product`` values are one
+    series, compared once."""
+    euler = poch(1, ell, ell)
     parts = []
     for a in range(1, ell):
         for s in ((1, -1) if rel in ("p1", "p2") else (1,)):
-            if rel in ("p1", "p3"):
-                sides = [(P(s, ell - a, ell).expand(order), P(s, a, ell))]
-            elif rel == "p2":  # P(zq) at z = s q^a
-                left = _p_by_definition(s, a, ell, order)
-                sides = [(left, P(s, a + ell, ell)), (left, Product(-s, -a) * P(s, a, ell))]
-            else:  # p4: P(q^-a), whose definition is that of P(q^(a+ell))
-                left = _p_by_definition(1, a, ell, order)
-                sides = [(left, P(1, -a, ell)), (left, P(1, ell + a, ell)),
-                         (left, Product(-1, -a) * P(1, a, ell))]
-            parts += [compare(lhs, rhs.expand(order)) for lhs, rhs in sides]
+            if rel in ("p1", "p3"):  # P(q^ell / z) = P(z) at z = s q^a
+                e, forms = a, [P(s, ell - a, ell), P(s, a, ell)]
+            elif rel == "p2":  # P(zq) = -z^-1 P(z) at z = s q^a
+                e, forms = a + ell, [P(s, a + ell, ell), Product(-s, -a) * P(s, a, ell)]
+            else:  # p4: P(q^-a) = P(q^(ell+a)) = -y^-a P(a)
+                e, forms = -a, [P(1, -a, ell), P(1, ell + a, ell), Product(-1, -a) * P(1, a, ell)]
+            rhs = _p_triple_product(s, e, ell, order)
+            parts += [compare((form * euler).expand(order), rhs) for form in set(forms)]
     return merge(parts)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -288,9 +289,9 @@ def _unpack(v: int, size: int, half: int, count: int) -> List[int]:
 
 
 def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Cauchy product by the quadratic loop over nonzero pairs: ``mul``'s path
-    when one operand has very few nonzeros, and the reference its packed path
-    is tested against."""
+    """Cauchy product by one slice pass over the other operand per nonzero of
+    the sparser one: ``mul``'s path when one operand has very few nonzeros,
+    and the reference its packed path is tested against."""
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
     if not a.coeffs or not b.coeffs:
@@ -303,25 +304,10 @@ def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     n = order - lo
     out = [0] * n
     bc = b.coeffs
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        jmax = min(len(bc), n - i)
-        if ca == 1:
-            for j in range(jmax):
-                cb = bc[j]
-                if cb:
-                    out[i + j] += cb
-        elif ca == -1:
-            for j in range(jmax):
-                cb = bc[j]
-                if cb:
-                    out[i + j] -= cb
-        else:
-            for j in range(jmax):
-                cb = bc[j]
-                if cb:
-                    out[i + j] += ca * cb
+    for i, ca in enumerate(a.coeffs[:n]):
+        if ca:
+            m = min(len(bc), n - i)
+            out[i:i + m] = map(operator.add, out[i:i + m], map(operator.mul, repeat(ca), bc[:m]))
     return LaurentSeries(lo, out, order)
 
 
@@ -362,8 +348,7 @@ def substitute_power(a: LaurentSeries, k: int) -> LaurentSeries:
     if k == 1 or not a.coeffs:
         return LaurentSeries(a.min_exp * k, a.coeffs, a.order * k)
     out = [0] * ((len(a.coeffs) - 1) * k + 1)
-    for i, c in enumerate(a.coeffs):
-        out[i * k] = c
+    out[::k] = a.coeffs
     return LaurentSeries(a.min_exp * k, out, a.order * k)
 
 
@@ -380,13 +365,9 @@ def extract_progression(a: LaurentSeries, m: int, d: int) -> LaurentSeries:
         )
     if not 0 <= d < m:
         raise ValueError(f"residue {d} not in [0, {m})")
-    g_order = -((d - a.order) // m)  # ceil((order - d) / m)
-    out = []
-    for n in range(max(0, g_order)):
-        e = m * n + d
-        i = e - a.min_exp
-        out.append(a.coeffs[i] if 0 <= i < len(a.coeffs) else 0)
-    return LaurentSeries(0, out, max(0, g_order))
+    g_order = max(0, -((d - a.order) // m))  # ceil((order - d) / m)
+    lo = max(0, -((d - a.min_exp) // m))  # the first n with mn + d >= min_exp
+    return LaurentSeries(lo, a.coeffs[m * lo + d - a.min_exp::m], g_order)
 
 
 def extract_progression_product(a: LaurentSeries, b: LaurentSeries, m: int,

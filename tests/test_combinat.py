@@ -1,5 +1,7 @@
 """Counting oracle, its enumeration reference, and the rank generating functions."""
 
+import ast
+import inspect
 import sys
 import threading
 from collections import Counter
@@ -19,7 +21,25 @@ from overrank.combinat import (
     rank_table,
 )
 from overrank.errors import CapExceeded
+from overrank.products import binomial_pass
 from overrank.series import LaurentSeries, first_mismatch, series_equal
+
+
+def _nbar_series_by_binomial_passes(m, order):
+    """2 (-q;q)/(q;q) sum_{n>=1} (-1)^(n-1) q^(n^2+|m|n) (1-q^n)/(1+q^n), each
+    term one binomial_pass by 1 - q^n and one dividing by 1 + q^n."""
+    m = abs(m)
+    inner = [0] * order
+    n = 1
+    while n * n + m * n < order:
+        lead = n * n + m * n
+        piece = [0] * (order - lead)
+        piece[0] = 1 if n % 2 else -1
+        binomial_pass(piece, 1, n, 1)
+        binomial_pass(piece, -1, n, -1)
+        inner[lead:] = [x + y for x, y in zip(inner[lead:], piece)]
+        n += 1
+    return (2 * pbar_series(order) * LaurentSeries(0, inner, order)).truncate(order)
 
 
 def op(parts, over=()):
@@ -155,6 +175,11 @@ class TestSeries:
             for n in range(1, 31):
                 assert s.coeff(n) == nbar(m, n), (m, n)
 
+    @pytest.mark.parametrize("m", range(-6, 7))
+    def test_nbar_series_is_its_binomial_pass_construction(self, m):
+        for order in (1, 2, 3, 10, 57, 200):
+            assert nbar_series(m, order) == _nbar_series_by_binomial_passes(m, order), order
+
     def test_class_series_low_coeffs(self):
         s = nbar_class_series(0, 3, 6)
         assert [s.coeff(n) for n in (1, 2, 3)] == [2, 0, 4]
@@ -191,3 +216,39 @@ class TestSeries:
             for s in range(m):
                 total = total + nbar_class_series(s, m, 31)
             assert first_mismatch(total, pbar_series(31)) is None
+
+
+def _names_reached(tree, roots):
+    """Every name used by the top-level definitions in roots and, in turn, by
+    the top-level definitions of the module that those use."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name in defs:
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return seen
+
+
+def test_counting_routes_use_nothing_of_products_or_lambert():
+    # the counting oracle validates the analytic routes, so it must not be
+    # built from them
+    tree = ast.parse(inspect.getsource(combinat))
+    analytic = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in ("products", "lambert") for alias in node.names}
+    assert analytic  # the series builders of the module do use them
+    reached = _names_reached(tree, ("_count_by_residue", "_rows", "rank_table", "nbar",
+                                    "nbar_class"))
+    assert "_count_by_residue" in reached and "_unpack" in reached
+    assert not reached & analytic

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from overrank.errors import PoleHit
 from overrank.lambert import (
-    GFuncSpec,
     _period,
     _period_numerator,
     _share_a_root,
@@ -19,7 +18,6 @@ from overrank.lambert import (
     check_short,
     check_sigma_shift,
     check_step,
-    g_func,
     g_index,
     g_series,
     lambert_sum,
@@ -29,6 +27,7 @@ from overrank.lambert import (
     verify_lemma41,
 )
 from overrank.products import SignedMonomial as SM, poch
+from overrank.rankdiff import FormulaTerm, eval_terms
 from overrank.report import compare
 from overrank.series import (
     LaurentSeries,
@@ -174,14 +173,14 @@ class TestG:
         assert g_series.cache_info().hits == hits + 1
         assert first == g_series.__wrapped__(-1, 3, 7, 90)  # a fresh build
 
-    def test_g_func_is_lift_of_index_form(self):
+    def test_g_term_is_lift_of_index_form(self):
         g_y = g_index(1, 5, 20)
-        g_q = g_func(GFuncSpec(1, 5), 100)
+        g_q = eval_terms((FormulaTerm(g=(1, 5)),), 100)
         assert series_equal(substitute_power(g_y, 5).truncate(100), g_q)
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            GFuncSpec(5, 5)
+    def test_g_term_at_a_multiple_of_ell_is_a_pole(self):
+        with pytest.raises(PoleHit):
+            eval_terms((FormulaTerm(g=(5, 5)),), 100)
 
 
 class TestLemma41:

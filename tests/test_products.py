@@ -467,7 +467,8 @@ def test_growth_quotient_falls_back_to_its_majorant(memo):
     ref = _pass_reference(GROWTH_QUOTIENT.factors, n)
     assert max(abs(c) for c in ref).bit_length() > 7
     # forced to one byte, the decode is wrong and the check says so
-    narrow = products._unpack(products._times_thetas(quotient, 8, n), 1, 1 << 7, n)
+    sums = [(products._theta_shifts(theta, 8, n), k) for theta, k in quotient]
+    narrow = products._unpack(products._times_thetas(sums, 8, n), 1, 1 << 7, n)
     assert narrow != ref and not products._multiplies_back(narrow, quotient, n)
     assert GROWTH_QUOTIENT.expand(n) == LaurentSeries(0, ref, n).scale(GROWTH_QUOTIENT.scalar)
     assert expand_cache_info()[-2:] == (0, 1)
@@ -628,6 +629,56 @@ class TestTheta:
         assert registry.verify("jtp@sampled", 200).ok
         with pytest.raises(AssertionError, match="theta route"):
             (poch(1, 1, 1) / poch(-1, 1, 1)).expand(50)  # the patch is live
+
+
+_REAL_P = products.P
+
+
+def _p_without_sign(s, e, b):
+    """P(z) built as if z had sign +1."""
+    return _REAL_P(1, e, b)
+
+
+def _p_step_doubled(s, e, b):
+    """(z; q^2b)(q^b/z; q^2b), for 0 < e < b: as symmetric in z and q^b/z as P."""
+    return poch(s, e, 2 * b) * poch(s, b - e, 2 * b)
+
+
+def _p_prefactor_flipped(s, e, b):
+    """The sign that the exponent reduction collects, negated."""
+    return _REAL_P(s, e, b) if 0 <= e < b else -_REAL_P(s, e, b)
+
+
+class TestPRelations:
+    @pytest.mark.parametrize("rel, mutant", [("p1", _p_without_sign),
+                                             ("p2", _p_prefactor_flipped),
+                                             ("p3", _p_step_doubled),
+                                             ("p4", _p_prefactor_flipped)])
+    def test_each_relation_fails_under_a_mutant_p(self, monkeypatch, rel, mutant):
+        for ell in (3, 5, 7):
+            assert registry.verify(f"{rel}@ell={ell}", 60).ok
+        monkeypatch.setattr(registry, "P", mutant)
+        for ell in (3, 5, 7):
+            assert not registry.verify(f"{rel}@ell={ell}", 60).ok, ell
+
+    def test_the_sum_side_expands_no_product(self, memo, monkeypatch):
+        # the forms of P are expanded through _theta_terms, the triple product;
+        # the side they are compared with must not be
+        n = 150
+        cases = [(1, 2, 5), (-1, 1, 3), (-1, 9, 7), (1, 8, 5), (1, -3, 7)]
+        want = [_pass_reference((P(s, e, ell) * poch(1, ell, ell)).factors, n + abs(e))
+                for s, e, ell in cases]
+
+        def no_theta(*args):
+            raise AssertionError("the sum side reached the theta route")
+
+        monkeypatch.setattr(products, "_theta_terms", no_theta)
+        for (s, e, ell), ref in zip(cases, want):
+            prod = P(s, e, ell) * poch(1, ell, ell)
+            expected = LaurentSeries(prod.qexp, ref, n + abs(e)).scale(prod.scalar).truncate(n)
+            assert registry._p_triple_product(s, e, ell, n) == expected, (s, e, ell)
+        with pytest.raises(AssertionError, match="theta route"):
+            (P(1, 2, 5) * poch(1, 5, 5)).expand(n)  # the patch is live
 
 
 class TestVerifiers:

@@ -239,6 +239,15 @@ class TestRingAxioms:
         m, d = md
         assert extract_progression_product(a, b, m, d) == extract_progression(mul(a, b), m, d)
 
+    @given(power_series_st(),
+           st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
+    @example(S(7, [1, 2, 3], 12), (4, 1))  # the window starts past the first mn + d
+    def test_progression_is_every_mth_coefficient(self, a, md):
+        m, d = md
+        g = extract_progression(a, m, d)
+        assert g.order == max(0, -((d - a.order) // m))
+        assert all(g.coeff(n) == a.coeff(m * n + d) for n in range(g.order))
+
     @given(series_st(), series_st(), st.integers(1, 4))
     def test_substitution_homomorphism(self, a, b, k):
         assert series_equal(
@@ -280,6 +289,36 @@ def test_packed_mul_matches_schoolbook(a, b):
     got = mul(a, b)
     assert got == _mul_schoolbook(a, b)
     assert not any(type(c) is Fraction and c.denominator == 1 for c in got.coeffs)
+
+
+def _naive_product(a, b):
+    """The Cauchy product of a and b as a double sum over their terms."""
+    order = min(a.order + b.min_exp, b.order + a.min_exp)
+    out = {}
+    for i, x in a.terms():
+        for j, y in b.terms():
+            if i + j < order:
+                out[i + j] = out.get(i + j, 0) + x * y
+    return LaurentSeries.from_terms(out, order)
+
+
+@st.composite
+def short_series_st(draw):
+    """A few stored coefficients, ints or Fractions, often past the order
+    that a product with the other operand keeps."""
+    entry = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    cs = draw(st.lists(entry, min_size=0, max_size=12))
+    min_exp = draw(st.integers(-6, 6))
+    return LaurentSeries(min_exp, cs, min_exp + len(cs) + draw(st.integers(0, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_series_st(), short_series_st())
+@example(S(0, [1, -1, 2, Fraction(1, 3)], 4), S(0, [Fraction(3, 2)] * 20, 20))
+@example(S(0, [1] + [0] * 11 + [1], 13), S(0, list(range(1, 11)), 10))  # a nonzero past n
+def test_schoolbook_is_the_double_sum(a, b):
+    assert _mul_schoolbook(a, b) == _naive_product(a, b)
 
 
 # ----------------------------------------------------------------------
