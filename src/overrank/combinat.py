@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from .errors import CapExceeded
 from .lambert import lambert_sum
 from .products import poch
-from .series import LaurentSeries, _unpack, mul
+from .series import LaurentSeries, _unpack
 
 ENUM_CAP = 40
 
@@ -231,7 +231,7 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
         c = 1 if n % 2 else -1
         inner[lead::n] = map(add, inner[lead::n], chain((c,), cycle((-2 * c, 2 * c))))
         n += 1
-    return mul(RANK_CLASS_PRODUCT.expand(order), LaurentSeries(0, inner, order))
+    return RANK_CLASS_PRODUCT.times(LaurentSeries(0, inner, order), order)
 
 
 # the product of every rank-class series
@@ -261,4 +261,4 @@ def nbar_class_series(s: int, m: int, order: int) -> LaurentSeries:
       / ((1 + q^n)(1 - q^(mn))).
 
     Constant term 0 (analytic convention)."""
-    return mul(RANK_CLASS_PRODUCT.expand(order), rank_class_sum(s, m, order))
+    return RANK_CLASS_PRODUCT.times(rank_class_sum(s, m, order), order)

@@ -40,7 +40,9 @@ from typing import Optional, Tuple
 
 from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
-from .series import LaurentSeries, Sides, _divide, mul
+# mul is not called here; perfbench's layer-trace self-test checks that this
+# alias of series.mul is rebound
+from .series import LaurentSeries, Sides, _divide, mul  # noqa: F401
 
 
 def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
@@ -222,7 +224,7 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     s, e = z_sign, z_exp
     n = order + 2 * abs(e)  # for e < 0, f2's shift(2 * e) loses 2|e|
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
-    f1 = mul(sig1, p_ratio(s, e, base).expand(n))
+    f1 = p_ratio(s, e, base).times(sig1, n)
     f2 = sigma_ab(2 * e, 2 * e, base, n).shift(2 * e)
     f3 = sigma_primed(-2 * e, base, n)
     return (f1 - f2 - f3).truncate(order)
@@ -327,7 +329,7 @@ def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int, order: in
     lhs += lambert_sum(base, base + 2 * ec, -1, [(sz * sc, ez + ec, base)], order).shift(2 * ec)
 
     sig = lambert_sum(base, base, -1, [(sz, ez, base)], order)
-    first = mul(sig, p_ratio(sc, ec, base).expand(order))
+    first = p_ratio(sc, ec, base).times(sig, order)
     prod = P(sc, ec, base) * P(1, 2 * ec, base) * P(-sz, ez, base) * poch(1, base, base, 2) / (
         P(sz, ez, base) * P(sz * sc, ez + ec, base) * P(sz * sc, ez - ec, base) * P(-sc, ec, base)
     )

@@ -12,10 +12,12 @@ whose exponent falls outside [0, base) are reduced with these relations,
 accumulating an exact monomial prefactor.
 
 Every quotient of Pochhammer symbols in the package is one ``Product``
-value, and ``Product.expand`` is the only place that turns one into a series.
-It memoises the expansion of each factor multiset, so a product met again at
-the same or a shorter length costs one slice; a product in q^g is expanded in
-q and spread.  A miss is written by ``_decompose`` as theta functions
+value, turned into a series by ``Product.expand`` or, times a series, by
+``Product.times``, which never expands it.  ``expand`` memoises the expansion
+of each factor multiset, so a product met again at the same or a shorter
+length costs one slice; a product in q^g is expanded in q and spread.  Both
+run one kernel, ``_expand_packed``, on the series they multiply by: 1 for
+``expand``.  A miss is written by ``_decompose`` as theta functions
 theta_s(r, p) = (s q^r, s q^(p-r), q^p; q^p)_inf to integer powers, whose
 sums by Jacobi's triple product have O(sqrt(n/p)) terms below q^n: a class
 pair borrows the pentagonal (q^p; q^p) = theta_+(p, 3p) its theta lacks.  The
@@ -24,14 +26,16 @@ of those factors cancel.  Everything is carried in one integer at q = 2^w
 (Kronecker substitution): a numerator theta costs one shift-add per term, a
 binomial one shift-add or a few for a denominator, and the denominator
 thetas are divided out by one 2-adic Newton inverse whose products with them
-are shift-adds too.  w is a proven bound on the coefficients: on the theta
-sums and binomials where neither has a denominator, else on the factors'
-Euler exponents, in which the borrowed pentagonals cancel.  A long miss that
-is a quotient of thetas alone is first expanded at one byte per slot, as
-such quotients mostly have small coefficients, and kept only once
-multiplying it back by the denominator proves it.  The in-place list pass
-``binomial_pass`` serves the Lambert sums and ``triple_product``, which do
-not go through the memo, and is the reference ``expand`` is tested against.
+are shift-adds too, then multiplied into the series by one product.  w is a
+proven bound on the coefficients: on the theta sums and binomials where
+neither has a denominator, else on the factors' Euler exponents, in which
+the borrowed pentagonals cancel, widened by the series' largest coefficient.
+A long quotient of thetas alone is first run at the width that a probe of
+its first quarter predicts, as such results are mostly far narrower than
+that bound, and kept only once multiplying it back by the denominator
+proves it.  The in-place list pass ``binomial_pass`` serves the Lambert
+sums and ``triple_product``, which do not go through the kernel, and is the
+reference ``expand`` and ``times`` are tested against.
 """
 
 from __future__ import annotations
@@ -40,13 +44,15 @@ import threading
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count, repeat
 from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, prod, sqrt
 from operator import add, gt, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import Coefficient, LaurentSeries, Sides, _divide, _norm, _pack, _unpack
+from .series import (Coefficient, LaurentSeries, Sides, _clear_denominators, _divide, _norm,
+                     _pack, _unpack)
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,8 @@ class Product:
     Build one with ``poch`` and ``P`` and combine with ``*``, ``/`` and integer
     ``**``; these only add multiplicities, so equal factors cancel before any
     series is built.  ``factors`` is sorted and holds no zero multiplicity;
-    the zero product has scalar 0 and no factors.  ``expand`` is the only way
-    to a series.
+    the zero product has scalar 0 and no factors.  ``expand`` gives the
+    series and ``times`` the series times another.
     """
 
     scalar: Coefficient = 1
@@ -125,6 +131,23 @@ class Product:
             out = [num * c for c in out]
         return LaurentSeries(self.qexp, _divide(out, den), order)
 
+    def times(self, s: LaurentSeries, order: int) -> LaurentSeries:
+        """mul(self.expand(order), s), without expanding the product: the
+        kernel takes s, its denominators cleared, as its multiplicand and
+        runs at the width of the result.  Not memoised."""
+        nonzero = order > self.qexp and self.scalar
+        # the order of mul's result; the expansion starts at q^qexp unless zero
+        out_order = min(order + s.min_exp, s.order + (self.qexp if nonzero else order))
+        if not nonzero or not s.coeffs:
+            return LaurentSeries.zero(out_order)
+        lo = self.qexp + s.min_exp
+        cs, d = _clear_denominators(s.coeffs[:out_order - lo])
+        out = _expand_packed(self.factors, out_order - lo, cs) if self.factors else cs
+        num, den = self.scalar.numerator, self.scalar.denominator
+        if num != 1:
+            out = [num * c for c in out]
+        return LaurentSeries(lo, _divide(out, den * d), out_order)
+
 
 # Product.factors -> the longest expansion of those factors made so far.  At
 # most _EXPAND_LIMIT coefficients are kept in all; the oldest insertions go
@@ -140,8 +163,9 @@ ExpandCacheInfo = namedtuple("ExpandCacheInfo", "hits misses maxsize currsize ve
 def expand_cache_info() -> ExpandCacheInfo:
     """Hits, misses, the bound and the stored coefficients of the ``expand``
     memo, in the shape of ``functools.lru_cache``'s ``cache_info()``, then
-    the misses expanded at one byte and proven by multiplying back
-    (``_verified_quotient``) and those that fell back to a majorant width."""
+    the kernel runs, of misses and of ``times`` alike, kept at a narrow width
+    and proven by multiplying back (``_verified_quotient``) and those that
+    fell back from a narrow try to the majorant width."""
     with _expand_lock:
         c = _expand_counts
         return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"],
@@ -184,32 +208,54 @@ def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Sequence[int]:
     return out
 
 
-def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
-    """The first n coefficients of prod (1 - s*q^e)^mult over the factors,
-    carried in one integer v = F(2^w) mod 2^(w n) (Kronecker substitution).
+def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,)) -> List[int]:
+    """The first n coefficients of s times prod (1 - sign*q^e)^mult over the
+    factors, for s the integer coefficients of a power series (1 for the
+    product itself), carried in one integer at q = 2^w (Kronecker
+    substitution): s packed is the multiplicand v of ``_times_thetas``.
 
     ``_decompose`` writes the factors as theta functions, each a sparse sum
     by the triple product, and a rest, which ``_euler_exponents`` writes as
-    binomials that cancel across its factors.  From ``_VERIFIED_MIN_LENGTH``
-    on, a quotient of thetas alone with a denominator is first tried by
-    ``_verified_quotient``, and returned if it passes.  Otherwise the thetas,
-    then the binomials, each a sparse sum too, are taken by ``_times_thetas``
-    at the slot width of ``_slot_bits``.  q -> 2^w maps Z[q]/(q^n) onto
-    Z/2^(w n) as rings, so every step is exact on v whatever the size of the
-    coefficients met on the way; only the final ones must fit a slot.  One
-    power of 1 - s*q^e is the shift-add v - s*(v << w e), keeping the slots
-    below q^n; dividing by 1 - q^e multiplies by (1 + q^e)(1 + q^2e)
-    (1 + q^4e)... while the exponent stays below n.
+    binomials that cancel across its factors.  The thetas, then the
+    binomials, each a sparse sum too, are taken by ``_times_thetas`` at the
+    majorant slot width: ``_slot_bits`` bounds the product's coefficients,
+    and s widens that by its largest.  From ``_VERIFIED_MIN_LENGTH`` on, a
+    quotient of thetas alone with a denominator is first tried at a narrow
+    width by ``_verified_quotient``, and returned if it passes.  q -> 2^w
+    maps Z[q]/(q^n) onto Z/2^(w n) as rings, so every step is exact on v
+    whatever the size of the coefficients met on the way; only the final
+    ones must fit a slot.  One power of 1 - sign*q^e is the shift-add
+    v - sign*(v << w e), keeping the slots below q^n; dividing by 1 - q^e
+    multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays
+    below n.
     """
     thetas, rest = _decompose(factors)
+    binomials = _euler_exponents(rest, n) if rest else []
+    size = _majorant_size(factors, thetas, binomials, n, s)
     if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
-        out = _verified_quotient(thetas, n)
+        out = _verified_quotient(factors, thetas, n, s, size)
         with _expand_lock:
             _expand_counts["fallbacks" if out is None else "verified"] += 1
         if out is not None:
             return out
-    binomials = _euler_exponents(rest, n) if rest else []
-    size = (_slot_bits(factors, thetas, binomials, n) + 7) // 8
+    return _expand_at(thetas, binomials, n, size, s)
+
+
+def _majorant_size(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
+                   binomials: Sequence[Tuple[int, int, int]], n: int, s: Sequence[int]) -> int:
+    """A slot size in bytes that holds each of the first n coefficients of s
+    times the product: each is at most max|s| times the sum of the sizes of
+    the product's first n, which the bound of ``_slot_bits`` covers too."""
+    extra = (max(map(abs, s[:n]), default=1) - 1).bit_length()
+    return (_slot_bits(factors, thetas, binomials, n) + extra + 7) // 8
+
+
+def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],
+               n: int, size: int, s: Sequence[int]) -> List[int]:
+    """The first n coefficients of s times the thetas and the binomials, each
+    to its power, decoded from slots of size bytes: exact wherever every one
+    of them fits in a slot, and the decode of the kernel's result mod
+    2^(8 size n) otherwise."""
     w = 8 * size
     sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
     for e, sign, mult in binomials:
@@ -217,59 +263,91 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int) -> List[int]:
             sums.append(([(w * e, sign == 1)], mult))
         else:  # only 1 - q^e is ever a denominator
             sums += [([(w * e << j, False)], -mult) for j in range(((n - 1) // e).bit_length())]
-    return _unpack(_times_thetas(sums, w, n), size, 1 << (w - 1), n)
+    half = 1 << (w - 1)
+    return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size, half)), size, half, n)
 
 
-# The one-byte try of _verified_quotient pays on quotients whose majorant
-# slot is wide and whose coefficients are small; on the growth quotients it
-# is wasted and adds to the majorant run.  Both routes were timed on every
-# recorded miss of ``run_suite`` at order scales 0.25, 1 and 8 and of seven
-# entries at 4-10x their default orders (2 cores, Python 3.11), the majorant
-# run at the width of the factors' Euler exponents.  Cutoffs of 448 and 512
-# gave each workload its least total; 320 and 384 cost the long entries
-# 0.3-0.6%, 256 cost ``run_suite`` at scale 1 4%, and 640 to 1024 cost it
-# 0.4-1.4% at scale 8 and the long entries up to 7.5%.
+# Besides its run, a narrow try costs a probe at n/4 and a check, so it pays
+# only on long quotients.  Every such kernel call of ``run_suite`` at order
+# scales 0.25, 1 and 8 and of the ``deep`` entries was timed on both routes
+# (2 cores, Python 3.11).  Below 512 the narrow try lost, by 1.2-2.1x in
+# all per octave of n; from 512 on it cut scale 8's 131 such calls from 1.79
+# to 1.00 s and deep's 15 from 95 to 40 ms, and cutoffs of 384 to 640 came
+# within 0.1% of each other at scale 8.
 _VERIFIED_MIN_LENGTH = 512
 
 
-def _verified_quotient(quotient: List[Tuple[Theta, int]], n: int) -> Optional[List[int]]:
-    """The first n coefficients of the product of the thetas of the quotient,
-    each to its power, or None when they do not fit in one byte.
+def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, int]], n: int,
+                       s: Sequence[int], majorant: int) -> Optional[List[int]]:
+    """The first n coefficients of s times the product of the thetas of the
+    quotient, each to its power, or None when they are not found at a width
+    well below the majorant slot of ``majorant`` bytes.
 
-    The kernel is exact mod 2^(8 n) at one byte per slot, so its decode f is
-    the product as soon as every coefficient lies in [-2^7, 2^7).  f is
-    dropped at the first |f_i| >= 2^6, first at n/4, which turns most growth
-    quotients away cheaply, then at n, and kept only if ``_multiplies_back``
-    proves it.
+    A probe takes the first n/4 coefficients exactly, at their own majorant
+    width, and ``_predicted_size`` reads a width for all n off them.  The
+    check that proves a run is at least as wide as the run, so none is made
+    where twice that width exceeds the majorant (of the factors 1, 1.5, 2
+    and 3 tried on the calls timed below, 1.5 and 2 gave the least totals,
+    within 2% of each other; 1 cost scale 8 5% more and 3 cost deep 22%
+    more).  The run is kept only if ``_multiplies_back`` proves it.
     """
-    sums = [(_theta_shifts(theta, 8, n), k) for theta, k in quotient]
-    for m in (n // 4, n):
-        f = _unpack(_times_thetas(sums, 8, m), 1, 1 << 7, m)
-        if max(map(abs, f), default=0) >= 1 << 6:
-            return None
-    return f if _multiplies_back(f, quotient, n) else None
+    m = n // 4
+    probe = _expand_at(quotient, [], m, _majorant_size(factors, quotient, [], m, s), s)
+    size = _predicted_size(probe)
+    if 2 * size > majorant:
+        return None
+    f = _expand_at(quotient, [], n, size, s)
+    return f if _multiplies_back(f, quotient, n, s) else None
 
 
-def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int) -> bool:
-    """Whether f D = N mod q^n, for N and D the products of the numerator and
-    the denominator thetas of the quotient; as D has constant term 1, then f
-    is N / D mod q^n.
+def _predicted_size(probe: List[int]) -> int:
+    """The slot size in bytes predicted for 4 len(probe) coefficients whose
+    first len(probe) are the probe.
 
-    Each coefficient of f D - N below q^n has size at most
-    max|f| |D|_1 + |N|_1, where |.|_1 is the sum of the sizes of the
-    coefficients below q^n, at most the product of those of the theta sums,
-    each to its power.  At q = 2^w with that bound below 2^(w-1), the packed
-    f D - N is 0 mod 2^(w n) only if every one of those coefficients is 0.
+    With b(i) the bits of the largest of the first i, the growth from b(m/4)
+    to b(m) is carried on to 4m, twice over, as log |f_i| = c sqrt(i)
+    gains twice as much from m to 4m as from m/4 to m, and a polynomial
+    growth as much.  Four bits more hold the sign and the lower-order terms.
     """
-    norms = {theta: 1 + sum(abs(c) for _, c in _theta_terms(*theta, n)) for theta, _ in quotient}
-    num = prod(norms[theta] ** k for theta, k in quotient if k > 0)
-    den = prod(norms[theta] ** -k for theta, k in quotient if k < 0)
-    size = ((max(map(abs, f)) * den + num).bit_length() + 8) // 8
+    b16 = max(map(abs, probe[:len(probe) // 4]), default=0).bit_length()
+    b4 = max(map(abs, probe), default=0).bit_length()
+    return (3 * b4 - 2 * b16 + 4 + 7) // 8
+
+
+def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
+                     s: Sequence[int] = (1,)) -> bool:
+    """Whether f D = s N mod q^n, for N and D the products of the numerator
+    and the denominator thetas of the quotient; as D has constant term 1,
+    then f is s N / D mod q^n.
+
+    Each coefficient of f D - s N below q^n has size at most
+    max|f| |D|_1 + max|s| |N|_1, where |.|_1 is the sum of the sizes of the
+    coefficients below q^n, which ``_l1_bound`` bounds.  At q = 2^w with that
+    bound below 2^(w-1), the packed f D - s N is 0 mod 2^(w n) only if every
+    one of those coefficients is 0.
+    """
+    nums = [(theta, k) for theta, k in quotient if k > 0]
+    dens = [(theta, -k) for theta, k in quotient if k < 0]
+    bound = max(map(abs, f)) * _l1_bound(dens, n) + max(map(abs, s[:n])) * _l1_bound(nums, n)
+    size = (bound.bit_length() + 8) // 8
     w = 8 * size
-    dens = [(_theta_shifts(theta, w, n), -k) for theta, k in quotient if k < 0]
-    nums = [(_theta_shifts(theta, w, n), k) for theta, k in quotient if k > 0]
-    lhs = _times_thetas(dens, w, n, _pack(f, size, 1 << (w - 1)))
-    return not (lhs - _times_thetas(nums, w, n)) & ((1 << (w * n)) - 1)
+    half = 1 << (w - 1)
+    lhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in dens], w, n,
+                        _pack(f, size, half))
+    rhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in nums], w, n,
+                        _pack(s[:n], size, half))
+    return not (lhs - rhs) & ((1 << (w * n)) - 1)
+
+
+def _l1_bound(thetas: Sequence[Tuple[Theta, int]], n: int) -> int:
+    """A bound on the sum of the sizes of the first n coefficients of the
+    product of the thetas, each to its power k > 0: the product of the l1
+    norms of their sums below q^n, each to its power, or the Cauchy bound
+    M(x) / x^(n-1) of ``_slot_bits``, whichever is less.  The latter holds
+    as each size is at most the majorant's coefficient [q^i] M, and
+    x^(i-(n-1)) >= 1 for i < n."""
+    norms = prod((1 + sum(abs(c) for _, c in _theta_terms(*theta, n))) ** k for theta, k in thetas)
+    return min(norms, 1 << (_slot_bits((), thetas, [], n) - 1))
 
 
 Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 < r <= p / 2
@@ -424,7 +502,8 @@ def _slot_bits(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
                binomials: Sequence[Tuple[int, int, int]], n: int) -> int:
     """A slot width, in bits and sign included, that holds each of the first n
     coefficients f_i of the product of the factors, which ``_decompose`` and
-    ``_euler_exponents`` write as the thetas times the binomials.
+    ``_euler_exponents`` write as the thetas times the binomials, and holds
+    the sum of their sizes too.
 
     That form is bounded where it has no denominator.  Otherwise the
     factors' own Euler exponents are, in which the (q^p; q^p) a class
@@ -439,15 +518,17 @@ def _slot_bits(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
     # binomials, (1 - q^e)^-|mult| over the denominator ones and
     # (sum |c| q^e)^k over the terms below q^n of each theta, has
     # nonnegative coefficients and |f_i| <= [q^i] M.  So by Cauchy's
-    # inequality |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1.
+    # inequality |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1,
+    # and so is the sum over i < n of [q^i] M x^(i-(n-1)) >= |f_i|.
     # At x = exp(-t), binomials at a density d among the e < n add about
     # c d |mult| / t to log M(x), with c = pi^2/12 for a numerator and
     # pi^2/6 for a denominator; a theta sum adds only about k log(1/t) / 2.
     # So log M(x) is about a / ((n - 1) t) with a = sum c |mult| over the
     # binomials, and t = sqrt(a) / (n - 1) puts the bound near its minimum,
-    # or t = 1 / (n - 1) with thetas alone; any t > 0 gives a true bound.
+    # or t = (sum k) / (2 (n - 1)) with thetas alone; any t > 0 gives a true
+    # bound.
     a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in binomials)
-    t = (sqrt(a) if a else 1.0) / max(n - 1, 1)
+    t = (sqrt(a) if a else max(1.0, sum(k for _, k in sums) / 2)) / max(n - 1, 1)
     log_m = fsum([m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
                   for e, _, m in binomials]
                  + [k * log(fsum([1.0] + [abs(c) * exp(-t * e) for e, c in terms]))
@@ -524,6 +605,8 @@ def poch(sign: int, r: int, step: int, mult: int = 1) -> Product:
 # ----------------------------------------------------------------------
 
 
+# every argument is an int and a Product is immutable, so a repeat is a lookup
+@lru_cache(maxsize=1024)
 def P(sign: int, exp: int, base: int) -> Product:
     """P(sign*q^exp, q^base) = (z; q^base)_inf (q^base/z; q^base)_inf, z = sign*q^exp.
 

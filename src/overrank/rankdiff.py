@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Tuple
 
 from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
 from .lambert import g_index, p_ratio, s_bar, sigma_ab, sigma_primed
 from .products import P, Product, poch
-from .series import LaurentSeries, Sides, extract_progression_product, mul, substitute_power
+from .series import LaurentSeries, Sides, extract_progression, mul, substitute_power
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,15 @@ def eval_terms(terms: Tuple[FormulaTerm, ...], order: int) -> LaurentSeries:
     """Evaluate a sum of FormulaTerms to the requested order."""
     total = LaurentSeries.zero(order)
     for t in terms:
-        acc = t.prod.expand(order)
+        acc = None
         if t.lambert is not None:
             z_exp, base = t.lambert
-            acc = mul(acc, sigma_ab(z_exp, 0, base, order))
+            acc = t.prod.times(sigma_ab(z_exp, 0, base, order), order)
         if t.g is not None:
             a, ell = t.g
-            acc = mul(acc, _lift(partial(g_index, a, ell), ell, order))
-        total = total + acc
+            g = _lift(partial(g_index, a, ell), ell, order)
+            acc = t.prod.times(g, order) if acc is None else mul(acc, g)
+        total = total + (t.prod.expand(order) if acc is None else acc)
     return total
 
 
@@ -163,18 +164,20 @@ def rank_diff_formula(key: RankDiffKey, order: int) -> LaurentSeries:
 
 
 def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
-    """R_st(d) built from the rank-class generating functions alone:
-    extract the progression ell*n + d from the class-series difference, the
-    difference of the two Lambert sums times their common product.
+    """R_st(d) built from the rank-class generating functions alone: the
+    progression ell*n + d of the class-series difference, the difference of
+    the two Lambert sums times their common product."""
+    pair = _class_pair_difference(key.s, key.t, key.ell, key.ell * order + key.ell - 1)
+    return extract_progression(pair, key.ell, key.d).truncate(order)
 
-    The class sums and the product are built at ell*order + ell - 1, enough
-    for every residue, so the ell residues of one class pair share them
-    through the caches; the sum difference is cut to ell*order + d."""
-    ell = key.ell
-    full = ell * order + ell - 1
-    diff = (rank_class_sum(key.s, ell, full) - rank_class_sum(key.t, ell, full)).truncate(
-        ell * order + key.d)
-    return extract_progression_product(RANK_CLASS_PRODUCT.expand(full), diff, ell, key.d)
+
+# the ell residues of a class pair at one order share one entry
+@lru_cache(maxsize=32)
+def _class_pair_difference(s: int, t: int, ell: int, order: int) -> LaurentSeries:
+    """sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n below q^order: the class
+    product times the difference of the two Lambert sums, in one kernel run."""
+    return RANK_CLASS_PRODUCT.times(rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order),
+                                    order)
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +335,7 @@ def combination_rank_side(pair: str, order: int) -> LaurentSeries:
     class series and that ratio, which cancel to 1."""
     ell, s, t, _ = COMBINATION_TABLE[pair]
     diff = rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order)
-    return mul(diff, (RANK_CLASS_PRODUCT * _HALF_RATIO).expand(order))
+    return (RANK_CLASS_PRODUCT * _HALF_RATIO).times(diff, order)
 
 
 def combination_theorem_side(pair: str, order: int) -> LaurentSeries:
@@ -342,7 +345,7 @@ def combination_theorem_side(pair: str, order: int) -> LaurentSeries:
     total = LaurentSeries.zero(order)
     for d in range(ell):
         total = total + _lift(partial(rank_diff_formula, RankDiffKey(ell, s, t, d)), ell, order, d)
-    return mul(total, _HALF_RATIO.expand(order))
+    return _HALF_RATIO.times(total, order)
 
 
 # ----------------------------------------------------------------------

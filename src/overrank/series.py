@@ -14,10 +14,12 @@ compare exactly, so the union behaves as a single exact-rational scalar type.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BeyondTruncation, NegativeExponent, ZeroLeadingTerm
 
@@ -213,13 +215,14 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(lo, out, order)
 
 
-# The schoolbook loop makes one pass over one operand per nonzero coefficient
-# of the other; packing costs a few byte-slot operations per coefficient of
-# both operands and of the product.  Timing every ``mul`` call of a
-# ``run_suite`` at order scales 0.25 and 1.0 and of seven entries at 4-10x
-# their default orders on both paths put the crossover at 4 nonzeros on the
-# sparser side: with this cutoff each workload's total came within 0.2 ms of
-# always taking the faster path.
+# The schoolbook loop makes one slice pass over one operand per nonzero
+# coefficient of the other; packing costs a few word operations per
+# coefficient of both operands and of the product.  A product by a
+# ``Product`` is ``Product.times``, so ``run_suite`` makes three calls here,
+# each with 19 or more nonzeros a side.  On random operands of 100 to 3000
+# coefficients (2 cores, Python 3.11) the slice pass was the faster up to 4
+# to 6 nonzeros on the sparser side against 3-bit coefficients, and up to 8
+# to 16 against 60-bit ones.
 _SCHOOLBOOK_MAX_NONZEROS = 4
 
 
@@ -269,23 +272,83 @@ def _slot_run(count: int, size: int, half: int) -> int:
     return int.from_bytes(half.to_bytes(size, "little") * count, "little")
 
 
-def _pack(cs: Tuple[int, ...], size: int, half: int) -> int:
-    """sum_i cs[i] 2^(8 size i), each |cs[i]| < half, built from offset slots."""
-    packed = b"".join([(c + half).to_bytes(size, "little") for c in cs])
-    return int.from_bytes(packed, "little") - _slot_run(len(cs), size, half)
+# Slots are moved between an integer and Python ints through arrays of
+# machine words, so no Python-level step is taken per slot up to 8 bytes.  A
+# slot of 3, 5, 6 or 7 bytes is widened to the next word by strided byte
+# copies; one above 8 bytes is written slot by slot by ``to_bytes`` and read
+# as 8-byte planes, joined by ``map``.
+_SIGNED = {array(c).itemsize: c for c in "bhilq"}
+_UNSIGNED = {array(c).itemsize: c for c in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+_SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _word(size: int) -> int:
+    """The word a slot of size bytes is widened to: 1, 2, 4 or 8 bytes, or a
+    multiple of 8 bytes above 8."""
+    return 1 << (size - 1).bit_length() if size <= 8 else -(-size // 8) * 8
+
+
+def _words(x: Union[bytes, Sequence[int]], code: str) -> array:
+    """An array of the type code over x, ints or the bytes of little-endian
+    words, its byte order swapped on a big-endian host: read from such bytes
+    it holds their values, and built from ints its bytes are such words."""
+    out = array(code, x)
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out
+
+
+def _pack(cs: Sequence[int], size: int, half: int) -> int:
+    """sum_i cs[i] 2^(8 size i), each |cs[i]| < half = 2^(8 size - 1).
+
+    Each slot is written as its two's complement u_i = cs[i] mod 2^(8 size);
+    flipping the top bit of every slot turns u_i into cs[i] + half, and
+    subtracting half from every slot then gives the value.
+    """
+    word = _word(size)
+    if word > 8:
+        raw = b"".join([c.to_bytes(size, "little", signed=True) for c in cs])
+    else:
+        raw = _words(cs, _SIGNED[word]).tobytes()
+        if word != size:
+            low = bytearray(size * len(cs))
+            for b in range(size):
+                low[b::size] = raw[b::word]
+            raw = low
+    run = _slot_run(len(cs), size, half)
+    return (int.from_bytes(raw, "little") ^ run) - run
 
 
 def _unpack(v: int, size: int, half: int, count: int) -> List[int]:
-    """The count signed slots c_i of v = sum_i c_i 2^(8 size i) mod 2^(8 size
-    count), each -half <= c_i < half.
+    """The count slots c_i of v = sum_i c_i 2^(8 size i) mod 2^(8 size
+    count): signed, -half <= c_i < half, for half = 2^(8 size - 1), and
+    unsigned, 0 <= c_i < 2^(8 size), for half = 0.
 
     Adding half to every slot makes each one a nonnegative offset value, so no
-    borrow crosses a slot boundary, and one ``to_bytes`` splits them all.
+    borrow crosses a slot boundary; flipping each slot's top bit back leaves
+    c_i in two's complement, which the signed words read.
     """
-    raw = ((v + _slot_run(count, size, half)) & ((1 << (8 * size * count)) - 1)).to_bytes(
-        size * count, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, size * count, size)]
+    run = _slot_run(count, size, half) if half else 0
+    raw = (((v + run) & ((1 << (8 * size * count)) - 1)) ^ run).to_bytes(size * count, "little")
+    word = _word(size)
+    if word != size:
+        wide = bytearray(word * count)
+        for b in range(size):
+            wide[b::word] = raw[b::size]
+        if half:  # copy each slot's sign into its new high bytes
+            sign = raw[size - 1::size].translate(_SIGN_BYTE)
+            for b in range(size, word):
+                wide[b::word] = sign
+        raw = wide
+    if word <= 8:
+        return _words(raw, (_SIGNED if half else _UNSIGNED)[word]).tolist()
+    k = word // 8
+    low = _words(raw, "Q")
+    out = (_words(raw, "q") if half else low)[k - 1::k]
+    for j in range(k - 2, -1, -1):
+        out = map(operator.add, map(operator.lshift, out, repeat(64)), low[j::k])
+    return list(out)
 
 
 def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -368,33 +431,6 @@ def extract_progression(a: LaurentSeries, m: int, d: int) -> LaurentSeries:
     g_order = max(0, -((d - a.order) // m))  # ceil((order - d) / m)
     lo = max(0, -((d - a.min_exp) // m))  # the first n with mn + d >= min_exp
     return LaurentSeries(lo, a.coeffs[m * lo + d - a.min_exp::m], g_order)
-
-
-def extract_progression_product(a: LaurentSeries, b: LaurentSeries, m: int,
-                                d: int) -> LaurentSeries:
-    """extract_progression(mul(a, b), m, d), multiplying only what reaches it.
-
-    With a = sum_r q^r A_r(q^m) and b likewise, the coefficients of a b on
-    mn + d are those of the sum of A_r B_s over r + s = d, plus q A_r B_s over
-    r + s = d + m: m products of series m times shorter in place of one.
-    Requires a.min_exp >= 0, b.min_exp >= 0 and 0 <= d < m.
-    """
-    if min(a.min_exp, b.min_exp) < 0:
-        raise NegativeExponent(
-            f"progression extraction needs power series, found min_exp "
-            f"{min(a.min_exp, b.min_exp)}")
-    if not 0 <= d < m:
-        raise ValueError(f"residue {d} not in [0, {m})")
-    # the order of extract_progression(mul(a, b), m, d)
-    order = max(0, -((d - min(a.order + b.min_exp, b.order + a.min_exp)) // m))
-    total = LaurentSeries.zero(order)
-    bs = [extract_progression(b, m, s) for s in range(m)]
-    for r in range(m):
-        x, y = extract_progression(a, m, r), bs[(d - r) % m]
-        if x.coeffs and y.coeffs:
-            term = mul(x, y)
-            total = total + (term if r <= d else term.shift(1)).truncate(order)
-    return total
 
 
 def first_mismatch(

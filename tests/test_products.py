@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from overrank import products, registry
-from overrank.combinat import _count_by_residue
+from overrank.combinat import RANK_CLASS_PRODUCT, _count_by_residue, rank_class_sum
 from overrank.errors import PoleHit, ZeroLeadingTerm
 from overrank.lambert import lambert_sum, theta
 from overrank.products import (
@@ -214,6 +214,15 @@ def _pass_reference(factors, n):
         for e in range(r, n, step):
             binomial_pass(out, sign, e, mult)
     return out
+
+
+def _reference_expand(prod, order):
+    """prod.expand(order) by ``_pass_reference``, with no kernel or memo."""
+    n = order - prod.qexp
+    if n <= 0 or not prod.scalar:
+        return LaurentSeries.zero(order)
+    return LaurentSeries(prod.qexp, [prod.scalar * c for c in _pass_reference(prod.factors, n)],
+                         order)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -486,21 +495,131 @@ def test_check_rejects_a_coefficient_moved_by_the_slot(shift):
         assert not products._multiplies_back(moved, quotient, n), i
 
 
+@st.composite
+def multiplicand_st(draw):
+    """A Laurent series for ``Product.times``: integral, dyadic or with
+    denominator 3, small or above 2^64, dense or sparse, and often known
+    past the order a product with it keeps."""
+    size = draw(st.sampled_from((3, 1 << 8, 1 << 70)))
+    entry = st.integers(-size, size)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), entry)
+    den = draw(st.sampled_from((1, 1, 2, 8, 3)))
+    cs = [Fraction(c, den) for c in draw(st.lists(entry, max_size=120))]
+    min_exp = draw(st.integers(-6, 6))
+    return LaurentSeries(min_exp, cs, min_exp + len(cs) + draw(st.integers(0, 250)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), max_size=4),
+       scalar=st.sampled_from((1, -1, 2, Fraction(-2, 3), Fraction(1, 4))),
+       qexp=st.integers(-4, 4), s=multiplicand_st(), order=st.integers(-3, 300),
+       narrow=st.booleans())
+# pbar: a theta quotient, past the narrow cutoff, times a dyadic Laurent series
+@example(parts=[("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)], scalar=2, qexp=0,
+         s=LaurentSeries(-3, [Fraction((-1) ** i * (i % 7), 4) for i in range(700)], 697),
+         order=700, narrow=False)
+# a numerator theta, and a quotient with a rest
+@example(parts=[("pair", -1, 2, 7, 2)], scalar=Fraction(-2, 3), qexp=3,
+         s=LaurentSeries(0, [1, 0, -5, 2] * 30, 150), order=200, narrow=True)
+@example(parts=[("class", 1, 1, 5, 1), ("pair", 1, 1, 4, -1)], scalar=1, qexp=-2,
+         s=LaurentSeries(-1, [3] * 90, 150), order=160, narrow=True)
+# no factors: the scalar and the shift alone
+@example(parts=[], scalar=Fraction(1, 4), qexp=2, s=LaurentSeries(-2, [1, 2, 3], 9), order=6,
+         narrow=False)
+def test_times_is_mul_by_the_expansion(parts, scalar, qexp, s, order, narrow):
+    prod = Product(scalar, qexp)
+    for part in parts:
+        prod = prod * _quotient_part(*part)
+    ref = mul(_reference_expand(prod, order), s)
+    with pytest.MonkeyPatch.context() as mp:
+        if narrow:  # every theta quotient with a denominator takes the narrow try
+            mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
+        assert prod.times(s, order) == ref
+
+
+def _class_difference(n):
+    """A rank-class sum difference, as the oracle multiplies by pbar."""
+    return rank_class_sum(1, 5, n) - rank_class_sum(2, 5, n)
+
+
+def test_a_narrow_width_too_small_is_rejected(memo, monkeypatch):
+    n = 600
+    s = _class_difference(n)
+    ref = mul(_reference_expand(RANK_CLASS_PRODUCT, n), s)
+    assert max(abs(c) for c in ref.coeffs).bit_length() > 7
+    assert RANK_CLASS_PRODUCT.times(s, n) == ref
+    assert expand_cache_info()[-2:] == (1, 0)
+    # forced to one byte, the run decodes wrong, the check says so, and the
+    # majorant run gives the answer
+    monkeypatch.setattr(products, "_predicted_size", lambda probe: 1)
+    assert RANK_CLASS_PRODUCT.times(s, n) == ref
+    assert expand_cache_info()[-2:] == (1, 1)
+    quotient, _ = products._decompose(RANK_CLASS_PRODUCT.factors)
+    m, cs = n - s.min_exp, s.coeffs
+    narrow = products._expand_at(quotient, [], m, 1, cs)
+    assert narrow != list(ref.coeffs[:m]) and not products._multiplies_back(narrow, quotient, m, cs)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_a_sign_flipped_in_the_multiply_back_is_caught(memo, monkeypatch, side):
+    """A multiply-back with the sign of one theta term flipped, in a numerator
+    theta (side 1) or a denominator one (side -1), rejects the true product,
+    so the narrow try falls back: the check decides, and sees every sign."""
+    n = 600
+    s = _class_difference(n)
+    prod = BASE5_PAIRS
+    quotient, _ = products._decompose(prod.factors)
+    target = next(theta for theta, k in quotient if k * side > 0)
+    shifts, check = products._theta_shifts, products._multiplies_back
+
+    def flipped(theta, w, m):
+        out = shifts(theta, w, m)
+        if theta == target:
+            out[0] = (out[0][0], not out[0][1])
+        return out
+
+    def mutant(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(products, "_theta_shifts", flipped)
+            return check(*args)
+
+    ref = prod.times(s, n)
+    assert expand_cache_info()[-2:] == (1, 0)
+    m, cs = n - s.min_exp, s.coeffs
+    f = list(ref.coeffs) + [0] * (m - len(ref.coeffs))
+    assert check(f, quotient, m, cs) and not mutant(f, quotient, m, cs)
+    monkeypatch.setattr(products, "_multiplies_back", mutant)
+    assert prod.times(s, n) == ref
+    assert expand_cache_info()[-2:] == (1, 1)
+
+
 def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
     # the kernel on the products the registry builds; the memo starts empty,
-    # so each of them is a miss at least once
-    misses, real = [], products._expand_packed
+    # so each of them is a miss at least once, and every product times a
+    # series is a ``times`` call, which no memo serves
+    misses, calls = [], []
+    kernel, times = products._expand_packed, Product.times
 
     def record(factors, n):
-        out = real(factors, n)
+        out = kernel(factors, n)
         misses.append((factors, n, out))
         return out
 
-    monkeypatch.setattr(products, "_expand_packed", record)
+    def record_times(prod, s, order):
+        out = times(prod, s, order)
+        calls.append((prod, s, order, out))
+        return out
+
+    monkeypatch.setattr(products, "_expand_packed",
+                        lambda factors, n, *s: kernel(factors, n, *s) if s else record(factors, n))
+    monkeypatch.setattr(Product, "times", record_times)
     assert all(report.ok for report in registry.run_suite(1.0))
-    assert len(misses) > 200  # 267 in a fresh process
+    assert len(misses) + len(calls) > 200  # 223 + 88 in a fresh process
     for factors, n, out in misses:
         assert out == _pass_reference(factors, n), (factors, n)
+    for prod, s, order, out in calls:
+        assert out == mul(_reference_expand(prod, order), s), (prod, order)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ and mutation sensitivity of the transcription tables."""
 
 import dataclasses
 
-from overrank import series
+from overrank import products, series
 from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series, rank_class_sum
 from overrank.lambert import s_bar
 from overrank.products import Product, poch
@@ -13,6 +13,7 @@ from overrank.rankdiff import (
     COMBINATION_TABLE,
     THEOREM_TABLE,
     _HALF_RATIO,
+    _class_pair_difference,
     FinalFormSpec,
     FormulaTerm,
     RankDiffKey,
@@ -73,9 +74,11 @@ class TestRankSide:
 
     def test_oracle_residues_share_the_class_sums(self):
         rank_class_sum.cache_clear()
+        _class_pair_difference.cache_clear()
         for d in range(5):
             rank_diff_oracle(RankDiffKey(5, 1, 2, d), 40)
-        assert rank_class_sum.cache_info()[:2] == (8, 2)  # one build per class
+        assert rank_class_sum.cache_info()[:2] == (0, 2)  # one build per class
+        assert _class_pair_difference.cache_info()[:2] == (4, 1)  # one per class pair
 
     def test_combination_rank_side_is_the_class_series_difference(self):
         order = 200
@@ -84,23 +87,30 @@ class TestRankSide:
             assert combination_rank_side(pair, order) == mul(diff, _HALF_RATIO.expand(order)), pair
 
     def test_packed_products(self, monkeypatch):
-        """One packed product per residue pair r + s = d mod ell of an oracle
-        call, none per combination: the combination's ratio cancels the class
-        product as Product values."""
-        packs = []
-        pack = series._pack
+        """One kernel run per class pair, the class product times the
+        class-sum difference, shared by the pair's ell residues; none and no
+        packed ``mul`` per combination: the combination's ratio cancels the
+        class product as Product values."""
+        runs, packs = [], []
+        kernel, pack = products._expand_packed, series._pack
+        monkeypatch.setattr(products, "_expand_packed",
+                            lambda *args: runs.append(args[:2]) or kernel(*args))
         monkeypatch.setattr(series, "_pack", lambda *args: packs.append(args) or pack(*args))
+        _class_pair_difference.cache_clear()
         for key in ALL_KEYS:
-            packs.clear()
             rank_diff_oracle(key, 40)
-            # the class product meets the sum difference once, split into
-            # ell products, each packing both of its operands
-            assert len(packs) == 2 * key.ell, key
+        # at 41 ell - 1 terms, less those below the difference's first
+        expected = []
+        for ell, s, t in {(key.ell, key.s, key.t) for key in ALL_KEYS}:
+            full = 41 * ell - 1
+            diff = rank_class_sum(s, ell, full) - rank_class_sum(t, ell, full)
+            expected.append((RANK_CLASS_PRODUCT.factors, full - diff.min_exp))
+        assert sorted(runs) == sorted(expected)
         assert RANK_CLASS_PRODUCT * _HALF_RATIO == Product()
         for pair in COMBINATION_TABLE:
-            packs.clear()
+            runs.clear()
             combination_rank_side(pair, 200)
-            assert not packs, pair
+            assert not runs and not packs, pair
 
 
 class TestClosedForms:

@@ -1,5 +1,6 @@
 """Series ring: arithmetic examples, error contracts, and algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from overrank.series import (
     LaurentSeries,
     _mul_schoolbook,
     extract_progression,
-    extract_progression_product,
     first_mismatch,
     inverse,
     mul,
@@ -231,14 +231,6 @@ class TestRingAxioms:
         assert all(total.coeff(n) == a.coeff(n) + b.coeff(n)
                    for n in range(min(a.min_exp, b.min_exp, order), order))
 
-    @settings(max_examples=200, deadline=None)
-    @given(power_series_st(), power_series_st(),
-           st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
-    @example(S(0, list(range(1, 40)), 40), S(1, [3, -1] * 20, 41), (5, 4))  # packed products
-    def test_progression_of_a_product(self, a, b, md):
-        m, d = md
-        assert extract_progression_product(a, b, m, d) == extract_progression(mul(a, b), m, d)
-
     @given(power_series_st(),
            st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
     @example(S(7, [1, 2, 3], 12), (4, 1))  # the window starts past the first mn + d
@@ -289,6 +281,49 @@ def test_packed_mul_matches_schoolbook(a, b):
     got = mul(a, b)
     assert got == _mul_schoolbook(a, b)
     assert not any(type(c) is Fraction and c.denominator == 1 for c in got.coeffs)
+
+
+@pytest.mark.parametrize("size", range(1, 25))
+def test_slots_round_trip(size):
+    """_pack and _unpack are inverse for every slot size a product can take,
+    through every word view: signed slots, the extremes included, and
+    combinat's unsigned ones (half 0), each with a value above the slots."""
+    rng = random.Random(size)
+    w = 8 * size
+    half = 1 << (w - 1)
+    for count in (1, 2, 7, 300):
+        cs = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(count)]
+        packed = series._pack(cs, size, half)
+        assert packed == sum(c << (w * i) for i, c in enumerate(cs))
+        # any multiple of 2^(w len(cs)) on top is dropped
+        assert series._unpack(packed + (rng.randrange(1, 1 << 40) << (w * len(cs))), size, half,
+                              len(cs)) == cs
+        us = [2 * half - 1, 0] + [rng.randrange(0, 2 * half) for _ in range(count)]
+        unsigned = sum(c << (w * i) for i, c in enumerate(us)) + (5 << (w * len(us)))
+        assert series._unpack(unsigned, size, 0, len(us)) == us
+
+
+def test_slots_of_a_product_that_wraps():
+    """A product whose coefficients exceed the slot decodes, slot by slot, to
+    their residues mod 2^w in [-half, half): what the narrow runs of the
+    product kernel rely on before they are checked."""
+    size, w = 1, 8
+    a = [100, -100, 77, 1]
+    b = [90, 3, -128, 5]
+    exact = [sum(a[j] * b[i - j] for j in range(max(0, i - 3), min(i, 3) + 1)) for i in range(7)]
+    got = series._unpack(series._pack(a, size, 1 << 7) * series._pack(b, size, 1 << 7), size,
+                         1 << 7, 7)
+    assert got == _carried(exact, w) != exact
+
+
+def _carried(cs, w):
+    """The balanced base-2^w digits of sum_i cs[i] 2^(w i), lowest first."""
+    v, out = sum(c << (w * i) for i, c in enumerate(cs)), []
+    for _ in cs:
+        digit = (v + (1 << (w - 1))) % (1 << w) - (1 << (w - 1))
+        out.append(digit)
+        v = (v - digit) >> w
+    return out
 
 
 def _naive_product(a, b):
