@@ -40,8 +40,8 @@ from typing import Optional, Tuple
 
 from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
-# mul is not called here; perfbench's layer-trace self-test checks that this
-# alias of series.mul is rebound
+# mul is not called here: perfbench/test_bench.py reads lambert.mul to check
+# that the layer trace rebinds every alias of series.mul
 from .series import LaurentSeries, Sides, _divide, mul  # noqa: F401
 
 

@@ -13,11 +13,12 @@ accumulating an exact monomial prefactor.
 
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, turned into a series by ``Product.expand`` or, times a series, by
-``Product.times``, which never expands it.  ``expand`` memoises the expansion
-of each factor multiset, so a product met again at the same or a shorter
-length costs one slice; a product in q^g is expanded in q and spread.  Both
-run one kernel, ``_expand_packed``, on the series they multiply by: 1 for
-``expand``.  A miss is written by ``_decompose`` as theta functions
+``Product.times``, which from ``_TIMES_MIN_LENGTH`` terms on never expands
+it.  ``expand`` memoises the expansion of each factor multiset, so a product
+met again at the same or a shorter length costs one slice; a product in q^g
+is expanded in q and spread.  Both run one kernel, ``_expand_packed``, on
+the series they multiply by: 1 for ``expand``.  A miss is written by
+``_decompose`` as theta functions
 theta_s(r, p) = (s q^r, s q^(p-r), q^p; q^p)_inf to integer powers, whose
 sums by Jacobi's triple product have O(sqrt(n/p)) terms below q^n: a class
 pair borrows the pentagonal (q^p; q^p) = theta_+(p, 3p) its theta lacks.  The
@@ -31,11 +32,12 @@ proven bound on the coefficients: on the theta sums and binomials where
 neither has a denominator, else on the factors' Euler exponents, in which
 the borrowed pentagonals cancel, widened by the series' largest coefficient.
 A long quotient of thetas alone is first run at the width that a probe of
-its first quarter predicts, as such results are mostly far narrower than
-that bound, and kept only once multiplying it back by the denominator
-proves it.  The in-place list pass ``binomial_pass`` serves the Lambert
-sums and ``triple_product``, which do not go through the kernel, and is the
-reference ``expand`` and ``times`` are tested against.
+its first quarter predicts, or that the series needs if that is more, as
+such results are mostly far narrower than that bound, and kept only once
+multiplying it back by the denominator proves it.  The in-place list pass
+``binomial_pass`` serves the Lambert sums and ``triple_product``, which do
+not go through the kernel, and is the reference ``expand`` and ``times`` are
+tested against.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
 from .series import (Coefficient, LaurentSeries, Sides, _clear_denominators, _divide, _norm,
-                     _pack, _unpack)
+                     _pack, _unpack, mul)
 
 
 @dataclass(frozen=True)
@@ -132,21 +134,39 @@ class Product:
         return LaurentSeries(self.qexp, _divide(out, den), order)
 
     def times(self, s: LaurentSeries, order: int) -> LaurentSeries:
-        """mul(self.expand(order), s), without expanding the product: the
-        kernel takes s, its denominators cleared, as its multiplicand and
-        runs at the width of the result.  Not memoised."""
+        """mul(self.expand(order), s).  From ``_TIMES_MIN_LENGTH`` terms on,
+        without expanding the product: the kernel takes s, its denominators
+        cleared, as its multiplicand and runs at the width of the result.
+        Not memoised."""
         nonzero = order > self.qexp and self.scalar
         # the order of mul's result; the expansion starts at q^qexp unless zero
         out_order = min(order + s.min_exp, s.order + (self.qexp if nonzero else order))
         if not nonzero or not s.coeffs:
             return LaurentSeries.zero(out_order)
         lo = self.qexp + s.min_exp
+        if self.factors and out_order - lo < _TIMES_MIN_LENGTH:
+            return mul(self.expand(order), s)
         cs, d = _clear_denominators(s.coeffs[:out_order - lo])
         out = _expand_packed(self.factors, out_order - lo, cs) if self.factors else cs
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
             out = [num * c for c in out]
         return LaurentSeries(lo, _divide(out, den * d), out_order)
+
+
+# A short product times a series is cheaper as its memoised expansion times
+# the series: the kernel's decomposition, packing and inverse are paid on
+# every call, and the widths it saves are small.  Every ``times`` call of
+# ``run_suite(1.0)`` and of the ``deep`` entries was timed on both routes
+# (median of 5 runs; 2 cores, Python 3.11).  Per octave of terms the kernel
+# lost by 1.6-2.8x below 64 and at 128-255 (21.5 against 13.1 ms over 47
+# calls), tied at 64-127 and, on the suite, at 256-511, lost 1.8 against
+# 1.4 ms at 256-511 on ``deep``, and won from 1024 on (30 against 81 ms).
+# At 512-1023, where ``deep`` meets memoised expansions, it lost 5.6
+# against 3.7 ms, but on a miss, once the narrow try runs, it won by
+# 1.2-3.6x (the class product times a class-sum difference at 800 terms:
+# 1.9 against 6.8 ms), against 1.1x at 300-400 terms.
+_TIMES_MIN_LENGTH = 512
 
 
 # Product.factors -> the longest expansion of those factors made so far.  At
@@ -284,8 +304,9 @@ def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, 
     well below the majorant slot of ``majorant`` bytes.
 
     A probe takes the first n/4 coefficients exactly, at their own majorant
-    width, and ``_predicted_size`` reads a width for all n off them.  The
-    check that proves a run is at least as wide as the run, so none is made
+    width, and ``_predicted_size`` reads a width for all n off them, widened
+    where s does not fit it, as s is packed at that width.  The check that
+    proves a run is at least as wide as the run, so none is made
     where twice that width exceeds the majorant (of the factors 1, 1.5, 2
     and 3 tried on the calls timed below, 1.5 and 2 gave the least totals,
     within 2% of each other; 1 cost scale 8 5% more and 3 cost deep 22%
@@ -293,7 +314,7 @@ def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, 
     """
     m = n // 4
     probe = _expand_at(quotient, [], m, _majorant_size(factors, quotient, [], m, s), s)
-    size = _predicted_size(probe)
+    size = max(_predicted_size(probe), (max(map(abs, s[:n])).bit_length() + 8) // 8)
     if 2 * size > majorant:
         return None
     f = _expand_at(quotient, [], n, size, s)
@@ -525,10 +546,9 @@ def _slot_bits(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
     # pi^2/6 for a denominator; a theta sum adds only about k log(1/t) / 2.
     # So log M(x) is about a / ((n - 1) t) with a = sum c |mult| over the
     # binomials, and t = sqrt(a) / (n - 1) puts the bound near its minimum,
-    # or t = (sum k) / (2 (n - 1)) with thetas alone; any t > 0 gives a true
-    # bound.
+    # or t = 1 / (n - 1) with thetas alone; any t > 0 gives a true bound.
     a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in binomials)
-    t = (sqrt(a) if a else max(1.0, sum(k for _, k in sums) / 2)) / max(n - 1, 1)
+    t = (sqrt(a) if a else 1.0) / max(n - 1, 1)
     log_m = fsum([m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
                   for e, _, m in binomials]
                  + [k * log(fsum([1.0] + [abs(c) * exp(-t * e) for e, c in terms]))

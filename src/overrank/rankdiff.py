@@ -175,7 +175,7 @@ def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
 @lru_cache(maxsize=32)
 def _class_pair_difference(s: int, t: int, ell: int, order: int) -> LaurentSeries:
     """sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n below q^order: the class
-    product times the difference of the two Lambert sums, in one kernel run."""
+    product times the difference of the two Lambert sums, in one ``times`` call."""
     return RANK_CLASS_PRODUCT.times(rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order),
                                     order)
 

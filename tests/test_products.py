@@ -510,30 +510,48 @@ def multiplicand_st(draw):
     return LaurentSeries(min_exp, cs, min_exp + len(cs) + draw(st.integers(0, 250)))
 
 
+def _spiked(n, at, spike):
+    """A class-sum-like multiplicand of n small terms with one large one."""
+    cs = [(-1) ** i * (i % 3) for i in range(n)]
+    cs[at] = spike
+    return LaurentSeries(0, cs, n)
+
+
+PBAR_PARTS = [("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), max_size=4),
        scalar=st.sampled_from((1, -1, 2, Fraction(-2, 3), Fraction(1, 4))),
        qexp=st.integers(-4, 4), s=multiplicand_st(), order=st.integers(-3, 300),
-       narrow=st.booleans())
+       route=st.sampled_from(("kernel", "narrow", "default")))
 # pbar: a theta quotient, past the narrow cutoff, times a dyadic Laurent series
-@example(parts=[("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)], scalar=2, qexp=0,
+@example(parts=PBAR_PARTS, scalar=2, qexp=0,
          s=LaurentSeries(-3, [Fraction((-1) ** i * (i % 7), 4) for i in range(700)], 697),
-         order=700, narrow=False)
+         order=700, route="default")
+# pbar times a multiplicand with a term past the probe's quarter far wider
+# than the width the probe predicts: packed at that width it would not fit
+@example(parts=PBAR_PARTS, scalar=2, qexp=0, s=_spiked(600, 400, 1 << 200), order=600,
+         route="default")
+@example(parts=PBAR_PARTS, scalar=1, qexp=0, s=_spiked(600, 500, -(1 << 30)), order=600,
+         route="narrow")
 # a numerator theta, and a quotient with a rest
 @example(parts=[("pair", -1, 2, 7, 2)], scalar=Fraction(-2, 3), qexp=3,
-         s=LaurentSeries(0, [1, 0, -5, 2] * 30, 150), order=200, narrow=True)
+         s=LaurentSeries(0, [1, 0, -5, 2] * 30, 150), order=200, route="narrow")
 @example(parts=[("class", 1, 1, 5, 1), ("pair", 1, 1, 4, -1)], scalar=1, qexp=-2,
-         s=LaurentSeries(-1, [3] * 90, 150), order=160, narrow=True)
+         s=LaurentSeries(-1, [3] * 90, 150), order=160, route="narrow")
 # no factors: the scalar and the shift alone
 @example(parts=[], scalar=Fraction(1, 4), qexp=2, s=LaurentSeries(-2, [1, 2, 3], 9), order=6,
-         narrow=False)
-def test_times_is_mul_by_the_expansion(parts, scalar, qexp, s, order, narrow):
+         route="kernel")
+def test_times_is_mul_by_the_expansion(parts, scalar, qexp, s, order, route):
     prod = Product(scalar, qexp)
     for part in parts:
         prod = prod * _quotient_part(*part)
     ref = mul(_reference_expand(prod, order), s)
     with pytest.MonkeyPatch.context() as mp:
-        if narrow:  # every theta quotient with a denominator takes the narrow try
+        if route != "default":  # the kernel at every length
+            mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
+        if route == "narrow":  # every theta quotient with a denominator takes the narrow try
             mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
         assert prod.times(s, order) == ref
 
@@ -615,7 +633,7 @@ def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
                         lambda factors, n, *s: kernel(factors, n, *s) if s else record(factors, n))
     monkeypatch.setattr(Product, "times", record_times)
     assert all(report.ok for report in registry.run_suite(1.0))
-    assert len(misses) + len(calls) > 200  # 223 + 88 in a fresh process
+    assert len(misses) + len(calls) > 200  # 243 + 88 in a fresh process
     for factors, n, out in misses:
         assert out == _pass_reference(factors, n), (factors, n)
     for prod, s, order, out in calls:

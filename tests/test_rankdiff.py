@@ -90,9 +90,12 @@ class TestRankSide:
         """One kernel run per class pair, the class product times the
         class-sum difference, shared by the pair's ell residues; none and no
         packed ``mul`` per combination: the combination's ratio cancels the
-        class product as Product values."""
+        class product as Product values.  The kernel is taken at every
+        length here; below ``_TIMES_MIN_LENGTH`` ``times`` takes the
+        memoised expansion instead."""
         runs, packs = [], []
         kernel, pack = products._expand_packed, series._pack
+        monkeypatch.setattr(products, "_TIMES_MIN_LENGTH", 0)
         monkeypatch.setattr(products, "_expand_packed",
                             lambda *args: runs.append(args[:2]) or kernel(*args))
         monkeypatch.setattr(series, "_pack", lambda *args: packs.append(args) or pack(*args))
