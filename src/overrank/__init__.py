@@ -9,27 +9,21 @@ combinatorial counting oracle.
 """
 
 from .combinat import (
-    ENUM_CAP,
-    Overpartition,
     RankTable,
-    enumerate_overpartitions,
     nbar,
     nbar_class,
     nbar_class_series,
     nbar_series,
     pbar_series,
-    rank,
     rank_table,
 )
 from .errors import (
     BadArgument,
     BeyondTruncation,
-    CapExceeded,
     NegativeExponent,
     OverrankError,
     PoleHit,
     UnknownIdentity,
-    ZeroLeadingTerm,
 )
 from .lambert import (
     g_index,
@@ -75,7 +69,6 @@ from .series import (
     extract_progression,
     first_mismatch,
     mul,
-    series_equal,
     substitute_power,
 )
 

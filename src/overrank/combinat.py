@@ -6,8 +6,6 @@ distinct part value may be overlined; the rank is the largest part minus the
 number of parts.  The counting oracle is a dynamic program over the largest
 part (see ``_count_by_residue``), independent of the analytic generating
 functions it validates coefficient by coefficient; it has no size cap.
-Enumeration of ``Overpartition`` objects is kept, with its cap, as the
-small-n reference the counts are checked against.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
 times a Lambert sum, ``rank_class_sum``, which is cached; callers that
@@ -27,48 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle
 from operator import add
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
-from .errors import CapExceeded
 from .lambert import lambert_sum
 from .products import poch
 from .series import LaurentSeries, _unpack
-
-ENUM_CAP = 40
-
-
-@dataclass(frozen=True)
-class Overpartition:
-    """Nonincreasing positive parts plus the set of overlined part values."""
-
-    parts: Tuple[int, ...]
-    overlined: frozenset
-
-    def __post_init__(self):
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be nonincreasing")
-        if any(p < 1 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if not self.overlined <= set(self.parts):
-            raise ValueError("every overlined value must occur among the parts")
-
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self):
-        if not self.parts:
-            return "()"
-        return "+".join(f"{p}~" if first and p in self.overlined else str(p)
-                        for p, first in zip(self.parts, _first_flags(self.parts)))
-
-
-def _first_flags(parts):
-    seen = set()
-    out = []
-    for p in parts:
-        out.append(p not in seen)
-        seen.add(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -82,40 +43,6 @@ class RankTable:
         return sum(self.counts.values())
 
 
-def rank(op: Overpartition) -> int:
-    """Largest part minus number of parts; the empty overpartition has rank 0."""
-    if not op.parts:
-        return 0
-    return op.parts[0] - len(op.parts)
-
-
-def enumerate_overpartitions(n: int, cap: int = ENUM_CAP) -> Iterator[Overpartition]:
-    """Yield every overpartition of n exactly once.
-
-    Generation is by largest part value with an overline choice at the first
-    occurrence of each distinct value, so each object appears once.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"enumeration of n = {n} exceeds the cap {cap}")
-
-    def rec(remaining: int, max_part: int):
-        # yields (parts tuple, overlined frozenset) pairs
-        if remaining == 0:
-            yield (), frozenset()
-            return
-        for v in range(min(remaining, max_part), 0, -1):
-            for mult in range(1, remaining // v + 1):
-                head = (v,) * mult
-                for tail, over in rec(remaining - mult * v, v - 1):
-                    yield head + tail, over
-                    yield head + tail, over | {v}
-
-    for parts, over in rec(n, n):
-        yield Overpartition(parts, over)
-
-
 def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
     """rows[n][s] = number of overpartitions of n with rank = s (mod modulus),
     for 0 <= n < order, by a counting DP over the largest part L.
@@ -127,12 +54,13 @@ def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
     rank L - #parts.  Only #parts mod modulus matters, so the t-polynomial of
     each weight is held as ``modulus`` counts packed into one integer (slot k:
     #parts = k mod modulus), and multiplying by t^a rotates the slots by a.
-    Every count is at most pbar(order - 1), which fixes the slot width.
+    Every count is at most pbar(order - 1), which fixes the slot width; one
+    spare bit keeps each slot nonnegative as the signed slot it is read as.
     """
     if modulus == 1:
-        nbytes = (order + 7) // 8  # pbar(n) <= 2^n bounds the single slot
+        nbytes = (order + 8) // 8  # pbar(n) <= 2^n bounds the single slot
     else:
-        nbytes = (_rows(1, order)[order - 1][0].bit_length() + 7) // 8
+        nbytes = (_rows(1, order)[order - 1][0].bit_length() + 8) // 8
     width = 8 * nbytes
     full = (1 << (modulus * width)) - 1
 
@@ -151,7 +79,7 @@ def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
             ranks[n] += 2 * rotate(new, back)  # largest part exactly L: rank L - k
     out = []
     for packed in ranks:
-        slots = _unpack(packed, nbytes, 0, modulus)  # half 0: unsigned slots
+        slots = _unpack(packed, nbytes, modulus)
         out.append([slots[-s % modulus] for s in range(modulus)])
     return out
 
@@ -205,6 +133,8 @@ def nbar_class(s: int, m: int, n: int) -> int:
     if not 0 <= s < m:
         raise ValueError(f"residue {s} not in [0, {m})")
     _check_weight(n)
+    if m >= 2 * n - 1:  # the ranks of n lie in [1 - n, n - 1]: only s and s - m can occur
+        return nbar(s, n) + nbar(s - m, n)
     return _rows(m, n + 1)[n][s]
 
 

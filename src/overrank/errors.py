@@ -5,10 +5,6 @@ class OverrankError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroLeadingTerm(OverrankError, ZeroDivisionError):
-    """Attempt to invert the zero series (or a series with no leading term)."""
-
-
 class NegativeExponent(OverrankError, ValueError):
     """A power-series-only operation was applied to a series with negative exponents."""
 
@@ -17,13 +13,9 @@ class BeyondTruncation(OverrankError, IndexError):
     """A coefficient at or beyond the truncation order was requested."""
 
 
-class PoleHit(ZeroLeadingTerm):
+class PoleHit(OverrankError, ZeroDivisionError):
     """A denominator vanishes identically: a term of a bilateral sum, or a
     product factor (1; q^k)_inf."""
-
-
-class CapExceeded(OverrankError, ValueError):
-    """Enumeration was requested above the configured cap."""
 
 
 class BadArgument(OverrankError, ValueError):

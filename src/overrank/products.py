@@ -283,8 +283,7 @@ def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[in
             sums.append(([(w * e, sign == 1)], mult))
         else:  # only 1 - q^e is ever a denominator
             sums += [([(w * e << j, False)], -mult) for j in range(((n - 1) // e).bit_length())]
-    half = 1 << (w - 1)
-    return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size, half)), size, half, n)
+    return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n)
 
 
 # Besides its run, a narrow try costs a probe at n/4 and a check, so it pays
@@ -352,11 +351,10 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
     bound = max(map(abs, f)) * _l1_bound(dens, n) + max(map(abs, s[:n])) * _l1_bound(nums, n)
     size = (bound.bit_length() + 8) // 8
     w = 8 * size
-    half = 1 << (w - 1)
     lhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in dens], w, n,
-                        _pack(f, size, half))
+                        _pack(f, size))
     rhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in nums], w, n,
-                        _pack(s[:n], size, half))
+                        _pack(s[:n], size))
     return not (lhs - rhs) & ((1 << (w * n)) - 1)
 
 

@@ -185,7 +185,7 @@ def _entries() -> List[IdentityEntry]:
     E = IdentityEntry
     out: List[IdentityEntry] = []
 
-    # enumeration oracle vs analytic generating functions
+    # counting oracle vs analytic generating functions
     out.append(E("oracle.pbar", _PBAR_ANCHOR, 31, "oracle",
                  _pair(combinat.pbar_series,
                        partial(_counted_series, lambda n: rank_table(n).total(), start=0))))

@@ -21,7 +21,7 @@ from itertools import repeat
 from math import lcm
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import BeyondTruncation, NegativeExponent, ZeroLeadingTerm
+from .errors import BeyondTruncation, NegativeExponent
 
 Coefficient = Union[int, Fraction]
 
@@ -254,9 +254,8 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     # lies strictly inside (-2^(w-2), 2^(w-2)): the slots never overlap
     bound = max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
     size = (bound.bit_length() + 2 + 7) // 8
-    half = 1 << (8 * size - 1)
     m = min(n, len(ac) + len(bc) - 1)
-    out = _unpack(_pack(ac, size, half) * _pack(bc, size, half), size, half, m)
+    out = _unpack(_pack(ac, size) * _pack(bc, size), size, m)
     return LaurentSeries(lo, _divide(out, da * db), order)
 
 
@@ -268,9 +267,10 @@ def _clear_denominators(cs: Tuple[Coefficient, ...]) -> Tuple[Tuple[int, ...], i
     return tuple(c.numerator * (d // c.denominator) for c in cs), d
 
 
-def _slot_run(count: int, size: int, half: int) -> int:
-    """half * sum_{i < count} 2^(8 size i): the offset half in each of count slots."""
-    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+def _slot_run(count: int, size: int) -> int:
+    """half * sum_{i < count} 2^(8 size i), for half = 2^(8 size - 1): the
+    offset half in each of count slots."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
 # Slots are moved between an integer and Python ints through arrays of
@@ -279,7 +279,6 @@ def _slot_run(count: int, size: int, half: int) -> int:
 # copies; one above 8 bytes is written slot by slot by ``to_bytes`` and read
 # as 8-byte planes, joined by ``map``.
 _SIGNED = {array(c).itemsize: c for c in "bhilq"}
-_UNSIGNED = {array(c).itemsize: c for c in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 _SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
@@ -300,7 +299,7 @@ def _words(x: Union[bytes, Sequence[int]], code: str) -> array:
     return out
 
 
-def _pack(cs: Sequence[int], size: int, half: int) -> int:
+def _pack(cs: Sequence[int], size: int) -> int:
     """sum_i cs[i] 2^(8 size i), each |cs[i]| < half = 2^(8 size - 1).
 
     Each slot is written as its two's complement u_i = cs[i] mod 2^(8 size);
@@ -317,36 +316,35 @@ def _pack(cs: Sequence[int], size: int, half: int) -> int:
             for b in range(size):
                 low[b::size] = raw[b::word]
             raw = low
-    run = _slot_run(len(cs), size, half)
+    run = _slot_run(len(cs), size)
     return (int.from_bytes(raw, "little") ^ run) - run
 
 
-def _unpack(v: int, size: int, half: int, count: int) -> List[int]:
+def _unpack(v: int, size: int, count: int) -> List[int]:
     """The count slots c_i of v = sum_i c_i 2^(8 size i) mod 2^(8 size
-    count): signed, -half <= c_i < half, for half = 2^(8 size - 1), and
-    unsigned, 0 <= c_i < 2^(8 size), for half = 0.
+    count), each -half <= c_i < half for half = 2^(8 size - 1).
 
     Adding half to every slot makes each one a nonnegative offset value, so no
     borrow crosses a slot boundary; flipping each slot's top bit back leaves
     c_i in two's complement, which the signed words read.
     """
-    run = _slot_run(count, size, half) if half else 0
+    run = _slot_run(count, size)
     raw = (((v + run) & ((1 << (8 * size * count)) - 1)) ^ run).to_bytes(size * count, "little")
     word = _word(size)
     if word != size:
         wide = bytearray(word * count)
         for b in range(size):
             wide[b::word] = raw[b::size]
-        if half:  # copy each slot's sign into its new high bytes
-            sign = raw[size - 1::size].translate(_SIGN_BYTE)
-            for b in range(size, word):
-                wide[b::word] = sign
+        # copy each slot's sign into its new high bytes
+        sign = raw[size - 1::size].translate(_SIGN_BYTE)
+        for b in range(size, word):
+            wide[b::word] = sign
         raw = wide
     if word <= 8:
-        return _words(raw, (_SIGNED if half else _UNSIGNED)[word]).tolist()
+        return _words(raw, _SIGNED[word]).tolist()
     k = word // 8
     low = _words(raw, "Q")
-    out = (_words(raw, "q") if half else low)[k - 1::k]
+    out = _words(raw, "q")[k - 1::k]
     for j in range(k - 2, -1, -1):
         out = map(operator.add, map(operator.lshift, out, repeat(64)), low[j::k])
     return list(out)
@@ -373,36 +371,6 @@ def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             m = min(len(bc), n - i)
             out[i:i + m] = map(operator.add, out[i:i + m], map(operator.mul, repeat(ca), bc[:m]))
     return LaurentSeries(lo, out, order)
-
-
-def inverse(a: LaurentSeries) -> LaurentSeries:
-    """Multiplicative inverse b with mul(a, b) = 1 + O(q^(a.order - a.min_exp)).
-
-    The lowest-degree coefficient must be nonzero; b.min_exp = -a.min_exp.
-    """
-    if not a.coeffs:
-        raise ZeroLeadingTerm("cannot invert the zero series")
-    m = a.min_exp
-    length = a.order - m
-    lead = a.coeffs[0]
-    if lead == 1:
-        inv0 = 1
-    elif lead == -1:
-        inv0 = -1
-    else:
-        inv0 = _norm(Fraction(1, lead) if isinstance(lead, int) else 1 / lead)
-    nz = [(j, c) for j, c in enumerate(a.coeffs) if j and c]
-    out = [0] * length
-    out[0] = inv0
-    for n in range(1, length):
-        s = 0
-        for j, c in nz:
-            if j > n:
-                break
-            s += c * out[n - j]
-        if s:
-            out[n] = _norm(-s * inv0)
-    return LaurentSeries(-m, out, a.order - 2 * m)
 
 
 def substitute_power(a: LaurentSeries, k: int) -> LaurentSeries:
@@ -457,6 +425,3 @@ def _window(a: LaurentSeries, lo: int, hi: int) -> Tuple[Coefficient, ...]:
     body = a.coeffs[:hi - lo - head]
     return (0,) * head + body + (0,) * (hi - lo - head - len(body))
 
-
-def series_equal(a: LaurentSeries, b: LaurentSeries) -> bool:
-    return first_mismatch(a, b) is None

@@ -32,11 +32,10 @@ from overrank.report import compare
 from overrank.series import (
     LaurentSeries,
     first_mismatch,
-    inverse,
     mul,
-    series_equal,
     substitute_power,
 )
+from reference import inverse
 
 
 def _sigma(z: SM, zeta: SM, base: int, order: int, primed: bool = False) -> LaurentSeries:
@@ -81,7 +80,7 @@ class TestSigma:
         # Sum(2,0) for ell=5 equals the explicit base-q^5 bilateral sum
         lhs = sigma_ab(2, 0, 5, 60)
         rhs = _sigma(SM(1, 2), SM(1, 0), 5, 60)
-        assert series_equal(lhs, rhs)
+        assert first_mismatch(lhs, rhs) is None
 
     def test_pole_detection(self):
         with pytest.raises(PoleHit):
@@ -113,12 +112,13 @@ class TestSbar:
             lhs = s_bar(ell, ell, 200)
             ratio = (poch(1, 1, 1) / poch(-1, 1, 1)).expand(200)
             rhs = ratio.scale(Fraction(-1, 2)) + LaurentSeries.monomial(Fraction(1, 2), 0, 200)
-            assert series_equal(lhs, rhs), ell
+            assert first_mismatch(lhs, rhs) is None, ell
 
     def test_reflection(self):
         for ell in (3, 5):
             for b in range(1, ell + 1):
-                assert series_equal(s_bar(b, ell, 120), -s_bar(ell - b, ell, 120)), (ell, b)
+                mismatch = first_mismatch(s_bar(b, ell, 120), -s_bar(ell - b, ell, 120))
+                assert mismatch is None, (ell, b)
 
     def test_power_series(self):
         for ell in (3, 5):
@@ -164,7 +164,7 @@ class TestG:
     def test_part2(self):
         # the reflected form g(z, q) + g(z^-1 q, q) = 1 at z = q^2, base 5
         lhs = g_series(1, 2, 5, 120) + g_series(1, 5 - 2, 5, 120)
-        assert series_equal(lhs, LaurentSeries.one(120))
+        assert first_mismatch(lhs, LaurentSeries.one(120)) is None
 
     def test_g_series_repeat_is_a_cache_hit(self):
         first = g_series(-1, 3, 7, 90)
@@ -176,7 +176,7 @@ class TestG:
     def test_g_term_is_lift_of_index_form(self):
         g_y = g_index(1, 5, 20)
         g_q = eval_terms((FormulaTerm(g=(1, 5)),), 100)
-        assert series_equal(substitute_power(g_y, 5).truncate(100), g_q)
+        assert first_mismatch(substitute_power(g_y, 5).truncate(100), g_q) is None
 
     def test_g_term_at_a_multiple_of_ell_is_a_pole(self):
         with pytest.raises(PoleHit):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from overrank import products, registry
 from overrank.combinat import RANK_CLASS_PRODUCT, _count_by_residue, rank_class_sum
-from overrank.errors import PoleHit, ZeroLeadingTerm
+from overrank.errors import PoleHit
 from overrank.lambert import lambert_sum, theta
 from overrank.products import (
     P,
@@ -27,11 +27,10 @@ from overrank.report import compare
 from overrank.series import (
     LaurentSeries,
     first_mismatch,
-    inverse,
     mul,
-    series_equal,
     substitute_power,
 )
+from reference import inverse
 
 
 class TestPochhammer:
@@ -69,10 +68,10 @@ class TestEvalProduct:
         assert eval_terms((term,), 5).coeff(0) == 2
 
     def test_empty_product(self):
-        assert series_equal(eval_terms((FormulaTerm(),), 6), LaurentSeries.one(6))
+        assert first_mismatch(eval_terms((FormulaTerm(),), 6), LaurentSeries.one(6)) is None
 
     def test_zero_denominator_propagates(self):
-        with pytest.raises(ZeroLeadingTerm):
+        with pytest.raises(PoleHit):
             eval_terms((FormulaTerm(Product() / poch(1, 0, 1)),), 5)
 
 
@@ -81,20 +80,20 @@ class TestBigP:
         order = 60
         lhs = P(1, 2, 5).expand(order)
         rhs = poch(1, 2, 5).expand(order) * poch(1, 3, 5).expand(order)
-        assert series_equal(lhs, rhs)
+        assert first_mismatch(lhs, rhs) is None
 
     def test_minus_one_constant(self):
         assert P(-1, 0, 7).expand(8).coeff(0) == 2
 
     def test_reflection(self):
         # P(z^-1 q, q) = P(z, q) at z = q^2, base 7
-        assert series_equal(P(1, 5, 7).expand(120), P(1, 2, 7).expand(120))
+        assert first_mismatch(P(1, 5, 7).expand(120), P(1, 2, 7).expand(120)) is None
 
     def test_shift_relation(self):
         # P(zq, q) = -z^-1 P(z, q) at z = -q^3, base 5
         lhs = P(-1, 8, 5).expand(80)
         rhs = P(-1, 3, 5).expand(80).shift(-3).truncate(80)
-        assert series_equal(lhs, rhs)
+        assert first_mismatch(lhs, rhs) is None
 
     def test_negative_index(self):
         # P(-a) = -y^-a P(a)
@@ -102,7 +101,7 @@ class TestBigP:
             for a in range(1, ell):
                 lhs = P(1, -a, ell).expand(60)
                 rhs = (-P(1, a, ell).expand(60)).shift(-a).truncate(60)
-                assert series_equal(lhs, rhs), (ell, a)
+                assert first_mismatch(lhs, rhs) is None, (ell, a)
 
     def test_unit_is_zero_series(self):
         assert P(1, 0, 5).expand(20).is_zero()
@@ -111,7 +110,7 @@ class TestBigP:
         # P(0) = (q^ell; q^ell)_inf is (q; q)_inf at q -> q^ell
         for ell in (3, 5, 7):
             pentagonal = substitute_power(poch(1, 1, 1).expand(-(-50 // ell)), ell)
-            assert series_equal(poch(1, ell, ell).expand(50), pentagonal.truncate(50))
+            assert first_mismatch(poch(1, ell, ell).expand(50), pentagonal.truncate(50)) is None
 
 
 class TestProduct:
@@ -477,7 +476,7 @@ def test_growth_quotient_falls_back_to_its_majorant(memo):
     assert max(abs(c) for c in ref).bit_length() > 7
     # forced to one byte, the decode is wrong and the check says so
     sums = [(products._theta_shifts(theta, 8, n), k) for theta, k in quotient]
-    narrow = products._unpack(products._times_thetas(sums, 8, n), 1, 1 << 7, n)
+    narrow = products._unpack(products._times_thetas(sums, 8, n), 1, n)
     assert narrow != ref and not products._multiplies_back(narrow, quotient, n)
     assert GROWTH_QUOTIENT.expand(n) == LaurentSeries(0, ref, n).scale(GROWTH_QUOTIENT.scalar)
     assert expand_cache_info()[-2:] == (0, 1)
@@ -750,8 +749,8 @@ class TestTheta:
         assert [t.coeff(n) for n in range(6)] == [1, 2, 0, 0, 2, 0]
 
     def test_triple_product(self):
-        assert series_equal(theta(SM(1, 1), 1, 50), triple_product(SM(1, 1), 1, 50))
-        assert series_equal(theta(SM(-1, 2), 3, 80), triple_product(SM(-1, 2), 3, 80))
+        assert first_mismatch(theta(SM(1, 1), 1, 50), triple_product(SM(1, 1), 1, 50)) is None
+        assert first_mismatch(theta(SM(-1, 2), 3, 80), triple_product(SM(-1, 2), 3, 80)) is None
 
     def test_triple_product_never_takes_the_theta_route(self, memo, monkeypatch):
         # jtp@* compares the theta sum with the triple product; if the product
@@ -762,7 +761,7 @@ class TestTheta:
 
         monkeypatch.setattr(products, "_theta_terms", no_theta)
         for z, base in ((SM(1, 1), 1), (SM(-1, 0), 1), (SM(-1, 2), 3), (SM(1, 3), 3)):
-            assert series_equal(theta(z, base, 120), triple_product(z, base, 120))
+            assert first_mismatch(theta(z, base, 120), triple_product(z, base, 120)) is None
         assert registry.verify("jtp@sampled", 200).ok
         with pytest.raises(AssertionError, match="theta route"):
             (poch(1, 1, 1) / poch(-1, 1, 1)).expand(50)  # the patch is live

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overrank import registry
+from overrank import combinat, registry
 from overrank.cli import main
 from overrank.combinat import nbar_class_series, pbar_series
-from overrank.errors import OverrankError, UnknownIdentity
+from overrank.errors import OverrankError, PoleHit, UnknownIdentity
+from overrank.products import Product, poch
 from overrank.report import IdentityReport
 
 SAMPLED_IDS = [
@@ -277,6 +278,18 @@ class TestCli:
     ])
     def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_a_pole_exits_2_with_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(combinat, "pbar_series",
+                            lambda order: (Product() / poch(1, 0, 1)).expand(order))
+        with pytest.raises(PoleHit) as caught:
+            combinat.pbar_series(5)
+        assert isinstance(caught.value, ZeroDivisionError)
+        assert isinstance(caught.value, OverrankError)
+        assert main(["series", "--name", "pbar", "--order", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
