@@ -112,11 +112,16 @@ def _cmd_count(args) -> int:
         raise BadArgument(f"--n must be nonnegative, got {n_max}")
     if m < 1:
         raise BadArgument(f"--mod must be at least 1, got {m}")
-    header = ["n", "pbar(n)"] + [f"s={s}" for s in range(m)]
-    print("\t".join(header))
+    print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
     for n in range(n_max + 1):
-        classes = [combinat.nbar_class(s, m, n) for s in range(m)]
-        print("\t".join(str(c) for c in [n, sum(classes)] + classes))
+        if m >= 2 * n - 1:  # the ranks of n, in [1 - n, n - 1], lie in distinct classes
+            classes = {r % m: c for r, c in combinat.rank_table(n).counts.items()}
+        else:
+            classes = {s: combinat.nbar_class(s, m, n) for s in range(m)}
+        cells = ["0"] * m
+        for s, c in classes.items():
+            cells[s] = str(c)
+        print("\t".join([str(n), str(sum(classes.values()))] + cells))
     return 0
 
 

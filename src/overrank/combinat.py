@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional
 
 from .lambert import lambert_sum
 from .products import poch
-from .series import LaurentSeries, _unpack
+from .series import LaurentSeries, _from_ints, _unpack
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
         c = 1 if n % 2 else -1
         inner[lead::n] = map(add, inner[lead::n], chain((c,), cycle((-2 * c, 2 * c))))
         n += 1
-    return RANK_CLASS_PRODUCT.times(LaurentSeries(0, inner, order), order)
+    return RANK_CLASS_PRODUCT.times(_from_ints(0, inner, order), order)
 
 
 # the product of every rank-class series

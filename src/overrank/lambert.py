@@ -42,7 +42,7 @@ from .errors import BadArgument, PoleHit
 from .products import P, Product, SignedMonomial, binomial_pass, poch
 # mul is not called here: perfbench/test_bench.py reads lambert.mul to check
 # that the layer trace rebinds every alias of series.mul
-from .series import LaurentSeries, Sides, _divide, mul  # noqa: F401
+from .series import LaurentSeries, Sides, _from_ints, mul  # noqa: F401
 
 
 def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
@@ -125,7 +125,7 @@ def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
             acc[i:] = map(add, acc[i:], part)
         else:
             acc[i::e] = map(add, acc[i::e], geometric)
-    return LaurentSeries(lo, _divide(acc, 1 << top), order)
+    return _from_ints(lo, acc, order, 1 << top)
 
 
 def _share_a_root(s: int, a: int, t: int, b: int) -> bool:

@@ -53,7 +53,7 @@ from operator import add, gt, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import (Coefficient, LaurentSeries, Sides, _clear_denominators, _divide, _norm,
+from .series import (Coefficient, LaurentSeries, Sides, _clear_denominators, _from_ints, _norm,
                      _pack, _unpack, mul)
 
 
@@ -131,7 +131,7 @@ class Product:
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
             out = [num * c for c in out]
-        return LaurentSeries(self.qexp, _divide(out, den), order)
+        return _from_ints(self.qexp, out, order, den)
 
     def times(self, s: LaurentSeries, order: int) -> LaurentSeries:
         """mul(self.expand(order), s).  From ``_TIMES_MIN_LENGTH`` terms on,
@@ -146,12 +146,12 @@ class Product:
         lo = self.qexp + s.min_exp
         if self.factors and out_order - lo < _TIMES_MIN_LENGTH:
             return mul(self.expand(order), s)
-        cs, d = _clear_denominators(s.coeffs[:out_order - lo])
+        cs = _clear_denominators(s.coeffs[:out_order - lo], s.den)
         out = _expand_packed(self.factors, out_order - lo, cs) if self.factors else cs
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
             out = [num * c for c in out]
-        return LaurentSeries(lo, _divide(out, den * d), out_order)
+        return _from_ints(lo, out, out_order, den * s.den)
 
 
 # A short product times a series is cheaper as its memoised expansion times
@@ -664,7 +664,7 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
     for (sign, r, step), mult in prod.factors:
         for x in range(r, order, step):
             binomial_pass(out, sign, x, mult)
-    return LaurentSeries(0, out, order).scale(prod.scalar)
+    return _from_ints(0, out, order).scale(prod.scalar)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional, Tuple
 
 from .series import Coefficient, LaurentSeries, first_mismatch
@@ -68,8 +67,8 @@ def _frac_str(c: Coefficient) -> str:
 def _assert_dyadic(series: LaurentSeries) -> None:
     # the only non-integer scalars in this circle of identities are halves, so
     # every denominator must be a power of two; anything else is an engine bug.
-    # The distinct denominators are collected in one C-level scan.
-    if any(d & (d - 1) for d in set(map(attrgetter("denominator"), series.coeffs))):
+    # The series' least common denominator is then one too.
+    if series.den & (series.den - 1):
         c = next(c for c in series.coeffs if c.denominator & (c.denominator - 1))
         raise AssertionError(f"non-dyadic coefficient {c} in {series!r}")
 

@@ -254,6 +254,18 @@ class TestCli:
             if n >= 1:  # the series have constant term 0 (analytic convention)
                 assert [int(c) for c in row[2:]] == [c.coeff(n) for c in classes], n
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 10, 17, 40])
+    def test_count_rows_are_the_classes(self, capsys, m):
+        """Every row, for n from 0 to 9, holds each class of nbar_class in turn,
+        where m lies below 2n - 1 and where at or above it."""
+        assert main(["count", "--n", "9", "--mod", str(m)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "\t".join(["n", "pbar(n)"] + [f"s={s}" for s in range(m)])
+        for n, line in enumerate(lines[1:]):
+            classes = [combinat.nbar_class(s, m, n) for s in range(m)]
+            assert line == "\t".join(str(c) for c in [n, sum(classes)] + classes)
+        assert len(lines) == 11
+
     def test_count_bad_input(self, capsys):
         assert main(["count", "--n", "5", "--mod", "0"]) == 2
         assert main(["count", "--n", "-1", "--mod", "3"]) == 2

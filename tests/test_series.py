@@ -1,14 +1,22 @@
 """Series ring: arithmetic examples, error contracts, and algebraic laws."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overrank import series
+import overrank
+from overrank import products, series
 from overrank.errors import BeyondTruncation, NegativeExponent
+from overrank.lambert import lambert_sum
+from overrank.products import Product, poch
 from overrank.series import (
     LaurentSeries,
     _mul_schoolbook,
@@ -286,7 +294,8 @@ def test_slots_round_trip(size):
     rng = random.Random(size)
     w = 8 * size
     half = 1 << (w - 1)
-    for count in (1, 2, 7, 300):
+    # 4 + count slots: a few, either side of the per-slot cutoff, and many
+    for count in (1, 2, 7, series._PER_SLOT_MAX - 4, series._PER_SLOT_MAX - 3, 300):
         cs = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(count)]
         packed = series._pack(cs, size)
         assert packed == sum(c << (w * i) for i, c in enumerate(cs))
@@ -375,3 +384,108 @@ def test_first_mismatch_matches_loop(terms, changes, order_a, order_b):
     b = LaurentSeries.from_terms({**terms, **changes}, order_b)
     assert first_mismatch(a, b) == _first_mismatch_reference(a, b)
     assert first_mismatch(b, a) == _first_mismatch_reference(b, a)
+
+
+# ----------------------------------------------------------------------
+# den: every operation and producer knows its denominator without a scan
+# ----------------------------------------------------------------------
+
+
+def _knows_its_denominator(s):
+    """s is what the public constructor builds from its coefficients, their
+    types included, and den is the lcm of their denominators."""
+    rebuilt = LaurentSeries(s.min_exp, s.coeffs, s.order)
+    assert (s.min_exp, s.coeffs, s.order) == (rebuilt.min_exp, rebuilt.coeffs, rebuilt.order)
+    assert list(map(type, s.coeffs)) == list(map(type, rebuilt.coeffs))
+    assert s.den == rebuilt.den == lcm(*(c.denominator for c in s.coeffs))
+
+
+# ints, Fractions, and Fractions that are integers
+mixed_entry = st.one_of(st.integers(-9, 9), st.fractions(-5, 5, max_denominator=6),
+                        st.integers(-9, 9).map(lambda c: Fraction(2 * c, 2)))
+
+
+@st.composite
+def mixed_series_st(draw):
+    """A short series whose coefficients are drawn from one of: ints alone,
+    any mixed_entry, or ints with integral Fractions, so that many are
+    integral and reach the operations' integer paths."""
+    entry = draw(st.sampled_from((st.integers(-9, 9), mixed_entry,
+                                  st.integers(-9, 9).map(lambda c: Fraction(c)))))
+    cs = draw(st.lists(entry, max_size=14))
+    min_exp = draw(st.integers(-5, 5))
+    return LaurentSeries(min_exp, cs, min_exp + len(cs) + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_series_st(), mixed_series_st(), st.integers(-4, 4),
+       st.fractions(-3, 3, max_denominator=4).filter(bool), st.integers(-3, 3),
+       st.integers(-6, 12), st.integers(1, 4),
+       st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
+@example(S(0, [Fraction(1, 2), 1], 3), S(0, [Fraction(1, 2), 1], 3), 2, Fraction(2), 0, 1, 2,
+         (2, 0))  # halves that cancel in a sum and a product
+def test_operations_know_their_denominator(a, b, k, f, shift, cut, power, md):
+    m, d = md
+    for s in (a, b, a + b, a - b, -a, a.scale(k), a.scale(f), a.shift(shift),
+              a.truncate(cut), mul(a, b), _mul_schoolbook(a, b), substitute_power(a, power),
+              extract_progression(a.shift(5), m, d)):
+        _knows_its_denominator(s)
+
+
+PRODUCTS = (poch(1, 1, 1) / poch(-1, 1, 1), poch(-1, 2, 5) * poch(-1, 3, 5),
+            poch(1, 1, 1, 3) / poch(1, 2, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRODUCTS),
+       st.sampled_from((1, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2))),
+       st.integers(-3, 3), mixed_series_st(), st.integers(-2, 40), st.booleans())
+def test_products_know_their_denominator(prod, scalar, qexp, s, order, kernel):
+    prod = Product(scalar, qexp) * prod
+    _knows_its_denominator(prod.expand(order))
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel:  # the theta kernel at every length
+            mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
+        _knows_its_denominator(prod.times(s, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(-8, 8), st.sampled_from((1, -1)), st.integers(1, 4),
+       st.integers(-3, 3), st.integers(1, 40))
+def test_lambert_sums_with_halves_know_their_denominator(quad, lin, csign, step, at, order):
+    """1/(1 + q^(step (n - at))) is 1/2 at n = at."""
+    got = lambert_sum(quad, lin, csign, [(-1, -step * at, step)], order)
+    _knows_its_denominator(got)
+    assert not got.den & (got.den - 1)
+
+
+# A script that counts the type scans of the public constructor over
+# run_suite(0.25), in a fresh process so that no cache is warm.
+_COUNT_SCANS = """
+from overrank import registry, series
+scan, seen = series._has_fraction, [0, 0]
+def counting(cs):
+    seen[0] += 1
+    seen[1] += len(cs)
+    return scan(cs)
+series._has_fraction = counting
+registry.run_suite(0.25)
+print(*seen)
+"""
+
+
+def test_the_suite_scans_few_coefficients():
+    """Every producer builds from integers without a scan; what is left to
+    the public constructor is the handful of series written out term by
+    term and the operations on non-integral series: 77 calls reading 1 982
+    coefficients when this test was written.  The ceilings leave room for a
+    few more of those, and stay far below the 2 516 calls and 115 384
+    coefficients read when every series was scanned; one producer that
+    scans again (``Product.expand`` and ``times``: 549 calls and 27 271
+    coefficients, ``lambert_sum``: 470 and 20 554) fails it."""
+    env = {k: v for k, v in os.environ.items() if k != "OVERRANK_SEED"}
+    env["PYTHONPATH"] = str(Path(overrank.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", _COUNT_SCANS], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    calls, coeffs = map(int, out.split())
+    assert calls <= 150 and coeffs <= 4000, (calls, coeffs)
