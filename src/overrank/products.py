@@ -53,8 +53,7 @@ from operator import add, gt, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import (Coefficient, LaurentSeries, Sides, _clear_denominators, _from_ints, _norm,
-                     _pack, _unpack, mul)
+from .series import Coefficient, LaurentSeries, Sides, _from_ints, _pack, _unpack, mul
 
 
 @dataclass(frozen=True)
@@ -135,18 +134,18 @@ class Product:
 
     def times(self, s: LaurentSeries, order: int) -> LaurentSeries:
         """mul(self.expand(order), s).  From ``_TIMES_MIN_LENGTH`` terms on,
-        without expanding the product: the kernel takes s, its denominators
-        cleared, as its multiplicand and runs at the width of the result.
+        without expanding the product: the kernel takes the numerators of s
+        as its multiplicand and runs at the width of the result.
         Not memoised."""
         nonzero = order > self.qexp and self.scalar
         # the order of mul's result; the expansion starts at q^qexp unless zero
         out_order = min(order + s.min_exp, s.order + (self.qexp if nonzero else order))
-        if not nonzero or not s.coeffs:
+        if not nonzero or not s.nums:
             return LaurentSeries.zero(out_order)
         lo = self.qexp + s.min_exp
         if self.factors and out_order - lo < _TIMES_MIN_LENGTH:
             return mul(self.expand(order), s)
-        cs = _clear_denominators(s.coeffs[:out_order - lo], s.den)
+        cs = s.nums[:out_order - lo]
         out = _expand_packed(self.factors, out_order - lo, cs) if self.factors else cs
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
@@ -598,7 +597,9 @@ def _product(scalar: Coefficient, qexp: int, a: Tuple[Factor, ...],
     for key, m in b:
         mults[key] = mults.get(key, 0) + k * m
     factors = tuple(sorted((key, m) for key, m in mults.items() if m))
-    return Product(_norm(scalar), qexp, factors)
+    if scalar.denominator == 1:
+        scalar = scalar.numerator
+    return Product(scalar, qexp, factors)
 
 
 def poch(sign: int, r: int, step: int, mult: int = 1) -> Product:

@@ -5,19 +5,14 @@ an exclusive truncation order: coefficients at exponents >= ``order`` are
 unknown, everything below is exact (exponents below the stored window are
 exactly zero).  All values are immutable; all operations are pure.
 
-Coefficients are Python ints whenever the value is integral and
-``fractions.Fraction`` otherwise, so the common all-integer case stays on the
-fast native-int path.  Both types expose ``numerator``/``denominator`` and
-compare exactly, so the union behaves as a single exact-rational scalar type.
-
-Each series also knows ``den``, the least common denominator of its
-coefficients: 1 for an integral series.  The public constructor finds it by
-a scan of the coefficients' types.  Every series the package computes from
-integers is built by ``_from_ints`` instead, which takes the integers and one
-divisor d and decides by a single gcd whether the result is integral,
-without a scan; the ring operations on integral series build their results
-that way too.  ``mul`` reads ``den`` to clear denominators, and the report
-reads it to check that they are powers of two.
+A series stores its coefficients as the integers ``nums`` over one
+denominator ``den`` >= 1, in lowest terms: gcd(den, *nums) = 1, so an
+integral series has den 1.  Every operation works on the integers, under one
+rule for the denominator of its result (a sum over the lcm of its operands',
+a product over their product), and builds that result by ``_from_ints``,
+which divides out one gcd.  ``coeffs`` is the exact view for readers:
+``nums`` itself for an integral series, and otherwise an int where a
+coefficient is integral and a ``fractions.Fraction`` where it is not.
 """
 
 from __future__ import annotations
@@ -35,65 +30,33 @@ from .errors import BeyondTruncation, NegativeExponent
 Coefficient = Union[int, Fraction]
 
 
-def _norm(c: Coefficient) -> Coefficient:
-    """Collapse integral Fractions to int so arithmetic stays on the fast path."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _has_fraction(cs: Tuple[Coefficient, ...]) -> bool:
-    """Whether any coefficient is a Fraction, by one C-level scan of the types."""
-    return Fraction in set(map(type, cs))
+def _ratio(n: int, d: int) -> Coefficient:
+    """n/d as an int where it is integral, else as a Fraction."""
+    return n // d if not n % d else Fraction(n, d)
 
 
 class LaurentSeries:
-    """A truncated Laurent series sum_{n >= min_exp} c_n q^n + O(q^order).
+    """A truncated Laurent series sum_{n >= min_exp} c_n q^n + O(q^order),
+    c_n = nums[n - min_exp] / den.
 
     Canonical form: the stored window carries no leading or trailing zero
-    coefficients; the zero series has an empty window and min_exp == order.
-    ``den`` is the least common denominator of the coefficients.
+    numerators, gcd(den, *nums) = 1, and the zero series has an empty window,
+    min_exp == order and den == 1.
     """
 
-    __slots__ = ("min_exp", "coeffs", "order", "den")
+    __slots__ = ("min_exp", "nums", "order", "den")
 
     min_exp: int
-    coeffs: Tuple[Coefficient, ...]
+    nums: Tuple[int, ...]
     order: int
     den: int
 
-    def __init__(self, min_exp: int, coeffs: Iterable[Coefficient], order: int):
+    def __new__(cls, min_exp: int, coeffs: Iterable[Coefficient], order: int):
+        """The series of exact coefficients, as numerators over the lcm of
+        their denominators."""
         cs = tuple(coeffs)
-        den = 1
-        if _has_fraction(cs):
-            cs = tuple(map(_norm, cs))
-            den = lcm(*map(operator.attrgetter("denominator"), cs))
-        self._settle(min_exp, cs, order, den)
-
-    def _settle(self, min_exp: int, cs: Tuple[Coefficient, ...], order: int, den: int) -> None:
-        """Trim the zeros at both ends of cs, check the window against the
-        order and set the slots: the step the constructor and ``_from_ints``
-        share."""
-        lo, hi = 0, len(cs)
-        while lo < hi and not cs[lo]:
-            lo += 1
-        while hi > lo and not cs[hi - 1]:
-            hi -= 1
-        min_exp += lo
-        cs = cs[lo:hi]
-        if not cs:
-            min_exp = order
-        elif min_exp + len(cs) > order:
-            raise ValueError(
-                f"coefficients reach exponent {min_exp + len(cs) - 1} "
-                f"but truncation order is {order}"
-            )
-        if min_exp > order:
-            raise ValueError(f"min_exp {min_exp} exceeds order {order}")
-        object.__setattr__(self, "min_exp", min_exp)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "den", den)
+        den = lcm(*(c.denominator for c in cs))
+        return _from_ints(min_exp, [c.numerator * (den // c.denominator) for c in cs], order, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -132,16 +95,24 @@ class LaurentSeries:
     # inspection
     # ------------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Tuple[Coefficient, ...]:
+        """The stored window as exact rationals: ``nums`` for an integral
+        series, else ints where integral and Fractions where not."""
+        if self.den == 1:
+            return self.nums
+        return tuple(map(_ratio, self.nums, repeat(self.den)))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, n: int) -> Coefficient:
         """Exact coefficient of q^n; raises BeyondTruncation for n >= order."""
         if n >= self.order:
             raise BeyondTruncation(f"exponent {n} is beyond truncation order {self.order}")
         i = n - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return _ratio(self.nums[i], self.den)
         return 0
 
     def terms(self) -> Iterator[Tuple[int, Coefficient]]:
@@ -154,18 +125,19 @@ class LaurentSeries:
             return NotImplemented
         return (
             self.min_exp == other.min_exp
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
             and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.min_exp, self.coeffs, self.order))
+        return hash((self.min_exp, self.nums, self.den, self.order))
 
     def __repr__(self) -> str:
         parts = []
         for e, c in list(self.terms())[:8]:
             parts.append(f"{c}*q^{e}" if e else f"{c}")
-        if len(self.coeffs) > 8:
+        if len(self.nums) > 8:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
         return f"<{body} + O(q^{self.order})>"
@@ -185,8 +157,7 @@ class LaurentSeries:
         return add(self, other.__neg__())
 
     def __neg__(self) -> "LaurentSeries":
-        return _build(self.den == 1, self.min_exp, tuple(map(operator.neg, self.coeffs)),
-                      self.order)
+        return _from_ints(self.min_exp, map(operator.neg, self.nums), self.order, self.den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):
@@ -200,46 +171,56 @@ class LaurentSeries:
     def scale(self, c: Coefficient) -> "LaurentSeries":
         if not c:
             return LaurentSeries.zero(self.order)
-        if self.den == 1:  # the integers c.numerator * x over c.denominator
-            return _from_ints(self.min_exp, tuple(map(operator.mul, repeat(c.numerator),
-                                                      self.coeffs)),
-                              self.order, c.denominator)
-        return LaurentSeries(self.min_exp, [c * x for x in self.coeffs], self.order)
+        return _from_ints(self.min_exp, map(operator.mul, repeat(c.numerator), self.nums),
+                          self.order, self.den * c.denominator)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k."""
-        return _build(self.den == 1, self.min_exp + k, self.coeffs, self.order + k)
+        return _from_ints(self.min_exp + k, self.nums, self.order + k, self.den)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Forget all coefficients at exponents >= order."""
         if order >= self.order:
             return self
-        keep = max(0, min(len(self.coeffs), order - self.min_exp))
-        return _build(self.den == 1, self.min_exp, self.coeffs[:keep], order)
+        keep = max(0, min(len(self.nums), order - self.min_exp))
+        return _from_ints(self.min_exp, self.nums[:keep], order, self.den)
 
 
-def _from_ints(min_exp: int, cs: Iterable[int], order: int, d: int = 1) -> LaurentSeries:
-    """The series of the integers cs over d >= 1 from q^min_exp on, built
-    without a type scan: every c/d is an integer exactly when gcd(d, *cs) is
-    d, and d over that gcd is the series' denominator."""
-    cs = tuple(cs)
-    den = 1
-    if d != 1:
-        den = d // gcd(d, *cs)
-        if den == 1:
-            cs = tuple(map(operator.floordiv, cs, repeat(d)))
-        else:
-            cs = tuple(c // d if not c % d else Fraction(c, d) for c in cs)
+def _from_ints(min_exp: int, nums: Iterable[int], order: int, d: int = 1) -> LaurentSeries:
+    """The series of the integers nums over d >= 1 from q^min_exp on, in
+    canonical form: the fraction reduced by one gcd where d > 1, the zeros
+    at both ends trimmed and the window checked against the order."""
+    cs = tuple(nums)
+    if d != 1 and (g := gcd(d, *cs)) != 1:
+        cs = tuple(map(operator.floordiv, cs, repeat(g)))
+        d //= g
+    lo, hi = 0, len(cs)
+    while lo < hi and not cs[lo]:
+        lo += 1
+    while hi > lo and not cs[hi - 1]:
+        hi -= 1
+    min_exp += lo
+    cs = cs[lo:hi]
+    if not cs:
+        min_exp = order
+    elif min_exp + len(cs) > order:
+        raise ValueError(
+            f"coefficients reach exponent {min_exp + len(cs) - 1} "
+            f"but truncation order is {order}"
+        )
+    if min_exp > order:
+        raise ValueError(f"min_exp {min_exp} exceeds order {order}")
     s = object.__new__(LaurentSeries)
-    s._settle(min_exp, cs, order, den)
+    object.__setattr__(s, "min_exp", min_exp)
+    object.__setattr__(s, "nums", cs)
+    object.__setattr__(s, "order", order)
+    object.__setattr__(s, "den", d)
     return s
 
 
-def _build(integral: bool, min_exp: int, cs: Sequence[Coefficient], order: int) -> LaurentSeries:
-    """A series whose coefficients a ring operation computed from those of
-    its operands: by ``_from_ints`` if the operands were integral, else
-    through the constructor, which finds the denominator."""
-    return _from_ints(min_exp, cs, order) if integral else LaurentSeries(min_exp, cs, order)
+def _times(cs: Tuple[int, ...], k: int) -> Tuple[int, ...]:
+    """The integers cs times k; cs itself for k = 1."""
+    return cs if k == 1 else tuple(map(operator.mul, cs, repeat(k)))
 
 
 # the two sides of an identity, as a check returns them
@@ -252,7 +233,9 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if b.min_exp < a.min_exp:
         a, b = b, a
     lo = min(a.min_exp, order)
-    ac, bc = a.coeffs[:order - lo], b.coeffs[:max(0, order - b.min_exp)]
+    den = lcm(a.den, b.den)
+    ac = _times(a.nums[:order - lo], den // a.den)
+    bc = _times(b.nums[:max(0, order - b.min_exp)], den // b.den)
     gap = b.min_exp - lo  # where b's window starts in a's
     if not bc:
         out = ac
@@ -261,7 +244,7 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     else:  # one of the two tails past the overlap is empty
         out = (ac[:gap] + tuple(map(operator.add, ac[gap:], bc))
                + ac[gap + len(bc):] + bc[len(ac) - gap:])
-    return _build(a.den == b.den == 1, lo, out, order)
+    return _from_ints(lo, out, order, den)
 
 
 # The schoolbook loop makes one slice pass over one operand per nonzero
@@ -282,22 +265,21 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     The result is exact below min(a.order + b.min_exp, b.order + a.min_exp):
     the first unknown coefficient of either factor first affects that exponent.
 
-    The product is taken by Kronecker substitution: each side, truncated to
-    the output window and with its denominators cleared, is packed into one
-    integer at q = 2^w, and one bigint product carries every coefficient
-    (D. Harvey, arXiv:0712.4046).  When either side has at most
+    The product is taken by Kronecker substitution: the numerators of each
+    side, truncated to the output window, are packed into one integer at
+    q = 2^w, and one bigint product carries every coefficient over
+    a.den * b.den (D. Harvey, arXiv:0712.4046).  When either side has at most
     ``_SCHOOLBOOK_MAX_NONZEROS`` nonzero coefficients, ``_mul_schoolbook``
     is faster and is used instead.
     """
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
-    if not a.coeffs or not b.coeffs:
+    if not a.nums or not b.nums:
         return LaurentSeries.zero(order)
     n = order - lo
-    ac, bc = a.coeffs[:n], b.coeffs[:n]
+    ac, bc = a.nums[:n], b.nums[:n]
     if min(len(ac) - ac.count(0), len(bc) - bc.count(0)) <= _SCHOOLBOOK_MAX_NONZEROS:
         return _mul_schoolbook(a, b)
-    ac, bc = _clear_denominators(ac, a.den), _clear_denominators(bc, b.den)
     # every output coefficient is a sum of at most min(len) products, so it
     # lies strictly inside (-2^(w-2), 2^(w-2)): the slots never overlap
     bound = max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
@@ -305,13 +287,6 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     m = min(n, len(ac) + len(bc) - 1)
     out = _unpack(_pack(ac, size) * _pack(bc, size), size, m)
     return _from_ints(lo, out, order, a.den * b.den)
-
-
-def _clear_denominators(cs: Tuple[Coefficient, ...], den: int) -> Tuple[int, ...]:
-    """den * cs as ints, for a multiple den of every denominator in cs."""
-    if den == 1:
-        return cs
-    return tuple(c.numerator * (den // c.denominator) for c in cs)
 
 
 def _slot_run(count: int, size: int) -> int:
@@ -412,32 +387,31 @@ def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     and the reference its packed path is tested against."""
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
-    if not a.coeffs or not b.coeffs:
+    if not a.nums or not b.nums:
         return LaurentSeries.zero(order)
     # iterate over the operand with fewer nonzero entries
-    na = sum(1 for c in a.coeffs if c)
-    nb = sum(1 for c in b.coeffs if c)
+    na, nb = len(a.nums) - a.nums.count(0), len(b.nums) - b.nums.count(0)
     if nb < na:
         a, b = b, a
     n = order - lo
     out = [0] * n
-    bc = b.coeffs
-    for i, ca in enumerate(a.coeffs[:n]):
+    bc = b.nums
+    for i, ca in enumerate(a.nums[:n]):
         if ca:
             m = min(len(bc), n - i)
             out[i:i + m] = map(operator.add, out[i:i + m], map(operator.mul, repeat(ca), bc[:m]))
-    return _build(a.den == b.den == 1, lo, out, order)
+    return _from_ints(lo, out, order, a.den * b.den)
 
 
 def substitute_power(a: LaurentSeries, k: int) -> LaurentSeries:
     """Substitute q -> q^k (k >= 1); every stored exponent n becomes k*n."""
     if k < 1:
         raise ValueError("substitution power must be >= 1")
-    if k == 1 or not a.coeffs:
-        return _build(a.den == 1, a.min_exp * k, a.coeffs, a.order * k)
-    out = [0] * ((len(a.coeffs) - 1) * k + 1)
-    out[::k] = a.coeffs
-    return _build(a.den == 1, a.min_exp * k, out, a.order * k)
+    if k == 1 or not a.nums:
+        return _from_ints(a.min_exp * k, a.nums, a.order * k, a.den)
+    out = [0] * ((len(a.nums) - 1) * k + 1)
+    out[::k] = a.nums
+    return _from_ints(a.min_exp * k, out, a.order * k, a.den)
 
 
 def extract_progression(a: LaurentSeries, m: int, d: int) -> LaurentSeries:
@@ -455,7 +429,7 @@ def extract_progression(a: LaurentSeries, m: int, d: int) -> LaurentSeries:
         raise ValueError(f"residue {d} not in [0, {m})")
     g_order = max(0, -((d - a.order) // m))  # ceil((order - d) / m)
     lo = max(0, -((d - a.min_exp) // m))  # the first n with mn + d >= min_exp
-    return _build(a.den == 1, lo, a.coeffs[m * lo + d - a.min_exp::m], g_order)
+    return _from_ints(lo, a.nums[m * lo + d - a.min_exp::m], g_order, a.den)
 
 
 def first_mismatch(
@@ -468,16 +442,18 @@ def first_mismatch(
     """
     hi = min(a.order, b.order)
     lo = min(a.min_exp, b.min_exp)
-    wa, wb = _window(a, lo, hi), _window(b, lo, hi)
+    den = lcm(a.den, b.den)
+    wa, wb = _window(a, lo, hi, den), _window(b, lo, hi, den)
     if wa == wb:
         return None
     i = next(i for i, (ca, cb) in enumerate(zip(wa, wb)) if ca != cb)
-    return (lo + i, wa[i], wb[i])
+    return (lo + i, _ratio(wa[i], den), _ratio(wb[i], den))
 
 
-def _window(a: LaurentSeries, lo: int, hi: int) -> Tuple[Coefficient, ...]:
-    """The coefficients of a at exponents lo <= n < hi, for lo <= a.min_exp."""
+def _window(a: LaurentSeries, lo: int, hi: int, den: int) -> Tuple[int, ...]:
+    """The numerators over den, a multiple of a.den, of a at exponents
+    lo <= n < hi, for lo <= a.min_exp."""
     head = min(a.min_exp, hi) - lo
-    body = a.coeffs[:hi - lo - head]
+    body = _times(a.nums[:hi - lo - head], den // a.den)
     return (0,) * head + body + (0,) * (hi - lo - head - len(body))
 

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -379,11 +379,18 @@ coeff_value_st = st.one_of(st.integers(-3, 3), st.sampled_from((Fraction(1, 2), 
 @example(terms={0: 1, 5: 2}, changes={3: 1}, order_a=10, order_b=12)  # inside them
 @example(terms={0: 1, 1: 2}, changes={8: 1}, order_a=10, order_b=12)  # after both windows
 @example(terms={0: 1, 1: 2}, changes={11: 1}, order_a=10, order_b=12)  # past one order
+# denominators 2 and 4: a half against a quarter, then an int against one
+@example(terms={0: Fraction(1, 2)}, changes={0: Fraction(-3, 4)}, order_a=3, order_b=3)
+@example(terms={0: Fraction(1, 2), 2: 1}, changes={2: Fraction(-3, 4)}, order_a=4, order_b=4)
 def test_first_mismatch_matches_loop(terms, changes, order_a, order_b):
+    """first_mismatch reports what the loop reports, the coefficients'
+    types included."""
     a = LaurentSeries.from_terms(terms, order_a)
     b = LaurentSeries.from_terms({**terms, **changes}, order_b)
-    assert first_mismatch(a, b) == _first_mismatch_reference(a, b)
-    assert first_mismatch(b, a) == _first_mismatch_reference(b, a)
+    for x, y in ((a, b), (b, a)):
+        got, want = first_mismatch(x, y), _first_mismatch_reference(x, y)
+        assert got == want
+        assert want is None or list(map(type, got)) == list(map(type, want))
 
 
 # ----------------------------------------------------------------------
@@ -392,12 +399,16 @@ def test_first_mismatch_matches_loop(terms, changes, order_a, order_b):
 
 
 def _knows_its_denominator(s):
-    """s is what the public constructor builds from its coefficients, their
-    types included, and den is the lcm of their denominators."""
+    """s holds int numerators over den in lowest terms, is what the public
+    constructor builds from its coefficients, their types included, and den
+    is the lcm of their denominators."""
+    assert all(type(n) is int for n in s.nums) and s.den >= 1 and gcd(s.den, *s.nums) == 1
+    assert s.coeffs == tuple(Fraction(n, s.den) for n in s.nums)
     rebuilt = LaurentSeries(s.min_exp, s.coeffs, s.order)
     assert (s.min_exp, s.coeffs, s.order) == (rebuilt.min_exp, rebuilt.coeffs, rebuilt.order)
     assert list(map(type, s.coeffs)) == list(map(type, rebuilt.coeffs))
     assert s.den == rebuilt.den == lcm(*(c.denominator for c in s.coeffs))
+    assert s == rebuilt and hash(s) == hash(rebuilt)
 
 
 # ints, Fractions, and Fractions that are integers
@@ -424,12 +435,27 @@ def mixed_series_st(draw):
        st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
 @example(S(0, [Fraction(1, 2), 1], 3), S(0, [Fraction(1, 2), 1], 3), 2, Fraction(2), 0, 1, 2,
          (2, 0))  # halves that cancel in a sum and a product
+# the only half dropped, by the cut and by the progression: den falls to 1
+@example(S(0, [1, 2, Fraction(1, 2)], 3), S(0, [1], 3), 1, Fraction(1), 0, 2, 1, (2, 0))
+# 1/2 as 2/4 from the builder and as Fraction(2, 4) from the constructor
+@example(series._from_ints(0, [2], 1, 4), S(0, [Fraction(2, 4)], 1), 1, Fraction(1), 0, 1, 1,
+         (1, 0))
+# a + (-a) with halves: zero, over den 1
+@example(S(0, [Fraction(1, 2), 1], 3), S(0, [Fraction(-1, 2), -1], 3), 1, Fraction(1), 0, 1, 1,
+         (1, 0))
+# the same numerators over 2 and over 1: not equal
+@example(S(0, [Fraction(1, 2), 1], 3), S(0, [1, 2], 3), 1, Fraction(1), 0, 1, 1, (1, 0))
 def test_operations_know_their_denominator(a, b, k, f, shift, cut, power, md):
     m, d = md
-    for s in (a, b, a + b, a - b, -a, a.scale(k), a.scale(f), a.shift(shift),
+    for s in (a, b, a + b, a - b, -a, a + (-a), a.scale(k), a.scale(f), a.shift(shift),
               a.truncate(cut), mul(a, b), _mul_schoolbook(a, b), substitute_power(a, power),
               extract_progression(a.shift(5), m, d)):
         _knows_its_denominator(s)
+    zero = a + (-a)
+    assert zero.is_zero() and zero.den == 1
+    # equality and hash are those of the exact coefficients
+    same = (a.min_exp, a.coeffs, a.order) == (b.min_exp, b.coeffs, b.order)
+    assert (a == b) is same and (not same or hash(a) == hash(b))
 
 
 PRODUCTS = (poch(1, 1, 1) / poch(-1, 1, 1), poch(-1, 2, 5) * poch(-1, 3, 5),
@@ -459,33 +485,58 @@ def test_lambert_sums_with_halves_know_their_denominator(quad, lin, csign, step,
     assert not got.den & (got.den - 1)
 
 
-# A script that counts the type scans of the public constructor over
-# run_suite(0.25), in a fresh process so that no cache is warm.
-_COUNT_SCANS = """
+# A script that counts the calls of the public constructor over
+# run_suite(0.25), and the coefficients handed to it, in a fresh process so
+# that no cache is warm.  With an argument it first routes that module's
+# builds from integers through the constructor.
+_COUNT_CONSTRUCTIONS = """
+import sys
+from fractions import Fraction
 from overrank import registry, series
-scan, seen = series._has_fraction, [0, 0]
-def counting(cs):
+new, seen = series.LaurentSeries.__new__, [0, 0]
+def counting(cls, min_exp, coeffs, order):
+    cs = tuple(coeffs)
     seen[0] += 1
     seen[1] += len(cs)
-    return scan(cs)
-series._has_fraction = counting
+    return new(cls, min_exp, cs, order)
+series.LaurentSeries.__new__ = counting
+if len(sys.argv) > 1:
+    module = sys.modules["overrank." + sys.argv[1]]
+    module._from_ints = lambda min_exp, nums, order, d=1: series.LaurentSeries(
+        min_exp, [Fraction(c, d) for c in nums], order)
 registry.run_suite(0.25)
 print(*seen)
 """
 
 
-def test_the_suite_scans_few_coefficients():
-    """Every producer builds from integers without a scan; what is left to
-    the public constructor is the handful of series written out term by
-    term and the operations on non-integral series: 77 calls reading 1 982
-    coefficients when this test was written.  The ceilings leave room for a
-    few more of those, and stay far below the 2 516 calls and 115 384
-    coefficients read when every series was scanned; one producer that
-    scans again (``Product.expand`` and ``times``: 549 calls and 27 271
-    coefficients, ``lambert_sum``: 470 and 20 554) fails it."""
+def _constructions(*routed):
     env = {k: v for k, v in os.environ.items() if k != "OVERRANK_SEED"}
     env["PYTHONPATH"] = str(Path(overrank.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", _COUNT_SCANS], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    calls, coeffs = map(int, out.split())
-    assert calls <= 150 and coeffs <= 4000, (calls, coeffs)
+    out = subprocess.run([sys.executable, "-c", _COUNT_CONSTRUCTIONS, *routed], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return tuple(map(int, out.split()))
+
+
+_MAX_CONSTRUCTIONS = (100, 1000)  # (calls, coefficients)
+
+
+def test_the_suite_scans_few_coefficients():
+    """Every producer builds its numerators over a denominator by
+    ``_from_ints``.  Left to the public constructor, which reads every
+    coefficient it is given to write it over the lcm of their denominators,
+    are the handful of series written out term by term: the monomials and
+    ``from_terms``, 43 calls over 82 coefficients when this test was
+    written.  The ceilings leave room for a few more of those and stay far
+    below one producer built through the constructor, which the next test
+    checks: ``Product.expand`` and ``times`` come to 515 calls over 27 128
+    coefficients, ``lambert_sum`` to 436 over 20 519."""
+    calls, coeffs = _constructions()
+    assert calls <= _MAX_CONSTRUCTIONS[0] and coeffs <= _MAX_CONSTRUCTIONS[1], (calls, coeffs)
+
+
+@pytest.mark.parametrize("module", ["products", "lambert"])
+def test_a_producer_built_through_the_constructor_exceeds_the_ceilings(module):
+    """The ceilings above catch one producer that builds its series from
+    coefficients again."""
+    calls, coeffs = _constructions(module)
+    assert calls > _MAX_CONSTRUCTIONS[0] and coeffs > _MAX_CONSTRUCTIONS[1], (calls, coeffs)
