@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional
 
 from .lambert import lambert_sum
 from .products import poch
-from .series import LaurentSeries, _from_ints, _unpack
+from .series import LaurentSeries, _from_ints, _slot_size, _unpack
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,12 @@ def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
     rank L - #parts.  Only #parts mod modulus matters, so the t-polynomial of
     each weight is held as ``modulus`` counts packed into one integer (slot k:
     #parts = k mod modulus), and multiplying by t^a rotates the slots by a.
-    Every count is at most pbar(order - 1), which fixes the slot width; one
-    spare bit keeps each slot nonnegative as the signed slot it is read as.
+    Every count is at most pbar(order - 1), which fixes the slot width.
     """
     if modulus == 1:
-        nbytes = (order + 8) // 8  # pbar(n) <= 2^n bounds the single slot
+        nbytes = _slot_size(1 << (order - 1))  # pbar(n) <= 2^n bounds the single slot
     else:
-        nbytes = (_rows(1, order)[order - 1][0].bit_length() + 8) // 8
+        nbytes = _slot_size(_rows(1, order)[order - 1][0])
     width = 8 * nbytes
     full = (1 << (modulus * width)) - 1
 

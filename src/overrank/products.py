@@ -28,9 +28,10 @@ of those factors cancel.  Everything is carried in one integer at q = 2^w
 binomial one shift-add or a few for a denominator, and the denominator
 thetas are divided out by one 2-adic Newton inverse whose products with them
 are shift-adds too, then multiplied into the series by one product.  w is a
-proven bound on the coefficients: on the theta sums and binomials where
-neither has a denominator, else on the factors' Euler exponents, in which
-the borrowed pentagonals cancel, widened by the series' largest coefficient.
+proven bound on the coefficients: the series' largest coefficient times the
+l1 norms of the theta sums where all are numerators and there is no rest,
+else times a Cauchy bound on the factors' Euler exponents, in which the
+borrowed pentagonals cancel; ``series._slot_size`` turns it into bytes.
 A long quotient of thetas alone is first run at the width that a probe of
 its first quarter predicts, or that the series needs if that is more, as
 such results are mostly far narrower than that bound, and kept only once
@@ -53,7 +54,7 @@ from operator import add, gt, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import Coefficient, LaurentSeries, Sides, _from_ints, _pack, _unpack, mul
+from .series import Coefficient, LaurentSeries, Sides, _from_ints, _pack, _slot_size, _unpack, mul
 
 
 @dataclass(frozen=True)
@@ -237,36 +238,40 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,))
     by the triple product, and a rest, which ``_euler_exponents`` writes as
     binomials that cancel across its factors.  The thetas, then the
     binomials, each a sparse sum too, are taken by ``_times_thetas`` at the
-    majorant slot width: ``_slot_bits`` bounds the product's coefficients,
-    and s widens that by its largest.  From ``_VERIFIED_MIN_LENGTH`` on, a
-    quotient of thetas alone with a denominator is first tried at a narrow
-    width by ``_verified_quotient``, and returned if it passes.  q -> 2^w
-    maps Z[q]/(q^n) onto Z/2^(w n) as rings, so every step is exact on v
-    whatever the size of the coefficients met on the way; only the final
-    ones must fit a slot.  One power of 1 - sign*q^e is the shift-add
-    v - sign*(v << w e), keeping the slots below q^n; dividing by 1 - q^e
-    multiplies by (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays
-    below n.
+    majorant slot width of ``_majorant_size``.  From
+    ``_VERIFIED_MIN_LENGTH`` on, a quotient of thetas alone with a
+    denominator is first tried at a narrow width by ``_verified_quotient``,
+    and returned if it passes.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
+    rings, so every step is exact on v whatever the size of the
+    coefficients met on the way; only the final ones must fit a slot.  One
+    power of 1 - sign*q^e is the shift-add v - sign*(v << w e), keeping the
+    slots below q^n; dividing by 1 - q^e multiplies by
+    (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays below n.
     """
     thetas, rest = _decompose(factors)
-    binomials = _euler_exponents(rest, n) if rest else []
-    size = _majorant_size(factors, thetas, binomials, n, s)
+    size = _majorant_size(factors, thetas, rest, n, s)
     if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
         out = _verified_quotient(factors, thetas, n, s, size)
         with _expand_lock:
             _expand_counts["fallbacks" if out is None else "verified"] += 1
         if out is not None:
             return out
-    return _expand_at(thetas, binomials, n, size, s)
+    return _expand_at(thetas, _euler_exponents(rest, n) if rest else [], n, size, s)
 
 
 def _majorant_size(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
-                   binomials: Sequence[Tuple[int, int, int]], n: int, s: Sequence[int]) -> int:
+                   rest: Sequence[Factor], n: int, s: Sequence[int]) -> int:
     """A slot size in bytes that holds each of the first n coefficients of s
-    times the product: each is at most max|s| times the sum of the sizes of
-    the product's first n, which the bound of ``_slot_bits`` covers too."""
-    extra = (max(map(abs, s[:n]), default=1) - 1).bit_length()
-    return (_slot_bits(factors, thetas, binomials, n) + extra + 7) // 8
+    times the product of the factors, which ``_decompose`` writes as the
+    thetas times the rest: each is at most max|s| times the sum of the sizes
+    of the product's first n.  That sum is bounded by ``_l1_norm`` where the
+    thetas are all numerators and there is no rest, else by
+    ``_euler_bound``."""
+    if rest or any(k < 0 for _, k in thetas):
+        bound = _euler_bound(factors, n)
+    else:
+        bound = _l1_norm(thetas, n)
+    return _slot_size(max(map(abs, s[:n]), default=1) * bound)
 
 
 def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],
@@ -312,7 +317,7 @@ def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, 
     """
     m = n // 4
     probe = _expand_at(quotient, [], m, _majorant_size(factors, quotient, [], m, s), s)
-    size = max(_predicted_size(probe), (max(map(abs, s[:n])).bit_length() + 8) // 8)
+    size = max(_predicted_size(probe), _slot_size(max(map(abs, s[:n]))))
     if 2 * size > majorant:
         return None
     f = _expand_at(quotient, [], n, size, s)
@@ -326,11 +331,11 @@ def _predicted_size(probe: List[int]) -> int:
     With b(i) the bits of the largest of the first i, the growth from b(m/4)
     to b(m) is carried on to 4m, twice over, as log |f_i| = c sqrt(i)
     gains twice as much from m to 4m as from m/4 to m, and a polynomial
-    growth as much.  Four bits more hold the sign and the lower-order terms.
+    growth as much.  Three bits more hold the lower-order terms.
     """
     b16 = max(map(abs, probe[:len(probe) // 4]), default=0).bit_length()
     b4 = max(map(abs, probe), default=0).bit_length()
-    return (3 * b4 - 2 * b16 + 4 + 7) // 8
+    return _slot_size((1 << (3 * b4 - 2 * b16 + 3)) - 1)
 
 
 def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
@@ -341,14 +346,14 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
 
     Each coefficient of f D - s N below q^n has size at most
     max|f| |D|_1 + max|s| |N|_1, where |.|_1 is the sum of the sizes of the
-    coefficients below q^n, which ``_l1_bound`` bounds.  At q = 2^w with that
+    coefficients below q^n, which ``_l1_norm`` bounds.  At q = 2^w with that
     bound below 2^(w-1), the packed f D - s N is 0 mod 2^(w n) only if every
     one of those coefficients is 0.
     """
     nums = [(theta, k) for theta, k in quotient if k > 0]
     dens = [(theta, -k) for theta, k in quotient if k < 0]
-    bound = max(map(abs, f)) * _l1_bound(dens, n) + max(map(abs, s[:n])) * _l1_bound(nums, n)
-    size = (bound.bit_length() + 8) // 8
+    size = _slot_size(max(map(abs, f)) * _l1_norm(dens, n)
+                      + max(map(abs, s[:n])) * _l1_norm(nums, n))
     w = 8 * size
     lhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in dens], w, n,
                         _pack(f, size))
@@ -357,15 +362,11 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
     return not (lhs - rhs) & ((1 << (w * n)) - 1)
 
 
-def _l1_bound(thetas: Sequence[Tuple[Theta, int]], n: int) -> int:
+def _l1_norm(thetas: Sequence[Tuple[Theta, int]], n: int) -> int:
     """A bound on the sum of the sizes of the first n coefficients of the
     product of the thetas, each to its power k > 0: the product of the l1
-    norms of their sums below q^n, each to its power, or the Cauchy bound
-    M(x) / x^(n-1) of ``_slot_bits``, whichever is less.  The latter holds
-    as each size is at most the majorant's coefficient [q^i] M, and
-    x^(i-(n-1)) >= 1 for i < n."""
-    norms = prod((1 + sum(abs(c) for _, c in _theta_terms(*theta, n))) ** k for theta, k in thetas)
-    return min(norms, 1 << (_slot_bits((), thetas, [], n) - 1))
+    norms of their sums below q^n, each to its power."""
+    return prod((1 + sum(abs(c) for _, c in _theta_terms(*theta, n))) ** k for theta, k in thetas)
 
 
 Theta = Tuple[int, int, int]  # (s, r, p): theta_s(r, p), 0 < r <= p / 2
@@ -516,54 +517,38 @@ def _euler_exponents(factors: Sequence[Factor], n: int) -> List[Tuple[int, int, 
     return out
 
 
-def _slot_bits(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
-               binomials: Sequence[Tuple[int, int, int]], n: int) -> int:
-    """A slot width, in bits and sign included, that holds each of the first n
-    coefficients f_i of the product of the factors, which ``_decompose`` and
-    ``_euler_exponents`` write as the thetas times the binomials, and holds
-    the sum of their sizes too.
-
-    That form is bounded where it has no denominator.  Otherwise the
-    factors' own Euler exponents are, in which the (q^p; q^p) a class
-    borrows for its theta cancels.
-    """
-    if any(k < 0 for _, k in thetas) or any(m < 0 for _, _, m in binomials):
-        thetas, binomials = [], _euler_exponents(factors, n)
-    sums = [(_theta_terms(*theta, n), k) for theta, k in thetas]
-    if not binomials and not sums:
-        return 2  # the product is 1
+def _euler_bound(factors: Tuple[Factor, ...], n: int) -> int:
+    """A bound on the sum of the sizes of the first n coefficients f_i of the
+    product of the factors, by Cauchy's inequality on the binomials of their
+    Euler exponents, in which the (q^p; q^p) a class borrows for its theta
+    cancels."""
+    binomials = _euler_exponents(factors, n)
+    if not binomials:
+        return 1  # the product is 1
     # The majorant M, the product of (1 + q^e)^mult over the numerator
-    # binomials, (1 - q^e)^-|mult| over the denominator ones and
-    # (sum |c| q^e)^k over the terms below q^n of each theta, has
+    # binomials and (1 - q^e)^-|mult| over the denominator ones, has
     # nonnegative coefficients and |f_i| <= [q^i] M.  So by Cauchy's
     # inequality |f_i| <= M(x) / x^i <= M(x) / x^(n-1) for every 0 < x < 1,
     # and so is the sum over i < n of [q^i] M x^(i-(n-1)) >= |f_i|.
     # At x = exp(-t), binomials at a density d among the e < n add about
     # c d |mult| / t to log M(x), with c = pi^2/12 for a numerator and
-    # pi^2/6 for a denominator; a theta sum adds only about k log(1/t) / 2.
-    # So log M(x) is about a / ((n - 1) t) with a = sum c |mult| over the
-    # binomials, and t = sqrt(a) / (n - 1) puts the bound near its minimum,
-    # or t = 1 / (n - 1) with thetas alone; any t > 0 gives a true bound.
+    # pi^2/6 for a denominator.  So log M(x) is about a / ((n - 1) t) with
+    # a = sum c |mult| over the binomials, and t = sqrt(a) / (n - 1) puts
+    # the bound near its minimum; any t > 0 gives a true bound.
     a = fsum(abs(m) * (pi * pi / 12 if m > 0 else pi * pi / 6) for _, _, m in binomials)
-    t = (sqrt(a) if a else 1.0) / max(n - 1, 1)
-    log_m = fsum([m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
-                  for e, _, m in binomials]
-                 + [k * log(fsum([1.0] + [abs(c) * exp(-t * e) for e, c in terms]))
-                    for terms, k in sums])
+    t = sqrt(a) / max(n - 1, 1)
+    log_m = fsum(m * log1p(exp(-t * e)) if m > 0 else m * log(-expm1(-t * e))
+                 for e, _, m in binomials)
     bits = (log_m + (n - 1) * t) / log(2)
-    # Margin: bits is the bound at x = exp(-t) up to float rounding.  Each
-    # binomial term is off by a few ulps of itself plus at most |mult| 2^-51:
+    # Margin: bits is the bound's log2 at x = exp(-t) up to float rounding.
+    # Each term is off by a few ulps of itself plus at most |mult| 2^-51:
     # exp, expm1, log and log1p are correct to an ulp, and the rounding of
     # t*e moves -log(1 - e^-u) by at most 2^-53, as u / (e^u - 1) <= 1.  fsum
-    # adds exactly.  A theta's sum S >= 1 is off by a relative
-    # (u + 2) 2^-53 at most, u = t*e <= (n - 1) t <= bits log 2, and
-    # log S <= bits log 2, as no term of log_m is negative; so k log S is off
-    # by less than k (3 bits + 3) 2^-53.  So while sum |mult| over the
-    # majorant's binomials < 2^40 and sum k over the theta sums < 2^30, which
-    # no expansion that fits in memory reaches, bits is off by less than
-    # 2^-9 + bits * 2^-49 + (bits + 1) 2^-20, below 1/2 for any slot under
-    # 2^18 bits: one bit covers that, and one more holds the sign.
-    return ceil(bits) + 2
+    # adds exactly.  So while sum |mult| < 2^40, which no expansion that
+    # fits in memory reaches, bits is off by less than 2^-9 + bits * 2^-49,
+    # below 1/2 for any bound under 2^(2^18): the sum is below
+    # 2^(bits + 1/2) < 2^(ceil(bits) + 1).
+    return (1 << (ceil(bits) + 1)) - 1
 
 
 def binomial_pass(out: list, sign: int, e: int, mult: int) -> None:

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable, Dict, List, Sequence
 
 from . import combinat, lambert, products, rankdiff
-from .combinat import nbar, nbar_class, rank_table
+from .combinat import nbar, nbar_class
 from .errors import BadArgument, UnknownIdentity
 from .lambert import lambert_sum, s_bar, theta
 from .products import P, Product, SignedMonomial as SM, poch, triple_product
@@ -188,7 +188,7 @@ def _entries() -> List[IdentityEntry]:
     # counting oracle vs analytic generating functions
     out.append(E("oracle.pbar", _PBAR_ANCHOR, 31, "oracle",
                  _pair(combinat.pbar_series,
-                       partial(_counted_series, lambda n: rank_table(n).total(), start=0))))
+                       partial(_counted_series, partial(nbar_class, 0, 1), start=0))))
     for m in (0, 1, 2):
         out.append(E(f"gen@m={m}",
                      "sum Nbar(m,n) q^n = 2(-q;q)/(q;q) sum_{n>=1} (-1)^(n-1) "

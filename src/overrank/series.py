@@ -280,13 +280,18 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     ac, bc = a.nums[:n], b.nums[:n]
     if min(len(ac) - ac.count(0), len(bc) - bc.count(0)) <= _SCHOOLBOOK_MAX_NONZEROS:
         return _mul_schoolbook(a, b)
-    # every output coefficient is a sum of at most min(len) products, so it
-    # lies strictly inside (-2^(w-2), 2^(w-2)): the slots never overlap
-    bound = max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
-    size = (bound.bit_length() + 2 + 7) // 8
+    # every output coefficient is a sum of at most min(len) products
+    size = _slot_size(max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc)))
     m = min(n, len(ac) + len(bc) - 1)
     out = _unpack(_pack(ac, size) * _pack(bc, size), size, m)
     return _from_ints(lo, out, order, a.den * b.den)
+
+
+def _slot_size(bound: int) -> int:
+    """The bytes of a ``_pack``/``_unpack`` slot that holds every integer of
+    size at most bound: the slot's w bits hold -2^(w-1) to 2^(w-1) - 1, and
+    bound < 2^(bound.bit_length()).  Every packed width is taken here."""
+    return (bound.bit_length() + 8) // 8
 
 
 def _slot_run(count: int, size: int) -> int:

@@ -313,8 +313,57 @@ SLOT_CEILINGS = {BASE5_QUOTIENT: 96, THETA_PAIR: 24, PENTAGONAL_QUOTIENT: 16}
 def test_slot_bits_hold_the_largest_coefficient(prod, n):
     true = max(abs(c).bit_length() for c in _pass_reference(prod.factors, n))
     thetas, rest = products._decompose(prod.factors)
-    bits = products._slot_bits(prod.factors, thetas, products._euler_exponents(rest, n), n)
+    if rest or any(k < 0 for _, k in thetas):
+        bound = products._euler_bound(prod.factors, n)
+    else:
+        bound = products._l1_norm(thetas, n)
+    bits = bound.bit_length() + 1
     assert true + 1 <= bits <= SLOT_CEILINGS.get(prod, true + 16)
+    assert products._majorant_size(prod.factors, thetas, rest, n, (1,)) == (bits + 7) // 8
+
+
+@st.composite
+def width_draw(draw):
+    """(product, n, s): thetas theta_s(r, p)^k, each as its class pair times
+    (q^p; q^p)^k, times free factors (s q^r; q^step)^m, r up to twice the
+    step, which mostly stay in the rest; and s None or a multiplicand of up
+    to 20 terms, small or above 2^64."""
+    prod = Product()
+    for s, p, k in draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(2, 12),
+                                           st.integers(-3, 3).filter(bool)), max_size=3)):
+        r = draw(st.integers(1, p // 2))
+        prod = prod * (poch(s, r, p) * poch(s, p - r, p) * poch(1, p, p)) ** k
+    for s, step, m in draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 12),
+                                              st.integers(-3, 3).filter(bool)), max_size=3)):
+        prod = prod * poch(s, draw(st.integers(1, 2 * step)), step, m)
+    big = draw(st.sampled_from((3, 1 << 70)))
+    s = draw(st.none() | st.lists(st.integers(-big, big), min_size=1, max_size=20))
+    return prod, draw(st.integers(1, 400)), s
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(width_draw())
+@example((THETA_PAIR, 400, None))  # numerator thetas, no rest
+@example((PENTAGONAL_QUOTIENT, 400, [-(1 << 70)] * 3))  # a denominator
+@example((poch(1, 9, 4, 3) * poch(-1, 2, 7, -2), 400, [5, -7]))  # a rest alone
+def test_the_majorant_width_holds_the_product_times_s(draw):
+    """Each of the first n coefficients of s times the product fits the
+    slot of ``_majorant_size``, and the sum of the product's sizes is within
+    ``_euler_bound``, and within ``_l1_norm`` where the thetas are all
+    numerators and there is no rest."""
+    prod, n, s = draw
+    f = _pass_reference(prod.factors, n)
+    thetas, rest = products._decompose(prod.factors)
+    l1 = sum(map(abs, f))
+    assert l1 <= products._euler_bound(prod.factors, n)
+    if not rest and all(k > 0 for _, k in thetas):
+        assert l1 <= products._l1_norm(thetas, n)
+    fs = f
+    if s is not None:
+        fs = [sum(c * f[i - j] for j, c in enumerate(s[:i + 1])) for i in range(n)]
+    size = products._majorant_size(prod.factors, thetas, rest, n, s or (1,))
+    half = 1 << (8 * size - 1)
+    assert all(-half <= c < half for c in fs)
 
 
 # ----------------------------------------------------------------------

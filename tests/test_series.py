@@ -280,6 +280,12 @@ def long_series_st(draw):
 @settings(max_examples=120, deadline=None)
 @given(long_series_st(), long_series_st())
 @example(S(0, [255] * 130, 130), S(0, [-255] * 130, 130))  # a coefficient at the bound
+# the bound 64 max|a| max|b|, reached at q^63, of 7, 15, 23 and 71 bits: its
+# slot has no spare bit
+@example(S(0, [-1] * 64, 64), S(0, [-1] * 64, 64))
+@example(S(0, [-22] * 64, 64), S(0, [22] * 64, 64))
+@example(S(0, [-362] * 64, 64), S(0, [-362] * 64, 64))
+@example(S(0, [-6074000999] * 64, 64), S(0, [-6074000999] * 64, 64))
 def test_packed_mul_matches_schoolbook(a, b):
     got = mul(a, b)
     assert got == _mul_schoolbook(a, b)
@@ -302,6 +308,18 @@ def test_slots_round_trip(size):
         # any multiple of 2^(w len(cs)) on top is dropped
         assert series._unpack(packed + (rng.randrange(1, 1 << 40) << (w * len(cs))), size,
                               len(cs)) == cs
+
+
+@pytest.mark.parametrize("k", [7, 8, 15, 16, 63, 64, 71, 72])
+@pytest.mark.parametrize("below", [1, 0])
+def test_slot_size_holds_its_bound(k, below):
+    """A slot of ``_slot_size(bound)`` bytes holds +-bound, and is the
+    narrowest that does."""
+    bound = (1 << k) - below
+    size = series._slot_size(bound)
+    cs = [bound, -bound, 0, -bound, bound]
+    assert series._unpack(series._pack(cs, size), size, len(cs)) == cs
+    assert size == 1 or bound >= 1 << (8 * size - 9)
 
 
 def test_slots_of_a_product_that_wraps():
