@@ -43,43 +43,59 @@ class RankTable:
         return sum(self.counts.values())
 
 
-def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
+def _count_by_residue(modulus: Optional[int], order: int) -> List[List[int]]:
     """rows[n][s] = number of overpartitions of n with rank = s (mod modulus),
-    for 0 <= n < order, by a counting DP over the largest part L.
+    for 0 <= n < order, by a counting DP over the largest part L; modulus
+    None counts the exact ranks, which lie in (-order, order), as residues
+    modulo 2 * order - 1.
 
     With t marking the number of parts, F_L = prod_{v<=L} (1 + t q^v)/(1 - t q^v)
     generates the overpartitions with every part at most L (Corteel-Lovejoy,
     "Overpartitions", Trans. AMS 356, 2004).  Those whose largest part is
     exactly L are F_L - F_{L-1} = 2 t q^L F_{L-1}/(1 - t q^L), and each has
-    rank L - #parts.  Only #parts mod modulus matters, so the t-polynomial of
-    each weight is held as ``modulus`` counts packed into one integer (slot k:
-    #parts = k mod modulus), and multiplying by t^a rotates the slots by a.
-    Every count is at most pbar(order - 1), which fixes the slot width.
+    rank L - #parts.  The t-polynomial of each weight is held as counts
+    packed into one integer, and a count moves from #parts k to -rank =
+    k - L.  For a modulus only #parts mod modulus matters: ``modulus`` slots
+    (slot k: #parts = k mod modulus), and multiplying by t^a rotates the
+    slots by a.  For the exact ranks no slot wraps round: #parts < order and
+    slot -rank + order - 1 < 2 * order - 1, so multiplying by t^a is a plain
+    shift by a slots.  Every count is at most pbar(order - 1), which fixes
+    the slot width.
     """
     if modulus == 1:
         nbytes = _slot_size(1 << (order - 1))  # pbar(n) <= 2^n bounds the single slot
     else:
         nbytes = _slot_size(_rows(1, order)[order - 1][0])
     width = 8 * nbytes
-    full = (1 << (modulus * width)) - 1
+    if modulus is None:
+        slots, offset = 2 * order - 1, order - 1
 
-    def rotate(x: int, a: int) -> int:  # times t^a, modulo t^modulus - 1
-        return ((x << (a * width)) & full) | (x >> ((modulus - a) * width))
+        def shift(x: int, bits: int) -> int:
+            return x << bits
+    else:
+        slots, offset = modulus, 0
+        full = (1 << (modulus * width)) - 1
+
+        def shift(x: int, bits: int) -> int:  # modulo t^modulus - 1
+            return ((x << bits) & full) | (x >> (modulus * width - bits))
 
     parts = [1] + [0] * (order - 1)  # F_L by weight; starts at F_0 = 1
-    ranks = [1] + [0] * (order - 1)  # slot k: -rank = k mod modulus; n = 0 is ()
+    # slot k: -rank + offset = k (mod slots); n = 0 is (), of rank 0
+    ranks = [1 << (offset * width)] + [0] * (order - 1)
     for big in range(1, order):
-        back = -big % modulus
+        # times 2 t^-L as one shift of that many bits: doubling carries no
+        # count of new into the next slot, as each is at most pbar(n) / 2
+        back = (offset - big) % slots * width + 1
         for n in range(big, order):  # F_{L-1} / (1 - t q^L)
-            parts[n] += rotate(parts[n - big], 1)
+            parts[n] += shift(parts[n - big], width)
         for n in range(order - 1, big - 1, -1):  # times (1 + t q^L), giving F_L
-            new = rotate(parts[n - big], 1)
+            new = shift(parts[n - big], width)
             parts[n] += new
-            ranks[n] += 2 * rotate(new, back)  # largest part exactly L: rank L - k
+            ranks[n] += shift(new, back)  # largest part exactly L: rank L - k
     out = []
     for packed in ranks:
-        slots = _unpack(packed, nbytes, modulus)
-        out.append([slots[-s % modulus] for s in range(modulus)])
+        counts = _unpack(packed, nbytes, slots)
+        out.append([counts[(offset - s) % slots] for s in range(slots)])
     return out
 
 
@@ -103,7 +119,7 @@ def _rows(modulus: Optional[int], order: int) -> list:
             if modulus is None:
                 size = 2 * order - 1
                 rows = [{(s if s < order else s - size): c for s, c in enumerate(row) if c}
-                        for row in _count_by_residue(size, order)]
+                        for row in _count_by_residue(None, order)]
             else:
                 rows = _count_by_residue(modulus, order)
             _TABLES[modulus] = rows

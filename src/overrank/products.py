@@ -32,10 +32,10 @@ proven bound on the coefficients: the series' largest coefficient times the
 l1 norms of the theta sums where all are numerators and there is no rest,
 else times a Cauchy bound on the factors' Euler exponents, in which the
 borrowed pentagonals cancel; ``series._slot_size`` turns it into bytes.
-A long quotient of thetas alone is first run at the width that a probe of
-its first quarter predicts, or that the series needs if that is more, as
-such results are mostly far narrower than that bound, and kept only once
-multiplying it back by the denominator proves it.  The in-place list pass
+A long quotient of thetas alone is first run at the width the series needs,
+as such results are mostly far narrower than that bound, and kept only once
+multiplying it back by the denominator proves it; only where that fails are
+the bound and a probe of its first quarter paid for.  The in-place list pass
 ``binomial_pass`` serves the Lambert sums and ``triple_product``, which do
 not go through the kernel, and is the reference ``expand`` and ``times`` are
 tested against.
@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import compress, count, repeat
 from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, prod, sqrt
 from operator import add, gt, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import PoleHit
 from .series import Coefficient, LaurentSeries, Sides, _from_ints, _pack, _slot_size, _unpack, mul
@@ -174,22 +174,25 @@ _TIMES_MIN_LENGTH = 512
 # first.  Entries are tuples, so no caller can change one.
 _EXPAND_LIMIT = 1 << 20
 _expanded: Dict[Tuple[Factor, ...], Tuple[int, ...]] = {}
-_expand_counts = {"hits": 0, "misses": 0, "stored": 0, "verified": 0, "fallbacks": 0}
+_expand_counts = {"hits": 0, "misses": 0, "stored": 0, "verified": 0, "probed": 0,
+                  "fallbacks": 0}
 _expand_lock = threading.Lock()
 
-ExpandCacheInfo = namedtuple("ExpandCacheInfo", "hits misses maxsize currsize verified fallbacks")
+ExpandCacheInfo = namedtuple("ExpandCacheInfo",
+                            "hits misses maxsize currsize verified probed fallbacks")
 
 
 def expand_cache_info() -> ExpandCacheInfo:
     """Hits, misses, the bound and the stored coefficients of the ``expand``
     memo, in the shape of ``functools.lru_cache``'s ``cache_info()``, then
     the kernel runs, of misses and of ``times`` alike, kept at a narrow width
-    and proven by multiplying back (``_verified_quotient``) and those that
-    fell back from a narrow try to the majorant width."""
+    and proven by multiplying back (``_verified_quotient``), those of them
+    that needed a probe as the first width failed, and those that fell back
+    from a narrow try to the majorant width."""
     with _expand_lock:
         c = _expand_counts
         return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"],
-                               c["verified"], c["fallbacks"])
+                               c["verified"], c["probed"], c["fallbacks"])
 
 
 def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Sequence[int]:
@@ -240,8 +243,8 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,))
     binomials, each a sparse sum too, are taken by ``_times_thetas`` at the
     majorant slot width of ``_majorant_size``.  From
     ``_VERIFIED_MIN_LENGTH`` on, a quotient of thetas alone with a
-    denominator is first tried at a narrow width by ``_verified_quotient``,
-    and returned if it passes.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
+    denominator goes to ``_verified_quotient``, which tries narrow widths
+    first.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
     rings, so every step is exact on v whatever the size of the
     coefficients met on the way; only the final ones must fit a slot.  One
     power of 1 - sign*q^e is the shift-add v - sign*(v << w e), keeping the
@@ -249,14 +252,10 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,))
     (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays below n.
     """
     thetas, rest = _decompose(factors)
-    size = _majorant_size(factors, thetas, rest, n, s)
     if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
-        out = _verified_quotient(factors, thetas, n, s, size)
-        with _expand_lock:
-            _expand_counts["fallbacks" if out is None else "verified"] += 1
-        if out is not None:
-            return out
-    return _expand_at(thetas, _euler_exponents(rest, n) if rest else [], n, size, s)
+        return _verified_quotient(factors, thetas, n, s)
+    return _expand_at(thetas, _euler_exponents(rest, n) if rest else [], n,
+                      _majorant_size(factors, thetas, rest, n, s), s)
 
 
 def _majorant_size(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, int]],
@@ -290,38 +289,65 @@ def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[in
     return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n)
 
 
-# Besides its run, a narrow try costs a probe at n/4 and a check, so it pays
-# only on long quotients.  Every such kernel call of ``run_suite`` at order
-# scales 0.25, 1 and 8 and of the ``deep`` entries was timed on both routes
-# (2 cores, Python 3.11).  Below 512 the narrow try lost, by 1.2-2.1x in
-# all per octave of n; from 512 on it cut scale 8's 131 such calls from 1.79
-# to 1.00 s and deep's 15 from 95 to 40 ms, and cutoffs of 384 to 640 came
-# within 0.1% of each other at scale 8.
+# A narrow try costs at least a run and a check, so it pays only on long
+# quotients.  Every such kernel call of ``run_suite`` at order scales 0.25, 1
+# and 8 and of the ``deep`` entries was timed on both routes (2 cores,
+# Python 3.11) when each try began with a probe: below 512 the narrow try
+# lost, by 1.2-2.1x in all per octave of n; from 512 on it cut scale 8's 131
+# such calls from 1.79 to 1.00 s and deep's 15 from 95 to 40 ms, and cutoffs
+# of 384 to 640 came within 0.1% of each other at scale 8.  With the first
+# try at the multiplicand's width, the kernel calls of ``run_suite(1.0)``
+# took 32-38 ms at 512, 41-50 ms at 256 and 53-64 ms at 128 (best of 5 per
+# call, two passes).
 _VERIFIED_MIN_LENGTH = 512
 
 
 def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, int]], n: int,
-                       s: Sequence[int], majorant: int) -> Optional[List[int]]:
+                       s: Sequence[int]) -> List[int]:
     """The first n coefficients of s times the product of the thetas of the
-    quotient, each to its power, or None when they are not found at a width
-    well below the majorant slot of ``majorant`` bytes.
+    quotient, each to its power: a narrow run that ``_multiplies_back``
+    proves, or else the run at the majorant width.
 
-    A probe takes the first n/4 coefficients exactly, at their own majorant
-    width, and ``_predicted_size`` reads a width for all n off them, widened
-    where s does not fit it, as s is packed at that width.  The check that
-    proves a run is at least as wide as the run, so none is made
-    where twice that width exceeds the majorant (of the factors 1, 1.5, 2
-    and 3 tried on the calls timed below, 1.5 and 2 gave the least totals,
-    within 2% of each other; 1 cost scale 8 5% more and 3 cost deep 22%
-    more).  The run is kept only if ``_multiplies_back`` proves it.
+    The first run is at the width of s itself, the narrowest at which s
+    packs; 13 of ``deep``'s 15 such calls are kept there, and neither the
+    majorant nor a probe is computed for them.  Where the check rejects it,
+    the true coefficients do not fit that width.  Only then is the majorant
+    bounded: a probe takes the first n/4 coefficients at twice the width,
+    doubled until the check proves it at n/4, and all n are run once more at
+    the width ``_predicted_size`` reads off the probe, a byte wider than the
+    first at least.  A run is proven by a check at least as wide, so after
+    the first no probe or run is made where twice its width exceeds the
+    majorant (of the factors 1, 1.5, 2 and 3 tried, 1.5 and 2 gave the
+    least totals, within 2% of each other; 1 cost scale 8 5% more and 3 cost
+    deep 22% more); the quotient is then run at the majorant width, as it is
+    when the check rejects the predicted run.
     """
-    m = n // 4
-    probe = _expand_at(quotient, [], m, _majorant_size(factors, quotient, [], m, s), s)
-    size = max(_predicted_size(probe), _slot_size(max(map(abs, s[:n]))))
-    if 2 * size > majorant:
-        return None
-    f = _expand_at(quotient, [], n, size, s)
-    return f if _multiplies_back(f, quotient, n, s) else None
+    first = _slot_size(max(map(abs, s[:n])))
+    f = _expand_at(quotient, [], n, first, s)
+    if _multiplies_back(f, quotient, n, s):
+        _count("verified")
+        return f
+    majorant = _majorant_size(factors, quotient, [], n, s)
+    m, size = n // 4, 2 * first
+    while 2 * size <= majorant:
+        probe = _expand_at(quotient, [], m, size, s)
+        if _multiplies_back(probe, quotient, m, s):
+            size = max(_predicted_size(probe), first + 1)
+            if 2 * size <= majorant:
+                f = _expand_at(quotient, [], n, size, s)
+                if _multiplies_back(f, quotient, n, s):
+                    _count("verified", "probed")
+                    return f
+            break
+        size *= 2
+    _count("fallbacks")
+    return _expand_at(quotient, [], n, majorant, s)
+
+
+def _count(*keys: str) -> None:
+    with _expand_lock:
+        for key in keys:
+            _expand_counts[key] += 1
 
 
 def _predicted_size(probe: List[int]) -> int:
@@ -463,26 +489,36 @@ def _decompose(factors: Tuple[Factor, ...]) -> Tuple[List[Tuple[Theta, int]], Li
 
     A class pair (s q^r, s q^(p-r); q^p)^k is theta_s(r, p)^k / (q^p; q^p)^k,
     and so is (s q^(p/2); q^p)^(2k); (q^p; q^p) is the pentagonal
-    theta_+(p, 3p), and (-q^p; q^p) = 1 / (q^p; q^2p) is
-    theta_+(p, 3p) / theta_+(p, 2p).  So each class borrows the (q^p; q^p)
-    its theta lacks, and the thetas of one argument add their powers.  A
-    class whose partner has another multiplicity or sign, the class p/2 to
-    an odd power and r > p stay in the rest.
+    theta_+(p, 3p).  So each class borrows the (q^p; q^p) its theta lacks,
+    and the thetas of one argument add their powers.  A class whose partner
+    has another multiplicity or sign, the class p/2 to an odd power and
+    r > p stay in the rest.
+
+    (-q^p; q^p) = 1 / (q^p; q^2p) is theta_+(p, 3p) / theta_+(p, 2p), and,
+    as theta_+(p, 2p) theta_+(2p, 6p) = theta_+(p, 3p)^2, also
+    theta_+(2p, 6p) / theta_+(p, 3p).  Once the classes are placed, each
+    (-q^p; q^p)^m in turn, by increasing p, takes the form that leaves
+    fewer theta powers in all, the first on a tie: pbar is 1 / theta_+(1, 2).
     """
     powers = Counter()
     mults = dict(factors)
-    rest = []
+    rest, minus = [], []
     for (s, r, p), m in factors:
         if r == p:
-            powers[(1, p, 3 * p)] += m
-            if s == -1:
-                powers[(1, p, 2 * p)] -= m
+            if s == 1:
+                powers[(1, p, 3 * p)] += m
+            else:
+                minus.append((p, m))
         elif r > p or mults.get((s, p - r, p)) != m or (2 * r == p and m % 2):
             rest.append(((s, r, p), m))
         elif 2 * r <= p:  # with its partner p - r, which places none itself
             k = m // 2 if 2 * r == p else m
             powers[(s, r, p)] += k
             powers[(1, p, 3 * p)] -= k
+    for p, m in minus:
+        forms = [{(1, p, 3 * p): m, (1, p, 2 * p): -m}, {(1, 2 * p, 6 * p): m, (1, p, 3 * p): -m}]
+        powers.update(min(forms, key=lambda form: sum(abs(powers[theta] + k) - abs(powers[theta])
+                                                      for theta, k in form.items())))
     return sorted((theta, k) for theta, k in powers.items() if k), rest
 
 

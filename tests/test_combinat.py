@@ -106,6 +106,19 @@ class TestRank:
                 assert [nbar_class(s, m, n) for s in range(m)] == combinat._rows(m, n + 1)[n], \
                     (n, m)
 
+    def test_exact_table_folds_onto_the_residue_tables(self):
+        # the exact histogram's offset slots and the residue tables' rotated
+        # ones are two layouts of one DP
+        order = 300
+        exact = combinat._count_by_residue(None, order)
+        size = 2 * order - 1
+        for m in (3, 5, 7):
+            folded = [[0] * m for _ in range(order)]
+            for n, row in enumerate(exact):
+                for s, c in enumerate(row):
+                    folded[n][(s if s < order else s - size) % m] += c
+            assert folded == combinat._count_by_residue(m, order), m
+
     def test_an_absurd_modulus_builds_no_table(self):
         m = 10**12
         assert [nbar_class(s, m, 3) for s in (0, 1, 2, 3, m - 2, m - 1)] == \

@@ -476,6 +476,11 @@ GROWTH_QUOTIENT = P(1, 2, 5) * P(-1, 0, 5) / (P(1, 1, 5) * P(-1, 1, 5))
          expect=([((1, 1, 2), -1)], []))
 @example(parts=[("pair", -1, 1, 11, 1), ("pair", -1, 5, 11, 1), ("pentagonal", 1, 1, 11, 2)],
          order=1000, expect=([((-1, 1, 11), 1), ((-1, 5, 11), 1)], []))
+# (-q^3; q^3)^4 as theta_+(6, 18)^4 / theta_+(3, 9)^4, which the classes'
+# pentagonals cancel: 8 theta powers, against 16 as theta_+(3, 9)^4 / theta_+(3, 6)^4
+@example(parts=[("minus", 1, 1, 3, 4), ("pentagonal", 1, 1, 3, 2), ("pair", -1, 1, 3, -2),
+                ("pair", 1, 1, 3, -1)], order=200,
+         expect=([((-1, 1, 3), -2), ((1, 1, 3), -1), ((1, 3, 9), 1), ((1, 6, 18), 4)], []))
 # classes with no theta form: no partner, a partner of another multiplicity
 # or sign, the class p/2 to an odd power, r > p
 @example(parts=[("class", 1, 1, 5, 1)], order=200, expect=([], [((1, 1, 5), 1)]))
@@ -510,11 +515,16 @@ def test_theta_quotient_is_the_product(parts, order, expect):
     assert tried == (not rest and any(k < 0 for _, k in thetas))
 
 
-def test_small_quotient_is_verified(memo):
+def test_small_quotient_is_verified(memo, monkeypatch):
+    # kept at the multiplicand's one byte, so the majorant is never bounded
+    def no_bound(factors, n):
+        raise AssertionError("the majorant was bounded")
+
+    monkeypatch.setattr(products, "_euler_bound", no_bound)
     n = 600
     got = BASE5_PAIRS.expand(n)
     assert got == LaurentSeries(0, _pass_reference(BASE5_PAIRS.factors, n), n)
-    assert expand_cache_info()[1:] == (1, products._EXPAND_LIMIT, n, 1, 0)
+    assert expand_cache_info()[1:] == (1, products._EXPAND_LIMIT, n, 1, 0, 0)
 
 
 def test_growth_quotient_falls_back_to_its_majorant(memo):
@@ -528,7 +538,7 @@ def test_growth_quotient_falls_back_to_its_majorant(memo):
     narrow = products._unpack(products._times_thetas(sums, 8, n), 1, n)
     assert narrow != ref and not products._multiplies_back(narrow, quotient, n)
     assert GROWTH_QUOTIENT.expand(n) == LaurentSeries(0, ref, n).scale(GROWTH_QUOTIENT.scalar)
-    assert expand_cache_info()[-2:] == (0, 1)
+    assert expand_cache_info()[-3:] == (0, 0, 1)
 
 
 @pytest.mark.parametrize("shift", [256, -256])
@@ -609,21 +619,33 @@ def _class_difference(n):
     return rank_class_sum(1, 5, n) - rank_class_sum(2, 5, n)
 
 
+def test_a_result_wider_than_its_multiplicand_is_probed(memo):
+    n = 600
+    s = _class_difference(n)
+    pbar = poch(-1, 1, 1) / poch(1, 1, 1)
+    ref = mul(_reference_expand(pbar, n), s)
+    # s fits one byte and the product does not: the first try fails, and a
+    # probe gives the width of the run that is kept
+    assert max(map(abs, s.nums)).bit_length() <= 7 < max(map(abs, ref.nums)).bit_length()
+    assert pbar.times(s, n) == ref
+    assert expand_cache_info()[-3:] == (1, 1, 0)
+
+
 def test_a_narrow_width_too_small_is_rejected(memo, monkeypatch):
     n = 600
     s = _class_difference(n)
     ref = mul(_reference_expand(RANK_CLASS_PRODUCT, n), s)
-    assert max(abs(c) for c in ref.coeffs).bit_length() > 7
+    assert max(abs(c) for c in ref.coeffs).bit_length() > 15
     assert RANK_CLASS_PRODUCT.times(s, n) == ref
-    assert expand_cache_info()[-2:] == (1, 0)
-    # forced to one byte, the run decodes wrong, the check says so, and the
-    # majorant run gives the answer
+    assert expand_cache_info()[-3:] == (1, 1, 0)
+    # s fits one byte, so a width predicted as one byte runs at two; that
+    # decodes wrong, the check says so, and the majorant run gives the answer
     monkeypatch.setattr(products, "_predicted_size", lambda probe: 1)
     assert RANK_CLASS_PRODUCT.times(s, n) == ref
-    assert expand_cache_info()[-2:] == (1, 1)
+    assert expand_cache_info()[-3:] == (1, 1, 1)
     quotient, _ = products._decompose(RANK_CLASS_PRODUCT.factors)
     m, cs = n - s.min_exp, s.coeffs
-    narrow = products._expand_at(quotient, [], m, 1, cs)
+    narrow = products._expand_at(quotient, [], m, 2, cs)
     assert narrow != list(ref.coeffs[:m]) and not products._multiplies_back(narrow, quotient, m, cs)
 
 
@@ -651,13 +673,13 @@ def test_a_sign_flipped_in_the_multiply_back_is_caught(memo, monkeypatch, side):
             return check(*args)
 
     ref = prod.times(s, n)
-    assert expand_cache_info()[-2:] == (1, 0)
+    assert expand_cache_info()[-3:] == (1, 1, 0)
     m, cs = n - s.min_exp, s.coeffs
     f = list(ref.coeffs) + [0] * (m - len(ref.coeffs))
     assert check(f, quotient, m, cs) and not mutant(f, quotient, m, cs)
     monkeypatch.setattr(products, "_multiplies_back", mutant)
     assert prod.times(s, n) == ref
-    assert expand_cache_info()[-2:] == (1, 1)
+    assert expand_cache_info()[-3:] == (1, 1, 1)
 
 
 def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
