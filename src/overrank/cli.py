@@ -114,14 +114,8 @@ def _cmd_count(args) -> int:
         raise BadArgument(f"--mod must be at least 1, got {m}")
     print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
     for n in range(n_max + 1):
-        if m >= 2 * n - 1:  # the ranks of n, in [1 - n, n - 1], lie in distinct classes
-            classes = {r % m: c for r, c in combinat.rank_table(n).counts.items()}
-        else:
-            classes = {s: combinat.nbar_class(s, m, n) for s in range(m)}
-        cells = ["0"] * m
-        for s, c in classes.items():
-            cells[s] = str(c)
-        print("\t".join([str(n), str(sum(classes.values()))] + cells))
+        classes = [combinat.nbar_class(s, m, n) for s in range(m)]
+        print("\t".join(map(str, [n, sum(classes)] + classes)))
     return 0
 
 

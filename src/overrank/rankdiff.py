@@ -251,46 +251,40 @@ def s_bar_final_form(spec: FinalFormSpec, order: int) -> LaurentSeries:
     return total + mul(sigma_coefficient_bracket(spec, order), sig)
 
 
-# Prop-style closed forms for the bracket, in the dissected variable:
-# +-q^e (q;q)(-q^L;q^L) / ((-q;q)(q^L;q^L))
-BRACKET_TABLE = {
-    (3, 1): (
-        T(Product(-1, 2) * poch(1, 1, 1) * poch(-1, 9, 9) / (poch(-1, 1, 1) * poch(1, 9, 9))),
-    ),
-    (5, 2): (
-        T(Product(1, 6) * poch(1, 1, 1) * poch(-1, 25, 25) / (poch(-1, 1, 1) * poch(1, 25, 25))),
-    ),
-    (5, 1): (
-        T(Product(-1, 4) * poch(1, 1, 1) * poch(-1, 25, 25) / (poch(-1, 1, 1) * poch(1, 25, 25))),
-    ),
-}
+def bracket_closed_form(ell: int, m: int) -> Product:
+    """The Prop-style closed form of the Sum(m,0)-coefficient bracket of
+    Sbar(ell - 2m), in the dissected variable, with L = ell^2:
+
+        (-1)^m q^(m(ell-m)) (q;q)(-q^L;q^L) / ((-q;q)(q^L;q^L))
+    """
+    sq = ell * ell
+    return (Product((-1) ** m, m * (ell - m)) * poch(1, 1, 1) * poch(-1, sq, sq)
+            / (poch(-1, 1, 1) * poch(1, sq, sq)))
 
 
 def brackets(spec: FinalFormSpec, order: int) -> Sides:
     """Assembled Sum(m,0)-coefficient vs its product closed form."""
     return (sigma_coefficient_bracket(spec, order),
-            eval_terms(BRACKET_TABLE[(spec.ell, spec.m)], order))
+            bracket_closed_form(spec.ell, spec.m).expand(order))
 
 
-# literal Sbar closed forms: Sbar(1) for ell=3, Sbar(1) and Sbar(3) for ell=5;
-# the lambert entries are the lifted Sum(m,0), i.e. Sum(q^(ell*m), 1, q^(ell^2))
+# literal Sbar closed forms: Sbar(1) for ell=3, Sbar(1) and Sbar(3) for ell=5,
+# each b = ell - 2m; the lambert entries are the lifted Sum(m,0), i.e.
+# Sum(q^(ell*m), 1, q^(ell^2)), times the bracket's closed form
 SBAR_CLOSED_TABLE = {
     's1too': (3, 1, (
         T(Product(-1), g=(1, 3)),
-        T(Product(-1, 2) * poch(1, 1, 1) * poch(-1, 9, 9)
-          / (poch(-1, 1, 1) * poch(1, 9, 9)), lambert=(3, 9)),
+        T(bracket_closed_form(3, 1), lambert=(3, 9)),
     )),
     's1': (5, 1, (
         T(Product(-1), g=(2, 5)),
-        T(Product(1, 6) * poch(1, 1, 1) * poch(-1, 25, 25)
-          / (poch(-1, 1, 1) * poch(1, 25, 25)), lambert=(10, 25)),
+        T(bracket_closed_form(5, 2), lambert=(10, 25)),
         T(Product(-1, 2) * poch(1, 25, 25) ** 2 * poch(-1, 10, 25) * poch(-1, 15, 25)
           / (poch(1, 10, 25) * poch(1, 15, 25) * poch(-1, 5, 25) * poch(-1, 20, 25))),
     )),
     's3': (5, 3, (
         T(Product(-1), g=(1, 5)),
-        T(Product(-1, 4) * poch(1, 1, 1) * poch(-1, 25, 25)
-          / (poch(-1, 1, 1) * poch(1, 25, 25)), lambert=(5, 25)),
+        T(bracket_closed_form(5, 1), lambert=(5, 25)),
         T(Product(1, 3) * poch(1, 25, 25) ** 2 * poch(-1, 5, 25) * poch(-1, 20, 25)
           / (poch(1, 5, 25) * poch(1, 20, 25) * poch(-1, 10, 25) * poch(-1, 15, 25))),
     )),

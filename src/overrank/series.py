@@ -247,30 +247,16 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return _from_ints(lo, out, order, den)
 
 
-# The schoolbook loop makes one slice pass over one operand per nonzero
-# coefficient of the other; packing costs a few word operations per
-# coefficient of both operands and of the product.  On random operands of
-# 100 to 3000 coefficients (2 cores, Python 3.11) the slice pass was the
-# faster up to 4 to 6 nonzeros on the sparser side against 3-bit
-# coefficients, and up to 8 to 16 against 60-bit ones.  ``run_suite`` makes
-# 80 calls here at scale 1 and 81 at scale 0.25, almost all from short
-# ``Product.times`` calls; replayed, best of 7, they took 10.9 and 2.9 ms
-# at a cutoff of 4, 10.7 and 3.8 ms at 8, and 17.1 and 3.9 ms at 12.
-_SCHOOLBOOK_MAX_NONZEROS = 4
-
-
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Cauchy product.
 
     The result is exact below min(a.order + b.min_exp, b.order + a.min_exp):
     the first unknown coefficient of either factor first affects that exponent.
 
-    The product is taken by Kronecker substitution: the numerators of each
-    side, truncated to the output window, are packed into one integer at
-    q = 2^w, and one bigint product carries every coefficient over
-    a.den * b.den (D. Harvey, arXiv:0712.4046).  When either side has at most
-    ``_SCHOOLBOOK_MAX_NONZEROS`` nonzero coefficients, ``_mul_schoolbook``
-    is faster and is used instead.
+    The product is taken by Kronecker substitution, whatever the operands'
+    sizes or sparsity: the numerators of each side, truncated to the output
+    window, are packed into one integer at q = 2^w, and one bigint product
+    carries every coefficient over a.den * b.den (D. Harvey, arXiv:0712.4046).
     """
     order = min(a.order + b.min_exp, b.order + a.min_exp)
     lo = a.min_exp + b.min_exp
@@ -278,8 +264,6 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return LaurentSeries.zero(order)
     n = order - lo
     ac, bc = a.nums[:n], b.nums[:n]
-    if min(len(ac) - ac.count(0), len(bc) - bc.count(0)) <= _SCHOOLBOOK_MAX_NONZEROS:
-        return _mul_schoolbook(a, b)
     # every output coefficient is a sum of at most min(len) products
     size = _slot_size(max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc)))
     m = min(n, len(ac) + len(bc) - 1)
@@ -304,13 +288,7 @@ def _slot_run(count: int, size: int) -> int:
 # machine words, so no Python-level step is taken per slot up to 8 bytes.  A
 # slot of 3, 5, 6 or 7 bytes is widened to the next word by strided byte
 # copies; one above 8 bytes is written slot by slot by ``to_bytes`` and read
-# as 8-byte planes, joined by ``map``, or, for at most _PER_SLOT_MAX slots,
-# slot by slot by ``from_bytes``.  The planes cost a fixed few arrays and
-# maps: decoding 1 to 32 random slots (best of 7; 2 cores, Python 3.11), the
-# per-slot loop was 2.3-7.0x faster at 8 slots or fewer of 9, 13 and 17
-# bytes, 1.8-2.7x at 12, and 1.1-2.2x at 16 to 24; of 16 bytes, whose planes
-# need no widening, it tied at 8 slots and lost 15% at 12 and 18% at 16.
-_PER_SLOT_MAX = 12
+# as 8-byte planes, joined by ``map``.
 _SIGNED = {array(c).itemsize: c for c in "bhilq"}
 _BIG_ENDIAN = sys.byteorder == "big"
 _SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
@@ -364,9 +342,6 @@ def _unpack(v: int, size: int, count: int) -> List[int]:
     run = _slot_run(count, size)
     raw = (((v + run) & ((1 << (8 * size * count)) - 1)) ^ run).to_bytes(size * count, "little")
     word = _word(size)
-    if word > 8 and count <= _PER_SLOT_MAX:
-        return [int.from_bytes(raw[i:i + size], "little", signed=True)
-                for i in range(0, size * count, size)]
     if word != size:
         wide = bytearray(word * count)
         for b in range(size):
@@ -384,28 +359,6 @@ def _unpack(v: int, size: int, count: int) -> List[int]:
     for j in range(k - 2, -1, -1):
         out = map(operator.add, map(operator.lshift, out, repeat(64)), low[j::k])
     return list(out)
-
-
-def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Cauchy product by one slice pass over the other operand per nonzero of
-    the sparser one: ``mul``'s path when one operand has very few nonzeros,
-    and the reference its packed path is tested against."""
-    order = min(a.order + b.min_exp, b.order + a.min_exp)
-    lo = a.min_exp + b.min_exp
-    if not a.nums or not b.nums:
-        return LaurentSeries.zero(order)
-    # iterate over the operand with fewer nonzero entries
-    na, nb = len(a.nums) - a.nums.count(0), len(b.nums) - b.nums.count(0)
-    if nb < na:
-        a, b = b, a
-    n = order - lo
-    out = [0] * n
-    bc = b.nums
-    for i, ca in enumerate(a.nums[:n]):
-        if ca:
-            m = min(len(bc), n - i)
-            out[i:i + m] = map(operator.add, out[i:i + m], map(operator.mul, repeat(ca), bc[:m]))
-    return _from_ints(lo, out, order, a.den * b.den)
 
 
 def substitute_power(a: LaurentSeries, k: int) -> LaurentSeries:

@@ -1,13 +1,17 @@
 """Slow references that the tests compare the package against.
 
 The counting oracle is pinned to ``overpartitions``, the object enumeration
-it replaced, and the theta-sum and Lambert tests build their expected series
-with ``inverse``, term by term.  Neither is used by the package itself.
+it replaced; the theta-sum and Lambert tests build their expected series
+with ``inverse``, term by term; and ``series.mul``'s packed (Kronecker)
+product is pinned to ``_mul_schoolbook``, one slice pass per nonzero.  None
+of them is used by the package itself.
 """
 
+import operator
 from fractions import Fraction
+from itertools import repeat
 
-from overrank.series import LaurentSeries
+from overrank.series import LaurentSeries, _from_ints
 
 
 def overpartitions(n):
@@ -56,3 +60,24 @@ def inverse(a: LaurentSeries) -> LaurentSeries:
             s += c * out[n - j]
         out[n] = -s * inv0
     return LaurentSeries(-m, out, a.order - 2 * m)
+
+
+def _mul_schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """Cauchy product by one slice pass over the other operand per nonzero of
+    the sparser one: the reference ``mul``'s packed path is tested against."""
+    order = min(a.order + b.min_exp, b.order + a.min_exp)
+    lo = a.min_exp + b.min_exp
+    if not a.nums or not b.nums:
+        return LaurentSeries.zero(order)
+    # iterate over the operand with fewer nonzero entries
+    na, nb = len(a.nums) - a.nums.count(0), len(b.nums) - b.nums.count(0)
+    if nb < na:
+        a, b = b, a
+    n = order - lo
+    out = [0] * n
+    bc = b.nums
+    for i, ca in enumerate(a.nums[:n]):
+        if ca:
+            m = min(len(bc), n - i)
+            out[i:i + m] = map(operator.add, out[i:i + m], map(operator.mul, repeat(ca), bc[:m]))
+    return _from_ints(lo, out, order, a.den * b.den)

@@ -202,10 +202,9 @@ def test_criterion_9_mutation_sensitivity():
         r = compare(*verify_check(1, 120))
     ok = ok and (not r.ok) and r.first_mismatch is not None
     # 3: prefactor sign flip in a bracket closed form
-    from overrank.rankdiff import BRACKET_TABLE
-    good_b = BRACKET_TABLE[(3, 1)]
-    flipped_b = (dataclasses.replace(good_b[0], prod=-good_b[0].prod),)
-    with patch.dict(BRACKET_TABLE, {(3, 1): flipped_b}):
+    from overrank import rankdiff
+    good_b = rankdiff.bracket_closed_form
+    with patch.object(rankdiff, "bracket_closed_form", lambda ell, m: -good_b(ell, m)):
         r = compare(*brackets(FinalFormSpec(3, 1), 60))
     ok = ok and (not r.ok) and r.first_mismatch is not None and r.first_mismatch.exp == 2
     # the untouched entries still pass

@@ -3,20 +3,21 @@ and mutation sensitivity of the transcription tables."""
 
 import dataclasses
 
-from overrank import products, series
+from overrank import products, rankdiff, series
 from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series, rank_class_sum
 from overrank.lambert import s_bar
 from overrank.products import Product, poch
 from overrank.rankdiff import (
-    BRACKET_TABLE,
     CHECK_TABLE,
     COMBINATION_TABLE,
+    SBAR_CLOSED_TABLE,
     THEOREM_TABLE,
     _HALF_RATIO,
     _class_pair_difference,
     FinalFormSpec,
     FormulaTerm,
     RankDiffKey,
+    bracket_closed_form,
     brackets,
     combination_lhs,
     combination_rank_side,
@@ -166,6 +167,26 @@ class TestSbarMachinery:
         assert lead.min_exp == 4 and lead.coeff(4) == -1
         assert compare(*brackets(FinalFormSpec(5, 1), 150)).ok
 
+    def test_one_bracket_formula(self):
+        """The formula is each bracket's closed form as the paper states it,
+        and the product that multiplies the lifted Sum(m,0) in each Sbar
+        closed form, as a ``Product`` value."""
+        stated = {
+            (3, 1): Product(-1, 2) * poch(1, 1, 1) * poch(-1, 9, 9)
+            / (poch(-1, 1, 1) * poch(1, 9, 9)),
+            (5, 2): Product(1, 6) * poch(1, 1, 1) * poch(-1, 25, 25)
+            / (poch(-1, 1, 1) * poch(1, 25, 25)),
+            (5, 1): Product(-1, 4) * poch(1, 1, 1) * poch(-1, 25, 25)
+            / (poch(-1, 1, 1) * poch(1, 25, 25)),
+        }
+        for (ell, m), prod in stated.items():
+            assert bracket_closed_form(ell, m) == prod, (ell, m)
+        for which, (ell, b, terms) in SBAR_CLOSED_TABLE.items():
+            m = (ell - b) // 2
+            (term,) = [t for t in terms if t.lambert is not None]
+            assert term.lambert == (ell * m, ell * ell), which
+            assert term.prod == stated[(ell, m)], which
+
     def test_sbar_closed_forms(self):
         for which in ("s1too", "s1", "s3"):
             assert compare(*verify_sbar_closed(which, 90)).ok, which
@@ -224,10 +245,9 @@ class TestMutationSensitivity:
         assert compare(*verify_check(1, 80)).ok
 
     def test_prefactor_flip_in_bracket_table(self, monkeypatch):
-        good = BRACKET_TABLE[(3, 1)]
-        mutated = (dataclasses.replace(good[0], prod=-good[0].prod),)
+        good = bracket_closed_form
         with monkeypatch.context() as mp:
-            mp.setitem(BRACKET_TABLE, (3, 1), mutated)
+            mp.setattr(rankdiff, "bracket_closed_form", lambda ell, m: -good(ell, m))
             report = compare(*brackets(FinalFormSpec(3, 1), 60))
         assert not report.ok
         assert report.first_mismatch.exp == 2  # the leading coefficient flips

@@ -26,6 +26,21 @@ SAMPLED_IDS = [
 ]
 
 
+def _golden(scale, seed):
+    """The recorded stable suite JSON at an order scale, for the default seed
+    (None) or an OVERRANK_SEED value."""
+    suffix = "" if seed is None else f".seed{seed}"
+    return Path(__file__).parent / "data" / f"suite_stable_{scale}{suffix}.json"
+
+
+def _use_seed(monkeypatch, seed):
+    """Unset OVERRANK_SEED for None, else set it to seed."""
+    if seed is None:
+        monkeypatch.delenv("OVERRANK_SEED", raising=False)
+    else:
+        monkeypatch.setenv("OVERRANK_SEED", seed)
+
+
 class TestRegistry:
     def test_census(self):
         entries = registry.list_identities()
@@ -78,10 +93,7 @@ class TestRegistry:
     def test_every_entry_reaches_the_requested_order(self, monkeypatch, seed):
         # each check builds its sides at the order asked for, padded only by
         # the negative shifts it applies; a side cut short shows up here
-        if seed is None:
-            monkeypatch.delenv("OVERRANK_SEED", raising=False)
-        else:
-            monkeypatch.setenv("OVERRANK_SEED", seed)
+        _use_seed(monkeypatch, seed)
         bad = []
         for entry in registry.list_identities():
             for order in (1, 2, 7, entry.default_order // 2):
@@ -98,17 +110,17 @@ class TestRegistry:
             report = registry.verify(entry_id, order)
             assert report.ok and report.checked_order == order, order
 
-    def test_stable_report_matches_golden_file(self, monkeypatch):
-        monkeypatch.delenv("OVERRANK_SEED", raising=False)
-        golden = Path(__file__).parent / "data" / "suite_stable_0.25.json"
+    @pytest.mark.parametrize("seed", [None, "1", "12345"])
+    def test_stable_report_matches_golden_file(self, monkeypatch, seed):
+        _use_seed(monkeypatch, seed)
         stable = registry.reports_json(registry.run_suite(order_scale=0.25), stable=True)
-        assert stable == golden.read_text()
+        assert stable == _golden(0.25, seed).read_text()
 
-    def test_stable_report_matches_golden_file_at_default_orders(self, monkeypatch):
-        monkeypatch.delenv("OVERRANK_SEED", raising=False)
-        golden = Path(__file__).parent / "data" / "suite_stable_1.0.json"
+    @pytest.mark.parametrize("seed", [None, "1", "12345"])
+    def test_stable_report_matches_golden_file_at_default_orders(self, monkeypatch, seed):
+        _use_seed(monkeypatch, seed)
         stable = registry.reports_json(registry.run_suite(order_scale=1.0), stable=True)
-        assert stable == golden.read_text()
+        assert stable == _golden(1.0, seed).read_text()
 
     def test_short_check_is_a_failure(self, monkeypatch):
         # a check that compares fewer coefficients than asked is not a PASS

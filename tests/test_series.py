@@ -19,13 +19,12 @@ from overrank.lambert import lambert_sum
 from overrank.products import Product, poch
 from overrank.series import (
     LaurentSeries,
-    _mul_schoolbook,
     extract_progression,
     first_mismatch,
     mul,
     substitute_power,
 )
-from reference import inverse
+from reference import _mul_schoolbook, inverse
 
 
 def S(min_exp, coeffs, order):
@@ -138,26 +137,6 @@ class TestExamples:
         assert S(0, [Fraction(0), Fraction(5, 1)], 3).coeffs == (5,)
         assert type(S(0, [Fraction(5, 1)], 3).coeffs[0]) is int
 
-    def test_dense_operands_take_the_packed_path(self, monkeypatch):
-        def schoolbook_called(a, b):
-            raise AssertionError("dense operands fell back to the schoolbook loop")
-
-        a = S(-3, [(-1) ** i * (i + 1) for i in range(80)], 77)
-        b = S(2, [Fraction(i, 2) for i in range(1, 70)], 71)
-        expected = _mul_schoolbook(a, b)
-        monkeypatch.setattr(series, "_mul_schoolbook", schoolbook_called)
-        assert mul(a, b) == expected
-
-    def test_a_side_with_few_nonzeros_takes_the_schoolbook_path(self, monkeypatch):
-        def pack_called(cs, size):
-            raise AssertionError("a 4-nonzero operand took the packed path")
-
-        a = S(0, [1, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1], 90)
-        b = S(-5, [(-1) ** i * (i + 1) for i in range(80)], 75)
-        expected = _mul_schoolbook(a, b)
-        monkeypatch.setattr(series, "_pack", pack_called)
-        assert mul(a, b) == expected
-
 
 coeffs_st = st.lists(st.integers(-9, 9), min_size=0, max_size=10)
 
@@ -258,11 +237,9 @@ class TestRingAxioms:
 
 @st.composite
 def long_series_st(draw):
-    """At least 64 stored coefficients, so nearly every pair has more than
-    ``_SCHOOLBOOK_MAX_NONZEROS`` nonzeros a side and takes the packed path:
-    dense or sparse, small or above 2^200, integral, dyadic or with
-    denominator 3, and runs of zeros at both ends of the drawn window before
-    it is trimmed."""
+    """At least 64 stored coefficients, dense or sparse, small or above
+    2^200, integral, dyadic or with denominator 3, and runs of zeros at both
+    ends of the drawn window before it is trimmed."""
     size = draw(st.sampled_from((9, 1 << 20, 1 << 210)))
     entry = st.integers(-size, size)
     if draw(st.booleans()):  # sparse: mostly zeros
@@ -292,6 +269,36 @@ def test_packed_mul_matches_schoolbook(a, b):
     assert not any(type(c) is Fraction and c.denominator == 1 for c in got.coeffs)
 
 
+@st.composite
+def few_nonzeros_st(draw):
+    """One to four nonzeros, small or above 2^64, over denominator 1, 2 or
+    3, spread over a window of up to 400 coefficients that is mostly zeros."""
+    length = draw(st.integers(1, 400))
+    big = 1 << 70
+    nonzero = st.one_of(st.integers(-9, 9), st.integers(-big, big)).filter(bool)
+    at = draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=4, unique=True))
+    den = draw(st.sampled_from((1, 2, 3)))
+    cs = [0] * length
+    for i in at:
+        cs[i] = Fraction(draw(nonzero), den)
+    min_exp = draw(st.integers(-40, 40))
+    return LaurentSeries(min_exp, cs, min_exp + length + draw(st.integers(0, 90)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_nonzeros_st(), st.one_of(few_nonzeros_st(), long_series_st()))
+# 2 nonzeros 999 apart times a dense 1000-term series
+@example(S(0, [3] + [0] * 998 + [-1], 1000),
+         S(0, [(-1) ** i * (i + 1) for i in range(1000)], 1000))
+# four nonzeros a side whose products all meet at q^3, their sum at the slot
+# bound, of 9 and of 137 bits
+@example(S(0, [-11] * 4, 4), S(0, [-11] * 4, 4))
+@example(S(0, [-((7 << 67) // 5)] * 4, 4), S(0, [(7 << 67) // 5] * 4, 4))
+def test_mul_with_few_nonzeros_matches_schoolbook(a, b):
+    """Sparse operands, which take the one packed path like every other."""
+    assert mul(a, b) == _mul_schoolbook(a, b) == mul(b, a)
+
+
 @pytest.mark.parametrize("size", range(1, 25))
 def test_slots_round_trip(size):
     """_pack and _unpack are inverse for every slot size a product can take,
@@ -300,8 +307,8 @@ def test_slots_round_trip(size):
     rng = random.Random(size)
     w = 8 * size
     half = 1 << (w - 1)
-    # 4 + count slots: a few, either side of the per-slot cutoff, and many
-    for count in (1, 2, 7, series._PER_SLOT_MAX - 4, series._PER_SLOT_MAX - 3, 300):
+    # 4 + count slots: a few, a dozen or so, and many
+    for count in (1, 2, 7, 8, 9, 12, 13, 300):
         cs = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(count)]
         packed = series._pack(cs, size)
         assert packed == sum(c << (w * i) for i, c in enumerate(cs))
