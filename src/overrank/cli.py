@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import combinat, registry
 from .errors import BadArgument, OverrankError
@@ -69,9 +69,18 @@ def _cmd_suite(args) -> int:
 def _parse_rankdiff_key(text: str) -> RankDiffKey:
     """KEY format: <ell>.<s><t>.<d>, e.g. 3.01.2 or 5.12.4."""
     parts = text.split(".")
-    if len(parts) != 3 or len(parts[1]) != 2:
+    if len(parts) != 3 or len(parts[1]) != 2 or not all(p.isdecimal() for p in parts):
         raise ValueError(f"bad rank-difference key {text!r}; expected e.g. 5.12.4")
     return RankDiffKey(int(parts[0]), int(parts[1][0]), int(parts[1][1]), int(parts[2]))
+
+
+def _int_pair(name: str, form: str) -> Tuple[int, int]:
+    """The two integers after the colon of a series name of that form."""
+    try:
+        a, b = map(int, name.partition(":")[2].split(","))
+    except ValueError:
+        raise ValueError(f"bad series name {name!r}; expected {form}") from None
+    return a, b
 
 
 def _named_series(name: str, order: int) -> LaurentSeries:
@@ -79,15 +88,13 @@ def _named_series(name: str, order: int) -> LaurentSeries:
     if name == "pbar":
         return combinat.pbar_series(order)
     if kind == "nbar":
-        s, m = (int(x) for x in arg.split(","))
-        return combinat.nbar_class_series(s, m, order)
+        return combinat.nbar_class_series(*_int_pair(name, "nbar:s,m"), order)
     if kind == "rankdiff-oracle":
         return rank_diff_oracle(_parse_rankdiff_key(arg), order)
     if kind == "rankdiff-formula":
         return rank_diff_formula(_parse_rankdiff_key(arg), order)
     if kind == "sbar":
-        b, ell = (int(x) for x in arg.split(","))
-        return s_bar(b, ell, order)
+        return s_bar(*_int_pair(name, "sbar:b,ell"), order)
     raise ValueError(f"unknown series name {name!r}")
 
 
@@ -114,8 +121,8 @@ def _cmd_count(args) -> int:
         raise BadArgument(f"--mod must be at least 1, got {m}")
     print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
     for n in range(n_max + 1):
-        classes = [combinat.nbar_class(s, m, n) for s in range(m)]
-        print("\t".join(map(str, [n, sum(classes)] + classes)))
+        classes = combinat.class_counts(m, n)
+        print("\t".join(map(str, (n, sum(classes), *classes))))
     return 0
 
 

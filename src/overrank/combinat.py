@@ -21,26 +21,15 @@ convention; the counting oracle is compared for n >= 1 only.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle
 from operator import add
-from typing import Dict, List, Mapping, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .lambert import lambert_sum
 from .products import poch
 from .series import LaurentSeries, _from_ints, _slot_size, _unpack
-
-
-@dataclass(frozen=True)
-class RankTable:
-    """Rank-value -> count histogram for the overpartitions of n."""
-
-    n: int
-    counts: Mapping[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _count_by_residue(modulus: Optional[int], order: int) -> List[List[int]]:
@@ -132,15 +121,16 @@ def _check_weight(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def rank_table(n: int) -> RankTable:
-    """Exact rank histogram of the overpartitions of n (counting oracle)."""
+def rank_table(n: int) -> Mapping[int, int]:
+    """Exact rank histogram of the overpartitions of n, a read-only
+    rank -> count mapping holding only the nonzero counts (counting oracle)."""
     _check_weight(n)
-    return RankTable(n, dict(_rows(None, n + 1)[n]))
+    return MappingProxyType(_rows(None, n + 1)[n])
 
 
 def nbar(m: int, n: int) -> int:
     """Number of overpartitions of n with rank m (counting oracle)."""
-    return rank_table(n).counts.get(m, 0)
+    return rank_table(n).get(m, 0)
 
 
 def nbar_class(s: int, m: int, n: int) -> int:
@@ -151,6 +141,19 @@ def nbar_class(s: int, m: int, n: int) -> int:
     if m >= 2 * n - 1:  # the ranks of n lie in [1 - n, n - 1]: only s and s - m can occur
         return nbar(s, n) + nbar(s - m, n)
     return _rows(m, n + 1)[n][s]
+
+
+def class_counts(m: int, n: int) -> Tuple[int, ...]:
+    """All m rank-class counts of n at once: entry s is nbar_class(s, m, n)."""
+    if m < 1:
+        raise ValueError(f"modulus {m} is not positive")
+    _check_weight(n)
+    if m >= 2 * n - 1:  # at least as many classes as ranks: fold the histogram
+        counts = [0] * m
+        for rank, count in rank_table(n).items():
+            counts[rank % m] += count
+        return tuple(counts)
+    return tuple(_rows(m, n + 1)[n])
 
 
 # ----------------------------------------------------------------------

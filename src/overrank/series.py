@@ -103,9 +103,6 @@ class LaurentSeries:
             return self.nums
         return tuple(map(_ratio, self.nums, repeat(self.den)))
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def coeff(self, n: int) -> Coefficient:
         """Exact coefficient of q^n; raises BeyondTruncation for n >= order."""
         if n >= self.order:

@@ -10,6 +10,7 @@ import pytest
 
 from overrank import combinat
 from overrank.combinat import (
+    class_counts,
     nbar,
     nbar_class,
     nbar_class_series,
@@ -85,11 +86,11 @@ class TestRank:
         assert nbar_class(1, 2, 2) == 4
 
     def test_classes_partition_the_set(self):
-        assert sum(nbar_class(s, 5, 7) for s in range(5)) == rank_table(7).total()
+        assert sum(nbar_class(s, 5, 7) for s in range(5)) == sum(rank_table(7).values())
 
     def test_symmetry(self):
         for n in range(0, 31):
-            counts = rank_table(n).counts
+            counts = rank_table(n)
             for m in range(0, 9):
                 assert counts.get(m, 0) == counts.get(-m, 0), (n, m)
 
@@ -97,7 +98,7 @@ class TestRank:
         # the counting DP is pinned to the object enumeration it replaced
         for n in range(31):
             enumerated = Counter(rank(parts) for parts, _ in overpartitions(n))
-            assert rank_table(n).counts == dict(enumerated), n
+            assert rank_table(n) == dict(enumerated), n
 
     def test_large_moduli_match_the_residue_tables(self):
         # from m = 2n - 1 on, the class counts are read from the exact histogram
@@ -125,6 +126,17 @@ class TestRank:
             [nbar(r, 3) for r in (0, 1, 2, 3, -2, -1)] == [4, 0, 2, 0, 2, 0]
         assert m not in combinat._TABLES
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 40])
+    def test_class_counts_are_the_classes(self, m):
+        # folding the histogram (m >= 2n - 1) and reading the residue table
+        for n in range(13):
+            assert class_counts(m, n) == tuple(nbar_class(s, m, n) for s in range(m)), n
+
+    def test_the_cached_histogram_is_read_only(self):
+        with pytest.raises(TypeError):
+            rank_table(5)[0] = 999
+        assert nbar(0, 5) == 4 and nbar_class(0, 9, 5) == 4
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             rank_table(-1)
@@ -132,6 +144,10 @@ class TestRank:
             nbar_class(0, 3, -1)
         with pytest.raises(ValueError):
             nbar_class(0, 0, 4)
+        with pytest.raises(ValueError):
+            class_counts(3, -1)
+        with pytest.raises(ValueError):
+            class_counts(0, 4)
 
     def test_tables_grow_consistently_under_threads(self):
         want = [[nbar_class(s, 5, n) for s in range(5)] for n in range(90)]
@@ -173,7 +189,7 @@ class TestSeries:
     def test_pbar_vs_enumeration(self):
         pb = pbar_series(21)
         for n in range(21):
-            assert pb.coeff(n) == rank_table(n).total(), n
+            assert pb.coeff(n) == sum(rank_table(n).values()), n
 
     def test_nbar_series_low_coeffs(self):
         s = nbar_series(0, 6)
@@ -239,6 +255,7 @@ def test_counting_routes_use_nothing_of_products_or_lambert():
     assert {node.module for node in tree.body if isinstance(node, ast.ImportFrom)} \
         >= {"products", "lambert"}  # the series builders of the module do use them
     found = reached([("combinat", name) for name in
-                     ("_count_by_residue", "_rows", "rank_table", "nbar", "nbar_class")])
+                     ("_count_by_residue", "_rows", "rank_table", "nbar", "nbar_class",
+                      "class_counts")])
     assert {("combinat", "_count_by_residue"), ("series", "_unpack")} <= found
     assert not {module for module, _ in found} & {"products", "lambert"}

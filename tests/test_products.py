@@ -45,7 +45,7 @@ class TestPochhammer:
         assert first_mismatch(prod.expand(order), LaurentSeries.one(order)) is None
 
     def test_unit_argument_vanishes(self):
-        assert poch(1, 0, 1).expand(10).is_zero()
+        assert not poch(1, 0, 1).expand(10).nums
 
     def test_invalid_monomial(self):
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestBigP:
                 assert first_mismatch(lhs, rhs) is None, (ell, a)
 
     def test_unit_is_zero_series(self):
-        assert P(1, 0, 5).expand(20).is_zero()
+        assert not P(1, 0, 5).expand(20).nums
 
     def test_p_zero(self):
         # P(0) = (q^ell; q^ell)_inf is (q; q)_inf at q -> q^ell
@@ -199,7 +199,7 @@ def test_expand_matches_binomial_products(scalar, qexp, parts, order):
         prod = prod * piece
         factors += [(sign, e, mult) for e in exps]
     if prod == Product(0):
-        assert prod.expand(order).is_zero()
+        assert not prod.expand(order).nums
         return
     ref = _reference(scalar, qexp, factors, order)
     assert prod.expand(order) == ref

@@ -49,7 +49,7 @@ class TestOracle:
         assert rank_diff_oracle(k, 3).coeff(0) == -2
 
     def test_zero_case(self):
-        assert rank_diff_oracle(RankDiffKey(5, 0, 2, 2), 20).is_zero()
+        assert not rank_diff_oracle(RankDiffKey(5, 0, 2, 2), 20).nums
 
     def test_key_validation(self):
         import pytest
@@ -121,7 +121,7 @@ class TestClosedForms:
         assert rank_diff_formula(RankDiffKey(3, 0, 1, 1), 4).coeff(0) == 2
         # product constant 4 minus Lambert-sum constant 6*1
         assert rank_diff_formula(RankDiffKey(3, 0, 1, 2), 4).coeff(0) == -2
-        assert rank_diff_formula(RankDiffKey(5, 0, 2, 2), 12).is_zero()
+        assert not rank_diff_formula(RankDiffKey(5, 0, 2, 2), 12).nums
 
     def test_formula_matches_oracle(self):
         for key in ALL_KEYS:

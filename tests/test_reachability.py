@@ -1,5 +1,7 @@
 """The package holds what the verifier runs: every module-level name in
-``src/overrank`` is reached from ``cli.main``.
+``src/overrank`` is reached from ``cli.main``, every method of a class so
+reached is called from reached code, and the package namespace re-exports
+nothing, so each name has one home.
 
 A name that only tests use belongs with the tests, as the references in
 ``reference.py`` do.  Reachability is read from the source: a definition
@@ -63,8 +65,33 @@ def reached(roots):
     return seen
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_name_in_the_package_is_reached_from_the_cli():
     defined = {(module, name) for module, (defs, _) in MODULES.items() for name in defs
-               if not (name.startswith("__") and name.endswith("__"))}
+               if not _dunder(name)}
     assert EXEMPT <= defined
     assert sorted(defined - reached([("cli", "main")]) - EXEMPT) == []
+
+
+def test_every_method_of_a_reached_class_is_called():
+    """A method or property counts as called when reached code names it as
+    an attribute, ``x.name``; operators reach only dunders, which are exempt."""
+    nodes = [MODULES[module][0][name] for module, name in reached([("cli", "main")])
+             if name in MODULES[module][0]]
+    called = {node.attr for root in nodes for node in ast.walk(root)
+              if isinstance(node, ast.Attribute)}
+    methods = {(cls.name, node.name) for cls in nodes if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert sorted((cls, name) for cls, name in methods
+                  if not _dunder(name) and name not in called) == []
+
+
+def test_the_package_namespace_binds_only_its_version():
+    """Every name is imported from its own module; the package re-exports none."""
+    tree = ast.parse(Path(overrank.__file__).read_text())
+    assert ast.get_docstring(tree)
+    statements = [ast.unparse(node) for node in tree.body[1:]]
+    assert len(statements) == 1 and statements[0].startswith("__version__ = "), statements

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import lzma
 import random
 from pathlib import Path
 
@@ -247,6 +248,13 @@ class TestCli:
     def test_series_bad_name(self, capsys):
         assert main(["series", "--name", "wat", "--order", "5"]) == 2
         assert main(["series", "--name", "rankdiff-oracle:whoops", "--order", "5"]) == 2
+        capsys.readouterr()
+        for name, error in (
+                ("nbar:0", "bad series name 'nbar:0'; expected nbar:s,m"),
+                ("sbar:3", "bad series name 'sbar:3'; expected sbar:b,ell"),
+                ("rankdiff-oracle:3.0a.1", "bad rank-difference key '3.0a.1'; expected e.g. 5.12.4")):
+            assert main(["series", "--name", name, "--order", "5"]) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_count(self, capsys):
         assert main(["count", "--n", "4", "--mod", "3"]) == 0
@@ -278,6 +286,14 @@ class TestCli:
             assert line == "\t".join(str(c) for c in [n, sum(classes)] + classes)
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("n, m", [(3, 300000), (12, 5), (9, 40), (0, 3), (60, 1)])
+    def test_count_matches_recorded_output(self, capsys, n, m):
+        """Byte-identical to the recorded table; xz keeps the 5 MB table of
+        modulus 300000 small."""
+        assert main(["count", "--n", str(n), "--mod", str(m)]) == 0
+        recorded = Path(__file__).parent / "data" / f"count_n{n}_mod{m}.txt.xz"
+        assert capsys.readouterr().out == lzma.decompress(recorded.read_bytes()).decode()
+
     def test_count_bad_input(self, capsys):
         assert main(["count", "--n", "5", "--mod", "0"]) == 2
         assert main(["count", "--n", "-1", "--mod", "3"]) == 2
@@ -296,6 +312,9 @@ class TestCli:
         ["suite", "--order-scale", "inf"],
         ["series", "--name", "sbar:1,0", "--order", "5"],
         ["series", "--name", "pbar:x", "--order", "4"],
+        ["series", "--name", "nbar:0", "--order", "5"],
+        ["series", "--name", "sbar:3", "--order", "5"],
+        ["series", "--name", "rankdiff-oracle:3.0a.1", "--order", "5"],
         ["verify", "--id", "check5", "--order", "99999999999999999999"],
         ["series", "--name", "pbar", "--order", "99999999999999999999"],
         ["suite", "--order-scale", "1e300"],
