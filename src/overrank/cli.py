@@ -117,8 +117,8 @@ def _cmd_count(args) -> int:
     n_max, m = args.n, args.mod
     if n_max < 0:
         raise BadArgument(f"--n must be nonnegative, got {n_max}")
-    if m < 1:
-        raise BadArgument(f"--mod must be at least 1, got {m}")
+    if not 1 <= m <= sys.maxsize:  # past sys.maxsize no list of m classes can be built
+        raise BadArgument(f"--mod must be between 1 and {sys.maxsize}, got {m}")
     print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
     for n in range(n_max + 1):
         classes = combinat.class_counts(m, n)

@@ -3,9 +3,10 @@ rank-class counts, and their generating functions.
 
 An overpartition is a partition in which the first occurrence of each
 distinct part value may be overlined; the rank is the largest part minus the
-number of parts.  The counting oracle is a dynamic program over the largest
-part (see ``_count_by_residue``), independent of the analytic generating
-functions it validates coefficient by coefficient; it has no size cap.
+number of parts.  The counting oracle sums Lovejoy's rank generating
+function term by term, with the rank held modulo a modulus in packed slots
+(see ``_count_by_residue``); it is independent of the analytic generating
+functions it validates coefficient by coefficient, and has no size cap.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
 times a Lambert sum, ``rank_class_sum``, which is cached; callers that
@@ -32,60 +33,45 @@ from .products import poch
 from .series import LaurentSeries, _from_ints, _slot_size, _unpack
 
 
-def _count_by_residue(modulus: Optional[int], order: int) -> List[List[int]]:
+def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
     """rows[n][s] = number of overpartitions of n with rank = s (mod modulus),
-    for 0 <= n < order, by a counting DP over the largest part L; modulus
-    None counts the exact ranks, which lie in (-order, order), as residues
-    modulo 2 * order - 1.
+    for 0 <= n < order, from Lovejoy's rank generating function
 
-    With t marking the number of parts, F_L = prod_{v<=L} (1 + t q^v)/(1 - t q^v)
-    generates the overpartitions with every part at most L (Corteel-Lovejoy,
-    "Overpartitions", Trans. AMS 356, 2004).  Those whose largest part is
-    exactly L are F_L - F_{L-1} = 2 t q^L F_{L-1}/(1 - t q^L), and each has
-    rank L - #parts.  The t-polynomial of each weight is held as counts
-    packed into one integer, and a count moves from #parts k to -rank =
-    k - L.  For a modulus only #parts mod modulus matters: ``modulus`` slots
-    (slot k: #parts = k mod modulus), and multiplying by t^a rotates the
-    slots by a.  For the exact ranks no slot wraps round: #parts < order and
-    slot -rank + order - 1 < 2 * order - 1, so multiplying by t^a is a plain
-    shift by a slots.  Every count is at most pbar(order - 1), which fixes
-    the slot width.
+        sum_{m,n} Nbar(m,n) z^m q^n = sum_k (-1;q)_k q^(k(k+1)/2) / ((zq;q)_k (q/z;q)_k)
+
+    (Lovejoy, "Rank and conjugation for the Frobenius representation of an
+    overpartition", Ann. Comb. 9, 2005), summed term by term: term k is term
+    k - 1 times (1 + q^(k-1)) q^k / ((1 - z q^k)(1 - q^k / z)) and starts at
+    q^(k(k+1)/2), so about sqrt(2 order) terms reach q^order.
+
+    Each weight holds its z-polynomial modulo z^modulus - 1 as counts packed
+    into one integer, slot s for rank s mod modulus, so multiplying by z^j
+    rotates the slots by j; the ranks of n < order lie in (-order, order), so
+    modulus 2 * order - 1 gives the exact histogram.  Every term has
+    nonnegative coefficients, and each partial product on the way to a term,
+    as each partial sum, is at most the final row coefficientwise; so every
+    slot holds a count of at most pbar(order - 1), which fixes the slot width,
+    and no count carries into its neighbour.  Modulus 1 (z = 1) rotates by no
+    bits and needs no slot: its counts, which size every other modulus, are
+    the integers themselves.
     """
-    if modulus == 1:
-        nbytes = _slot_size(1 << (order - 1))  # pbar(n) <= 2^n bounds the single slot
-    else:
-        nbytes = _slot_size(_rows(1, order)[order - 1][0])
+    nbytes = _slot_size(_rows(1, order)[order - 1][0]) if modulus > 1 else 0
     width = 8 * nbytes
-    if modulus is None:
-        slots, offset = 2 * order - 1, order - 1
-
-        def shift(x: int, bits: int) -> int:
-            return x << bits
-    else:
-        slots, offset = modulus, 0
-        full = (1 << (modulus * width)) - 1
-
-        def shift(x: int, bits: int) -> int:  # modulo t^modulus - 1
-            return ((x << bits) & full) | (x >> (modulus * width - bits))
-
-    parts = [1] + [0] * (order - 1)  # F_L by weight; starts at F_0 = 1
-    # slot k: -rank + offset = k (mod slots); n = 0 is (), of rank 0
-    ranks = [1 << (offset * width)] + [0] * (order - 1)
-    for big in range(1, order):
-        # times 2 t^-L as one shift of that many bits: doubling carries no
-        # count of new into the next slot, as each is at most pbar(n) / 2
-        back = (offset - big) % slots * width + 1
-        for n in range(big, order):  # F_{L-1} / (1 - t q^L)
-            parts[n] += shift(parts[n - big], width)
-        for n in range(order - 1, big - 1, -1):  # times (1 + t q^L), giving F_L
-            new = shift(parts[n - big], width)
-            parts[n] += new
-            ranks[n] += shift(new, back)  # largest part exactly L: rank L - k
-    out = []
-    for packed in ranks:
-        counts = _unpack(packed, nbytes, slots)
-        out.append([counts[(offset - s) % slots] for s in range(slots)])
-    return out
+    full = (1 << (modulus * width)) - 1
+    term = [1] + [0] * (order - 1)  # term 0; n = 0 is (), of rank 0
+    total = term[:]
+    k = 1
+    while (lo := k * (k + 1) // 2) < order:
+        term = [0] * k + term[:order - k]  # times q^k
+        term[2 * k - 1:] = map(add, term[2 * k - 1:], term[k:order - k + 1])  # 1 + q^(k-1)
+        for up in (width, modulus * width - width):  # divided by 1 - z q^k, then 1 - q^k / z
+            down = modulus * width - up
+            for n in range(lo + k, order):
+                x = term[n - k]
+                term[n] += ((x << up) & full) | (x >> down)
+        total[lo:] = map(add, total[lo:], term[lo:])
+        k += 1
+    return [_unpack(packed, nbytes, modulus) if nbytes else [packed] for packed in total]
 
 
 # modulus (None: the exact rank) -> counting rows for n < len(rows)
@@ -105,12 +91,11 @@ def _rows(modulus: Optional[int], order: int) -> list:
         rows = _TABLES.get(modulus, [])
         if len(rows) < order:
             order = max(order, 2 * len(rows))
-            if modulus is None:
-                size = 2 * order - 1
+            size = modulus or 2 * order - 1
+            rows = _count_by_residue(size, order)
+            if modulus is None:  # the residue s >= order is the rank s - size
                 rows = [{(s if s < order else s - size): c for s, c in enumerate(row) if c}
-                        for row in _count_by_residue(None, order)]
-            else:
-                rows = _count_by_residue(modulus, order)
+                        for row in rows]
             _TABLES[modulus] = rows
         return rows
 

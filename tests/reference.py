@@ -1,10 +1,12 @@
 """Slow references that the tests compare the package against.
 
-The counting oracle is pinned to ``overpartitions``, the object enumeration
-it replaced; the theta-sum and Lambert tests build their expected series
-with ``inverse``, term by term; and ``series.mul``'s packed (Kronecker)
-product is pinned to ``_mul_schoolbook``, one slice pass per nonzero.  None
-of them is used by the package itself.
+The counting oracle, a sum of Lovejoy's rank generating function, is pinned
+to ``count_by_largest_part``, the dynamic program over the largest part that
+it replaced, and to ``overpartitions``, the object enumeration that the DP
+replaced; the theta-sum and Lambert tests build their expected series with
+``inverse``, term by term; and ``series.mul``'s packed (Kronecker) product is
+pinned to ``_mul_schoolbook``, one slice pass per nonzero.  None of them is
+used by the package itself.
 """
 
 import operator
@@ -39,6 +41,60 @@ def overpartitions(n):
 def rank(parts):
     """Largest part minus number of parts; the empty overpartition has rank 0."""
     return parts[0] - len(parts) if parts else 0
+
+
+def count_by_largest_part(modulus, order):
+    """rows[n][s] = number of overpartitions of n with rank = s (mod modulus),
+    for 0 <= n < order, by a counting DP over the largest part L; modulus
+    None counts the exact ranks, which lie in (-order, order), as residues
+    modulo 2 * order - 1.
+
+    With t marking the number of parts, F_L = prod_{v<=L} (1 + t q^v)/(1 - t q^v)
+    generates the overpartitions with every part at most L (Corteel-Lovejoy,
+    "Overpartitions", Trans. AMS 356, 2004).  Those whose largest part is
+    exactly L are F_L - F_{L-1} = 2 t q^L F_{L-1}/(1 - t q^L), and each has
+    rank L - #parts.  The t-polynomial of each weight is held as counts
+    packed into one integer, and a count moves from #parts k to -rank =
+    k - L.  For a modulus only #parts mod modulus matters: ``modulus`` slots
+    (slot k: #parts = k mod modulus), and multiplying by t^a rotates the
+    slots by a.  For the exact ranks no slot wraps round: #parts < order and
+    slot -rank + order - 1 < 2 * order - 1, so multiplying by t^a is a plain
+    shift by a slots.  Every count is at most pbar(order - 1) <= 2^(order - 1),
+    which this function's own modulus-1 table gives, and that fixes the slot
+    width; the slots are read back by masks.
+    """
+    if modulus == 1:
+        width = order + 1
+    else:
+        width = count_by_largest_part(1, order)[order - 1][0].bit_length() + 1
+    if modulus is None:
+        slots, offset = 2 * order - 1, order - 1
+
+        def shift(x, bits):
+            return x << bits
+    else:
+        slots, offset = modulus, 0
+        full = (1 << (modulus * width)) - 1
+
+        def shift(x, bits):  # modulo t^modulus - 1
+            return ((x << bits) & full) | (x >> (modulus * width - bits))
+
+    parts = [1] + [0] * (order - 1)  # F_L by weight; starts at F_0 = 1
+    # slot k: -rank + offset = k (mod slots); n = 0 is (), of rank 0
+    ranks = [1 << (offset * width)] + [0] * (order - 1)
+    for big in range(1, order):
+        # times 2 t^-L as one shift of that many bits: doubling carries no
+        # count of new into the next slot, as each is at most pbar(n) / 2
+        back = (offset - big) % slots * width + 1
+        for n in range(big, order):  # F_{L-1} / (1 - t q^L)
+            parts[n] += shift(parts[n - big], width)
+        for n in range(order - 1, big - 1, -1):  # times (1 + t q^L), giving F_L
+            new = shift(parts[n - big], width)
+            parts[n] += new
+            ranks[n] += shift(new, back)  # largest part exactly L: rank L - k
+    mask = (1 << width) - 1
+    return [[packed >> ((offset - s) % slots * width) & mask for s in range(slots)]
+            for packed in ranks]
 
 
 def inverse(a: LaurentSeries) -> LaurentSeries:

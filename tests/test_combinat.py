@@ -20,7 +20,7 @@ from overrank.combinat import (
 )
 from overrank.products import binomial_pass
 from overrank.series import LaurentSeries, first_mismatch
-from reference import overpartitions, rank
+from reference import count_by_largest_part, overpartitions, rank
 from test_reachability import reached
 
 
@@ -95,7 +95,7 @@ class TestRank:
                 assert counts.get(m, 0) == counts.get(-m, 0), (n, m)
 
     def test_counts_match_enumeration(self):
-        # the counting DP is pinned to the object enumeration it replaced
+        # the counting oracle is pinned to the object enumeration
         for n in range(31):
             enumerated = Counter(rank(parts) for parts, _ in overpartitions(n))
             assert rank_table(n) == dict(enumerated), n
@@ -107,12 +107,21 @@ class TestRank:
                 assert [nbar_class(s, m, n) for s in range(m)] == combinat._rows(m, n + 1)[n], \
                     (n, m)
 
-    def test_exact_table_folds_onto_the_residue_tables(self):
-        # the exact histogram's offset slots and the residue tables' rotated
-        # ones are two layouts of one DP
+    def test_counts_match_the_largest_part_dp(self):
+        # the rank-function sum is pinned to the DP over the largest part that
+        # it replaced, in both of the DP's layouts
         order = 300
-        exact = combinat._count_by_residue(None, order)
+        for m in (1, 2, 3, 5, 7, 40):
+            assert combinat._count_by_residue(m, order) == count_by_largest_part(m, order), m
+        assert combinat._count_by_residue(2 * order - 1, order) == \
+            count_by_largest_part(None, order)
+
+    def test_exact_table_folds_onto_the_residue_tables(self):
+        # the exact histogram is the residue table modulo 2 * order - 1, so
+        # folding it by rank mod m gives the residue tables of m
+        order = 300
         size = 2 * order - 1
+        exact = combinat._count_by_residue(size, order)
         for m in (3, 5, 7):
             folded = [[0] * m for _ in range(order)]
             for n, row in enumerate(exact):

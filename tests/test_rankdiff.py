@@ -3,7 +3,9 @@ and mutation sensitivity of the transcription tables."""
 
 import dataclasses
 
-from overrank import products, rankdiff, series
+import pytest
+
+from overrank import products, rankdiff, registry, series
 from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series, rank_class_sum
 from overrank.lambert import s_bar
 from overrank.products import Product, poch
@@ -132,7 +134,7 @@ class TestClosedForms:
     def test_formula_matches_counted_classes(self):
         # third route: the counting oracle read on ell*n + d, with no rank-class
         # generating function involved; n = 0 is left out (analytic convention)
-        order = 40
+        order = 1000
         for key in ALL_KEYS:
             counted = LaurentSeries.from_terms(
                 {j: nbar_class(key.s, key.ell, key.ell * j + key.d)
@@ -221,7 +223,59 @@ def _bump_exponent(term: FormulaTerm, sign: int, r: int, step: int) -> FormulaTe
     return dataclasses.replace(term, prod=term.prod / poch(sign, r, step) * poch(sign, r + 1, step))
 
 
+def _one_term_negated(value):
+    """Every copy of a table value, a nested tuple, with one of its
+    FormulaTerms negated."""
+    if isinstance(value, FormulaTerm):
+        yield dataclasses.replace(value, prod=-value.prod)
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            for mutant in _one_term_negated(item):
+                yield value[:i] + (mutant,) + value[i + 1:]
+
+
+def _theorem_rows(key):
+    """The registry rows built from one THEOREM_TABLE entry: its own thm row
+    and the thmpoly row whose closed-form polynomial sums it."""
+    ell, s, t, _ = key
+    pair = next(p for p, (e, a, b, _) in COMBINATION_TABLE.items() if (e, a, b) == (ell, s, t))
+    return [f"thm{ell}.{RankDiffKey(*key).slug}", f"thmpoly.{pair}"]
+
+
+def _fails_at_default_order(row):
+    entry = next(e for e in registry.list_identities() if e.id == row)
+    return not registry.verify(row, entry.default_order).ok
+
+
 class TestMutationSensitivity:
+    def test_negating_any_table_term_fails_its_rows(self, monkeypatch):
+        # the mutation matrix: every term of every transcription table, negated
+        # alone, must make each registry row built from it FAIL at its default order
+        runs, survivors = 0, []
+        for table, rows in ((THEOREM_TABLE, _theorem_rows),
+                            (CHECK_TABLE, lambda idx: [f"check{idx}"]),
+                            (SBAR_CLOSED_TABLE, lambda which: [which])):
+            for key, value in list(table.items()):
+                for mutant in _one_term_negated(value):
+                    with monkeypatch.context() as mp:
+                        mp.setitem(table, key, mutant)
+                        for row in rows(key):
+                            runs += 1
+                            if not _fails_at_default_order(row):
+                                survivors.append((row, key, mutant))
+        assert runs == 77 and not survivors, (runs, survivors)
+
+    @pytest.mark.parametrize("mutate", [lambda p: -p,
+                                        lambda p: Product(1, 1) * p,
+                                        lambda p: Product(1, -1) * p],
+                             ids=["sign", "exponent+1", "exponent-1"])
+    def test_bracket_mutants_fail_every_bracket_row(self, monkeypatch, mutate):
+        # the sign flipped, and the exponent m(ell - m) moved by one either way
+        good = bracket_closed_form
+        monkeypatch.setattr(rankdiff, "bracket_closed_form", lambda ell, m: mutate(good(ell, m)))
+        for row in ("bracket@ell=3,m=1", "bracket@ell=5,m=2", "bracket@ell=5,m=1"):
+            assert _fails_at_default_order(row), row
+
     def test_sign_flip_in_theorem_table(self, monkeypatch):
         key = RankDiffKey(3, 0, 1, 1)
         good = THEOREM_TABLE[(3, 0, 1, 1)]

@@ -7,6 +7,7 @@ import io
 import json
 import lzma
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,17 @@ class TestCli:
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 2
         assert all(line.startswith("error: ") for line in lines)
+
+    def test_count_rejects_a_modulus_past_maxsize(self, capsys):
+        # one error line before any output, where the header alone would have
+        # named one column per class
+        assert main(["count", "--n", "5", "--mod", "99999999999999999999"]) == 2
+        assert main(["count", "--n", "5", "--mod", str(sys.maxsize + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --mod must be between 1 and {sys.maxsize}, got {m}"
+            for m in (99999999999999999999, sys.maxsize + 1)]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--id", "check1", "--order", "0"],
