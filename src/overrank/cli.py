@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 from . import combinat, registry
 from .errors import BadArgument, OverrankError
 from .lambert import s_bar
-from .rankdiff import RankDiffKey, rank_diff_formula, rank_diff_oracle
+from .rankdiff import RankDiffKey, eval_terms, rank_diff_formula, rank_diff_oracle
 from .report import IdentityReport
 from .series import LaurentSeries
 
@@ -92,7 +92,7 @@ def _named_series(name: str, order: int) -> LaurentSeries:
     if kind == "rankdiff-oracle":
         return rank_diff_oracle(_parse_rankdiff_key(arg), order)
     if kind == "rankdiff-formula":
-        return rank_diff_formula(_parse_rankdiff_key(arg), order)
+        return eval_terms(rank_diff_formula(_parse_rankdiff_key(arg)), order)
     if kind == "sbar":
         return s_bar(*_int_pair(name, "sbar:b,ell"), order)
     raise ValueError(f"unknown series name {name!r}")

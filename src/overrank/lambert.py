@@ -24,9 +24,9 @@ with L = 2mn and N = 1 - q^n + q^2n - ... + q^((m-1)n).
 Power-series positivity is asserted only where the mathematics promises it.
 
 The identities of this layer (``check_*`` and ``verify_lemma41``) return
-their two sides, each exact below the requested order; the registry compares
-them.  A side is built at a higher order only where a negative shift would
-cut it short, and then by exactly that shift.
+their two sides as terms, each a ``Product`` times an optional named sum of
+this module (a ``Route``); ``rankdiff.eval_terms`` builds each sum at the
+order its product's power of q leaves, deeper where that power is negative.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ from operator import add, itemgetter
 from typing import Optional, Tuple
 
 from .errors import BadArgument, PoleHit
-from .products import P, Product, SignedMonomial, binomial_pass, poch
+from .products import (P, FormulaTerm as T, Product, Route, Sides, SignedMonomial, binomial_pass,
+                       poch)
 # mul is not called here: perfbench/test_bench.py reads lambert.mul to check
 # that the layer trace rebinds every alias of series.mul
-from .series import LaurentSeries, Sides, _from_ints, mul  # noqa: F401
+from .series import LaurentSeries, _from_ints, mul  # noqa: F401
 
 
 def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
@@ -193,7 +194,7 @@ def s_bar(b: int, ell: int, order: int) -> LaurentSeries:
     if ell < 1:
         raise BadArgument(f"Sbar needs ell >= 1, got {ell}")
     out = lambert_sum(1, b, -1, [(1, 0, ell)], order, primed=True)
-    if out.min_exp < 0:  # only for b < -1 or b > ell + 1
+    if out.nums and out.min_exp < 0:  # only for b < -1 or b > ell + 1
         raise BadArgument(f"Sbar({b}) with ell={ell} has negative exponents: {out!r}")
     return out
 
@@ -248,73 +249,71 @@ def theta(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
     return lambert_sum(base, z.exp, z.sign, [], order)
 
 
-def check_sigma_shift(z: SignedMonomial, zeta: SignedMonomial, base: int, order: int) -> Sides:
+def _bilateral(quad: int, lin: int, csign: int, *denoms: Tuple[int, int, int]) -> Route:
+    """The route of ``lambert_sum(quad, lin, csign, denoms)``."""
+    return Route(lambert_sum, (quad, lin, csign, denoms))
+
+
+def check_sigma_shift(z: SignedMonomial, zeta: SignedMonomial, base: int) -> Sides:
     """z^2 Sum(z,zeta,q) + zeta Sum(zq,zeta,q) = -sum_n (-1)^n zeta^n q^(n(n-1)) (1 + z q^n)."""
     sz, ez = z.sign, z.exp
     sc, ec = zeta.sign, zeta.exp
-    lhs = lambert_sum(base, ec + base, -sc, [(sz, ez, base)], order).shift(2 * ez)
-    rhs2 = lambert_sum(base, ec + base, -sc, [(sz, ez + base, base)], order).shift(ec)
-    if sc < 0:
-        rhs2 = -rhs2
-    lhs = lhs + rhs2
-    t1 = lambert_sum(base, ec - base, -sc, [], order)
-    t2 = lambert_sum(base, ec, -sc, [], order).shift(ez)
-    if sz < 0:
-        t2 = -t2
-    return lhs, -(t1 + t2)
-
-
-def check_step(z: SignedMonomial, base: int, order: int) -> Sides:
-    """z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)_inf / (-q;q)_inf at q = q^base."""
-    sz, ez = z.sign, z.exp
-    lhs = lambert_sum(base, base, -1, [(sz, ez, base)], order).shift(2 * ez)
-    lhs = lhs + lambert_sum(base, base, -1, [(sz, ez + base, base)], order)
-    rhs = (Product(-sz, ez) * poch(1, base, base) / poch(-1, base, base)).expand(order)
+    lhs = (T(Product(1, 2 * ez), _bilateral(base, ec + base, -sc, (sz, ez, base))),
+           T(Product(sc, ec), _bilateral(base, ec + base, -sc, (sz, ez + base, base))))
+    rhs = (T(Product(-1), _bilateral(base, ec - base, -sc)),
+           T(Product(-sz, ez), _bilateral(base, ec, -sc)))
     return lhs, rhs
 
 
-def check_short(z: SignedMonomial, base: int, order: int) -> Sides:
+def check_step(z: SignedMonomial, base: int) -> Sides:
+    """z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)_inf / (-q;q)_inf at q = q^base."""
+    sz, ez = z.sign, z.exp
+    lhs = (T(Product(1, 2 * ez), _bilateral(base, base, -1, (sz, ez, base))),
+           T(Product(), _bilateral(base, base, -1, (sz, ez + base, base))))
+    return lhs, (T(Product(-sz, ez) * poch(1, base, base) / poch(-1, base, base)),)
+
+
+def check_short(z: SignedMonomial, base: int) -> Sides:
     """Sum(z,1,q) + z^-2 Sum(z^-1,1,q) = -z^-1 sum_n (-1)^n q^(n^2) at q = q^base."""
     sz, ez = z.sign, z.exp
-    # each side that is shifted down is built that much higher
-    lhs = lambert_sum(base, base, -1, [(sz, ez, base)], order)
-    lhs = lhs + lambert_sum(base, base, -1, [(sz, -ez, base)], order + 2 * ez).shift(-2 * ez)
-    rhs = theta(SignedMonomial(-1, 0), base, order + ez).shift(-ez)
-    return lhs, (rhs if sz < 0 else -rhs)
+    lhs = (T(Product(), _bilateral(base, base, -1, (sz, ez, base))),
+           T(Product(1, -2 * ez), _bilateral(base, base, -1, (sz, -ez, base))))
+    return lhs, (T(Product(-sz, -ez), Route(theta, (SignedMonomial(-1, 0), base))),)
 
 
-def check_constant(z: SignedMonomial, base: int, order: int) -> Sides:
+def check_constant(z: SignedMonomial, base: int) -> Sides:
     """g(z,q) - g(zq,q) = -2."""
-    lhs = g_series(z.sign, z.exp, base, order) - g_series(z.sign, z.exp + base, base, order)
-    return lhs, LaurentSeries.monomial(-2, 0, order)
+    return ((T(Product(), Route(g_series, (z.sign, z.exp, base))),
+             T(Product(-1), Route(g_series, (z.sign, z.exp + base, base)))), (T(Product(-2)),))
 
 
-def check_gees(z: SignedMonomial, base: int, order: int) -> Sides:
+def check_gees(z: SignedMonomial, base: int) -> Sides:
     """g(z^-1, q) + g(z, q) = -1."""
-    lhs = g_series(z.sign, -z.exp, base, order) + g_series(z.sign, z.exp, base, order)
-    return lhs, LaurentSeries.monomial(-1, 0, order)
+    return ((T(Product(), Route(g_series, (z.sign, -z.exp, base))),
+             T(Product(), Route(g_series, (z.sign, z.exp, base)))), (T(Product(-1)),))
 
 
-def check_g2(a: int, ell: int, order: int) -> Sides:
+def check_g2(a: int, ell: int) -> Sides:
     """g(a) + g(ell - a) = 1, in the base variable y."""
-    return g_index(a, ell, order) + g_index(ell - a, ell, order), LaurentSeries.one(order)
+    return ((T(Product(), Route(g_index, (a, ell))), T(Product(), Route(g_index, (ell - a, ell)))),
+            (T(),))
 
 
-def check_part1(z: SignedMonomial, base: int, order: int) -> Sides:
+def check_part1(z: SignedMonomial, base: int) -> Sides:
     """2g(z,q) - g(z^2,q) + 1/2 = (q)^2 P(-z^4)/(P(z^4)P(-1))
     + z P(-1)^2 (q)^2 P(z^2) / (P(z)^2 P(-z)^2)."""
     s, e = z.sign, z.exp
-    lhs = 2 * g_series(s, e, base, order) - g_series(1, 2 * e, base, order)
-    lhs = lhs + LaurentSeries.monomial(Fraction(1, 2), 0, order)
+    lhs = (T(Product(2), Route(g_series, (s, e, base))),
+           T(Product(-1), Route(g_series, (1, 2 * e, base))), T(Product(Fraction(1, 2))))
     esq = poch(1, base, base, 2)
     first = esq * P(-1, 4 * e, base) / (P(1, 4 * e, base) * P(-1, 0, base))
     second = Product(s, e) * P(-1, 0, base) ** 2 * esq * P(1, 2 * e, base) / (
         P(s, e, base) ** 2 * P(-s, e, base) ** 2
     )
-    return lhs, first.expand(order) + second.expand(order)
+    return lhs, (T(first), T(second))
 
 
-def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int, order: int) -> Sides:
+def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int) -> Sides:
     """Bilateral two-pole sum equals a P-quotient multiple of Sum(z,1,q) plus a
     pure product:
 
@@ -324,13 +323,9 @@ def verify_lemma41(zeta: SignedMonomial, z: SignedMonomial, base: int, order: in
     """
     sc, ec = zeta.sign, zeta.exp
     sz, ez = z.sign, z.exp
-
-    lhs = lambert_sum(base, base - 2 * ec, -1, [(sz * sc, ez - ec, base)], order)
-    lhs += lambert_sum(base, base + 2 * ec, -1, [(sz * sc, ez + ec, base)], order).shift(2 * ec)
-
-    sig = lambert_sum(base, base, -1, [(sz, ez, base)], order)
-    first = p_ratio(sc, ec, base).times(sig, order)
+    lhs = (T(Product(), _bilateral(base, base - 2 * ec, -1, (sz * sc, ez - ec, base))),
+           T(Product(1, 2 * ec), _bilateral(base, base + 2 * ec, -1, (sz * sc, ez + ec, base))))
     prod = P(sc, ec, base) * P(1, 2 * ec, base) * P(-sz, ez, base) * poch(1, base, base, 2) / (
         P(sz, ez, base) * P(sz * sc, ez + ec, base) * P(sz * sc, ez - ec, base) * P(-sc, ec, base)
     )
-    return lhs, first + prod.expand(order)
+    return lhs, (T(p_ratio(sc, ec, base), _bilateral(base, base, -1, (sz, ez, base))), T(prod))

@@ -51,10 +51,11 @@ from functools import lru_cache
 from itertools import compress, count, repeat
 from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, prod, sqrt
 from operator import add, gt, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import Coefficient, LaurentSeries, Sides, _from_ints, _pack, _slot_size, _unpack, mul
+from .series import (Coefficient, LaurentSeries, _from_ints, _pack, _slot_size, _unpack, mul,
+                     substitute_power)
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,13 @@ class Product:
 
     def expand(self, order: int) -> LaurentSeries:
         """The series, exact below `order`: the factors' expansion, memoised
-        by ``_expand_factors``, shifted by q^qexp and times the scalar."""
+        by ``_expand_factors``, shifted by q^qexp and times the scalar; a
+        monomial where there are no factors."""
         n = order - self.qexp
         if n <= 0 or not self.scalar:
             return LaurentSeries.zero(order)
+        if not self.factors:
+            return LaurentSeries.monomial(self.scalar, self.qexp, order)
         out = _expand_factors(self.factors, n)
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
@@ -152,6 +156,68 @@ class Product:
         if num != 1:
             out = [num * c for c in out]
         return _from_ints(lo, out, out_order, den * s.den)
+
+    def __str__(self) -> str:
+        """The product as the anchors print it: -2 q (q^3;q^18)(q^18;q^18), (q;q) / (-q;q)."""
+        num = "".join(_poch_str(*f, m) for f, m in self.factors if m > 0)
+        den = [_poch_str(*f, -m) for f, m in self.factors if m < 0]
+        body = " ".join(x for x in (_q(self.qexp) if self.qexp else "", num) if x)
+        if den:
+            body = f"{body or 1} / " + (den[0] if len(den) == 1 else f"({''.join(den)})")
+        if not body:
+            return str(self.scalar)
+        return {1: "", -1: "-"}.get(self.scalar, f"{self.scalar} ") + body
+
+
+def _poch_str(sign: int, r: int, step: int, mult: int) -> str:
+    return f"({'-' * (sign < 0)}{_q(r)};{_q(step)})" + (f"^{mult}" if mult != 1 else "")
+
+
+def _q(e: int) -> str:
+    return "q" if e == 1 else f"q^{e}"
+
+
+@dataclass(frozen=True)
+class Route:
+    """A named series fn(*args, n), exact below y^n, read at y = q^lift; its
+    arguments are hashable, so routes of equal function and arguments are equal."""
+
+    fn: Callable[..., LaurentSeries]
+    args: tuple = ()
+    lift: int = 1
+
+    def build(self, n: int, g: int = 1) -> LaurentSeries:
+        """The series in q^g, g dividing lift, exact below (q^g)^n, built at
+        the least order in y that needs."""
+        k = self.lift // g
+        y = self.fn(*self.args, max(1, -(-n // k)) if self.lift > 1 else n)
+        return (substitute_power(y, k) if k > 1 else y).truncate(n)
+
+    def __str__(self) -> str:
+        lift = f"[{_q(self.lift)}]" if self.lift != 1 else ""
+        return f"{self.fn.__name__}({','.join(map(str, self.args))}){lift}"
+
+
+@dataclass(frozen=True)
+class FormulaTerm:
+    """One additive term of a side: prod times the optional route's series."""
+
+    prod: Product = Product()
+    series: Optional[Route] = None
+
+    def __str__(self) -> str:
+        prod = str(self.prod)
+        if self.series is None:
+            return prod
+        return {"1": "", "-1": "-"}.get(prod, prod + " ") + str(self.series)
+
+
+Terms = Tuple[FormulaTerm, ...]
+Sides = Tuple[Terms, Terms]  # the two sides of an identity, as a check returns them
+
+
+def _terms(*prods: Product) -> Terms:
+    return tuple(map(FormulaTerm, prods))
 
 
 # A short product times a series is cheaper as its memoised expansion times
@@ -694,31 +760,23 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 
 
-def _expand_sum(terms, order: int) -> LaurentSeries:
-    total = LaurentSeries.zero(order)
-    for t in terms:
-        total = total + t.expand(order)
-    return total
+# the dissections of (q;q)/(-q;q) into base-9/18 (eq1) and base-25/50 (eq2)
+# products
+LEMMA31_TABLE = {
+    "eq1": _terms(poch(1, 9, 9) / poch(-1, 9, 9),
+                  Product(-2, 1) * poch(1, 3, 18) * poch(1, 15, 18) * poch(1, 18, 18)),
+    "eq2": _terms(poch(1, 25, 25) / poch(-1, 25, 25),
+                  Product(-2, 1) * poch(1, 15, 50) * poch(1, 35, 50) * poch(1, 50, 50),
+                  Product(2, 4) * poch(1, 5, 50) * poch(1, 45, 50) * poch(1, 50, 50)),
+}
 
 
-def verify_lemma31(variant: str, order: int) -> Sides:
-    """Dissection of (q;q)/( -q;q) into base-9/18 (eq1) or base-25/50 (eq2) products."""
-    lhs = (poch(1, 1, 1) / poch(-1, 1, 1)).expand(order)
-    if variant == "eq1":
-        rhs = [poch(1, 9, 9) / poch(-1, 9, 9),
-               Product(-2, 1) * poch(1, 3, 18) * poch(1, 15, 18) * poch(1, 18, 18)]
-    elif variant == "eq2":
-        rhs = [poch(1, 25, 25) / poch(-1, 25, 25),
-               Product(-2, 1) * poch(1, 15, 50) * poch(1, 35, 50) * poch(1, 50, 50),
-               Product(2, 4) * poch(1, 5, 50) * poch(1, 45, 50) * poch(1, 50, 50)]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return lhs, _expand_sum(rhs, order)
+def verify_lemma31(variant: str) -> Sides:
+    """(q;q)/(-q;q) against its dissection in ``LEMMA31_TABLE``."""
+    return _terms(poch(1, 1, 1) / poch(-1, 1, 1)), LEMMA31_TABLE[variant]
 
 
-def verify_hickerson(
-    which: str, x: SignedMonomial, z: SignedMonomial, base: int, order: int
-) -> Sides:
+def verify_hickerson(which: str, x: SignedMonomial, z: SignedMonomial, base: int) -> Sides:
     """Two/three-term product identities relating base-q and base-q^2 P-products."""
     sx, ex = x.sign, x.exp
     sz, ez = z.sign, z.exp
@@ -750,12 +808,10 @@ def verify_hickerson(
                4 * xm * p2(sx * sz, ex + ez + base) * p2(sz * sx, ez - ex) * e2_sq]
     else:
         raise ValueError(f"unknown identity {which!r}")
-    return _expand_sum(lhs, order), _expand_sum(rhs, order)
+    return _terms(*lhs), _terms(*rhs)
 
 
-def verify_addition(
-    z: SignedMonomial, zeta: SignedMonomial, t: SignedMonomial, base: int, order: int
-) -> Sides:
+def verify_addition(z: SignedMonomial, zeta: SignedMonomial, t: SignedMonomial, base: int) -> Sides:
     """Three-term addition relation:
     P^2(z)P(zeta*t)P(zeta/t) - P^2(zeta)P(zt)P(z/t) + (zeta/t)P^2(t)P(z*zeta)P(z/zeta) = 0.
     """
@@ -769,4 +825,4 @@ def verify_addition(
     total = [p(sz, ez) ** 2 * p(sc * st, ec + et) * p(sc * st, ec - et),
              -p(sc, ec) ** 2 * p(sz * st, ez + et) * p(sz * st, ez - et),
              Product(sc * st, ec - et) * p(st, et) ** 2 * p(sz * sc, ez + ec) * p(sz * sc, ez - ec)]
-    return _expand_sum(total, order), LaurentSeries.zero(order)
+    return _terms(*total), ()

@@ -2,9 +2,13 @@
 suite runner.
 
 The registry is a table with one row per identity: an id, the statement
-(anchor), a default truncation order, a tier, and a check bound to its
-arguments that builds both sides at a requested order.  The registry alone
-compares the sides and sets each report's id, runtime and notes.  Sampled
+(anchor), a default truncation order, a tier, and a builder that returns the
+row's comparisons, each the two sides of an identity as terms
+(``products.FormulaTerm``).  A builder takes no order and reads the
+transcription tables and the seed when it runs.  ``_run`` alone evaluates
+the sides at the requested order (``rankdiff.eval_terms``), compares them,
+merges the comparisons and sets each report's id, runtime and notes.  The
+anchors of the rows backed by a table are rendered from its terms.  Sampled
 entries draw monomial instantiations from a seeded generator (override the
 seed with the OVERRANK_SEED environment variable); the seed is recorded in the
 report notes so sampled runs are reproducible.
@@ -27,9 +31,11 @@ from . import combinat, lambert, products, rankdiff
 from .combinat import nbar, nbar_class
 from .errors import BadArgument, UnknownIdentity
 from .lambert import lambert_sum, s_bar, theta
-from .products import P, Product, SignedMonomial as SM, poch, triple_product
+from .products import (P, FormulaTerm as T, Product, Route, Sides, SignedMonomial as SM, Terms,
+                       poch, triple_product)
+from .rankdiff import eval_terms
 from .report import IdentityReport, compare, merge
-from .series import LaurentSeries, Sides, extract_progression
+from .series import LaurentSeries, extract_progression
 
 DEFAULT_SEED = 271828
 
@@ -43,7 +49,9 @@ class IdentityEntry:
     anchor: str
     default_order: int
     tier: str  # product | lambert | oracle | combination
-    build: Callable[[int], IdentityReport] = field(repr=False, compare=False)
+    build: Callable[[], List[Sides]] = field(repr=False, compare=False)
+    notes: str = ""
+    sampled: bool = False  # notes are the seed, read when the row runs
 
 
 def _seed_base() -> int:
@@ -60,30 +68,25 @@ def _seed_note() -> str:
 
 
 # ----------------------------------------------------------------------
-# builds: each binds a check to its arguments and maps an order to a report
+# builds: each binds a check to its arguments and returns its comparisons
 # ----------------------------------------------------------------------
 
 
-def _check(check: Callable[..., Sides], *args) -> Callable[[int], IdentityReport]:
-    """Compare the two sides that check(*args, order) returns."""
-    return lambda order: compare(*check(*args, order))
+def _named(check: Callable[..., Sides], *args) -> Callable[[], List[Sides]]:
+    """The one comparison check(*args)."""
+    return lambda: [check(*args)]
 
 
-def _pair(lhs: Callable[[int], LaurentSeries], rhs: Callable[[int], LaurentSeries],
-          notes: str = "") -> Callable[[int], IdentityReport]:
-    """Compare lhs(order) against rhs(order); lhs is built first."""
-    return lambda order: compare(lhs(order), rhs(order), notes)
-
-
-def _sampled(entry_id: str, check: Callable[..., Sides],
-             draw: Callable[[random.Random], tuple], n: int) -> Callable[[int], IdentityReport]:
-    """Merge n comparisons of check(*draw(rng), order) over the entry's seeded
+def _sampled(name: str, anchor: str, order: int, tier: str, check: Callable[..., Sides],
+             draw: Callable[[random.Random], tuple], n: int) -> IdentityEntry:
+    """The row name@sampled: n comparisons check(*draw(rng)) over its seeded
     generator."""
-    def build(order: int) -> IdentityReport:
+    entry_id = f"{name}@sampled"
+
+    def build() -> List[Sides]:
         rng = _rng(entry_id)
-        parts = [compare(*check(*draw(rng), order)) for _ in range(n)]
-        return replace(merge(parts), notes=_seed_note())
-    return build
+        return [check(*draw(rng)) for _ in range(n)]
+    return IdentityEntry(entry_id, anchor, order, tier, build, sampled=True)
 
 
 # draws: the order of the rng calls fixes the sampled instantiations
@@ -122,14 +125,27 @@ def _draw_lemma41(rng: random.Random, base: int = 7) -> tuple:
             return SM(rng.choice((1, -1)), ec), SM(rng.choice((1, -1)), ez), base
 
 
-def _counted_series(count, order: int, start: int = 1) -> LaurentSeries:
+def _route(fn: Callable[..., LaurentSeries], *args) -> Terms:
+    """The one term fn(*args, order)."""
+    return (T(Product(), Route(fn, args)),)
+
+
+def _counted_series(count: Callable[..., int], args: tuple, start: int,
+                    order: int) -> LaurentSeries:
+    """sum count(*args, n) q^n over start <= n < order."""
     # largest n first, so the counting table is built once at full size
-    return LaurentSeries.from_terms({n: count(n) for n in range(order - 1, start - 1, -1)},
+    return LaurentSeries.from_terms({n: count(*args, n) for n in range(order - 1, start - 1, -1)},
                                     order)
 
 
-def _jtp(z: SM, base: int, order: int) -> Sides:
-    return theta(z, base, order), triple_product(z, base, order)
+def _counted(analytic: Terms, count: Callable[..., int], args: tuple,
+             start: int = 1) -> Callable[[], List[Sides]]:
+    """The analytic series against the counts count(*args, n), n >= start."""
+    return lambda: [(analytic, _route(_counted_series, count, args, start))]
+
+
+def _jtp(z: SM, base: int) -> Sides:
+    return _route(theta, z, base), _route(triple_product, z, base)
 
 
 def _p_triple_product(s: int, e: int, ell: int, order: int) -> LaurentSeries:
@@ -143,14 +159,14 @@ def _p_triple_product(s: int, e: int, ell: int, order: int) -> LaurentSeries:
     return extract_progression(x.shift(up), 2, 0).shift(-up // 2)
 
 
-def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
+def _p_relation(rel: str, ell: int) -> List[Sides]:
     """The P relations at z = +-q^a (p1, p2) or z = q^a (p3, p4), 0 < a < ell:
     each ``Product`` form of one P value that the relation lists, times
     (q^ell; q^ell), against the triple-product sum of that value.  Forms
     that P's exponent reduction makes equal as ``Product`` values are one
     series, compared once."""
     euler = poch(1, ell, ell)
-    parts = []
+    out = []
     for a in range(1, ell):
         for s in ((1, -1) if rel in ("p1", "p2") else (1,)):
             if rel in ("p1", "p3"):  # P(q^ell / z) = P(z) at z = s q^a
@@ -159,85 +175,55 @@ def _p_relation(rel: str, ell: int, order: int) -> IdentityReport:
                 e, forms = a + ell, [P(s, a + ell, ell), Product(-s, -a) * P(s, a, ell)]
             else:  # p4: P(q^-a) = P(q^(ell+a)) = -y^-a P(a)
                 e, forms = -a, [P(1, -a, ell), P(1, ell + a, ell), Product(-1, -a) * P(1, a, ell)]
-            rhs = _p_triple_product(s, e, ell, order)
-            parts += [compare((form * euler).expand(order), rhs) for form in set(forms)]
-    return merge(parts)
+            rhs = _route(_p_triple_product, s, e, ell)
+            out += [((T(form * euler),), rhs) for form in set(forms)]
+    return out
 
 
-def _half_minus_ratio(order: int) -> LaurentSeries:
-    """1/2 - (q;q)/(2(-q;q))."""
-    return LaurentSeries.monomial(Fraction(1, 2), 0, order) - rankdiff._HALF_RATIO.expand(order)
-
-
-def _neg_s_bar(b: int, ell: int, order: int) -> LaurentSeries:
-    return -s_bar(b, ell, order)
+def _render(*sides: Terms) -> str:
+    """Sides as the anchors print them: the terms of each joined by + and -
+    (0 for none), the sides by =."""
+    return " = ".join(" + ".join(map(str, terms)).replace(" + -", " - ") or "0" for terms in sides)
 
 
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
 
-_PBAR_ANCHOR = "sum pbar(n) q^n = (-q;q)/(q;q)"
-_BRK = "(q;q)(-q^L;q^L)/((-q;q)(q^L;q^L))"
-
-
 def _entries() -> List[IdentityEntry]:
     E = IdentityEntry
     out: List[IdentityEntry] = []
 
     # counting oracle vs analytic generating functions
-    out.append(E("oracle.pbar", _PBAR_ANCHOR, 31, "oracle",
-                 _pair(combinat.pbar_series,
-                       partial(_counted_series, partial(nbar_class, 0, 1), start=0))))
+    out.append(E("oracle.pbar", "sum pbar(n) q^n = (-q;q)/(q;q)", 31, "oracle",
+                 _counted(_route(combinat.pbar_series), nbar_class, (0, 1), 0)))
     for m in (0, 1, 2):
         out.append(E(f"gen@m={m}",
                      "sum Nbar(m,n) q^n = 2(-q;q)/(q;q) sum_{n>=1} (-1)^(n-1) "
                      "q^(n^2+|m|n)(1-q^n)/(1+q^n)",
-                     31, "oracle",
-                     _pair(partial(combinat.nbar_series, m),
-                           partial(_counted_series, partial(nbar, m)), notes=N0_NOTE)))
+                     31, "oracle", _counted(_route(combinat.nbar_series, m), nbar, (m,)), N0_NOTE))
     for s, m in ((0, 3), (1, 3), (0, 5), (1, 5), (2, 5)):
         out.append(E(f"gen1@s={s},m={m}",
                      "sum Nbar(s,m,n) q^n = 2(-q;q)/(q;q) sum'_n (-1)^n q^(n^2+n)"
-                     "(q^(sn)+q^((m-s)n)) / ((1+q^n)(1-q^(mn)))",
-                     31, "oracle",
-                     _pair(partial(combinat.nbar_class_series, s, m),
-                           partial(_counted_series, partial(nbar_class, s, m)),
-                           notes=N0_NOTE)))
+                     "(q^(sn)+q^((m-s)n)) / ((1+q^n)(1-q^(mn)))", 31, "oracle",
+                     _counted(_route(combinat.nbar_class_series, s, m), nbar_class, (s, m)),
+                     N0_NOTE))
 
     # the thirteen dissected rank differences
-    anchors = {
-        (3, 0, 1, 0): "R01(0) = -1 + (q^3;q^3)^2 (-q;q) / ((q;q)(-q^3;q^3)^2)",
-        (3, 0, 1, 1): "R01(1) = 2 (q^3;q^3)(q^6;q^6) / (q;q)",
-        (3, 0, 1, 2): "R01(2) = 4 (-q^3;q^3)^2 (q^6;q^6)^2/(q^2;q^2)"
-                      " - 6 (-q^3;q^3)/(q^3;q^3) Sum(q,1,q^3)",
-        (5, 1, 2, 0): "R12(0) = 2q (q^10;q^10) / (q^3,q^4,q^6,q^7;q^10)",
-        (5, 1, 2, 1): "R12(1) = -2q (-q^5;q^5)/(q^5;q^5) Sum(q^2,1,q^5)",
-        (5, 1, 2, 2): "R12(2) = 2 (q^10;q^10) / (q,q^4;q^5)",
-        (5, 1, 2, 3): "R12(3) = -2 (q^10;q^10) / (q^2,q^3;q^5)",
-        (5, 1, 2, 4): "R12(4) = 6 (-q^5;q^5)/(q^5;q^5) Sum(q,1,q^5)"
-                      " - 4 (q^2,q^8,q^10;q^10) / ((q^4,q^6;q^10)^2 (q,q^9;q^10))",
-        (5, 0, 2, 0): "R02(0) = -1 + (-q^2,-q^3;q^5)(q^5;q^5) / ((q^2,q^3;q^5)(-q^5;q^5))",
-        (5, 0, 2, 1): "R02(1) = 2 (q^4,q^6,q^10;q^10)/((q^2,q^8;q^10)^2 (q^3,q^7;q^10))"
-                      " + 4q (-q^5;q^5)/(q^5;q^5) Sum(q^2,1,q^5)",
-        (5, 0, 2, 2): "R02(2) = 0",
-        (5, 0, 2, 3): "R02(3) = 2 (q^10;q^10) / (q^2,q^3;q^5)",
-        (5, 0, 2, 4): "R02(4) = 2 (q^2,q^8,q^10;q^10)/((q^4,q^6;q^10)^2 (q,q^9;q^10))"
-                      " - 2 (-q^5;q^5)/(q^5;q^5) Sum(q,1,q^5)",
-    }
-    for (ell, s, t, d), anchor in anchors.items():
+    for ell, s, t, d in rankdiff.THEOREM_TABLE:
         key = rankdiff.RankDiffKey(ell, s, t, d)
-        out.append(E(f"thm{ell}.{key.slug}", anchor, 40, "oracle",
-                     _pair(partial(rankdiff.rank_diff_formula, key),
-                           partial(rankdiff.rank_diff_oracle, key))))
+        out.append(E(f"thm{ell}.{key.slug}",
+                     f"R{s}{t}({d}) = {_render(rankdiff.rank_diff_formula(key))}", 40, "oracle",
+                     lambda key=key: [(rankdiff.rank_diff_formula(key),
+                                       _route(rankdiff.rank_diff_oracle, key))]))
 
     # triple product
     out.append(E("jtp@z=q^1,base=1", "sum z^n q^(n^2) = (-zq,-q/z,q^2;q^2)",
-                 200, "product", _check(_jtp, SM(1, 1), 1)))
+                 200, "product", _named(_jtp, SM(1, 1), 1)))
     out.append(E("jtp@z=-1,base=1", "sum (-1)^n q^(n^2) = (q;q)/(-q;q)",
-                 200, "product", _check(_jtp, SM(-1, 0), 1)))
-    out.append(E("jtp@sampled", "sum z^n q^(base n^2) = (-zq,-q/z,q^2;q^2) at q=q^base",
-                 200, "product", _sampled("jtp@sampled", _jtp, _draw_jtp, 10)))
+                 200, "product", _named(_jtp, SM(-1, 0), 1)))
+    out.append(_sampled("jtp", "sum z^n q^(base n^2) = (-zq,-q/z,q^2;q^2) at q=q^base",
+                        200, "product", _jtp, _draw_jtp, 10))
 
     # P relations
     rel_anchor = {
@@ -252,13 +238,9 @@ def _entries() -> List[IdentityEntry]:
                          partial(_p_relation, rel, ell)))
 
     # product dissections of (q;q)/(-q;q)
-    out.append(E("lemma3.1.eq1",
-                 "(q;q)/(-q;q) = (q^9;q^9)/(-q^9;q^9) - 2q (q^3,q^15,q^18;q^18)",
-                 150, "product", _check(products.verify_lemma31, "eq1")))
-    out.append(E("lemma3.1.eq2",
-                 "(q;q)/(-q;q) = (q^25;q^25)/(-q^25;q^25) - 2q (q^15,q^35,q^50;q^50)"
-                 " + 2q^4 (q^5,q^45,q^50;q^50)",
-                 150, "product", _check(products.verify_lemma31, "eq2")))
+    for variant in ("eq1", "eq2"):
+        out.append(E(f"lemma3.1.{variant}", _render(*products.verify_lemma31(variant)),
+                     150, "product", _named(products.verify_lemma31, variant)))
 
     # two-term product identities (base q vs base q^2)
     hick_anchor = {
@@ -278,87 +260,79 @@ def _entries() -> List[IdentityEntry]:
     ]
     for which, x, z, base, order in named_hick:
         out.append(E(f"lemma3.{which[-1]}@x={x},z={z},base={base}", hick_anchor[which], order,
-                     "product", _check(products.verify_hickerson, which, x, z, base)))
+                     "product", _named(products.verify_hickerson, which, x, z, base)))
     for which in ("lemma32", "lemma33", "lemma34", "lemma35"):
-        eid = f"lemma3.{which[-1]}@sampled"
-        out.append(E(eid, hick_anchor[which], 300, "product",
-                     _sampled(eid, partial(products.verify_hickerson, which),
-                              lambda rng: (_mono(rng, 1, 10), _mono(rng, 1, 10), 11), 10)))
+        out.append(_sampled(f"lemma3.{which[-1]}", hick_anchor[which], 300, "product",
+                            partial(products.verify_hickerson, which),
+                            lambda rng: (_mono(rng, 1, 10), _mono(rng, 1, 10), 11), 10))
 
     # addition relation
     add_anchor = ("P^2(z)P(zeta t)P(zeta/t) - P^2(zeta)P(zt)P(z/t)"
                   " + (zeta/t)P^2(t)P(z zeta)P(z/zeta) = 0")
-    out.append(E("lemma3.6@z=q^20,zeta=q^10,t=q^5,base=50", add_anchor, 400, "product",
-                 _check(products.verify_addition, SM(1, 20), SM(1, 10), SM(1, 5), 50)))
-    out.append(E("lemma3.6@z=q^20,zeta=q^15,t=q^10,base=50", add_anchor, 400, "product",
-                 _check(products.verify_addition, SM(1, 20), SM(1, 15), SM(1, 10), 50)))
-    out.append(E("lemma3.6@sampled", add_anchor, 300, "product",
-                 _sampled("lemma3.6@sampled", products.verify_addition,
-                          lambda rng: (_mono(rng, 1, 12), _mono(rng, 1, 12),
-                                       _mono(rng, 1, 12), 13), 10)))
+    for z, zeta, t in ((SM(1, 20), SM(1, 10), SM(1, 5)), (SM(1, 20), SM(1, 15), SM(1, 10))):
+        out.append(E(f"lemma3.6@z={z},zeta={zeta},t={t},base=50", add_anchor, 400, "product",
+                     _named(products.verify_addition, z, zeta, t, 50)))
+    out.append(_sampled("lemma3.6", add_anchor, 300, "product", products.verify_addition,
+                        lambda rng: (_mono(rng, 1, 12), _mono(rng, 1, 12), _mono(rng, 1, 12), 13),
+                        10))
 
     # Sbar closed form and reflection
     for ell in (3, 5):
         out.append(E(f"lemma2.1@ell={ell}", "Sbar(ell) = 1/2 - (q;q)/(2(-q;q))",
-                     200, "lambert", _pair(partial(s_bar, ell, ell), _half_minus_ratio)))
+                     200, "lambert",
+                     lambda ell=ell: [(_route(s_bar, ell, ell),
+                                       (T(Product(Fraction(1, 2))), T(-rankdiff._HALF_RATIO)))]))
         for b in range(1, ell + 1):
             out.append(E(f"rels@b={b},ell={ell}", "Sbar(b) = -Sbar(ell-b)",
                          200, "lambert",
-                         _pair(partial(s_bar, b, ell), partial(_neg_s_bar, ell - b, ell))))
+                         lambda b=b, ell=ell: [(_route(s_bar, b, ell),
+                                                (T(Product(-1), Route(s_bar, (ell - b, ell))),))]))
 
     # shift / reflection identities for the bilateral sums
-    out.append(E("sigma-shift@sampled",
-                 "z^2 Sum(z,zeta,q) + zeta Sum(zq,zeta,q) = "
-                 "-sum (-1)^n zeta^n q^(n(n-1))(1+zq^n)",
-                 150, "lambert", _sampled("sigma-shift@sampled", lambert.check_sigma_shift,
-                                          _draw_sigma_shift, 6)))
+    out.append(_sampled("sigma-shift", "z^2 Sum(z,zeta,q) + zeta Sum(zq,zeta,q) = "
+                        "-sum (-1)^n zeta^n q^(n(n-1))(1+zq^n)",
+                        150, "lambert", lambert.check_sigma_shift, _draw_sigma_shift, 6))
     out.append(E("step@z=q^2,base=7", "z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)/(-q;q)",
-                 200, "lambert", _check(lambert.check_step, SM(1, 2), 7)))
-    out.append(E("step@sampled", "z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)/(-q;q)",
-                 150, "lambert",
-                 _sampled("step@sampled", lambert.check_step, _draw_z(3, 5, 7), 6)))
-    out.append(E("short@sampled",
-                 "Sum(z,1,q) + z^-2 Sum(z^-1,1,q) = -z^-1 sum (-1)^n q^(n^2)",
-                 150, "lambert",
-                 _sampled("short@sampled", lambert.check_short, _draw_z(3, 5, 7), 6)))
+                 200, "lambert", _named(lambert.check_step, SM(1, 2), 7)))
+    out.append(_sampled("step", "z^2 Sum(z,1,q) + Sum(zq,1,q) = -z (q;q)/(-q;q)",
+                        150, "lambert", lambert.check_step, _draw_z(3, 5, 7), 6))
+    out.append(_sampled("short", "Sum(z,1,q) + z^-2 Sum(z^-1,1,q) = -z^-1 sum (-1)^n q^(n^2)",
+                        150, "lambert", lambert.check_short, _draw_z(3, 5, 7), 6))
 
     # bilateral two-pole identity and its specializations
     l41_anchor = ("sum (-1)^n q^(n^2+n)[zeta^-2n/(1-z zeta^-1 q^n)"
                   " + zeta^(2n+2)/(1-z zeta q^n)] = zeta P(zeta^2)P(-1)/(P(zeta)P(-zeta))"
                   " Sum(z,1,q) + P(zeta)P(zeta^2)P(-z)(q)^2/(P(z)P(z zeta)P(z/zeta)P(-zeta))")
-    out.append(E("lemma4.1@zeta=q^1,z=q^2,base=5", l41_anchor, 300, "lambert",
-                 _check(lambert.verify_lemma41, SM(1, 1), SM(1, 2), 5)))
-    out.append(E("lemma4.1@zeta=q^2,z=q^1,base=5", l41_anchor, 300, "lambert",
-                 _check(lambert.verify_lemma41, SM(1, 2), SM(1, 1), 5)))
-    out.append(E("lemma4.1@zeta=-q^1,z=q^1,base=3", l41_anchor, 200, "lambert",
-                 _check(lambert.verify_lemma41, SM(-1, 1), SM(1, 1), 3)))
-    out.append(E("lemma4.1@sampled", l41_anchor, 200, "lambert",
-                 _sampled("lemma4.1@sampled", lambert.verify_lemma41, _draw_lemma41, 10)))
+    for zeta, z, base, order in ((SM(1, 1), SM(1, 2), 5, 300), (SM(1, 2), SM(1, 1), 5, 300),
+                                 (SM(-1, 1), SM(1, 1), 3, 200)):
+        out.append(E(f"lemma4.1@zeta={zeta},z={z},base={base}", l41_anchor, order, "lambert",
+                     _named(lambert.verify_lemma41, zeta, z, base)))
+    out.append(_sampled("lemma4.1", l41_anchor, 200, "lambert", lambert.verify_lemma41,
+                        _draw_lemma41, 10))
 
     # the second key identity and the g-function relations
     part1_anchor = ("2g(z,q) - g(z^2,q) + 1/2 = (q)^2 P(-z^4)/(P(z^4)P(-1))"
                     " + z P(-1)^2 (q)^2 P(z^2)/(P(z)^2 P(-z)^2)")
-    out.append(E("part1@z=q^1,base=5", part1_anchor, 300, "lambert",
-                 _check(lambert.check_part1, SM(1, 1), 5)))
-    out.append(E("part1@z=q^1,base=3", part1_anchor, 200, "lambert",
-                 _check(lambert.check_part1, SM(1, 1), 3)))
-    out.append(E("part1@sampled", part1_anchor, 150, "lambert",
-                 _sampled("part1@sampled", lambert.check_part1, _draw_z(5, 7), 6)))
+    for base, order in ((5, 300), (3, 200)):
+        out.append(E(f"part1@z=q^1,base={base}", part1_anchor, order, "lambert",
+                     _named(lambert.check_part1, SM(1, 1), base)))
+    out.append(_sampled("part1", part1_anchor, 150, "lambert", lambert.check_part1,
+                        _draw_z(5, 7), 6))
     for a, ell in ((1, 3), (1, 5), (2, 5)):
         out.append(E(f"g2@a={a},ell={ell}", "g(a) + g(ell-a) = 1", 200, "lambert",
-                     _check(lambert.check_g2, a, ell)))
+                     _named(lambert.check_g2, a, ell)))
         out.append(E(f"g1@a={a},ell={ell}",
                      "2g(a) - g(2a) + 1/2 = P(-y^4a)P(0)^2/(P(4a)P(-1))"
                      " + y^a P(-1)^2 P(0)^2 P(2a)/(P(a)^2 P(-y^a)^2)",
-                     300, "lambert", _check(lambert.check_part1, SM(1, a), ell)))
+                     300, "lambert", _named(lambert.check_part1, SM(1, a), ell)))
     out.append(E("constant@z=q^1,base=3", "g(z,q) - g(zq,q) = -2", 200, "lambert",
-                 _check(lambert.check_constant, SM(1, 1), 3)))
-    out.append(E("constant@sampled", "g(z,q) - g(zq,q) = -2", 150, "lambert",
-                 _sampled("constant@sampled", lambert.check_constant, _draw_z(3, 5), 5)))
+                 _named(lambert.check_constant, SM(1, 1), 3)))
+    out.append(_sampled("constant", "g(z,q) - g(zq,q) = -2", 150, "lambert",
+                        lambert.check_constant, _draw_z(3, 5), 5))
     out.append(E("gees@z=q^1,base=5", "g(z^-1,q) + g(z,q) = -1", 200, "lambert",
-                 _check(lambert.check_gees, SM(1, 1), 5)))
-    out.append(E("gees@sampled", "g(z^-1,q) + g(z,q) = -1", 150, "lambert",
-                 _sampled("gees@sampled", lambert.check_gees, _draw_z(3, 5), 5)))
+                 _named(lambert.check_gees, SM(1, 1), 5)))
+    out.append(_sampled("gees", "g(z^-1,q) + g(z,q) = -1", 150, "lambert",
+                        lambert.check_gees, _draw_z(3, 5), 5))
 
     # Sbar(ell-2m) decompositions and the Sum(m,0)-coefficient brackets
     for ell, m in ((3, 1), (5, 2), (5, 1)):
@@ -367,81 +341,41 @@ def _entries() -> List[IdentityEntry]:
                      "Sbar(ell-2m) = (-1)^m q^(m(ell-m)) Sum(m,0) + Sum(0,-2m)"
                      " + y^2m Sum(2m,2m) + sum''_a (-1)^(m+a) q^((a+m)(a-m+ell))"
                      " [Sum(m+a,2a) + y^-2a Sum(m-a,-2a)]",
-                     150, "combination",
-                     _pair(partial(s_bar, ell - 2 * m, ell),
-                           partial(rankdiff.s_bar_b_decomposition, spec))))
+                     150, "combination", _named(rankdiff.s_bar_b_decomposition, spec)))
         out.append(E(f"final@ell={ell},m={m}",
                      "Sbar(ell-2m) = -g(m) + sum''_a (product term) + Sum(m,0){bracket}",
-                     150, "combination",
-                     _pair(partial(s_bar, ell - 2 * m, ell),
-                           partial(rankdiff.s_bar_final_form, spec))))
-    out.append(E("bracket@ell=3,m=1", "{ } = -q^2 " + _BRK + ", L=9", 200,
-                 "combination", _check(rankdiff.brackets, rankdiff.FinalFormSpec(3, 1))))
-    out.append(E("bracket@ell=5,m=2", "{ } = q^6 " + _BRK + ", L=25", 300,
-                 "combination", _check(rankdiff.brackets, rankdiff.FinalFormSpec(5, 2))))
-    out.append(E("bracket@ell=5,m=1", "{ } = -q^4 " + _BRK + ", L=25", 300,
-                 "combination", _check(rankdiff.brackets, rankdiff.FinalFormSpec(5, 1))))
-    out.append(E("s1too", "Sbar(1) = -g(1) - q^2 Sum(1,0) " + _BRK + " (ell=3, L=9)",
-                 150, "combination", _check(rankdiff.verify_sbar_closed, "s1too")))
-    out.append(E("s1", "Sbar(1) = -g(2) + qy Sum(2,0) " + _BRK + " - q^2 (q^25;q^25)^2"
-                 "(-q^10,-q^15;q^25)/((q^10,q^15;q^25)(-q^5,-q^20;q^25)) (ell=5, L=25)",
-                 150, "combination", _check(rankdiff.verify_sbar_closed, "s1")))
-    out.append(E("s3", "Sbar(3) = -g(1) - q^4 Sum(1,0) " + _BRK + " + q^3 (q^25;q^25)^2"
-                 "(-q^5,-q^20;q^25)/((q^5,q^20;q^25)(-q^10,-q^15;q^25)) (ell=5, L=25)",
-                 150, "combination", _check(rankdiff.verify_sbar_closed, "s3")))
+                     150, "combination", _named(rankdiff.s_bar_final_form, spec)))
+    for (ell, m), order in {(3, 1): 200, (5, 2): 300, (5, 1): 300}.items():
+        out.append(E(f"bracket@ell={ell},m={m}", f"{{ }} = {rankdiff.bracket_closed_form(ell, m)}",
+                     order, "combination",
+                     _named(rankdiff.brackets, rankdiff.FinalFormSpec(ell, m))))
+    for which in rankdiff.SBAR_CLOSED_TABLE:
+        out.append(E(which, _render(*rankdiff.verify_sbar_closed(which)), 150, "combination",
+                     _named(rankdiff.verify_sbar_closed, which)))
 
     # class-difference combinations, against both independent routes
     combo_anchor = {
-        "ell3_01": "sum (Nbar(0,3,n)-Nbar(1,3,n)) q^n (q;q)/(2(-q;q)) = 3Sbar(1) + Sbar(3)",
-        "ell5_12": "sum (Nbar(1,5,n)-Nbar(2,5,n)) q^n (q;q)/(2(-q;q)) = -Sbar(1) - 3Sbar(3)",
-        "ell5_02": "sum (Nbar(0,5,n)-Nbar(2,5,n)) q^n (q;q)/(2(-q;q)) = "
-                   "Sbar(5) + 2Sbar(1) + Sbar(3)",
+        "ell3_01": ("Nbar(0,3,n)-Nbar(1,3,n)", "3Sbar(1) + Sbar(3)"),
+        "ell5_12": ("Nbar(1,5,n)-Nbar(2,5,n)", "-Sbar(1) - 3Sbar(3)"),
+        "ell5_02": ("Nbar(0,5,n)-Nbar(2,5,n)", "Sbar(5) + 2Sbar(1) + Sbar(3)"),
     }
-    for pair in ("ell3_01", "ell5_12", "ell5_02"):
+    for pair, (diff, combo) in combo_anchor.items():
         notes = ("Sbar(5) enters with coefficient +1 (the printed -1 fails at q^1)"
                  if pair == "ell5_02" else "")
-        lhs = partial(rankdiff.combination_lhs, pair)
-        out.append(E(f"combo.{pair}", combo_anchor[pair], 100, "combination",
-                     _pair(lhs, partial(rankdiff.combination_rank_side, pair), notes=notes)))
+        out.append(E(f"combo.{pair}", f"sum ({diff}) q^n (q;q)/(2(-q;q)) = {combo}", 100,
+                     "combination",
+                     lambda pair=pair: [(rankdiff.combination_lhs(pair),
+                                         rankdiff.combination_rank_side(pair))], notes))
         out.append(E(f"thmpoly.{pair}",
-                     combo_anchor[pair] + "  [closed-form polynomial route]",
-                     100, "combination",
-                     _pair(lhs, partial(rankdiff.combination_theorem_side, pair))))
+                     f"2(-q;q)/(q;q) ({combo}) = sum_d q^d R(d)(q^ell)"
+                     "  [closed-form polynomial route]",
+                     100, "combination", _named(rankdiff.combination_theorem_sides, pair)))
 
     # the ten coefficient identities (base q^25 / q^50, y = q^5)
-    check_anchor = {
-        0: "g(2) + 3g(1) = y (q^25;q^25)^2/(q^15,q^20,q^30,q^35;q^50) + 4y (q^10,q^15,"
-           "q^35,q^40;q^50)(q^50;q^50)^2/((q^20,q^30;q^50)^2 (q^5,q^45;q^50))",
-        1: "y (q^50;q^50)(q^15,q^35,q^50;q^50)/(q^15,q^20,q^30,q^35;q^50) = "
-           "y (q^50;q^50)(q^5,q^45,q^50;q^50)/(q^5,q^20;q^25)",
-        2: "(q^25)^2(-q^10,-q^15;q^25)/((q^10,q^15;q^25)(-q^5,-q^20;q^25)) = "
-           "(q^25)^2/(q^5,q^20;q^25) - 2y (q^50)^2(q^5,q^45;q^50)/(q^10,q^15;q^25)",
-        3: "3(q^25)^2(-q^5,-q^20;q^25)/((q^5,q^20;q^25)(-q^10,-q^15;q^25)) = "
-           "(q^25)^2/(q^10,q^15;q^25) + 2(q^50)^2(q^15,q^35;q^50)/(q^5,q^20;q^25)"
-           " + 4y (q^10,q^40;q^50)(q^50)^2/(q^20,q^30;q^50)^2",
-        4: "(q^10,q^40,q^50;q^50)(q^25;q^25)/((q^20,q^30;q^50)^2(q^5,q^45;q^50)"
-           "(-q^25;q^25)) = (q^50)^2(q^15,q^35;q^50)/(q^10,q^15;q^25)"
-           " + y (q^50)^2(q^5,q^45;q^50)/(q^15,q^20,q^30,q^35;q^50)",
-        5: "1/2 - 2g(2) - g(1) = (1/2)(-q^10,-q^15;q^25)(q^25)^2/((q^10,q^15;q^25)"
-           "(-q^25;q^25)^2) - 2y(q^10,q^40;q^50)(q^15,q^35;q^50)(q^50)^2/((q^20,q^30;"
-           "q^50)^2(q^5,q^45;q^50)) + 2y(q^20,q^30;q^50)(q^5,q^45;q^50)(q^50)^2/"
-           "((q^10,q^40;q^50)^2(q^15,q^35;q^50))",
-        6: "(q^20,q^30,q^50;q^50)(q^25;q^25)/((q^10,q^40;q^50)^2(q^15,q^35;q^50)"
-           "(-q^25;q^25)) = (-q^10,-q^15;q^25)(q^25;q^25)(q^15,q^35,q^50;q^50)/"
-           "((q^10,q^15;q^25)(-q^25;q^25))",
-        7: "(q^25)^2(-q^10,-q^15;q^25)/((-q^5,-q^20;q^25)(q^10,q^15;q^25)) = "
-           "(q^50)^2(q^20,q^30;q^50)/(q^10,q^40;q^50)^2 - y(q^50)^2(q^5,q^45;q^50)/"
-           "(q^10,q^15;q^25)",
-        8: "(q^25)^2(-q^5,-q^20;q^25)/((-q^10,-q^15;q^25)(q^5,q^20;q^25)) = "
-           "(q^25)^2/(q^10,q^15;q^25) + 2y(q^50)^2(q^10,q^40;q^50)/(q^20,q^30;q^50)^2",
-        9: "(q^10,q^40,q^50;q^50)(q^25;q^25)/((q^20,q^30;q^50)^2(q^5,q^45;q^50)"
-           "(-q^25;q^25)) + (-q^10,-q^15;q^25)(q^25;q^25)(q^5,q^45,q^50;q^50)/"
-           "((q^10,q^15;q^25)(-q^25;q^25)) = 2(q^50)^2(q^15,q^35;q^50)/(q^10,q^15;q^25)",
-    }
     for i in range(10):
         tier = "lambert" if i in (0, 5) else "product"
-        out.append(E(f"check{i}", check_anchor[i], 400, tier,
-                     _check(rankdiff.verify_check, i)))
+        out.append(E(f"check{i}", _render(*rankdiff.verify_check(i)), 400, tier,
+                     _named(rankdiff.verify_check, i)))
 
     return out
 
@@ -467,16 +401,18 @@ def list_identities() -> List[IdentityEntry]:
 
 
 def _run(entry: IdentityEntry, order: int) -> IdentityReport:
-    """Build the entry's report, timed; a check that compared fewer than
-    `order` coefficients is a failure, whatever it found."""
+    """Evaluate both sides of each of the entry's comparisons at the order,
+    compare them and merge the reports, timed; a check that compared fewer
+    than `order` coefficients is a failure, whatever it found."""
     t0 = time.perf_counter()
-    report = entry.build(order)
+    report = merge([compare(eval_terms(lhs, order), eval_terms(rhs, order))
+                    for lhs, rhs in entry.build()])
     ms = int((time.perf_counter() - t0) * 1000)
+    notes = _seed_note() if entry.sampled else entry.notes
     if report.checked_order < order:
         short = f"short check: {report.checked_order} of {order} coefficients compared"
-        report = replace(report, ok=False,
-                         notes="; ".join(n for n in (report.notes, short) if n))
-    return replace(report, id=entry.id, runtime_ms=ms)
+        report, notes = replace(report, ok=False), "; ".join(n for n in (notes, short) if n)
+    return replace(report, id=entry.id, runtime_ms=ms, notes=notes)
 
 
 def check_order(order: int) -> None:

@@ -1,7 +1,7 @@
 """Verification reports: the uniform result record for every identity check.
 
-A check is plain mathematics: it returns the two sides of its identity, each
-exact below the requested order.  Only the registry turns a pair into a report
+A check is plain mathematics: it returns the two sides of its identity as
+terms.  Only the registry evaluates them, turns a pair into a report
 (``compare``), joins several into one (``merge``), and sets a report's id,
 runtime and notes, with ``dataclasses.replace``.
 """
@@ -73,15 +73,15 @@ def _assert_dyadic(series: LaurentSeries) -> None:
         raise AssertionError(f"non-dyadic coefficient {c} in {series!r}")
 
 
-def compare(lhs: LaurentSeries, rhs: LaurentSeries, notes: str = "") -> IdentityReport:
+def compare(lhs: LaurentSeries, rhs: LaurentSeries) -> IdentityReport:
     """Compare two series on their common guaranteed range; the report's id
-    is left empty for the caller to set."""
+    and notes are left empty for the caller to set."""
     _assert_dyadic(lhs)
     _assert_dyadic(rhs)
     checked = min(lhs.order, rhs.order)
     fm = first_mismatch(lhs, rhs)
     if fm is None:
-        return IdentityReport(id="", ok=True, checked_order=checked, notes=notes)
+        return IdentityReport(id="", ok=True, checked_order=checked)
     e = fm[0]
     window = tuple(
         (n, lhs.coeff(n), rhs.coeff(n))
@@ -92,7 +92,6 @@ def compare(lhs: LaurentSeries, rhs: LaurentSeries, notes: str = "") -> Identity
         ok=False,
         checked_order=checked,
         first_mismatch=Mismatch(exp=e, lhs=fm[1], rhs=fm[2]),
-        notes=notes,
         window=window,
     )
 
@@ -106,8 +105,7 @@ def merge(reports: list) -> IdentityReport:
     if not reports:
         raise ValueError("cannot merge an empty report list")
     checked = min(r.checked_order for r in reports)
-    notes = "; ".join(sorted({r.notes for r in reports if r.notes}))
     for r in reports:
         if not r.ok:
-            return replace(r, checked_order=checked, notes=notes)
-    return IdentityReport(id="", ok=True, checked_order=checked, notes=notes)
+            return replace(r, checked_order=checked)
+    return IdentityReport(id="", ok=True, checked_order=checked)

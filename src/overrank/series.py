@@ -70,10 +70,6 @@ class LaurentSeries:
         return _from_ints(order, (), order)
 
     @classmethod
-    def one(cls, order: int) -> "LaurentSeries":
-        return cls.monomial(1, 0, order)
-
-    @classmethod
     def monomial(cls, c: Coefficient, exp: int, order: int) -> "LaurentSeries":
         if exp >= order:
             return cls.zero(order)
@@ -218,10 +214,6 @@ def _from_ints(min_exp: int, nums: Iterable[int], order: int, d: int = 1) -> Lau
 def _times(cs: Tuple[int, ...], k: int) -> Tuple[int, ...]:
     """The integers cs times k; cs itself for k = 1."""
     return cs if k == 1 else tuple(map(operator.mul, cs, repeat(k)))
-
-
-# the two sides of an identity, as a check returns them
-Sides = Tuple[LaurentSeries, LaurentSeries]
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

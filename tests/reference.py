@@ -4,16 +4,43 @@ The counting oracle, a sum of Lovejoy's rank generating function, is pinned
 to ``count_by_largest_part``, the dynamic program over the largest part that
 it replaced, and to ``overpartitions``, the object enumeration that the DP
 replaced; the theta-sum and Lambert tests build their expected series with
-``inverse``, term by term; and ``series.mul``'s packed (Kronecker) product is
-pinned to ``_mul_schoolbook``, one slice pass per nonzero.  None of them is
-used by the package itself.
+``inverse``, term by term; ``series.mul``'s packed (Kronecker) product is
+pinned to ``_mul_schoolbook``, one slice pass per nonzero; and
+``rankdiff.eval_terms``, which groups terms by their product, to
+``eval_terms_termwise``.  None of them is used by the package itself.
 """
 
 import operator
 from fractions import Fraction
 from itertools import repeat
 
+from overrank.rankdiff import eval_terms
 from overrank.series import LaurentSeries, _from_ints
+
+
+def evaluated(sides, order):
+    """The two sides of a check as series exact below q^order, as
+    ``registry._run`` evaluates them."""
+    return tuple(eval_terms(side, order) for side in sides)
+
+
+def eval_terms_termwise(terms, order):
+    """The sum of the terms, one at a time: each route built at order - qexp
+    and multiplied by the product's expansion by ``_mul_schoolbook``, the
+    expansion taken as deep as the route's negative powers need; a product
+    with no factors shifts and scales the route exactly."""
+    total = LaurentSeries.zero(order)
+    for t in terms:
+        p = t.prod
+        if t.series is None:
+            total = total + p.expand(order)
+            continue
+        r = t.series.build(order - p.qexp)
+        if p.factors:
+            total = total + _mul_schoolbook(p.expand(order - min(0, r.min_exp)), r)
+        else:
+            total = total + r.shift(p.qexp).scale(p.scalar)
+    return total
 
 
 def overpartitions(n):

@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overrank import combinat, registry
+from overrank import combinat, products, rankdiff, registry
 from overrank.cli import main
 from overrank.combinat import nbar_class_series, pbar_series
 from overrank.errors import OverrankError, PoleHit, UnknownIdentity
-from overrank.products import Product, poch
+from overrank.products import FormulaTerm, Product, Route, poch
+from overrank.rankdiff import eval_terms
 from overrank.report import IdentityReport
+from overrank.series import LaurentSeries
 
 SAMPLED_IDS = [
     "constant@sampled", "gees@sampled", "jtp@sampled", "lemma3.2@sampled",
@@ -126,14 +128,16 @@ class TestRegistry:
 
     def test_short_check_is_a_failure(self, monkeypatch):
         # a check that compares fewer coefficients than asked is not a PASS
-        def build(order):
-            return IdentityReport(id="", ok=True, checked_order=order - 1, notes="seed=1")
+        def short(order):
+            return LaurentSeries.zero(order - 1)
 
-        stub = registry.IdentityEntry("stub", "", 10, "product", build)
+        side = (FormulaTerm(series=Route(short)),)
+        stub = registry.IdentityEntry("stub", "", 10, "product", lambda: [(side, side)],
+                                      notes="stub note")
         monkeypatch.setitem(registry._registry(), "stub", stub)
         report = registry.verify("stub", 10)
         assert not report.ok and report.checked_order == 9
-        assert report.notes == "seed=1; short check: 9 of 10 coefficients compared"
+        assert report.notes == "stub note; short check: 9 of 10 coefficients compared"
 
     def test_suite_smoke_scale(self):
         reports = registry.run_suite(order_scale=0.1)
@@ -151,7 +155,7 @@ class TestRegistry:
         reg = registry._registry()
         victim = "rels@b=1,ell=3"
 
-        def boom(order):
+        def boom():
             raise RuntimeError("injected failure")
 
         monkeypatch.setitem(reg, victim, dataclasses.replace(reg[victim], build=boom))
@@ -180,6 +184,90 @@ class TestRegistry:
         [(eid, rng)] = seeded
         assert eid == entry_id
         assert rng.getstate() != random.Random(f"12345:{entry_id}").getstate()
+
+
+def _negated(comparisons, side, pos):
+    """The comparisons with the term at position pos of the side negated in
+    every one that has it."""
+    out = []
+    for sides in comparisons:
+        sides = list(sides)
+        terms = sides[side]
+        if pos < len(terms):
+            term = terms[pos]
+            negated = dataclasses.replace(term, prod=-term.prod)
+            sides[side] = terms[:pos] + (negated,) + terms[pos + 1:]
+        out.append(tuple(sides))
+    return out
+
+
+def _first_negated(value):
+    """A table value, a nested tuple, with its first FormulaTerm negated."""
+    if isinstance(value, FormulaTerm):
+        return dataclasses.replace(value, prod=-value.prod)
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            new = _first_negated(item)
+            if new != item:
+                return value[:i] + (new,) + value[i + 1:]
+    return value
+
+
+class TestRowsAsData:
+    def test_negating_any_term_fails_its_row(self, monkeypatch):
+        """The mutation matrix over every row: each term position of each
+        side, negated in every comparison of the row (all draws of a sampled
+        row at once), must make the row FAIL at its default order, unless
+        the term is zero below that order in every comparison."""
+        monkeypatch.delenv("OVERRANK_SEED", raising=False)
+        reg = registry._registry()
+        runs, zero, survivors = 0, [], []
+        for entry in registry.list_identities():
+            comparisons = entry.build()
+            for side in (0, 1):
+                for pos in range(max(len(sides[side]) for sides in comparisons)):
+                    if not any(eval_terms(sides[side][pos:pos + 1], entry.default_order).nums
+                               for sides in comparisons):
+                        zero.append((entry.id, side, pos))
+                        continue
+                    runs += 1
+                    mutant = dataclasses.replace(
+                        entry, build=lambda b=entry.build, s=side, i=pos: _negated(b(), s, i))
+                    with monkeypatch.context() as mp:
+                        mp.setitem(reg, entry.id, mutant)
+                        if registry.verify(entry.id, entry.default_order).ok:
+                            survivors.append((entry.id, side, pos))
+        assert (runs, zero, survivors) == (350, [("thm5.R02.d2", 1, 0)], [])
+
+    def test_duplicate_rows_are_the_two_known_pairs(self, monkeypatch):
+        """Rows with equal term data, whatever their default orders: each
+        g1 row at a = 1 is the part1 row at z = q."""
+        monkeypatch.delenv("OVERRANK_SEED", raising=False)
+        groups = {}
+        for entry in registry.list_identities():
+            groups.setdefault(tuple(entry.build()), []).append(entry.id)
+        assert sorted(ids for ids in groups.values() if len(ids) > 1) == [
+            ["g1@a=1,ell=3", "part1@z=q^1,base=3"], ["g1@a=1,ell=5", "part1@z=q^1,base=5"]]
+
+    def test_table_rows_render_their_anchors(self, monkeypatch):
+        """A table row's statement is its terms: negating one term of the
+        table changes the row's anchor, and only that row's."""
+        def anchors():
+            return {e.id: e.anchor for e in registry._entries()}
+
+        before = anchors()
+        assert before["thm5.R02.d2"] == "R02(2) = 0"
+        assert before["lemma3.1.eq1"] == ("(q;q) / (-q;q) = (q^9;q^9) / (-q^9;q^9)"
+                                          " - 2 q (q^3;q^18)(q^15;q^18)(q^18;q^18)")
+        for table, key, row in ((rankdiff.THEOREM_TABLE, (3, 0, 1, 2), "thm3.R01.d2"),
+                                (rankdiff.CHECK_TABLE, 7, "check7"),
+                                (rankdiff.SBAR_CLOSED_TABLE, "s3", "s3"),
+                                (products.LEMMA31_TABLE, "eq2", "lemma3.1.eq2")):
+            with monkeypatch.context() as mp:
+                mp.setitem(table, key, _first_negated(table[key]))
+                after = anchors()
+            assert [i for i in before if before[i] != after[i]] == [row], row
+
 
 
 class TestReportJson:

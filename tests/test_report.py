@@ -39,7 +39,7 @@ class TestDyadicGuard:
                                      st.fractions(max_denominator=12)), max_size=10))
     def test_raises_exactly_where_the_reference_rule_fails(self, min_exp, coeffs):
         a = LaurentSeries(min_exp, coeffs, min_exp + len(coeffs))
-        one = LaurentSeries.one(min_exp + len(coeffs))
+        one = LaurentSeries.monomial(1, 0, min_exp + len(coeffs))
         if _dyadic_by_terms(a):
             compare(a, one)
             compare(one, a)
