@@ -119,6 +119,7 @@ def _cmd_count(args) -> int:
         raise BadArgument(f"--n must be nonnegative, got {n_max}")
     if not 1 <= m <= sys.maxsize:  # past sys.maxsize no list of m classes can be built
         raise BadArgument(f"--mod must be between 1 and {sys.maxsize}, got {m}")
+    combinat.class_counts(m, n_max)  # the largest n first, so each table is built once
     print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
     for n in range(n_max + 1):
         classes = combinat.class_counts(m, n)

@@ -9,9 +9,9 @@ function term by term, with the rank held modulo a modulus in packed slots
 functions it validates coefficient by coefficient, and has no size cap.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
-times a Lambert sum, ``rank_class_sum``, which is cached; callers that
-combine classes, as ``rankdiff`` does, subtract the sums before they multiply
-by the product, or cancel the product against their own.
+times a Lambert sum, ``rank_class_sum``, on the one memo (``series.memo``);
+callers that combine classes, as ``rankdiff`` does, subtract the sums before
+they multiply by the product, or cancel the product against their own.
 
 Convention at n = 0: the analytic rank generating functions have constant
 term 0 for every rank class, while the counts include the empty
@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .lambert import lambert_sum
 from .products import poch
-from .series import LaurentSeries, _from_ints, _slot_size, _unpack
+from .series import LaurentSeries, _from_ints, _slot_size, _unpack, memo
 
 
 def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
@@ -171,7 +171,7 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
 RANK_CLASS_PRODUCT = 2 * poch(-1, 1, 1) / poch(1, 1, 1)
 
 
-@lru_cache(maxsize=32)
+@memo
 def rank_class_sum(s: int, m: int, order: int) -> LaurentSeries:
     """sum'_{n in Z} (-1)^n q^(n^2+n) (q^(sn) + q^((m-s)n)) / ((1 + q^n)(1 - q^(mn))),
     the Lambert sum of the rank-class series of s mod m.

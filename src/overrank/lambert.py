@@ -43,10 +43,11 @@ from .products import (P, FormulaTerm as T, Product, Route, Sides, SignedMonomia
                        poch)
 # mul is not called here: perfbench/test_bench.py reads lambert.mul to check
 # that the layer trace rebinds every alias of series.mul
-from .series import LaurentSeries, _from_ints, mul  # noqa: F401
+from .series import LaurentSeries, _from_ints, memo, mul  # noqa: F401
 
 
-def lambert_sum(quad, lin, csign, denoms, order, primed=False) -> LaurentSeries:
+@memo
+def lambert_sum(quad, lin, csign, denoms, order, *, primed=False) -> LaurentSeries:
     """Bilateral sum csign^n q^(quad n^2 + lin n) / prod (1 - s q^(off + step n)).
 
     `denoms` is a sequence of (sign, offset, step) triples.  A denominator that
@@ -210,9 +211,7 @@ def p_ratio(s: int, e: int, base: int) -> Product:
     return Product(s, e) * P(1, 2 * e, base) * P(-1, 0, base) / (P(s, e, base) * P(-s, e, base))
 
 
-# every argument is an int and the result is immutable, so a repeat, as
-# between checks that share a g, is a lookup
-@lru_cache(maxsize=64)
+@memo
 def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     """Generic g(z, q^base) at z = s*q^e:
 
@@ -223,9 +222,10 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     Laurent machinery (used for the reflection and shift identities).
     """
     s, e = z_sign, z_exp
-    n = order + 2 * abs(e)  # for e < 0, f2's shift(2 * e) loses 2|e|
+    ratio = p_ratio(s, e, base)
+    n = order + max(0, -2 * e, -ratio.qexp)  # what f2's shift and f1's q^qexp lose
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
-    f1 = p_ratio(s, e, base).times(sig1, n)
+    f1 = ratio.times(sig1, n)
     f2 = sigma_ab(2 * e, 2 * e, base, n).shift(2 * e)
     f3 = sigma_primed(-2 * e, base, n)
     return (f1 - f2 - f3).truncate(order)

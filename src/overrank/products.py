@@ -14,48 +14,34 @@ accumulating an exact monomial prefactor.
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, turned into a series by ``Product.expand`` or, times a series, by
 ``Product.times``, which from ``_TIMES_MIN_LENGTH`` terms on never expands
-it.  ``expand`` memoises the expansion of each factor multiset, so a product
-met again at the same or a shorter length costs one slice; a product in q^g
-is expanded in q and spread.  Both run one kernel, ``_expand_packed``, on
-the series they multiply by: 1 for ``expand``.  A miss is written by
-``_decompose`` as theta functions
-theta_s(r, p) = (s q^r, s q^(p-r), q^p; q^p)_inf to integer powers, whose
-sums by Jacobi's triple product have O(sqrt(n/p)) terms below q^n: a class
-pair borrows the pentagonal (q^p; q^p) = theta_+(p, 3p) its theta lacks.  The
-classes that pair with nothing are left as binomials, in which the binomials
-of those factors cancel.  Everything is carried in one integer at q = 2^w
-(Kronecker substitution): a numerator theta costs one shift-add per term, a
-binomial one shift-add or a few for a denominator, and the denominator
-thetas are divided out by one 2-adic Newton inverse whose products with them
-are shift-adds too, then multiplied into the series by one product.  w is a
-proven bound on the coefficients: the series' largest coefficient times the
-l1 norms of the theta sums where all are numerators and there is no rest,
-else times a Cauchy bound on the factors' Euler exponents, in which the
-borrowed pentagonals cancel; ``series._slot_size`` turns it into bytes.
-A long quotient of thetas alone is first run at the width the series needs,
-as such results are mostly far narrower than that bound, and kept only once
-multiplying it back by the denominator proves it; only where that fails are
-the bound and a probe of its first quarter paid for.  The in-place list pass
-``binomial_pass`` serves the Lambert sums and ``triple_product``, which do
-not go through the kernel, and is the reference ``expand`` and ``times`` are
-tested against.
+it.  ``expand`` takes the expansion of each factor multiset from the one
+memo, ``series.memo``, so a product met again at the same or a shorter
+length costs one truncation; a product in q^g is expanded in q and spread.
+Both run one kernel, ``_expand_packed``, on the series they multiply by (1
+for ``expand``): ``_decompose`` writes the factors as theta functions,
+sparse sums by Jacobi's triple product, and a rest of binomials, and all are
+carried in one integer at q = 2^w (Kronecker substitution), w a proven
+bound on the coefficients (``_majorant_size``) or, for a long quotient of
+thetas alone, a narrower width that multiplying back proves
+(``_verified_quotient``).  The in-place list pass ``binomial_pass`` serves
+the Lambert sums and ``triple_product``, which do not go through the
+kernel, and is the reference ``expand`` and ``times`` are tested against.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count, repeat
 from math import ceil, exp, expm1, fsum, gcd, log, log1p, pi, prod, sqrt
 from operator import add, gt, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import PoleHit
-from .series import (Coefficient, LaurentSeries, _from_ints, _pack, _slot_size, _unpack, mul,
-                     substitute_power)
+from .series import (Coefficient, LaurentSeries, _from_ints, _memo_lock, _pack, _slot_size,
+                     _unpack, memo, mul, substitute_power)
 
 
 @dataclass(frozen=True)
@@ -123,15 +109,21 @@ class Product:
         return Product(-self.scalar, self.qexp, self.factors)
 
     def expand(self, order: int) -> LaurentSeries:
-        """The series, exact below `order`: the factors' expansion, memoised
-        by ``_expand_factors``, shifted by q^qexp and times the scalar; a
-        monomial where there are no factors."""
+        """The series, exact below `order`: the factors' memoised expansion,
+        shifted by q^qexp and times the scalar, or a monomial where there are
+        no factors.  A product in q^g is G(q^g) for the G that is memoised,
+        so (q^5;q^5)^k and (q;q)^k share one entry."""
         n = order - self.qexp
         if n <= 0 or not self.scalar:
             return LaurentSeries.zero(order)
         if not self.factors:
             return LaurentSeries.monomial(self.scalar, self.qexp, order)
-        out = _expand_factors(self.factors, n)
+        g = gcd(*(x for (_, r, step), _ in self.factors for x in (r, step)))
+        if g > 1:
+            unit = tuple(((s, r // g, step // g), m) for (s, r, step), m in self.factors)
+            out = substitute_power(_expand_factors(unit, -(-n // g)), g).truncate(n).nums
+        else:
+            out = _expand_factors(self.factors, n).nums
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
             out = [num * c for c in out]
@@ -235,66 +227,24 @@ def _terms(*prods: Product) -> Terms:
 _TIMES_MIN_LENGTH = 512
 
 
-# Product.factors -> the longest expansion of those factors made so far.  At
-# most _EXPAND_LIMIT coefficients are kept in all; the oldest insertions go
-# first.  Entries are tuples, so no caller can change one.
-_EXPAND_LIMIT = 1 << 20
-_expanded: Dict[Tuple[Factor, ...], Tuple[int, ...]] = {}
-_expand_counts = {"hits": 0, "misses": 0, "stored": 0, "verified": 0, "probed": 0,
-                  "fallbacks": 0}
-_expand_lock = threading.Lock()
+_expand_counts = {"verified": 0, "probed": 0, "fallbacks": 0}
 
 ExpandCacheInfo = namedtuple("ExpandCacheInfo",
-                            "hits misses maxsize currsize verified probed fallbacks")
+                             "hits misses maxsize currsize verified probed fallbacks")
 
 
 def expand_cache_info() -> ExpandCacheInfo:
-    """Hits, misses, the bound and the stored coefficients of the ``expand``
-    memo, in the shape of ``functools.lru_cache``'s ``cache_info()``, then
-    the kernel runs, of misses and of ``times`` alike, kept at a narrow width
-    and proven by multiplying back (``_verified_quotient``), those of them
-    that needed a probe as the first width failed, and those that fell back
-    from a narrow try to the majorant width."""
-    with _expand_lock:
-        c = _expand_counts
-        return ExpandCacheInfo(c["hits"], c["misses"], _EXPAND_LIMIT, c["stored"],
-                               c["verified"], c["probed"], c["fallbacks"])
+    """The ``cache_info()`` of the expansions, then the kernel runs, of misses
+    and of ``times`` alike, kept at a narrow width that multiplying back
+    proves (``_verified_quotient``), those of them that needed a probe, and
+    those that fell back from a narrow try to the majorant width."""
+    return ExpandCacheInfo(*_expand_factors.cache_info(), *_expand_counts.values())
 
 
-def _expand_factors(factors: Tuple[Factor, ...], n: int) -> Sequence[int]:
-    """The first n coefficients of prod (1 - s*q^e)^mult over the factors: a
-    slice of a memo entry at least n long, or else ``_expand_packed``, stored
-    in place of any shorter entry (another thread may have stored a longer
-    one meanwhile).
-
-    When every r and step share a divisor g > 1 the product is G(q^g): G is
-    expanded, and memoised, at ceil(n/g) and spread over every g-th slot, so
-    (q^5;q^5)^k and (q;q)^k share one entry.
-    """
-    g = gcd(*(x for (_, r, step), _ in factors for x in (r, step)))
-    if g > 1:
-        out = [0] * n
-        out[::g] = _expand_factors(
-            tuple(((s, r // g, step // g), m) for (s, r, step), m in factors), -(-n // g))
-        return out
-    with _expand_lock:
-        known = _expanded.get(factors)
-        if known is not None and len(known) >= n:
-            _expand_counts["hits"] += 1
-            return known[:n]
-        _expand_counts["misses"] += 1
-    out = tuple(_expand_packed(factors, n))
-    if n <= _EXPAND_LIMIT:
-        with _expand_lock:
-            old = _expanded.get(factors, ())
-            if len(old) < n:
-                _expanded.pop(factors, None)
-                _expanded[factors] = out
-                stored = _expand_counts["stored"] + n - len(old)
-                while stored > _EXPAND_LIMIT:
-                    stored -= len(_expanded.pop(next(iter(_expanded))))
-                _expand_counts["stored"] = stored
-    return out
+@memo
+def _expand_factors(factors: Tuple[Factor, ...], order: int) -> LaurentSeries:
+    """prod (1 - s*q^e)^mult over the factors below q^order, by ``_expand_packed``."""
+    return _from_ints(0, _expand_packed(factors, order), order)
 
 
 def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,)) -> List[int]:
@@ -411,7 +361,7 @@ def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, 
 
 
 def _count(*keys: str) -> None:
-    with _expand_lock:
+    with _memo_lock:
         for key in keys:
             _expand_counts[key] += 1
 
@@ -783,12 +733,7 @@ def verify_hickerson(which: str, x: SignedMonomial, z: SignedMonomial, base: int
     b2 = 2 * base
     xm = Product(sx, ex)  # the monomial x
 
-    def p1(s, e):
-        return P(s, e, base)
-
-    def p2(s, e):
-        return P(s, e, b2)
-
+    p1, p2 = partial(P, base=base), partial(P, base=b2)
     e_sq = poch(1, base, base, 2)
     e2_sq = poch(1, b2, b2, 2)
 
@@ -819,9 +764,7 @@ def verify_addition(z: SignedMonomial, zeta: SignedMonomial, t: SignedMonomial, 
     sc, ec = zeta.sign, zeta.exp
     st, et = t.sign, t.exp
 
-    def p(s, e):
-        return P(s, e, base)
-
+    p = partial(P, base=base)
     total = [p(sz, ez) ** 2 * p(sc * st, ec + et) * p(sc * st, ec - et),
              -p(sc, ec) ** 2 * p(sz * st, ez + et) * p(sz * st, ez - et),
              Product(sc * st, ec - et) * p(st, et) ** 2 * p(sz * sc, ez + ec) * p(sz * sc, ez - ec)]

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Tuple
 
 from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
 from .lambert import g_index, p_ratio, s_bar, sigma_ab, sigma_primed
 from .products import P, FormulaTerm, Product, Route, Sides, Terms, poch
-from .series import LaurentSeries, extract_progression, substitute_power
+from .series import LaurentSeries, extract_progression, memo, substitute_power
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
 
 
 # the ell residues of a class pair at one order share one entry
-@lru_cache(maxsize=32)
+@memo
 def _class_pair_difference(s: int, t: int, ell: int, order: int) -> LaurentSeries:
     """sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n below q^order: the class
     product times the difference of the two Lambert sums, in one ``times`` call."""

@@ -8,10 +8,10 @@ row's comparisons, each the two sides of an identity as terms
 transcription tables and the seed when it runs.  ``_run`` alone evaluates
 the sides at the requested order (``rankdiff.eval_terms``), compares them,
 merges the comparisons and sets each report's id, runtime and notes.  The
-anchors of the rows backed by a table are rendered from its terms.  Sampled
-entries draw monomial instantiations from a seeded generator (override the
-seed with the OVERRANK_SEED environment variable); the seed is recorded in the
-report notes so sampled runs are reproducible.
+anchor of a row backed by a table is rendered from its terms when first read.
+Sampled entries draw monomial instantiations from a seeded generator
+(override the seed with the OVERRANK_SEED environment variable); the seed is
+recorded in the report notes so sampled runs are reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Dict, List, Sequence
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Sequence, Union
 
 from . import combinat, lambert, products, rankdiff
 from .combinat import nbar, nbar_class
@@ -46,12 +46,17 @@ N0_NOTE = ("n=0 convention: the analytic series has constant term 0, enumeration
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
-    anchor: str
+    statement: Union[str, Callable[[], str]]  # the anchor, or what renders it
     default_order: int
     tier: str  # product | lambert | oracle | combination
     build: Callable[[], List[Sides]] = field(repr=False, compare=False)
     notes: str = ""
     sampled: bool = False  # notes are the seed, read when the row runs
+
+    @cached_property
+    def anchor(self) -> str:
+        """The statement; a table row's is rendered from its terms when first read."""
+        return self.statement if isinstance(self.statement, str) else self.statement()
 
 
 def _seed_base() -> int:
@@ -213,7 +218,8 @@ def _entries() -> List[IdentityEntry]:
     for ell, s, t, d in rankdiff.THEOREM_TABLE:
         key = rankdiff.RankDiffKey(ell, s, t, d)
         out.append(E(f"thm{ell}.{key.slug}",
-                     f"R{s}{t}({d}) = {_render(rankdiff.rank_diff_formula(key))}", 40, "oracle",
+                     lambda key=key: f"R{key.s}{key.t}({key.d}) = "
+                                     f"{_render(rankdiff.rank_diff_formula(key))}", 40, "oracle",
                      lambda key=key: [(rankdiff.rank_diff_formula(key),
                                        _route(rankdiff.rank_diff_oracle, key))]))
 
@@ -239,7 +245,7 @@ def _entries() -> List[IdentityEntry]:
 
     # product dissections of (q;q)/(-q;q)
     for variant in ("eq1", "eq2"):
-        out.append(E(f"lemma3.1.{variant}", _render(*products.verify_lemma31(variant)),
+        out.append(E(f"lemma3.1.{variant}", lambda v=variant: _render(*products.verify_lemma31(v)),
                      150, "product", _named(products.verify_lemma31, variant)))
 
     # two-term product identities (base q vs base q^2)
@@ -346,12 +352,13 @@ def _entries() -> List[IdentityEntry]:
                      "Sbar(ell-2m) = -g(m) + sum''_a (product term) + Sum(m,0){bracket}",
                      150, "combination", _named(rankdiff.s_bar_final_form, spec)))
     for (ell, m), order in {(3, 1): 200, (5, 2): 300, (5, 1): 300}.items():
-        out.append(E(f"bracket@ell={ell},m={m}", f"{{ }} = {rankdiff.bracket_closed_form(ell, m)}",
+        out.append(E(f"bracket@ell={ell},m={m}",
+                     lambda ell=ell, m=m: f"{{ }} = {rankdiff.bracket_closed_form(ell, m)}",
                      order, "combination",
                      _named(rankdiff.brackets, rankdiff.FinalFormSpec(ell, m))))
     for which in rankdiff.SBAR_CLOSED_TABLE:
-        out.append(E(which, _render(*rankdiff.verify_sbar_closed(which)), 150, "combination",
-                     _named(rankdiff.verify_sbar_closed, which)))
+        out.append(E(which, lambda w=which: _render(*rankdiff.verify_sbar_closed(w)), 150,
+                     "combination", _named(rankdiff.verify_sbar_closed, which)))
 
     # class-difference combinations, against both independent routes
     combo_anchor = {
@@ -374,7 +381,7 @@ def _entries() -> List[IdentityEntry]:
     # the ten coefficient identities (base q^25 / q^50, y = q^5)
     for i in range(10):
         tier = "lambert" if i in (0, 5) else "product"
-        out.append(E(f"check{i}", _render(*rankdiff.verify_check(i)), 400, tier,
+        out.append(E(f"check{i}", lambda i=i: _render(*rankdiff.verify_check(i)), 400, tier,
                      _named(rankdiff.verify_check, i)))
 
     return out

@@ -41,22 +41,11 @@ class IdentityReport:
     window: Tuple[Tuple[int, Coefficient, Coefficient], ...] = ()
 
     def to_json_dict(self, include_runtime: bool = True) -> dict:
-        fm = None
-        if self.first_mismatch is not None:
-            fm = {
-                "exp": self.first_mismatch.exp,
-                "lhs": _frac_str(self.first_mismatch.lhs),
-                "rhs": _frac_str(self.first_mismatch.rhs),
-            }
-        out = {
-            "id": self.id,
-            "pass": self.ok,
-            "checked_order": self.checked_order,
-            "first_mismatch": fm,
-            "runtime_ms": self.runtime_ms if include_runtime else 0,
-            "notes": self.notes,
-        }
-        return out
+        fm = self.first_mismatch
+        return {"id": self.id, "pass": self.ok, "checked_order": self.checked_order,
+                "first_mismatch": fm and {"exp": fm.exp, "lhs": _frac_str(fm.lhs),
+                                          "rhs": _frac_str(fm.rhs)},
+                "runtime_ms": self.runtime_ms if include_runtime else 0, "notes": self.notes}
 
 
 def _frac_str(c: Coefficient) -> str:
@@ -87,13 +76,8 @@ def compare(lhs: LaurentSeries, rhs: LaurentSeries) -> IdentityReport:
         (n, lhs.coeff(n), rhs.coeff(n))
         for n in range(max(e - 2, min(lhs.min_exp, rhs.min_exp)), min(e + 3, checked))
     )
-    return IdentityReport(
-        id="",
-        ok=False,
-        checked_order=checked,
-        first_mismatch=Mismatch(exp=e, lhs=fm[1], rhs=fm[2]),
-        window=window,
-    )
+    return IdentityReport(id="", ok=False, checked_order=checked,
+                          first_mismatch=Mismatch(e, fm[1], fm[2]), window=window)
 
 
 def merge(reports: list) -> IdentityReport:

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import operator
 import sys
+import threading
 from array import array
+from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import wraps
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import BeyondTruncation, NegativeExponent
 
@@ -404,3 +408,64 @@ def _window(a: LaurentSeries, lo: int, hi: int, den: int) -> Tuple[int, ...]:
     body = _times(a.nums[:hi - lo - head], den // a.den)
     return (0,) * head + body + (0,) * (hi - lo - head - len(body))
 
+
+
+
+# The one memo: (function, its arguments but the order) -> the deepest series
+# built, oldest first, at most _EXPAND_LIMIT coefficients (``_size``) in all;
+# the counts are each function's hits (True), misses (False) and "stored".
+_EXPAND_LIMIT = 1 << 20
+_memo: Dict[tuple, LaurentSeries] = {}
+_memo_counts: Counter = Counter()
+_memo_lock = threading.Lock()
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def memo(fn: Callable[..., LaurentSeries]) -> Callable[..., LaurentSeries]:
+    """fn on the one memo, for an fn whose result is a series of exactly the
+    ``order`` it is passed by position.  A call is keyed by fn and its other
+    arguments, a list as a tuple; one no deeper than its entry is the entry
+    truncated, and a deeper one is built at exactly its order and replaces
+    the entry, unless a deeper one was stored meanwhile.  ``cache_info()``
+    and ``cache_clear()`` are ``lru_cache``'s, maxsize the bound, currsize fn's coefficients."""
+    at = fn.__code__.co_varnames.index("order")
+
+    @wraps(fn)
+    def memoised(*args, **kwargs):
+        key = (memoised, *(tuple(a) if type(a) is list else a for a in args[:at]),
+               *sorted(kwargs.items()))
+        with _memo_lock:
+            known = _memo.get(key)
+            hit = known is not None and known.order >= args[at]
+            _memo_counts[memoised, hit] += 1
+        if hit:
+            return known.truncate(args[at])
+        out = fn(*args, **kwargs)
+        with _memo_lock:
+            old = _memo.get(key)
+            if _size(out) <= _EXPAND_LIMIT and (old is None or old.order < out.order):
+                _memo.pop(key, None)
+                _memo[key] = out
+                _memo_counts["stored"] += _size(out) - (0 if old is None else _size(old))
+                while _memo_counts["stored"] > _EXPAND_LIMIT:
+                    _memo_counts["stored"] -= _size(_memo.pop(next(iter(_memo))))
+        return out
+
+    def cache_info() -> CacheInfo:
+        with _memo_lock:
+            return CacheInfo(_memo_counts[memoised, True], _memo_counts[memoised, False],
+                             _EXPAND_LIMIT, sum(_size(s) for key, s in _memo.items()
+                                                if key[0] is memoised))
+
+    def cache_clear() -> None:
+        with _memo_lock:
+            for key in [key for key in _memo if key[0] is memoised]:
+                _memo_counts["stored"] -= _size(_memo.pop(key))
+            _memo_counts[memoised, True] = _memo_counts[memoised, False] = 0
+
+    memoised.cache_info, memoised.cache_clear = cache_info, cache_clear
+    return memoised
+
+
+def _size(s: LaurentSeries) -> int:  # the coefficients from the first to the order
+    return s.order - s.min_exp

@@ -339,6 +339,7 @@ def test_rank_class_denominators_are_periodic_for_odd_moduli():
 def test_numerator_is_built_only_for_terms_longer_than_the_period():
     """A term with no common root but a period far past the order takes the
     full-length path, and N, of L - sum e + 1 coefficients, is never built."""
+    lambert_sum.cache_clear()  # a memo hit would build nothing
     _period_numerator.cache_clear()
     denoms = [(-1, 1000, 1), (-1, 1001, 1)]
     assert _period(((-1, 1000), (-1, 1001))) == 2000 * 1001

@@ -1,12 +1,14 @@
 """Pochhammer products, the two-sided product P, theta series, and the
 product-identity verifiers."""
 
+from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from overrank import products, registry
+from overrank import products, registry, series
 from overrank.combinat import RANK_CLASS_PRODUCT, _count_by_residue, rank_class_sum
 from overrank.errors import PoleHit
 from overrank.lambert import lambert_sum, theta
@@ -240,7 +242,8 @@ def test_packed_expand_matches_binomial_pass(parts, dilation, order):
     for sign, r, step, mult in parts:
         prod = prod * poch(sign, dilation * r, dilation * step, mult)
     with pytest.MonkeyPatch.context() as mp:  # expand, not a memo hit
-        mp.setattr(products, "_expanded", {})
+        mp.setattr(series, "_memo", {})
+        mp.setattr(series, "_memo_counts", Counter())
         mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
         got = prod.expand(order)
     assert got == LaurentSeries(0, _pass_reference(prod.factors, order), order)
@@ -282,7 +285,8 @@ def test_binomials_rewrite_the_product(parts, order):
     numerators = {e for e, sign, mult in binomials if sign == 1 and mult > 0}
     assert not any(2 * e in numerators for e, _, mult in binomials if mult < 0)
     with pytest.MonkeyPatch.context() as mp:  # expand, not a memo hit
-        mp.setattr(products, "_expanded", {})
+        mp.setattr(series, "_memo", {})
+        mp.setattr(series, "_memo_counts", Counter())
         mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
         assert prod.expand(order) == LaurentSeries(0, ref, order)
 
@@ -526,7 +530,7 @@ def test_small_quotient_is_verified(memo, monkeypatch):
     n = 600
     got = BASE5_PAIRS.expand(n)
     assert got == LaurentSeries(0, _pass_reference(BASE5_PAIRS.factors, n), n)
-    assert expand_cache_info()[1:] == (1, products._EXPAND_LIMIT, n, 1, 0, 0)
+    assert expand_cache_info()[1:] == (1, series._EXPAND_LIMIT, n, 1, 0, 0)
 
 
 def test_growth_quotient_falls_back_to_its_majorant(memo):
@@ -717,18 +721,37 @@ def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
 # ----------------------------------------------------------------------
 
 
+class _Expansions(Mapping):
+    """The expansions in the shared memo, read live: factors -> their
+    coefficients up to the entry's order."""
+
+    def _read(self):
+        return {key[1]: s.nums + (0,) * (s.order - len(s.nums))
+                for key, s in series._memo.items() if key[0] is products._expand_factors}
+
+    def __getitem__(self, factors):
+        return self._read()[factors]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty expand memo for one test; the shared one is restored after."""
-    monkeypatch.setattr(products, "_expanded", {})
+    """An empty shared memo and kernel counts for one test, its expansions
+    seen as factors -> coefficients; the shared ones are restored after."""
+    monkeypatch.setattr(series, "_memo", {})
+    monkeypatch.setattr(series, "_memo_counts", Counter())
     monkeypatch.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
-    return products._expanded
+    return _Expansions()
 
 
 def _fresh(prod, order):
-    """prod.expand(order) taken with the memo cleared."""
-    products._expanded.clear()
-    products._expand_counts.update(dict.fromkeys(products._expand_counts, 0))
+    """prod.expand(order) taken with the expansions cleared from the memo."""
+    products._expand_factors.cache_clear()
     return prod.expand(order)
 
 
@@ -794,17 +817,17 @@ class TestExpandMemo:
         assert expand_cache_info().hits == 2
 
     def test_bound_evicts_the_oldest(self, memo):
-        n = products._EXPAND_LIMIT // 4
+        n = series._EXPAND_LIMIT // 4
         # 1 - q^(n-2i+1) each: an odd exponent, so no key is a dilated one
         keys = [poch(1, n - 2 * i + 1, n) for i in range(1, 6)]
         for k in keys:
             k.expand(n)
         assert list(memo) == [k.factors for k in keys[1:]]
-        assert expand_cache_info().currsize == 4 * n <= products._EXPAND_LIMIT
+        assert expand_cache_info().currsize == 4 * n <= series._EXPAND_LIMIT
         keys[0].expand(n)  # a miss again, which evicts the next oldest
         assert list(memo) == [k.factors for k in keys[2:] + keys[:1]]
         assert expand_cache_info()[:2] == (0, 6)
-        assert expand_cache_info().currsize <= products._EXPAND_LIMIT
+        assert expand_cache_info().currsize <= series._EXPAND_LIMIT
 
     def test_lambert_sums_and_counting_bypass_it(self, memo):
         lambert_sum(1, 2, -1, [(-1, 0, 1), (1, 0, 5)], 80, primed=True)
