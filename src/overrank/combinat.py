@@ -9,9 +9,10 @@ function term by term, with the rank held modulo a modulus in packed slots
 functions it validates coefficient by coefficient, and has no size cap.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
-times a Lambert sum, ``rank_class_sum``, on the one memo (``series.memo``);
-callers that combine classes, as ``rankdiff`` does, subtract the sums before
-they multiply by the product, or cancel the product against their own.
+times a Lambert sum, ``rank_class_sum``, on the one memo (``series.memo``),
+whose two linear coefficients take one ``lambert_sum`` pass; callers that
+combine classes, as ``rankdiff`` does, subtract the sums before they
+multiply by the product, or cancel the product against their own.
 
 Convention at n = 0: the analytic rank generating functions have constant
 term 0 for every rank class, while the counts include the empty
@@ -180,9 +181,7 @@ def rank_class_sum(s: int, m: int, order: int) -> LaurentSeries:
     the Laurent layer.  A power series with constant term 0."""
     if not 0 <= s < m:
         raise ValueError(f"residue {s} not in [0, {m})")
-    denoms = [(-1, 0, 1), (1, 0, m)]
-    out = (lambert_sum(1, 1 + s, -1, denoms, order, primed=True)
-           + lambert_sum(1, 1 + m - s, -1, denoms, order, primed=True))
+    out = lambert_sum(1, (1 + s, 1 + m - s), -1, [(-1, 0, 1), (1, 0, m)], order, primed=True)
     if out.min_exp < 0:
         raise AssertionError(f"rank-class sum ({s},{m}) has negative exponents")
     return out

@@ -17,10 +17,13 @@ geometric run c s^k at q^(ek), added by one strided slice, and
 term c / D with two or more denominators, no two sharing a root of unity
 (``_share_a_root``), is periodic: D divides 1 - q^L and c / D = c N / (1 -
 q^L), so where the term is longer than L each nonzero of N is one strided
-add of step L.  L grows with the lcm of the exponents, not with the
-order, so it is found first and N is built only for such a term.  The
-rank-class denominators (1 + q^n)(1 - q^(mn)) are such a term for odd m,
-with L = 2mn and N = 1 - q^n + q^2n - ... + q^((m-1)n).
+add of step L.  L grows with the lcm of the exponents, not with the order,
+so it is found first and N is built only for such a term.  The rank-class
+denominators (1 + q^n)(1 - q^(mn)) are such a term for odd m, with L = 2mn
+and N = 1 - q^n + q^2n - ... + q^((m-1)n).  The periodic adds of all terms
+are summed by (period, start) before any is made, and one call may take
+several linear coefficients that share the rest, so the two sums of a rank
+class are one pass in which the terms n and -n share their adds.
 Power-series positivity is asserted only where the mathematics promises it.
 
 The identities of this layer (``check_*`` and ``verify_lemma41``) return
@@ -31,6 +34,7 @@ order its product's power of q leaves, deeper where that power is negative.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, islice, repeat
@@ -50,11 +54,13 @@ from .series import LaurentSeries, _from_ints, memo, mul  # noqa: F401
 def lambert_sum(quad, lin, csign, denoms, order, *, primed=False) -> LaurentSeries:
     """Bilateral sum csign^n q^(quad n^2 + lin n) / prod (1 - s q^(off + step n)).
 
-    `denoms` is a sequence of (sign, offset, step) triples.  A denominator that
-    vanishes identically at some n raises PoleHit, unless that n is 0 and the
-    sum is primed (n = 0 omitted); a primed sum must have such a denominator
-    (z = q^0).  A denominator equal to 2 at some n (sign -1, exponent 0)
-    contributes the exact scalar 1/2.
+    `denoms` is a sequence of (sign, offset, step) triples.  `lin` may also
+    be a tuple of linear coefficients, which gives the sum of their sums in
+    one pass: their terms share one list and their periodic adds merge.  A
+    denominator that vanishes identically at some n raises PoleHit, unless
+    that n is 0 and the sum is primed (n = 0 omitted); a primed sum must
+    have such a denominator (z = q^0).  A denominator equal to 2 at some n
+    (sign -1, exponent 0) contributes the exact scalar 1/2.
     """
     if quad < 1:
         raise ValueError("quadratic coefficient must be positive")
@@ -66,7 +72,7 @@ def lambert_sum(quad, lin, csign, denoms, order, *, primed=False) -> LaurentSeri
             if not (primed and n0 == 0):
                 raise PoleHit(f"denominator 1 - q^({off} + {step}n) vanishes at n = {n0}")
 
-    def term(n):
+    def term(n, lin):
         """The n-th term as c * q^shift / prod (1 - s q^e) / 2^halves, every e >= 1."""
         shift = quad * n * n + lin * n
         c = 1 if csign == 1 or n % 2 == 0 else -1
@@ -86,24 +92,24 @@ def lambert_sum(quad, lin, csign, denoms, order, *, primed=False) -> LaurentSeri
     # the lowest exponent f(n) = term(n)[0] is convex in n, so the terms below
     # the order are one run of n around a minimum of f: walk downhill from 0,
     # then extend both ways while f(n) < order
-    def f(n):
-        return term(n)[0]
-
-    low = 0
-    for direction in (1, -1):
-        while f(low + direction) < f(low):
-            low += direction
     terms = []
-    for n, direction in ((low, 1), (low - 1, -1)):
-        while (t := term(n))[0] < order:
-            if not (primed and n == 0):
-                terms.append(t)
-            n += direction
+    for lin in (lin,) if isinstance(lin, int) else lin:
+        low = 0
+        for direction in (1, -1):
+            while term(low + direction, lin)[0] < term(low, lin)[0]:
+                low += direction
+        for n, direction in ((low, 1), (low - 1, -1)):
+            while (t := term(n, lin))[0] < order:
+                if not (primed and n == 0):
+                    terms.append(t)
+                n += direction
 
-    # every term goes into one integer list, scaled by 2^top, divided once
+    # every term goes into one integer list, scaled by 2^top, divided once;
+    # the periodic terms' strided adds are made once per (period, start)
     lo = min((t[0] for t in terms), default=order)
     top = max((t[2] for t in terms), default=0)
     acc = [0] * (order - lo)
+    strided = defaultdict(int)
     for shift, c, halves, exps in terms:
         c <<= top - halves
         i = shift - lo
@@ -113,7 +119,7 @@ def lambert_sum(quad, lin, csign, denoms, order, *, primed=False) -> LaurentSeri
         if len(exps) > 1 and (period := _period(tuple(exps))) and order - shift > period:
             # c N / (1 - q^L): one strided add of step L per nonzero of N
             for j, x in _period_numerator(tuple(exps)):
-                acc[i + j::period] = map(add, acc[i + j::period], repeat(c * x))
+                strided[period, i + j] += c * x
             continue
         # c / (1 - s q^e) is c s^k at q^(ek): one strided add, for the
         # denominator of least e; binomial_pass divides by any others
@@ -127,6 +133,9 @@ def lambert_sum(quad, lin, csign, denoms, order, *, primed=False) -> LaurentSeri
             acc[i:] = map(add, acc[i:], part)
         else:
             acc[i::e] = map(add, acc[i::e], geometric)
+    for (period, start), c in strided.items():
+        if c:
+            acc[start::period] = map(add, acc[start::period], repeat(c))
     return _from_ints(lo, acc, order, 1 << top)
 
 

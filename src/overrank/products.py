@@ -23,8 +23,11 @@ sparse sums by Jacobi's triple product, and a rest of binomials, and all are
 carried in one integer at q = 2^w (Kronecker substitution), w a proven
 bound on the coefficients (``_majorant_size``) or, for a long quotient of
 thetas alone, a narrower width that multiplying back proves
-(``_verified_quotient``).  The in-place list pass ``binomial_pass`` serves
-the Lambert sums and ``triple_product``, which do not go through the
+(``_verified_quotient``), with no shift-add where the run's own width
+already does, and with the majorant bounded only once a narrow try fails.
+The denominators are divided out with their 2-adic inverse taken to half
+the length (``_times_thetas``).  The in-place list pass ``binomial_pass``
+serves the Lambert sums and ``triple_product``, which do not go through the
 kernel, and is the reference ``expand`` and ``times`` are tested against.
 """
 
@@ -292,9 +295,9 @@ def _majorant_size(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, in
 def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],
                n: int, size: int, s: Sequence[int]) -> List[int]:
     """The first n coefficients of s times the thetas and the binomials, each
-    to its power, decoded from slots of size bytes: exact wherever every one
-    of them fits in a slot, and the decode of the kernel's result mod
-    2^(8 size n) otherwise."""
+    to its power, decoded from slots of size bytes as a ``_Run``: exact
+    wherever every one of them fits in a slot, and the decode of the
+    kernel's result mod 2^(8 size n) otherwise."""
     w = 8 * size
     sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
     for e, sign, mult in binomials:
@@ -302,7 +305,17 @@ def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[in
             sums.append(([(w * e, sign == 1)], mult))
         else:  # only 1 - q^e is ever a denominator
             sums += [([(w * e << j, False)], -mult) for j in range(((n - 1) // e).bit_length())]
-    return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n)
+    run = _Run(_unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n))
+    run.size, run.of = size, (thetas, binomials, s)
+    return run
+
+
+class _Run(list):
+    """The coefficients f of one ``_expand_at`` run, with the slot size in
+    bytes it ran at and the (thetas, binomials, s) it ran on: packed, f is
+    s N / D mod 2^(8 size n) at q = 2^(8 size)."""
+
+    __slots__ = ("size", "of")
 
 
 # A narrow try costs at least a run and a check, so it pays only on long
@@ -325,39 +338,43 @@ def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, 
     proves, or else the run at the majorant width.
 
     The first run is at the width of s itself, the narrowest at which s
-    packs; 13 of ``deep``'s 15 such calls are kept there, and neither the
-    majorant nor a probe is computed for them.  Where the check rejects it,
-    the true coefficients do not fit that width.  Only then is the majorant
-    bounded: a probe takes the first n/4 coefficients at twice the width,
-    doubled until the check proves it at n/4, and all n are run once more at
-    the width ``_predicted_size`` reads off the probe, a byte wider than the
-    first at least.  A run is proven by a check at least as wide, so after
-    the first no probe or run is made where twice its width exceeds the
-    majorant (of the factors 1, 1.5, 2 and 3 tried, 1.5 and 2 gave the
-    least totals, within 2% of each other; 1 cost scale 8 5% more and 3 cost
-    deep 22% more); the quotient is then run at the majorant width, as it is
-    when the check rejects the predicted run.
+    packs; 13 of ``deep``'s 15 such calls are kept there.  A quotient of
+    negative weight, with more denominator than numerator theta powers, as
+    pbar = 1 / theta_+(1, 2), grows, and every such first run measured
+    failed (at ``run_suite`` scales 4 and 8 and on ``deep``), so it makes
+    none.  Where there is no first run or its check rejects it, a probe
+    takes the first n/4 coefficients at twice the width, and all n are run
+    once more at the width ``_predicted_size`` reads off the probe, a byte
+    wider than the first at least.  Only a failed probe or a failed
+    predicted run pays for the majorant: a probe that fails is doubled
+    until the check proves it, and from then on no probe or run is made
+    where twice its width exceeds the majorant (of the factors 1, 1.5, 2
+    and 3 tried, 1.5 and 2 gave the least totals, within 2% of each other;
+    1 cost scale 8 5% more and 3 cost deep 22% more); the quotient is then
+    run at the majorant width, as it is when the check rejects the
+    predicted run.
     """
     first = _slot_size(max(map(abs, s[:n])))
-    f = _expand_at(quotient, [], n, first, s)
-    if _multiplies_back(f, quotient, n, s):
-        _count("verified")
-        return f
-    majorant = _majorant_size(factors, quotient, [], n, s)
-    m, size = n // 4, 2 * first
-    while 2 * size <= majorant:
+    if sum(k for _, k in quotient) >= 0:
+        f = _expand_at(quotient, [], n, first, s)
+        if _multiplies_back(f, quotient, n, s):
+            _count("verified")
+            return f
+    m, size, cap = max(n // 4, 1), 2 * first, 0  # cap: the majorant, once a probe fails
+    while not cap or 2 * size <= cap:
         probe = _expand_at(quotient, [], m, size, s)
         if _multiplies_back(probe, quotient, m, s):
             size = max(_predicted_size(probe), first + 1)
-            if 2 * size <= majorant:
+            if not cap or 2 * size <= cap:
                 f = _expand_at(quotient, [], n, size, s)
                 if _multiplies_back(f, quotient, n, s):
                     _count("verified", "probed")
                     return f
             break
+        cap = cap or _majorant_size(factors, quotient, [], n, s)
         size *= 2
     _count("fallbacks")
-    return _expand_at(quotient, [], n, majorant, s)
+    return _expand_at(quotient, [], n, cap or _majorant_size(factors, quotient, [], n, s), s)
 
 
 def _count(*keys: str) -> None:
@@ -390,12 +407,17 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
     max|f| |D|_1 + max|s| |N|_1, where |.|_1 is the sum of the sizes of the
     coefficients below q^n, which ``_l1_norm`` bounds.  At q = 2^w with that
     bound below 2^(w-1), the packed f D - s N is 0 mod 2^(w n) only if every
-    one of those coefficients is 0.
+    one of those coefficients is 0.  An f that ``_expand_at`` ran on this
+    quotient and s has f D = s N mod 2^(w n) by construction, at the w of
+    its run, so where that w is at least the check's, f D = s N follows
+    with no shift-add.
     """
     nums = [(theta, k) for theta, k in quotient if k > 0]
     dens = [(theta, -k) for theta, k in quotient if k < 0]
     size = _slot_size(max(map(abs, f)) * _l1_norm(dens, n)
                       + max(map(abs, s[:n])) * _l1_norm(nums, n))
+    if getattr(f, "of", None) == (quotient, [], s) and len(f) == n and size <= f.size:
+        return True
     w = 8 * size
     lhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in dens], w, n,
                         _pack(f, size))
@@ -462,12 +484,25 @@ def _times_thetas(sums: Sequence[Tuple[List[Tuple[int, bool]], int]], w: int, n:
                   v: int = 1) -> int:
     """v times the product of the sparse sums (shifts, k) of
     ``_theta_shifts``, each to its power k, mod 2^(w n) at q = 2^w: the
-    denominators (k < 0) by one ``_inverse_packed``, then one
-    ``_times_theta`` per numerator power."""
+    denominators (k < 0) first, then one ``_times_theta`` per numerator
+    power.
+
+    v / D, for D the product of the denominators, takes the inverse y of D
+    only to h = ceil(n/2) slots, by ``_inverse_packed`` (Karp and
+    Markstein's division): f = v y mod 2^(w h) has D f = v mod 2^(w h), so
+    the residual v - D f, by shift-adds, is 2^(w h) r, and v / D is
+    f + 2^(w h) (r y mod 2^(w (n-h))), as n - h <= h.  So the division is
+    two products of h slots where a full inverse takes one of n, and the
+    Newton step that lifts y from h to n slots is not made.
+    """
     mask = (1 << (w * n)) - 1
     dens = [(shifts, -k) for shifts, k in sums if k < 0]
     if dens:
-        v = v * _inverse_packed(dens, w, n) & mask
+        h = (n + 1) // 2
+        y, wh = _inverse_packed(dens, w, h), w * h
+        f = (v & ((1 << wh) - 1)) * y & ((1 << wh) - 1)
+        r = (v - _times_thetas(dens, w, n, f)) & mask
+        v = f + (((r >> wh) * y & mask >> wh) << wh)
     for shifts, k in sums:
         for _ in range(k):  # none for a denominator
             v = _times_theta(v, shifts, mask)
@@ -476,7 +511,9 @@ def _times_thetas(sums: Sequence[Tuple[List[Tuple[int, bool]], int]], w: int, n:
 
 def _inverse_packed(dens: List[Tuple[List[Tuple[int, bool]], int]], w: int, n: int) -> int:
     """y with y D(2^w) = 1 mod 2^(w n), for D the product of the thetas
-    (shifts, k) of ``_theta_shifts``, each to the power k > 0.
+    (shifts, k) of ``_theta_shifts``, each to the power k > 0;
+    ``_times_thetas`` takes it to half the length of the quotient it
+    divides.
 
     D(0) = 1, so D(2^w) is odd and y = 1 mod 2^w.  Newton's step lifts
     D y = 1 mod 2^a to mod 2^b, b <= 2a: with d = D y mod 2^b and

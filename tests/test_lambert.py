@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from overrank.combinat import rank_class_sum
 from overrank.errors import PoleHit
 from overrank.lambert import (
     _period,
@@ -348,3 +349,46 @@ def test_numerator_is_built_only_for_terms_longer_than_the_period():
     # a rank-class term of m = 3 at n = 1 is longer than L = 6 and builds N
     lambert_sum(1, 2, -1, [(1, 0, 3), (-1, 0, 1)], 30, primed=True)
     assert _period_numerator.cache_info().currsize > 0
+
+
+# ----------------------------------------------------------------------
+# several linear coefficients in one pass
+# ----------------------------------------------------------------------
+
+
+# the two sums of a rank class
+@example(quad=1, lins=[2, 5], csign=-1, denoms=[(-1, 0, 1), (1, 0, 5)], prime=None, order=300)
+# the halves: a sign -1 denominator at exponent 0, and a negative offset
+@example(quad=1, lins=[0, 3, -2], csign=1, denoms=[(-1, -4, 2), (1, -7, 3)], prime=None,
+         order=60)
+@example(quad=2, lins=[1, 1], csign=-1, denoms=[(-1, 0, 1)], prime=3, order=80)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(quad=st.integers(1, 3), lins=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+       csign=st.sampled_from((1, -1)),
+       denoms=st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-20, 20),
+                                 st.integers(1, 6)), max_size=2),
+       prime=st.none() | st.integers(1, 6), order=st.integers(1, 120))
+def test_several_linear_coefficients_are_the_sum_of_their_sums(quad, lins, csign, denoms, prime,
+                                                               order):
+    primed = prime is not None
+    if primed:
+        denoms = [(1, 0, prime)] + denoms
+    one = lambert_sum.__wrapped__  # no memo entry stands in for a build
+    try:
+        parts = [one(quad, lin, csign, denoms, order, primed=primed) for lin in lins]
+    except PoleHit:
+        with pytest.raises(PoleHit):
+            one(quad, tuple(lins), csign, denoms, order, primed=primed)
+        return
+    assert one(quad, tuple(lins), csign, denoms, order, primed=primed) == sum(parts[1:], parts[0])
+
+
+def test_a_rank_class_sum_is_its_two_lambert_sums():
+    one = lambert_sum.__wrapped__
+    for order in (1, 50, 700):
+        for m in range(1, 14):
+            denoms = [(-1, 0, 1), (1, 0, m)]
+            for s in range(m):
+                two = (one(1, 1 + s, -1, denoms, order, primed=True)
+                       + one(1, 1 + m - s, -1, denoms, order, primed=True))
+                assert rank_class_sum.__wrapped__(s, m, order) == two, (s, m, order)

@@ -688,6 +688,137 @@ def test_a_sign_flipped_in_the_multiply_back_is_caught(memo, monkeypatch, side):
     assert expand_cache_info()[-3:] == (1, 1, 1)
 
 
+# 1 / theta_+(1, 2)^2, pbar squared: of weight -2, as pbar is of weight -1
+PBAR_SQUARED_PARTS = [("minus", 1, 1, 1, 2), ("pentagonal", 1, 1, 1, -2)]
+
+
+class _Checks:
+    """``_multiplies_back`` watched: for each call, (f, quotient, n, s, ok,
+    the lengths of the shift-add passes it made); ``_times_thetas`` outside a
+    check is left alone."""
+
+    def __init__(self, mp):
+        self.calls, self._open = [], []
+        check, kernel = products._multiplies_back, products._times_thetas
+
+        def watched(f, quotient, n, s=(1,)):
+            self._open.append([])
+            try:
+                ok = check(f, quotient, n, s)
+            finally:
+                passes = self._open.pop()
+            self.calls.append((f, quotient, n, s, ok, passes))
+            return ok
+
+        def counted(sums, w, n, v=1):
+            if self._open:
+                self._open[-1].append(n)
+            return kernel(sums, w, n, v)
+
+        mp.setattr(products, "_multiplies_back", watched)
+        mp.setattr(products, "_times_thetas", counted)
+
+    def skipped(self):
+        """The checks that passed with no shift-add: their runs proved them."""
+        return [call[:4] for call in self.calls if call[4] and not call[5]]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), min_size=1,
+                      max_size=4),
+       s=multiplicand_st(), order=st.integers(1, 300))
+@example(parts=PBAR_PARTS, s=_spiked(300, 200, 1 << 40), order=300)
+@example(parts=PBAR_SQUARED_PARTS, s=LaurentSeries(0, [1, -2, 0, 3] * 60, 240), order=240)
+# the class product times a class-sum difference, as the oracle takes it
+@example(parts=PBAR_PARTS, s=LaurentSeries(1, [1, -1, 0, 2, -1] * 60, 301), order=300)
+@example(parts=[("pair", -1, 2, 5, 1), ("pentagonal", 1, 1, 5, 2), ("pair", -1, 1, 5, -1),
+                ("pair", 1, 2, 5, -1)], s=LaurentSeries(0, [3, 0, -1] * 80, 240), order=240)
+def test_a_check_skipped_by_its_run_passes_the_full_check(parts, s, order):
+    """Every theta quotient with a denominator takes the narrow try, whatever
+    its weight: the result is the binomial_pass reference, and every check
+    that its run's width answered passes the full check too, made on a
+    plain list, which no run vouches for."""
+    prod = Product()
+    for part in parts:
+        prod = prod * _quotient_part(*part)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
+        mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
+        checks = _Checks(mp)
+        got = prod.times(s, order)
+    assert got == mul(_reference_expand(prod, order), s)
+    for f, quotient, n, cs in checks.skipped():
+        assert products._multiplies_back(list(f), quotient, n, cs)
+
+
+def test_a_run_vouches_only_for_its_own_coefficients_and_multiplicand(monkeypatch):
+    n = 600
+    quotient, _ = products._decompose(RANK_CLASS_PRODUCT.factors)
+    s = list(_class_difference(n).nums[:n])
+    f = products._expand_at(quotient, [], n, 16, s)
+    checks = _Checks(monkeypatch)
+    assert products._multiplies_back(f, quotient, n, s)
+    assert checks.skipped() == [(f, quotient, n, s)]
+    # the same coefficients as a plain list, one of them moved, or the run's
+    # coefficients against another multiplicand: each is the full check
+    moved, other = list(f), list(s)
+    moved[n // 2] += 1
+    other[n // 3] -= 1
+    assert products._multiplies_back(list(f), quotient, n, s)
+    assert not products._multiplies_back(moved, quotient, n, s)
+    assert not products._multiplies_back(f, quotient, n, other)
+    assert len(checks.skipped()) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 1601, 1602])
+@pytest.mark.parametrize("prod", [poch(-1, 1, 1) / poch(1, 1, 1),
+                                  (poch(-1, 1, 1) / poch(1, 1, 1)) ** 2,
+                                  BASE5_PAIRS, GROWTH_QUOTIENT],
+                         ids=["pbar", "pbar^2", "base5", "growth"])
+def test_the_half_length_division_is_the_quotient(n, prod):
+    """``_times_thetas`` divides by the denominator thetas with their inverse
+    taken to ceil(n/2) slots; at the majorant width its decode is s times the
+    quotient, for n odd and even, short and past the narrow cutoffs."""
+    quotient, rest = products._decompose(prod.factors)
+    assert not rest and any(k < 0 for _, k in quotient)
+    s = [(-1) ** i * (i % 7) + (i % 5 == 0) for i in range(n)]
+    ref = mul(LaurentSeries(0, _pass_reference(prod.factors, n), n), LaurentSeries(0, s, n))
+    size = products._majorant_size(prod.factors, quotient, [], n, s)
+    w = 8 * size
+    sums = [(products._theta_shifts(theta, w, n), k) for theta, k in quotient]
+    got = products._unpack(products._times_thetas(sums, w, n, series._pack(s, size)), size, n)
+    assert LaurentSeries(0, got, n) == ref
+
+
+def test_the_class_product_makes_one_full_length_run(memo, monkeypatch):
+    """The oracle's class product times a class-sum difference at 1602 terms,
+    as ``thm5.R12.d4`` takes it at order 320: of negative weight, it makes no
+    first run; the probe proves the predicted width, the one full-length run
+    is proved by its own width, and the majorant is never bounded."""
+    n = 1602
+    s = _class_difference(n)
+    m = n - s.min_exp
+    runs, bounds = [], []
+    expand_at, euler_bound = products._expand_at, products._euler_bound
+
+    def run(thetas, binomials, length, size, cs):
+        runs.append(length)
+        return expand_at(thetas, binomials, length, size, cs)
+
+    def bound(factors, length):
+        bounds.append(length)
+        return euler_bound(factors, length)
+
+    monkeypatch.setattr(products, "_expand_at", run)
+    monkeypatch.setattr(products, "_euler_bound", bound)
+    checks = _Checks(monkeypatch)
+    got = RANK_CLASS_PRODUCT.times(s, n)
+    assert runs.count(m) == 1 and not bounds
+    assert all(m not in passes for *_, passes in checks.calls)
+    assert expand_cache_info()[-3:] == (1, 1, 0)
+    assert got == mul(_reference_expand(RANK_CLASS_PRODUCT, n), s)
+
+
 def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
     # the kernel on the products the registry builds; the memo starts empty,
     # so each of them is a miss at least once, and every product times a
