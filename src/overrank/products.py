@@ -22,13 +22,13 @@ for ``expand``): ``_decompose`` writes the factors as theta functions,
 sparse sums by Jacobi's triple product, and a rest of binomials, and all are
 carried in one integer at q = 2^w (Kronecker substitution), w a proven
 bound on the coefficients (``_majorant_size``) or, for a long quotient of
-thetas alone, a narrower width that multiplying back proves
-(``_verified_quotient``), with no shift-add where the run's own width
-already does, and with the majorant bounded only once a narrow try fails.
-The denominators are divided out with their 2-adic inverse taken to half
-the length (``_times_thetas``).  The in-place list pass ``binomial_pass``
-serves the Lambert sums and ``triple_product``, which do not go through the
-kernel, and is the reference ``expand`` and ``times`` are tested against.
+thetas alone, a narrower width that the run proves (``_verified_quotient``),
+read off the quotient's own exact first quarter where the multiplicand's
+width does not hold it.  Every denominator, theta or binomial, is divided
+out with its 2-adic inverse taken to half the length (``_times_thetas``).
+The in-place list pass ``binomial_pass`` serves the Lambert sums and
+``triple_product``, which do not go through the kernel, and is the
+reference ``expand`` and ``times`` are tested against.
 """
 
 from __future__ import annotations
@@ -237,10 +237,11 @@ ExpandCacheInfo = namedtuple("ExpandCacheInfo",
 
 
 def expand_cache_info() -> ExpandCacheInfo:
-    """The ``cache_info()`` of the expansions, then the kernel runs, of misses
-    and of ``times`` alike, kept at a narrow width that multiplying back
-    proves (``_verified_quotient``), those of them that needed a probe, and
-    those that fell back from a narrow try to the majorant width."""
+    """The ``cache_info()`` of the expansions, then the kernel calls, of
+    misses and of ``times`` alike and not of their probes, kept at a narrow
+    width that the run proves (``_verified_quotient``), those of them that
+    needed a probe, and those that fell back from a narrow try to the
+    majorant width."""
     return ExpandCacheInfo(*_expand_factors.cache_info(), *_expand_counts.values())
 
 
@@ -263,16 +264,19 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,))
     majorant slot width of ``_majorant_size``.  From
     ``_VERIFIED_MIN_LENGTH`` on, a quotient of thetas alone with a
     denominator goes to ``_verified_quotient``, which tries narrow widths
-    first.  q -> 2^w maps Z[q]/(q^n) onto Z/2^(w n) as
-    rings, so every step is exact on v whatever the size of the
+    first, and its outcome is counted.  q -> 2^w maps Z[q]/(q^n) onto
+    Z/2^(w n) as rings, so every step is exact on v whatever the size of the
     coefficients met on the way; only the final ones must fit a slot.  One
     power of 1 - sign*q^e is the shift-add v - sign*(v << w e), keeping the
-    slots below q^n; dividing by 1 - q^e multiplies by
-    (1 + q^e)(1 + q^2e)(1 + q^4e)... while the exponent stays below n.
+    slots below q^n; a denominator 1 - q^e is divided out with the thetas'.
     """
     thetas, rest = _decompose(factors)
     if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
-        return _verified_quotient(factors, thetas, n, s)
+        f, outcome = _verified_quotient(factors, thetas, n, s)
+        with _memo_lock:
+            for key in outcome:
+                _expand_counts[key] += 1
+        return f
     return _expand_at(thetas, _euler_exponents(rest, n) if rest else [], n,
                       _majorant_size(factors, thetas, rest, n, s), s)
 
@@ -295,27 +299,14 @@ def _majorant_size(factors: Tuple[Factor, ...], thetas: Sequence[Tuple[Theta, in
 def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[int, int, int]],
                n: int, size: int, s: Sequence[int]) -> List[int]:
     """The first n coefficients of s times the thetas and the binomials, each
-    to its power, decoded from slots of size bytes as a ``_Run``: exact
-    wherever every one of them fits in a slot, and the decode of the
-    kernel's result mod 2^(8 size n) otherwise."""
+    to its power, decoded from slots of size bytes: exact wherever every one
+    of them fits in a slot, and the decode of the kernel's result
+    mod 2^(8 size n) otherwise."""
     w = 8 * size
     sums = [(_theta_shifts(theta, w, n), k) for theta, k in thetas]
-    for e, sign, mult in binomials:
-        if mult > 0:
-            sums.append(([(w * e, sign == 1)], mult))
-        else:  # only 1 - q^e is ever a denominator
-            sums += [([(w * e << j, False)], -mult) for j in range(((n - 1) // e).bit_length())]
-    run = _Run(_unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n))
-    run.size, run.of = size, (thetas, binomials, s)
-    return run
-
-
-class _Run(list):
-    """The coefficients f of one ``_expand_at`` run, with the slot size in
-    bytes it ran at and the (thetas, binomials, s) it ran on: packed, f is
-    s N / D mod 2^(8 size n) at q = 2^(8 size)."""
-
-    __slots__ = ("size", "of")
+    # only 1 - q^e is ever a denominator, divided out with the thetas'
+    sums += [([(w * e, sign == 1)], mult) for e, sign, mult in binomials]
+    return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n)
 
 
 # A narrow try costs at least a run and a check, so it pays only on long
@@ -327,60 +318,56 @@ class _Run(list):
 # of 384 to 640 came within 0.1% of each other at scale 8.  With the first
 # try at the multiplicand's width, the kernel calls of ``run_suite(1.0)``
 # took 32-38 ms at 512, 41-50 ms at 256 and 53-64 ms at 128 (best of 5 per
-# call, two passes).
+# call, two passes).  With the recursive probe, a cutoff of 16 made all of
+# ``run_suite(1.0)`` slower in 6 of 6 pairs, 0.096 against 0.117 s median.
 _VERIFIED_MIN_LENGTH = 512
 
 
 def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, int]], n: int,
-                       s: Sequence[int]) -> List[int]:
-    """The first n coefficients of s times the product of the thetas of the
-    quotient, each to its power: a narrow run that ``_multiplies_back``
-    proves, or else the run at the majorant width.
+                       s: Sequence[int]) -> Tuple[List[int], Tuple[str, ...]]:
+    """(f, outcome): f the first n coefficients of s times the product of
+    the thetas of the quotient, each to its power, and outcome the
+    ``expand_cache_info`` fields it counts in.
 
-    The first run is at the width of s itself, the narrowest at which s
-    packs; 13 of ``deep``'s 15 such calls are kept there.  A quotient of
-    negative weight, with more denominator than numerator theta powers, as
-    pbar = 1 / theta_+(1, 2), grows, and every such first run measured
-    failed (at ``run_suite`` scales 4 and 8 and on ``deep``), so it makes
-    none.  Where there is no first run or its check rejects it, a probe
-    takes the first n/4 coefficients at twice the width, and all n are run
-    once more at the width ``_predicted_size`` reads off the probe, a byte
-    wider than the first at least.  Only a failed probe or a failed
-    predicted run pays for the majorant: a probe that fails is doubled
-    until the check proves it, and from then on no probe or run is made
-    where twice its width exceeds the majorant (of the factors 1, 1.5, 2
-    and 3 tried, 1.5 and 2 gave the least totals, within 2% of each other;
-    1 cost scale 8 5% more and 3 cost deep 22% more); the quotient is then
-    run at the majorant width, as it is when the check rejects the
-    predicted run.
+    f is the first of these runs that ``_proven_run`` proves.  The first is
+    at the width of s itself, the narrowest at which s packs; 12 of
+    ``deep``'s 14 calls are kept there.  A quotient of negative weight, with
+    more denominator than numerator theta powers, as pbar = 1 / theta_+(1, 2),
+    grows, and every such first run measured failed (at ``run_suite`` scales
+    4 and 8 and on ``deep``), so it makes none.  The next is at the width
+    ``_predicted_size`` reads off the exact first n/4 coefficients, taken by
+    this same path, a byte wider than the first at least; below 4 terms
+    there is none.  Else the run is at the majorant width.
     """
     first = _slot_size(max(map(abs, s[:n])))
     if sum(k for _, k in quotient) >= 0:
-        f = _expand_at(quotient, [], n, first, s)
-        if _multiplies_back(f, quotient, n, s):
-            _count("verified")
-            return f
-    m, size, cap = max(n // 4, 1), 2 * first, 0  # cap: the majorant, once a probe fails
-    while not cap or 2 * size <= cap:
-        probe = _expand_at(quotient, [], m, size, s)
-        if _multiplies_back(probe, quotient, m, s):
-            size = max(_predicted_size(probe), first + 1)
-            if not cap or 2 * size <= cap:
-                f = _expand_at(quotient, [], n, size, s)
-                if _multiplies_back(f, quotient, n, s):
-                    _count("verified", "probed")
-                    return f
-            break
-        cap = cap or _majorant_size(factors, quotient, [], n, s)
-        size *= 2
-    _count("fallbacks")
-    return _expand_at(quotient, [], n, cap or _majorant_size(factors, quotient, [], n, s), s)
+        f = _proven_run(quotient, n, first, s)
+        if f is not None:
+            return f, ("verified",)
+    if n >= 4:
+        probe, _ = _verified_quotient(factors, quotient, n // 4, s)
+        f = _proven_run(quotient, n, max(_predicted_size(probe), first + 1), s)
+        if f is not None:
+            return f, ("verified", "probed")
+    size = _majorant_size(factors, quotient, [], n, s)
+    return _expand_at(quotient, [], n, size, s), ("fallbacks",)
 
 
-def _count(*keys: str) -> None:
-    with _memo_lock:
-        for key in keys:
-            _expand_counts[key] += 1
+def _proven_run(quotient: List[Tuple[Theta, int]], n: int, size: int,
+                s: Sequence[int]) -> Optional[List[int]]:
+    """The ``_expand_at`` run of s times the quotient at slots of size bytes,
+    if it is exact, else None.
+
+    Packed, the run f has f D = s N mod 2^(8 size n) by construction, for N
+    and D the products of the numerator and the denominator thetas.  Where
+    the slot also holds max|f| |D|_1 + max|s| |N|_1, the bound of
+    ``_multiplies_back``, that congruence forces f D = s N, so the run is
+    proven with no shift-add; else ``_multiplies_back`` decides.
+    """
+    f = _expand_at(quotient, [], n, size, s)
+    if _check_size(f, quotient, n, s) <= size or _multiplies_back(f, quotient, n, s):
+        return f
+    return None
 
 
 def _predicted_size(probe: List[int]) -> int:
@@ -397,6 +384,17 @@ def _predicted_size(probe: List[int]) -> int:
     return _slot_size((1 << (3 * b4 - 2 * b16 + 3)) - 1)
 
 
+def _check_size(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
+                s: Sequence[int]) -> int:
+    """The slot size in bytes of ``_multiplies_back``: it holds
+    max|f| |D|_1 + max|s| |N|_1, where |.|_1 is the sum of the sizes of the
+    coefficients below q^n, which ``_l1_norm`` bounds."""
+    nums = [(theta, k) for theta, k in quotient if k > 0]
+    dens = [(theta, -k) for theta, k in quotient if k < 0]
+    return _slot_size(max(map(abs, f)) * _l1_norm(dens, n)
+                      + max(map(abs, s[:n])) * _l1_norm(nums, n))
+
+
 def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
                      s: Sequence[int] = (1,)) -> bool:
     """Whether f D = s N mod q^n, for N and D the products of the numerator
@@ -404,25 +402,16 @@ def _multiplies_back(f: List[int], quotient: List[Tuple[Theta, int]], n: int,
     then f is s N / D mod q^n.
 
     Each coefficient of f D - s N below q^n has size at most
-    max|f| |D|_1 + max|s| |N|_1, where |.|_1 is the sum of the sizes of the
-    coefficients below q^n, which ``_l1_norm`` bounds.  At q = 2^w with that
-    bound below 2^(w-1), the packed f D - s N is 0 mod 2^(w n) only if every
-    one of those coefficients is 0.  An f that ``_expand_at`` ran on this
-    quotient and s has f D = s N mod 2^(w n) by construction, at the w of
-    its run, so where that w is at least the check's, f D = s N follows
-    with no shift-add.
+    max|f| |D|_1 + max|s| |N|_1.  At q = 2^w with that bound below 2^(w-1),
+    the ``_check_size`` width, the packed f D - s N is 0 mod 2^(w n) only if
+    every one of those coefficients is 0.
     """
-    nums = [(theta, k) for theta, k in quotient if k > 0]
-    dens = [(theta, -k) for theta, k in quotient if k < 0]
-    size = _slot_size(max(map(abs, f)) * _l1_norm(dens, n)
-                      + max(map(abs, s[:n])) * _l1_norm(nums, n))
-    if getattr(f, "of", None) == (quotient, [], s) and len(f) == n and size <= f.size:
-        return True
+    size = _check_size(f, quotient, n, s)
     w = 8 * size
-    lhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in dens], w, n,
-                        _pack(f, size))
-    rhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in nums], w, n,
-                        _pack(s[:n], size))
+    lhs = _times_thetas([(_theta_shifts(theta, w, n), -k) for theta, k in quotient if k < 0],
+                        w, n, _pack(f, size))
+    rhs = _times_thetas([(_theta_shifts(theta, w, n), k) for theta, k in quotient if k > 0],
+                        w, n, _pack(s[:n], size))
     return not (lhs - rhs) & ((1 << (w * n)) - 1)
 
 
@@ -587,8 +576,10 @@ def _euler_exponents(factors: Sequence[Factor], n: int) -> List[Tuple[int, int, 
     (1 - q^2e) / (1 - q^e), subtracts m from a_e and adds m to a_2e while
     2e < n.  Going up e once, k = min(-a_e, a_2e) of a pair a_e < 0 < a_2e
     is turned back into the numerator (1 + q^e)^k, which costs one shift-add
-    per power where 1 / (1 - q^e) costs a chain.  Every nonzero a_e left is
-    a numerator when a_e > 0, a denominator when a_e < 0.
+    per power where (1 - q^2e) / (1 - q^e) costs one and a denominator, by
+    which the inverse's steps and the residual of ``_times_thetas`` multiply
+    again.  Every nonzero a_e left is a numerator when a_e > 0, a
+    denominator when a_e < 0.
     """
     a = [0] * n
     for (sign, r, step), m in factors:

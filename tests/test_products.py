@@ -468,6 +468,10 @@ BASE5_PAIRS = (poch(-1, 2, 5) * poch(-1, 3, 5) * poch(1, 5, 5, 2)
                / (poch(-1, 1, 5) * poch(-1, 4, 5) * poch(1, 2, 5) * poch(1, 3, 5)))
 # P(2a)P(-1) / (P(a)P(-a)) at a = 1, ell = 5: coefficients of 20-60 bits
 GROWTH_QUOTIENT = P(1, 2, 5) * P(-1, 0, 5) / (P(1, 1, 5) * P(-1, 1, 5))
+# lone classes 1 / ((q; q^5)(q^4; q^5)^2) and (-q^2; q^7), which stay in the
+# rest, times pbar: the rest has numerator and denominator binomials
+REST_QUOTIENT = (poch(1, 1, 5, -1) * poch(1, 4, 5, -2) * poch(-1, 2, 7)
+                 * poch(-1, 1, 1) / poch(1, 1, 1))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -533,18 +537,19 @@ def test_small_quotient_is_verified(memo, monkeypatch):
     assert expand_cache_info()[1:] == (1, series._EXPAND_LIMIT, n, 1, 0, 0)
 
 
-def test_growth_quotient_falls_back_to_its_majorant(memo):
+def test_growth_quotient_is_kept_at_its_predicted_width(memo):
     n = 600
     quotient, rest = products._decompose(GROWTH_QUOTIENT.factors)
-    assert not rest
+    assert not rest and sum(k for _, k in quotient) >= 0  # so it makes a first run
     ref = _pass_reference(GROWTH_QUOTIENT.factors, n)
     assert max(abs(c) for c in ref).bit_length() > 7
-    # forced to one byte, the decode is wrong and the check says so
-    sums = [(products._theta_shifts(theta, 8, n), k) for theta, k in quotient]
-    narrow = products._unpack(products._times_thetas(sums, 8, n), 1, n)
+    # at the first width, one byte, the decode is wrong and the check says so
+    narrow = products._expand_at(quotient, [], n, 1, (1,))
     assert narrow != ref and not products._multiplies_back(narrow, quotient, n)
+    assert products._proven_run(quotient, n, 1, (1,)) is None
+    # the exact first quarter predicts a width that is proven
     assert GROWTH_QUOTIENT.expand(n) == LaurentSeries(0, ref, n).scale(GROWTH_QUOTIENT.scalar)
-    assert expand_cache_info()[-3:] == (0, 0, 1)
+    assert expand_cache_info()[-3:] == (1, 1, 0)
 
 
 @pytest.mark.parametrize("shift", [256, -256])
@@ -630,8 +635,8 @@ def test_a_result_wider_than_its_multiplicand_is_probed(memo):
     s = _class_difference(n)
     pbar = poch(-1, 1, 1) / poch(1, 1, 1)
     ref = mul(_reference_expand(pbar, n), s)
-    # s fits one byte and the product does not: the first try fails, and a
-    # probe gives the width of the run that is kept
+    # s fits one byte and the product does not: pbar, of negative weight,
+    # makes no first run, and the probe gives the width of the run kept
     assert max(map(abs, s.nums)).bit_length() <= 7 < max(map(abs, ref.nums)).bit_length()
     assert pbar.times(s, n) == ref
     assert expand_cache_info()[-3:] == (1, 1, 0)
@@ -653,6 +658,7 @@ def test_a_narrow_width_too_small_is_rejected(memo, monkeypatch):
     m, cs = n - s.min_exp, s.coeffs
     narrow = products._expand_at(quotient, [], m, 2, cs)
     assert narrow != list(ref.coeffs[:m]) and not products._multiplies_back(narrow, quotient, m, cs)
+    assert products._proven_run(quotient, m, 2, cs) is None
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -692,35 +698,34 @@ def test_a_sign_flipped_in_the_multiply_back_is_caught(memo, monkeypatch, side):
 PBAR_SQUARED_PARTS = [("minus", 1, 1, 1, 2), ("pentagonal", 1, 1, 1, -2)]
 
 
-class _Checks:
-    """``_multiplies_back`` watched: for each call, (f, quotient, n, s, ok,
-    the lengths of the shift-add passes it made); ``_times_thetas`` outside a
-    check is left alone."""
+class _Runs:
+    """``_proven_run`` watched: for each call, (f, quotient, n, size, s,
+    checked), f None where the run was not proven and checked whether it
+    called ``_multiplies_back``; ``checks`` holds the length of every
+    ``_multiplies_back`` call."""
 
     def __init__(self, mp):
-        self.calls, self._open = [], []
-        check, kernel = products._multiplies_back, products._times_thetas
+        self.calls, self.checks = [], []
+        prove, check = products._proven_run, products._multiplies_back
 
-        def watched(f, quotient, n, s=(1,)):
-            self._open.append([])
-            try:
-                ok = check(f, quotient, n, s)
-            finally:
-                passes = self._open.pop()
-            self.calls.append((f, quotient, n, s, ok, passes))
-            return ok
+        def counted(f, quotient, n, s=(1,)):
+            self.checks.append(n)
+            return check(f, quotient, n, s)
 
-        def counted(sums, w, n, v=1):
-            if self._open:
-                self._open[-1].append(n)
-            return kernel(sums, w, n, v)
+        def watched(quotient, n, size, s):
+            before = len(self.checks)
+            f = prove(quotient, n, size, s)
+            self.calls.append((f, quotient, n, size, s, len(self.checks) > before))
+            return f
 
-        mp.setattr(products, "_multiplies_back", watched)
-        mp.setattr(products, "_times_thetas", counted)
+        mp.setattr(products, "_proven_run", watched)
+        mp.setattr(products, "_multiplies_back", counted)
 
-    def skipped(self):
-        """The checks that passed with no shift-add: their runs proved them."""
-        return [call[:4] for call in self.calls if call[4] and not call[5]]
+    def unchecked(self):
+        """(f, quotient, n, s) of the runs kept with no multiply-back: their
+        own widths proved them."""
+        return [(f, quotient, n, s) for f, quotient, n, _, s, checked in self.calls
+                if f is not None and not checked]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -735,69 +740,99 @@ class _Checks:
                 ("pair", 1, 2, 5, -1)], s=LaurentSeries(0, [3, 0, -1] * 80, 240), order=240)
 def test_a_check_skipped_by_its_run_passes_the_full_check(parts, s, order):
     """Every theta quotient with a denominator takes the narrow try, whatever
-    its weight: the result is the binomial_pass reference, and every check
-    that its run's width answered passes the full check too, made on a
-    plain list, which no run vouches for."""
+    its weight: the result is the binomial_pass reference, and every run
+    that its own width proved passes the full check too."""
     prod = Product()
     for part in parts:
         prod = prod * _quotient_part(*part)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
         mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
-        checks = _Checks(mp)
+        runs = _Runs(mp)
         got = prod.times(s, order)
     assert got == mul(_reference_expand(prod, order), s)
-    for f, quotient, n, cs in checks.skipped():
-        assert products._multiplies_back(list(f), quotient, n, cs)
+    for f, quotient, n, cs in runs.unchecked():
+        assert products._multiplies_back(f, quotient, n, cs)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), min_size=1,
+                      max_size=4),
+       s=multiplicand_st(), n=st.integers(1, 200))
+@example(parts=PBAR_PARTS, s=_spiked(200, 120, 1 << 40), n=200)
+@example(parts=PBAR_SQUARED_PARTS, s=LaurentSeries(0, [1, -2, 0, 3] * 50, 200), n=200)
+@example(parts=[("pair", -1, 2, 7, 2)], s=LaurentSeries(0, [1, 0, -5, 2] * 30, 150), n=150)
+def test_a_proven_run_is_s_times_the_quotient_at_every_width(parts, s, n):
+    """At every slot size from the narrowest that packs s (one byte where s
+    fits one) to the majorant, ``_proven_run`` returns None or exactly s
+    times the quotient, and at the majorant that product; a run it keeps
+    with no multiply-back passes the full check."""
+    prod = Product()
+    for part in parts:
+        prod = prod * _quotient_part(*part)
+    quotient, rest = products._decompose(prod.factors)
+    cs = list(s.nums[:n])
+    assume(quotient and not rest and any(cs))
+    product = _pass_reference(prod.factors, n)
+    ref = [sum(c * product[i - j] for j, c in enumerate(cs[:i + 1])) for i in range(n)]
+    majorant = products._majorant_size(prod.factors, quotient, [], n, cs)
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _Runs(mp)
+        kept = {size: products._proven_run(quotient, n, size, cs)
+                for size in range(series._slot_size(max(map(abs, cs))), majorant + 1)}
+    assert kept[majorant] is not None
+    assert all(f is None or f == ref for f in kept.values())
+    for f, _, _, _ in runs.unchecked():
+        assert products._multiplies_back(f, quotient, n, cs)
 
 
 def test_a_run_vouches_only_for_its_own_coefficients_and_multiplicand(monkeypatch):
     n = 600
     quotient, _ = products._decompose(RANK_CLASS_PRODUCT.factors)
     s = list(_class_difference(n).nums[:n])
-    f = products._expand_at(quotient, [], n, 16, s)
-    checks = _Checks(monkeypatch)
-    assert products._multiplies_back(f, quotient, n, s)
-    assert checks.skipped() == [(f, quotient, n, s)]
-    # the same coefficients as a plain list, one of them moved, or the run's
-    # coefficients against another multiplicand: each is the full check
+    runs = _Runs(monkeypatch)
+    f = products._proven_run(quotient, n, 16, s)
+    assert runs.unchecked() == [(f, quotient, n, s)] and not runs.checks
+    # the same coefficients, one of them moved, or against another
+    # multiplicand: a list handed to the check gets the full check
     moved, other = list(f), list(s)
     moved[n // 2] += 1
     other[n // 3] -= 1
-    assert products._multiplies_back(list(f), quotient, n, s)
+    assert products._multiplies_back(f, quotient, n, s)
     assert not products._multiplies_back(moved, quotient, n, s)
     assert not products._multiplies_back(f, quotient, n, other)
-    assert len(checks.skipped()) == 1
+    # a run too narrow for its width to prove it is checked, and rejected
+    assert products._proven_run(quotient, n, 1, s) is None
+    assert runs.calls[-1][-1] and len(runs.unchecked()) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 1601, 1602])
 @pytest.mark.parametrize("prod", [poch(-1, 1, 1) / poch(1, 1, 1),
                                   (poch(-1, 1, 1) / poch(1, 1, 1)) ** 2,
-                                  BASE5_PAIRS, GROWTH_QUOTIENT],
-                         ids=["pbar", "pbar^2", "base5", "growth"])
+                                  BASE5_PAIRS, GROWTH_QUOTIENT, REST_QUOTIENT],
+                         ids=["pbar", "pbar^2", "base5", "growth", "rest"])
 def test_the_half_length_division_is_the_quotient(n, prod):
-    """``_times_thetas`` divides by the denominator thetas with their inverse
-    taken to ceil(n/2) slots; at the majorant width its decode is s times the
-    quotient, for n odd and even, short and past the narrow cutoffs."""
+    """``_times_thetas`` divides by the denominator thetas, and by the
+    denominator binomials of a rest, with their inverse taken to ceil(n/2)
+    slots; at the majorant width its decode is s times the quotient, for n
+    odd and even, short and past the narrow cutoffs."""
     quotient, rest = products._decompose(prod.factors)
-    assert not rest and any(k < 0 for _, k in quotient)
+    assert any(k < 0 for _, k in quotient + rest)
     s = [(-1) ** i * (i % 7) + (i % 5 == 0) for i in range(n)]
     ref = mul(LaurentSeries(0, _pass_reference(prod.factors, n), n), LaurentSeries(0, s, n))
-    size = products._majorant_size(prod.factors, quotient, [], n, s)
-    w = 8 * size
-    sums = [(products._theta_shifts(theta, w, n), k) for theta, k in quotient]
-    got = products._unpack(products._times_thetas(sums, w, n, series._pack(s, size)), size, n)
+    size = products._majorant_size(prod.factors, quotient, rest, n, s)
+    binomials = products._euler_exponents(rest, n) if rest else []
+    got = products._expand_at(quotient, binomials, n, size, s)
     assert LaurentSeries(0, got, n) == ref
 
 
 def test_the_class_product_makes_one_full_length_run(memo, monkeypatch):
-    """The oracle's class product times a class-sum difference at 1602 terms,
-    as ``thm5.R12.d4`` takes it at order 320: of negative weight, it makes no
-    first run; the probe proves the predicted width, the one full-length run
-    is proved by its own width, and the majorant is never bounded."""
-    n = 1602
-    s = _class_difference(n)
-    m = n - s.min_exp
+    """The oracle's class product times a class-sum difference as ``deep``
+    takes it: at 1602 terms for ``thm5.R12.d4`` at order 320 and at 1201
+    for ``thm3.R01.d2`` at order 400.  Of negative weight, it makes no first
+    run; the exact first quarter predicts the width of the one full-length
+    run, which that width proves with no multiply-back, and the majorant is
+    bounded for none of the full length."""
     runs, bounds = [], []
     expand_at, euler_bound = products._expand_at, products._euler_bound
 
@@ -811,12 +846,15 @@ def test_the_class_product_makes_one_full_length_run(memo, monkeypatch):
 
     monkeypatch.setattr(products, "_expand_at", run)
     monkeypatch.setattr(products, "_euler_bound", bound)
-    checks = _Checks(monkeypatch)
-    got = RANK_CLASS_PRODUCT.times(s, n)
-    assert runs.count(m) == 1 and not bounds
-    assert all(m not in passes for *_, passes in checks.calls)
-    assert expand_cache_info()[-3:] == (1, 1, 0)
-    assert got == mul(_reference_expand(RANK_CLASS_PRODUCT, n), s)
+    proven = _Runs(monkeypatch)
+    for (s, t, ell), order, m in (((1, 2, 5), 1604, 1602), ((0, 1, 3), 1202, 1201)):
+        diff = rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order)
+        assert order - diff.min_exp == m
+        monkeypatch.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
+        got = RANK_CLASS_PRODUCT.times(diff, order)
+        assert runs.count(m) == 1 and m not in bounds and m not in proven.checks
+        assert expand_cache_info()[-3:] == (1, 1, 0)
+        assert got == mul(_reference_expand(RANK_CLASS_PRODUCT, order), diff)
 
 
 def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):

@@ -95,3 +95,22 @@ def test_the_package_namespace_binds_only_its_version():
     assert ast.get_docstring(tree)
     statements = [ast.unparse(node) for node in tree.body[1:]]
     assert len(statements) == 1 and statements[0].startswith("__version__ = "), statements
+
+
+# ``lambert`` binds ``series.mul`` for the benchmark's layer trace, which
+# checks that wrapping ``series.mul`` reaches that alias too
+UNUSED_IMPORTS = {("lambert", "mul")}
+
+
+def test_every_imported_name_is_used():
+    """Each name a module of the package imports is named in it again."""
+    unused = set()
+    for path in Path(overrank.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in bound - used}
+    assert sorted(unused - UNUSED_IMPORTS) == []
+    assert UNUSED_IMPORTS <= unused
