@@ -7,6 +7,8 @@ number of parts.  The counting oracle sums Lovejoy's rank generating
 function term by term, with the rank held modulo a modulus in packed slots
 (see ``_count_by_residue``); it is independent of the analytic generating
 functions it validates coefficient by coefficient, and has no size cap.
+Each table is built at exactly the order asked (``_rows``), so a caller
+that reads several weights asks for the largest first.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
 times a Lambert sum, ``rank_class_sum``, on the one memo (``series.memo``),
@@ -83,21 +85,16 @@ _TABLES_LOCK = threading.RLock()
 def _rows(modulus: Optional[int], order: int) -> list:
     """The counting table of one modulus, covering at least every n < order.
 
-    A table that is too short is rebuilt at least twice as long, so asking
-    for n = 0, 1, 2, ... in turn costs a bounded multiple of one build.  The
-    exact table (modulus None) maps rank -> count for each n; it is the
-    residue table modulo 2 * order - 1, wide enough for every rank of n < order.
+    A table shorter than asked is rebuilt at exactly the order asked, under
+    the lock, so the longest table wins; as for the memo, a caller that
+    needs several weights asks for the largest first.  The exact table
+    (modulus None) is the residue table modulo 2 * order - 1, wide enough
+    for every rank of n < order, which ``rank_table`` reads.
     """
     with _TABLES_LOCK:
         rows = _TABLES.get(modulus, [])
         if len(rows) < order:
-            order = max(order, 2 * len(rows))
-            size = modulus or 2 * order - 1
-            rows = _count_by_residue(size, order)
-            if modulus is None:  # the residue s >= order is the rank s - size
-                rows = [{(s if s < order else s - size): c for s, c in enumerate(row) if c}
-                        for row in rows]
-            _TABLES[modulus] = rows
+            rows = _TABLES[modulus] = _count_by_residue(modulus or 2 * order - 1, order)
         return rows
 
 
@@ -109,9 +106,13 @@ def _check_weight(n: int) -> None:
 @lru_cache(maxsize=None)
 def rank_table(n: int) -> Mapping[int, int]:
     """Exact rank histogram of the overpartitions of n, a read-only
-    rank -> count mapping holding only the nonzero counts (counting oracle)."""
+    rank -> count mapping holding only the nonzero counts (counting oracle):
+    row n of the exact table, whose residue s with 2s >= size is the rank
+    s - size."""
     _check_weight(n)
-    return MappingProxyType(_rows(None, n + 1)[n])
+    row = _rows(None, n + 1)[n]
+    size = len(row)
+    return MappingProxyType({(s if 2 * s < size else s - size): c for s, c in enumerate(row) if c})
 
 
 def nbar(m: int, n: int) -> int:

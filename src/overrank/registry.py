@@ -35,7 +35,7 @@ from .products import (P, FormulaTerm as T, Product, Route, Sides, SignedMonomia
                        poch, triple_product)
 from .rankdiff import eval_terms
 from .report import IdentityReport, compare, merge
-from .series import LaurentSeries, extract_progression
+from .series import LaurentSeries, _from_ints, extract_progression
 
 DEFAULT_SEED = 271828
 
@@ -137,10 +137,11 @@ def _route(fn: Callable[..., LaurentSeries], *args) -> Terms:
 
 def _counted_series(count: Callable[..., int], args: tuple, start: int,
                     order: int) -> LaurentSeries:
-    """sum count(*args, n) q^n over start <= n < order."""
-    # largest n first, so the counting table is built once at full size
-    return LaurentSeries.from_terms({n: count(*args, n) for n in range(order - 1, start - 1, -1)},
-                                    order)
+    """sum count(*args, n) q^n over start <= n < order, asking for the
+    largest n first: a counting table is rebuilt at exactly the order asked,
+    so it is built once, at full length."""
+    counts = [count(*args, n) for n in range(order - 1, start - 1, -1)]
+    return _from_ints(start, counts[::-1], order)
 
 
 def _counted(analytic: Terms, count: Callable[..., int], args: tuple,

@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import repeat
 from math import gcd, lcm
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BeyondTruncation, NegativeExponent
 
@@ -78,18 +77,6 @@ class LaurentSeries:
         if exp >= order:
             return cls.zero(order)
         return cls(exp, (c,), order)
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, Coefficient], order: int) -> "LaurentSeries":
-        """Build a series from an exponent -> coefficient mapping."""
-        known = {e: c for e, c in terms.items() if e < order and c}
-        if not known:
-            return cls.zero(order)
-        lo = min(known)
-        window = [0] * (max(known) + 1 - lo)
-        for e, c in known.items():
-            window[e - lo] = c
-        return cls(lo, window, order)
 
     # ------------------------------------------------------------------
     # inspection
@@ -423,23 +410,25 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 def memo(fn: Callable[..., LaurentSeries]) -> Callable[..., LaurentSeries]:
     """fn on the one memo, for an fn whose result is a series of exactly the
-    ``order`` it is passed by position.  A call is keyed by fn and its other
-    arguments, a list as a tuple; one no deeper than its entry is the entry
-    truncated, and a deeper one is built at exactly its order and replaces
-    the entry, unless a deeper one was stored meanwhile.  ``cache_info()``
-    and ``cache_clear()`` are ``lru_cache``'s, maxsize the bound, currsize fn's coefficients."""
+    ``order`` it is passed, by position or by keyword, after which it takes
+    keyword arguments only.  A call is keyed by fn and its other arguments,
+    a list as a tuple; one no deeper than its entry is the entry truncated,
+    and a deeper one is built at exactly its order and replaces the entry,
+    unless a deeper one was stored meanwhile.  ``cache_info()`` and
+    ``cache_clear()`` are ``lru_cache``'s, maxsize the bound, currsize fn's coefficients."""
     at = fn.__code__.co_varnames.index("order")
 
     @wraps(fn)
     def memoised(*args, **kwargs):
+        order = kwargs["order"] if "order" in kwargs else args[at]
         key = (memoised, *(tuple(a) if type(a) is list else a for a in args[:at]),
-               *sorted(kwargs.items()))
+               *sorted(item for item in kwargs.items() if item[0] != "order"))
         with _memo_lock:
             known = _memo.get(key)
-            hit = known is not None and known.order >= args[at]
+            hit = known is not None and known.order >= order
             _memo_counts[memoised, hit] += 1
         if hit:
-            return known.truncate(args[at])
+            return known.truncate(order)
         out = fn(*args, **kwargs)
         with _memo_lock:
             old = _memo.get(key)

@@ -7,7 +7,8 @@ replaced; the theta-sum and Lambert tests build their expected series with
 ``inverse``, term by term; ``series.mul``'s packed (Kronecker) product is
 pinned to ``_mul_schoolbook``, one slice pass per nonzero; and
 ``rankdiff.eval_terms``, which groups terms by their product, to
-``eval_terms_termwise``.  None of them is used by the package itself.
+``eval_terms_termwise``; ``from_terms`` writes a series from an exponent ->
+coefficient mapping.  None of them is used by the package itself.
 """
 
 import operator
@@ -122,6 +123,18 @@ def count_by_largest_part(modulus, order):
     mask = (1 << width) - 1
     return [[packed >> ((offset - s) % slots * width) & mask for s in range(slots)]
             for packed in ranks]
+
+
+def from_terms(terms, order):
+    """The series of an exponent -> coefficient mapping below q^order."""
+    known = {e: c for e, c in terms.items() if e < order and c}
+    if not known:
+        return LaurentSeries.zero(order)
+    lo = min(known)
+    window = [0] * (max(known) + 1 - lo)
+    for e, c in known.items():
+        window[e - lo] = c
+    return LaurentSeries(lo, window, order)
 
 
 def inverse(a: LaurentSeries) -> LaurentSeries:

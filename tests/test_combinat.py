@@ -2,12 +2,18 @@
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import overrank
 from overrank import combinat
 from overrank.combinat import (
     class_counts,
@@ -180,6 +186,33 @@ class TestRank:
         assert results == {i: want[i::7] for i in range(7)}
         assert len(combinat._TABLES[5]) >= 90  # a shorter rebuild never replaces a longer one
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((None, 1, 2, 5)), st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    def test_a_table_is_rebuilt_at_exactly_the_order_asked(self, modulus, orders):
+        builds = []
+        build = combinat._count_by_residue
+
+        def recorded(size, order):
+            rows = build(size, order)
+            builds.append((size, order))  # as the build ends, after the modulus-1 table under it
+            return rows
+
+        with mock.patch.dict(combinat._TABLES, clear=True), \
+                mock.patch.object(combinat, "_count_by_residue", recorded):
+            longest = 0
+            for k in orders:
+                before = len(builds)
+                rows = combinat._rows(modulus, k)
+                size = modulus or 2 * len(rows) - 1
+                assert rows[:k] == build(size, len(rows))[:k], k
+                if k > longest:
+                    longest = k
+                    assert builds[-1] == (modulus or 2 * k - 1, k)
+                else:
+                    assert builds[before:] == []
+                assert len(rows) == longest
+                assert all(order in orders for _, order in builds)
+
     def test_class_symmetry(self):
         for m in (3, 5):
             for n in range(0, 31):
@@ -268,3 +301,34 @@ def test_counting_routes_use_nothing_of_products_or_lambert():
                       "class_counts")])
     assert {("combinat", "_count_by_residue"), ("series", "_unpack")} <= found
     assert not {module for module, _ in found} & {"products", "lambert"}
+
+
+# The counting tables that run_suite(scale) builds, as (modulus, order) in
+# the order the builds end, in a fresh process, so that no table or memo
+# entry is warm.
+_COUNT_BUILDS = """
+import sys
+from overrank import combinat, registry
+builds, build = [], combinat._count_by_residue
+def recorded(size, order):
+    rows = build(size, order)
+    builds.append((size, order))
+    return rows
+combinat._count_by_residue = recorded
+registry.run_suite(float(sys.argv[1]))
+print(builds)
+"""
+
+
+@pytest.mark.parametrize("scale, builds", [
+    (0.25, [(1, 7), (3, 7), (5, 3), (5, 7), (7, 4), (13, 7)]),
+    (1.0, [(1, 31), (3, 31), (5, 3), (5, 31), (7, 4), (61, 31)]),
+])
+def test_the_suite_builds_each_table_at_the_order_it_asks(scale, builds):
+    # no table is rebuilt at a longer order than asked: no doubled exact
+    # table and no modulus-1 table rebuilt under it
+    env = {k: v for k, v in os.environ.items() if k != "OVERRANK_SEED"}
+    env["PYTHONPATH"] = str(Path(overrank.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, str(scale)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert ast.literal_eval(out) == builds

@@ -36,7 +36,7 @@ from overrank.series import (
     mul,
     substitute_power,
 )
-from reference import evaluated, inverse
+from reference import evaluated, from_terms, inverse
 
 
 def _sigma(z: SM, zeta: SM, base: int, order: int, primed: bool = False) -> LaurentSeries:
@@ -228,7 +228,7 @@ def _lambert_reference(quad, lin, csign, denoms, order, primed) -> LaurentSeries
             if e == 0:
                 term = term.scale(Fraction(1, 2))
             else:
-                term = mul(term, inverse(LaurentSeries.from_terms({0: 1, e: -s}, depth)))
+                term = mul(term, inverse(from_terms({0: 1, e: -s}, depth)))
         total = total + term.shift(shift)
     assert total.order == order  # the reference was built deep enough
     return total

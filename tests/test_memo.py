@@ -141,6 +141,18 @@ def test_the_keywords_are_part_of_the_key():
             lambert_sum(1, 2, -1, [(1, 0, 3)], 20)
 
 
+def test_the_order_by_keyword_is_the_order_by_position():
+    with empty_memo():
+        deep = lambert_sum(1, 0, 1, (), order=40)
+        assert lambert_sum(1, 0, 1, (), order=40) == deep
+        assert lambert_sum(1, 0, 1, [], 30) == deep.truncate(30)
+        assert lambert_sum(1, 0, 1, (), order=20) == deep.truncate(20)
+        assert lambert_sum(1, 0, 1, (), 60) == lambert_sum.__wrapped__(1, 0, 1, (), 60)
+        assert lambert_sum(1, 0, 1, (), order=50) == lambert_sum.__wrapped__(1, 0, 1, (), 50)
+        assert lambert_sum.cache_info() == (4, 2, series._EXPAND_LIMIT, 60)
+        assert len(series._memo) == 1
+
+
 def test_threads_keep_the_store_consistent():
     """Threads calling at drawn orders, the bound low enough to evict on the
     way: every result is the undecorated one, and no update of the stored

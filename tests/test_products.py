@@ -33,7 +33,7 @@ from overrank.series import (
     mul,
     substitute_power,
 )
-from reference import evaluated, inverse
+from reference import evaluated, from_terms, inverse
 
 
 class TestPochhammer:
@@ -156,7 +156,7 @@ class TestProduct:
 
 def _binomial(sign: int, e: int, order: int) -> LaurentSeries:
     """1 - sign*q^e as an exact Laurent polynomial."""
-    return LaurentSeries.from_terms({0: 1, e: -sign} if e else {0: 1 - sign}, order)
+    return from_terms({0: 1, e: -sign} if e else {0: 1 - sign}, order)
 
 
 def _reference(scalar, qexp, factors, order: int) -> LaurentSeries:
@@ -452,7 +452,7 @@ def _theta_quotient_series(quotient, n):
     reference ``inverse``."""
     out = LaurentSeries.monomial(1, 0, n)
     for theta_key, k in quotient:
-        t = LaurentSeries.from_terms({0: 1, **dict(products._theta_terms(*theta_key, n))}, n)
+        t = from_terms({0: 1, **dict(products._theta_terms(*theta_key, n))}, n)
         for _ in range(abs(k)):
             out = mul(out, t if k > 0 else inverse(t))
     return out

@@ -41,7 +41,7 @@ from overrank.series import (
     first_mismatch,
     mul,
 )
-from reference import eval_terms_termwise, evaluated
+from reference import eval_terms_termwise, evaluated, from_terms
 
 ALL_KEYS = [RankDiffKey(ell, s, t, d) for (ell, s, t, d) in THEOREM_TABLE]
 
@@ -192,7 +192,7 @@ class TestClosedForms:
         # its largest weight
         order = 1000
         for key in sorted(ALL_KEYS, key=lambda k: -k.d):
-            counted = LaurentSeries.from_terms(
+            counted = from_terms(
                 {j: nbar_class(key.s, key.ell, key.ell * j + key.d)
                  - nbar_class(key.t, key.ell, key.ell * j + key.d)
                  for j in range(order - 1, -1, -1) if key.ell * j + key.d >= 1}, order)
