@@ -11,8 +11,8 @@ Each table is built at exactly the order asked (``_rows``), so a caller
 that reads several weights asks for the largest first.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
-times a Lambert sum, ``rank_class_sum``, on the one memo (``series.memo``),
-whose two linear coefficients take one ``lambert_sum`` pass; callers that
+times a Lambert sum, ``rank_class_sum``, whose two linear coefficients take
+one ``lambert_sum`` pass, memoised there (``series.memo``); callers that
 combine classes, as ``rankdiff`` does, subtract the sums before they
 multiply by the product, or cancel the product against their own.
 
@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .lambert import lambert_sum
 from .products import poch
-from .series import LaurentSeries, _from_ints, _slot_size, _unpack, memo
+from .series import LaurentSeries, _from_ints, _slot_size, _unpack
 
 
 def _count_by_residue(modulus: int, order: int) -> List[List[int]]:
@@ -166,17 +166,17 @@ def nbar_series(m: int, order: int) -> LaurentSeries:
         c = 1 if n % 2 else -1
         inner[lead::n] = map(add, inner[lead::n], chain((c,), cycle((-2 * c, 2 * c))))
         n += 1
-    return RANK_CLASS_PRODUCT.times(_from_ints(0, inner, order), order)
+    return RANK_CLASS_PRODUCT.times(_from_ints(0, inner, order))
 
 
 # the product of every rank-class series
 RANK_CLASS_PRODUCT = 2 * poch(-1, 1, 1) / poch(1, 1, 1)
 
 
-@memo
 def rank_class_sum(s: int, m: int, order: int) -> LaurentSeries:
     """sum'_{n in Z} (-1)^n q^(n^2+n) (q^(sn) + q^((m-s)n)) / ((1 + q^n)(1 - q^(mn))),
-    the Lambert sum of the rank-class series of s mod m.
+    the Lambert sum of the rank-class series of s mod m, which ``lambert_sum``
+    memoises.
 
     The n = 0 term is omitted; negative-n denominators expand exactly through
     the Laurent layer.  A power series with constant term 0."""
@@ -194,4 +194,4 @@ def nbar_class_series(s: int, m: int, order: int) -> LaurentSeries:
       / ((1 + q^n)(1 - q^(mn))).
 
     Constant term 0 (analytic convention)."""
-    return RANK_CLASS_PRODUCT.times(rank_class_sum(s, m, order), order)
+    return RANK_CLASS_PRODUCT.times(rank_class_sum(s, m, order))

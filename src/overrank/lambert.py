@@ -234,7 +234,7 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     ratio = p_ratio(s, e, base)
     n = order + max(0, -2 * e, -ratio.qexp)  # what f2's shift and f1's q^qexp lose
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
-    f1 = ratio.times(sig1, n)
+    f1 = ratio.times(sig1)
     f2 = sigma_ab(2 * e, 2 * e, base, n).shift(2 * e)
     f3 = sigma_primed(-2 * e, base, n)
     return (f1 - f2 - f3).truncate(order)

@@ -13,19 +13,21 @@ accumulating an exact monomial prefactor.
 
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, turned into a series by ``Product.expand`` or, times a series, by
-``Product.times``, which from ``_TIMES_MIN_LENGTH`` terms on never expands
-it.  ``expand`` takes the expansion of each factor multiset from the one
-memo, ``series.memo``, so a product met again at the same or a shorter
-length costs one truncation; a product in q^g is expanded in q and spread.
-Both run one kernel, ``_expand_packed``, on the series they multiply by (1
-for ``expand``): ``_decompose`` writes the factors as theta functions,
-sparse sums by Jacobi's triple product, and a rest of binomials, and all are
-carried in one integer at q = 2^w (Kronecker substitution), w a proven
-bound on the coefficients (``_majorant_size``) or, for a long quotient of
-thetas alone, a narrower width that the run proves (``_verified_quotient``),
-read off the quotient's own exact first quarter where the multiplicand's
-width does not hold it.  Every denominator, theta or binomial, is divided
-out with its 2-adic inverse taken to half the length (``_times_thetas``).
+``Product.times``, exact wherever the series is, which from
+``_NARROW_MIN_LENGTH`` terms on never expands it.  ``expand`` takes the
+expansion of each factor multiset from the one memo, ``series.memo``, so a
+product met again at the same or a shorter length costs one truncation; a
+product in q^g is expanded in q and spread.  Both run one kernel,
+``_expand_packed``, on the series they multiply by (1 for ``expand``):
+``_decompose`` writes the factors as theta functions, sparse sums by
+Jacobi's triple product, and a rest of binomials, and all are carried in
+one integer at q = 2^w (Kronecker substitution), w a proven bound on the
+coefficients (``_majorant_size``) or, for a quotient of thetas alone from
+that same length on, a narrower width that the run proves
+(``_verified_quotient``), read off the quotient's own exact first quarter
+where the multiplicand's width does not hold it.  Every denominator, theta
+or binomial, is divided out with its 2-adic inverse taken to half the
+length (``_times_thetas``).
 The in-place list pass ``binomial_pass`` serves the Lambert sums and
 ``triple_product``, which do not go through the kernel, and is the
 reference ``expand`` and ``times`` are tested against.
@@ -132,25 +134,23 @@ class Product:
             out = [num * c for c in out]
         return _from_ints(self.qexp, out, order, den)
 
-    def times(self, s: LaurentSeries, order: int) -> LaurentSeries:
-        """mul(self.expand(order), s).  From ``_TIMES_MIN_LENGTH`` terms on,
-        without expanding the product: the kernel takes the numerators of s
-        as its multiplicand and runs at the width of the result.
-        Not memoised."""
-        nonzero = order > self.qexp and self.scalar
-        # the order of mul's result; the expansion starts at q^qexp unless zero
-        out_order = min(order + s.min_exp, s.order + (self.qexp if nonzero else order))
-        if not nonzero or not s.nums:
-            return LaurentSeries.zero(out_order)
-        lo = self.qexp + s.min_exp
-        if self.factors and out_order - lo < _TIMES_MIN_LENGTH:
-            return mul(self.expand(order), s)
-        cs = s.nums[:out_order - lo]
-        out = _expand_packed(self.factors, out_order - lo, cs) if self.factors else cs
+    def times(self, s: LaurentSeries) -> LaurentSeries:
+        """The product times s, exact wherever s is: below s.order + qexp.
+        Below ``_NARROW_MIN_LENGTH`` terms it is mul by the memoised
+        expansion, taken as deep as mul reads it; from there on the kernel
+        takes the numerators of s as its multiplicand and runs at the width
+        of the result, never expanding the product.  Not memoised."""
+        order = s.order + self.qexp
+        if not self.scalar or not s.nums:
+            return LaurentSeries.zero(order)
+        n = s.order - s.min_exp
+        if self.factors and n < _NARROW_MIN_LENGTH:
+            return mul(self.expand(n + self.qexp), s)
+        out = _expand_packed(self.factors, n, s.nums) if self.factors else s.nums
         num, den = self.scalar.numerator, self.scalar.denominator
         if num != 1:
             out = [num * c for c in out]
-        return _from_ints(lo, out, out_order, den * s.den)
+        return _from_ints(self.qexp + s.min_exp, out, order, den * s.den)
 
     def __str__(self) -> str:
         """The product as the anchors print it: -2 q (q^3;q^18)(q^18;q^18), (q;q) / (-q;q)."""
@@ -215,19 +215,32 @@ def _terms(*prods: Product) -> Terms:
     return tuple(map(FormulaTerm, prods))
 
 
-# A short product times a series is cheaper as its memoised expansion times
-# the series: the kernel's decomposition, packing and inverse are paid on
-# every call, and the widths it saves are small.  Every ``times`` call of
-# ``run_suite(1.0)`` and of the ``deep`` entries was timed on both routes
-# (median of 5 runs; 2 cores, Python 3.11).  Per octave of terms the kernel
-# lost by 1.6-2.8x below 64 and at 128-255 (21.5 against 13.1 ms over 47
-# calls), tied at 64-127 and, on the suite, at 256-511, lost 1.8 against
-# 1.4 ms at 256-511 on ``deep``, and won from 1024 on (30 against 81 ms).
-# At 512-1023, where ``deep`` meets memoised expansions, it lost 5.6
-# against 3.7 ms, but on a miss, once the narrow try runs, it won by
-# 1.2-3.6x (the class product times a class-sum difference at 800 terms:
-# 1.9 against 6.8 ms), against 1.1x at 300-400 terms.
-_TIMES_MIN_LENGTH = 512
+# Below this many terms a product times a series is its memoised expansion
+# times the series, and the kernel runs at the majorant width; from it on
+# ``times`` runs the kernel on the series, and a theta quotient with a
+# denominator tries narrow widths first.  On a short product the kernel's
+# decomposition, packing and inverse, paid on every call, outweigh the widths
+# it saves.  Every ``times`` call of ``run_suite(1.0)`` and of the ``deep``
+# entries was timed on both routes (median of 5 runs; 2 cores, Python
+# 3.11).  Per octave of terms the kernel lost by 1.6-2.8x below 64 and at
+# 128-255 (21.5 against 13.1 ms over 47 calls), tied at 64-127 and, on the
+# suite, at 256-511, lost 1.8 against 1.4 ms at 256-511 on ``deep``, and won
+# from 1024 on (30 against 81 ms).  At 512-1023, where ``deep`` meets memoised
+# expansions, it lost 5.6 against 3.7 ms, but on a miss, with the narrow try,
+# it won by 1.2-3.6x (the class product times a class-sum difference at 800
+# terms: 1.9 against 6.8 ms), against 1.1x at 300-400 terms.  The narrow try
+# costs at least a run and a check, so it pays only on long quotients.  Every
+# such kernel call of ``run_suite`` at order scales 0.25, 1 and 8 and of the
+# ``deep`` entries was timed on both routes (2 cores, Python 3.11) when each
+# try began with a probe: below 512 the narrow try lost, by 1.2-2.1x in all per
+# octave of n; from 512 on it cut scale 8's 131 such calls from 1.79 to 1.00 s
+# and deep's 15 from 95 to 40 ms, and cutoffs of 384 to 640 came within 0.1% of
+# each other at scale 8.  With the first try at the multiplicand's width, the
+# kernel calls of ``run_suite(1.0)`` took 32-38 ms at 512, 41-50 ms at 256 and
+# 53-64 ms at 128 (best of 5 per call, two passes).  With the recursive probe, a
+# cutoff of 16 made all of ``run_suite(1.0)`` slower in 6 of 6 pairs, 0.096
+# against 0.117 s median.
+_NARROW_MIN_LENGTH = 512
 
 
 _expand_counts = {"verified": 0, "probed": 0, "fallbacks": 0}
@@ -262,16 +275,17 @@ def _expand_packed(factors: Tuple[Factor, ...], n: int, s: Sequence[int] = (1,))
     binomials that cancel across its factors.  The thetas, then the
     binomials, each a sparse sum too, are taken by ``_times_thetas`` at the
     majorant slot width of ``_majorant_size``.  From
-    ``_VERIFIED_MIN_LENGTH`` on, a quotient of thetas alone with a
-    denominator goes to ``_verified_quotient``, which tries narrow widths
-    first, and its outcome is counted.  q -> 2^w maps Z[q]/(q^n) onto
-    Z/2^(w n) as rings, so every step is exact on v whatever the size of the
-    coefficients met on the way; only the final ones must fit a slot.  One
-    power of 1 - sign*q^e is the shift-add v - sign*(v << w e), keeping the
-    slots below q^n; a denominator 1 - q^e is divided out with the thetas'.
+    ``_NARROW_MIN_LENGTH`` on, where ``times`` calls it, a quotient of
+    thetas alone with a denominator goes to ``_verified_quotient``, which
+    tries narrow widths first, and its outcome is counted.  q -> 2^w maps
+    Z[q]/(q^n) onto Z/2^(w n) as rings, so every step is exact on v whatever
+    the size of the coefficients met on the way; only the final ones must
+    fit a slot.  One power of 1 - sign*q^e is the shift-add v - sign*(v <<
+    w e), keeping the slots below q^n; a denominator 1 - q^e is divided out
+    with the thetas'.
     """
     thetas, rest = _decompose(factors)
-    if n >= _VERIFIED_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
+    if n >= _NARROW_MIN_LENGTH and not rest and any(k < 0 for _, k in thetas):
         f, outcome = _verified_quotient(factors, thetas, n, s)
         with _memo_lock:
             for key in outcome:
@@ -307,20 +321,6 @@ def _expand_at(thetas: Sequence[Tuple[Theta, int]], binomials: Sequence[Tuple[in
     # only 1 - q^e is ever a denominator, divided out with the thetas'
     sums += [([(w * e, sign == 1)], mult) for e, sign, mult in binomials]
     return _unpack(_times_thetas(sums, w, n, _pack(s[:n], size)), size, n)
-
-
-# A narrow try costs at least a run and a check, so it pays only on long
-# quotients.  Every such kernel call of ``run_suite`` at order scales 0.25, 1
-# and 8 and of the ``deep`` entries was timed on both routes (2 cores,
-# Python 3.11) when each try began with a probe: below 512 the narrow try
-# lost, by 1.2-2.1x in all per octave of n; from 512 on it cut scale 8's 131
-# such calls from 1.79 to 1.00 s and deep's 15 from 95 to 40 ms, and cutoffs
-# of 384 to 640 came within 0.1% of each other at scale 8.  With the first
-# try at the multiplicand's width, the kernel calls of ``run_suite(1.0)``
-# took 32-38 ms at 512, 41-50 ms at 256 and 53-64 ms at 128 (best of 5 per
-# call, two passes).  With the recursive probe, a cutoff of 16 made all of
-# ``run_suite(1.0)`` slower in 6 of 6 pairs, 0.096 against 0.117 s median.
-_VERIFIED_MIN_LENGTH = 512
 
 
 def _verified_quotient(factors: Tuple[Factor, ...], quotient: List[Tuple[Theta, int]], n: int,

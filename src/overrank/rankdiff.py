@@ -33,7 +33,8 @@ from .series import LaurentSeries, extract_progression, memo, substitute_power
 
 @dataclass(frozen=True)
 class RankDiffKey:
-    """One dissected rank difference: modulus ell, class pair (s,t), residue d."""
+    """One dissected rank difference of ``THEOREM_TABLE``: modulus ell, class
+    pair (s,t), residue d."""
 
     ell: int
     s: int
@@ -41,13 +42,10 @@ class RankDiffKey:
     d: int
 
     def __post_init__(self):
-        pairs = {3: {(0, 1)}, 5: {(1, 2), (0, 2)}}
-        if self.ell not in pairs:
-            raise ValueError(f"unsupported modulus {self.ell}")
-        if (self.s, self.t) not in pairs[self.ell]:
-            raise ValueError(f"unsupported class pair ({self.s},{self.t}) for ell={self.ell}")
-        if not 0 <= self.d < self.ell:
-            raise ValueError(f"residue {self.d} not in [0, {self.ell})")
+        if (self.ell, self.s, self.t, self.d) not in THEOREM_TABLE:
+            known = ", ".join(f"{ell}.{s}{t}.{d}" for ell, s, t, d in THEOREM_TABLE)
+            raise ValueError(f"no rank difference R{self.s}{self.t}({self.d}) mod {self.ell}; "
+                             f"the paper's are {known}")
 
     @property
     def slug(self) -> str:
@@ -82,7 +80,7 @@ def eval_terms(terms: Terms, order: int) -> LaurentSeries:
     Terms whose products have equal power of q and factors are one group:
     the scalar-weighted sum of their routes, each built at order - qexp (a
     term with no route counts as 1), is multiplied by the group's product
-    once, by ``Product.times``, as deep as its negative powers need, and
+    once, by ``Product.times``, which reads its depth off that sum, and
     shifted exactly.  Where every factor and route lives in y = q^g, g > 1,
     the group is built in y and spread.  A group of no route is its
     product's memoised expansion.
@@ -114,7 +112,7 @@ def eval_terms(terms: Terms, order: int) -> LaurentSeries:
             if factors:
                 unit = Product(1, 0, factors if g == 1 else tuple(
                     ((sg, r // g, step // g), m) for (sg, r, step), m in factors))
-                s = unit.times(s, n - min(0, s.min_exp))
+                s = unit.times(s)
             if g > 1:
                 s = substitute_power(s, g).truncate(order - qexp)
             part = s.shift(qexp) if qexp else s
@@ -212,8 +210,7 @@ def rank_diff_oracle(key: RankDiffKey, order: int) -> LaurentSeries:
 def _class_pair_difference(s: int, t: int, ell: int, order: int) -> LaurentSeries:
     """sum_n (Nbar(s,ell,n) - Nbar(t,ell,n)) q^n below q^order: the class
     product times the difference of the two Lambert sums, in one ``times`` call."""
-    return RANK_CLASS_PRODUCT.times(rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order),
-                                    order)
+    return RANK_CLASS_PRODUCT.times(rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ product-identity verifiers."""
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -518,7 +519,7 @@ def test_theta_quotient_is_the_product(parts, order, expect):
     assert mul(_theta_quotient_series(thetas, order), rest_series) == LaurentSeries(0, ref, order)
     # every length takes the one-byte try where the thetas alone have a denominator
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
+        mp.setattr(products, "_NARROW_MIN_LENGTH", 1)
         mp.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
         assert products._expand_packed(prod.factors, order) == ref
         tried = products._expand_counts["verified"] + products._expand_counts["fallbacks"]
@@ -593,7 +594,7 @@ PBAR_PARTS = [("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)]
 @given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), max_size=4),
        scalar=st.sampled_from((1, -1, 2, Fraction(-2, 3), Fraction(1, 4))),
        qexp=st.integers(-4, 4), s=multiplicand_st(), order=st.integers(-3, 300),
-       route=st.sampled_from(("kernel", "narrow", "default")))
+       route=st.sampled_from(("narrow", "default")))
 # pbar: a theta quotient, past the narrow cutoff, times a dyadic Laurent series
 @example(parts=PBAR_PARTS, scalar=2, qexp=0,
          s=LaurentSeries(-3, [Fraction((-1) ** i * (i % 7), 4) for i in range(700)], 697),
@@ -611,18 +612,54 @@ PBAR_PARTS = [("minus", 1, 1, 1, 1), ("pentagonal", 1, 1, 1, -1)]
          s=LaurentSeries(-1, [3] * 90, 150), order=160, route="narrow")
 # no factors: the scalar and the shift alone
 @example(parts=[], scalar=Fraction(1, 4), qexp=2, s=LaurentSeries(-2, [1, 2, 3], 9), order=6,
-         route="kernel")
+         route="narrow")
 def test_times_is_mul_by_the_expansion(parts, scalar, qexp, s, order, route):
     prod = Product(scalar, qexp)
     for part in parts:
         prod = prod * _quotient_part(*part)
     ref = mul(_reference_expand(prod, order), s)
     with pytest.MonkeyPatch.context() as mp:
-        if route != "default":  # the kernel at every length
-            mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
-        if route == "narrow":  # every theta quotient with a denominator takes the narrow try
-            mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
-        assert prod.times(s, order) == ref
+        if route == "narrow":  # the kernel, and the narrow try, at every length
+            mp.setattr(products, "_NARROW_MIN_LENGTH", 0)
+        # s known only as far as the expansion exact below q^order reaches
+        assert prod.times(s.truncate(order - prod.qexp + s.min_exp)) == ref
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(parts=st.lists(st.one_of(QUOTIENT_PART, QUOTIENT_PART, LONE_CLASS), max_size=4),
+       scalar=st.sampled_from((1, -1, 2, Fraction(-2, 3), Fraction(1, 4))),
+       qexp=st.integers(-4, 4), s=multiplicand_st(), cutoff=st.sampled_from((0, 512)))
+# pbar past the cutoff, times a series from q^-3 and from q^2
+@example(parts=PBAR_PARTS, scalar=2, qexp=1,
+         s=LaurentSeries(-3, [(-1) ** i * (i % 7) for i in range(600)], 597), cutoff=512)
+@example(parts=PBAR_PARTS, scalar=1, qexp=-1, s=_spiked(600, 400, 1 << 40).shift(2),
+         cutoff=512)
+# a product in q^5 below the cutoff: its expansion is asked for in q
+@example(parts=[("pair", -1, 1, 5, 1), ("pentagonal", 1, 1, 5, -2)], scalar=1, qexp=0,
+         s=LaurentSeries(2, [1, -1, 3] * 40, 130), cutoff=512)
+def test_times_is_exact_wherever_its_multiplicand_is(parts, scalar, qexp, s, cutoff):
+    """prod.times(s) is mul by the expansion as deep as mul reads it, and
+    exact below s.order + qexp; below the cutoff the factors' expansion is
+    asked for at exactly that depth, in q^g for g their gcd, and from it on
+    not at all."""
+    prod = Product(scalar, qexp)
+    for part in parts:
+        prod = prod * _quotient_part(*part)
+    depth = s.order - s.min_exp + prod.qexp
+    asked, expand_factors = [], products._expand_factors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "_NARROW_MIN_LENGTH", cutoff)
+        mp.setattr(products, "_expand_factors",
+                   lambda factors, n: asked.append((factors, n)) or expand_factors(factors, n))
+        got = prod.times(s)
+    assert got == mul(prod.expand(depth), s)
+    assert got.order == s.order + prod.qexp
+    if prod.factors and s.nums and s.order - s.min_exp < cutoff:
+        g = gcd(*(x for (_, r, step), _ in prod.factors for x in (r, step)))
+        unit = tuple(((sg, r // g, step // g), m) for (sg, r, step), m in prod.factors)
+        assert asked == [(unit, -(-(s.order - s.min_exp) // g))]
+    else:
+        assert not asked
 
 
 def _class_difference(n):
@@ -638,7 +675,7 @@ def test_a_result_wider_than_its_multiplicand_is_probed(memo):
     # s fits one byte and the product does not: pbar, of negative weight,
     # makes no first run, and the probe gives the width of the run kept
     assert max(map(abs, s.nums)).bit_length() <= 7 < max(map(abs, ref.nums)).bit_length()
-    assert pbar.times(s, n) == ref
+    assert pbar.times(s) == ref
     assert expand_cache_info()[-3:] == (1, 1, 0)
 
 
@@ -647,12 +684,12 @@ def test_a_narrow_width_too_small_is_rejected(memo, monkeypatch):
     s = _class_difference(n)
     ref = mul(_reference_expand(RANK_CLASS_PRODUCT, n), s)
     assert max(abs(c) for c in ref.coeffs).bit_length() > 15
-    assert RANK_CLASS_PRODUCT.times(s, n) == ref
+    assert RANK_CLASS_PRODUCT.times(s) == ref
     assert expand_cache_info()[-3:] == (1, 1, 0)
     # s fits one byte, so a width predicted as one byte runs at two; that
     # decodes wrong, the check says so, and the majorant run gives the answer
     monkeypatch.setattr(products, "_predicted_size", lambda probe: 1)
-    assert RANK_CLASS_PRODUCT.times(s, n) == ref
+    assert RANK_CLASS_PRODUCT.times(s) == ref
     assert expand_cache_info()[-3:] == (1, 1, 1)
     quotient, _ = products._decompose(RANK_CLASS_PRODUCT.factors)
     m, cs = n - s.min_exp, s.coeffs
@@ -684,13 +721,13 @@ def test_a_sign_flipped_in_the_multiply_back_is_caught(memo, monkeypatch, side):
             mp.setattr(products, "_theta_shifts", flipped)
             return check(*args)
 
-    ref = prod.times(s, n)
+    ref = prod.times(s)
     assert expand_cache_info()[-3:] == (1, 1, 0)
     m, cs = n - s.min_exp, s.coeffs
     f = list(ref.coeffs) + [0] * (m - len(ref.coeffs))
     assert check(f, quotient, m, cs) and not mutant(f, quotient, m, cs)
     monkeypatch.setattr(products, "_multiplies_back", mutant)
-    assert prod.times(s, n) == ref
+    assert prod.times(s) == ref
     assert expand_cache_info()[-3:] == (1, 1, 1)
 
 
@@ -746,10 +783,9 @@ def test_a_check_skipped_by_its_run_passes_the_full_check(parts, s, order):
     for part in parts:
         prod = prod * _quotient_part(*part)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(products, "_VERIFIED_MIN_LENGTH", 1)
-        mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
+        mp.setattr(products, "_NARROW_MIN_LENGTH", 0)
         runs = _Runs(mp)
-        got = prod.times(s, order)
+        got = prod.times(s.truncate(order + s.min_exp))
     assert got == mul(_reference_expand(prod, order), s)
     for f, quotient, n, cs in runs.unchecked():
         assert products._multiplies_back(f, quotient, n, cs)
@@ -851,7 +887,7 @@ def test_the_class_product_makes_one_full_length_run(memo, monkeypatch):
         diff = rank_class_sum(s, ell, order) - rank_class_sum(t, ell, order)
         assert order - diff.min_exp == m
         monkeypatch.setattr(products, "_expand_counts", dict.fromkeys(products._expand_counts, 0))
-        got = RANK_CLASS_PRODUCT.times(diff, order)
+        got = RANK_CLASS_PRODUCT.times(diff)
         assert runs.count(m) == 1 and m not in bounds and m not in proven.checks
         assert expand_cache_info()[-3:] == (1, 1, 0)
         assert got == mul(_reference_expand(RANK_CLASS_PRODUCT, order), diff)
@@ -869,20 +905,20 @@ def test_every_miss_of_the_suite_is_its_binomial_pass(memo, monkeypatch):
         misses.append((factors, n, out))
         return out
 
-    def record_times(prod, s, order):
-        out = times(prod, s, order)
-        calls.append((prod, s, order, out))
+    def record_times(prod, s):
+        out = times(prod, s)
+        calls.append((prod, s, out))
         return out
 
     monkeypatch.setattr(products, "_expand_packed",
                         lambda factors, n, *s: kernel(factors, n, *s) if s else record(factors, n))
     monkeypatch.setattr(Product, "times", record_times)
     assert all(report.ok for report in registry.run_suite(1.0))
-    assert len(misses) + len(calls) > 200  # 243 + 88 in a fresh process
+    assert len(misses) + len(calls) > 200  # 238 + 73 in a fresh process
     for factors, n, out in misses:
         assert out == _pass_reference(factors, n), (factors, n)
-    for prod, s, order, out in calls:
-        assert out == mul(_reference_expand(prod, order), s), (prod, order)
+    for prod, s, out in calls:
+        assert out == mul(_reference_expand(prod, s.order - s.min_exp + prod.qexp), s), prod
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,22 @@ class TestOracle:
         with pytest.raises(ValueError):
             RankDiffKey(3, 0, 1, 3)
 
+    def test_only_the_table_s_keys_build(self):
+        """Every key of ``THEOREM_TABLE`` builds; one field off by one, or s
+        and t swapped, gives a key outside it, which raises naming all 13."""
+        known = ("3.01.0, 3.01.1, 3.01.2, 5.12.0, 5.12.1, 5.12.2, 5.12.3, 5.12.4, "
+                 "5.02.0, 5.02.1, 5.02.2, 5.02.3, 5.02.4")
+        for key in THEOREM_TABLE:
+            assert dataclasses.astuple(RankDiffKey(*key)) == key
+            ell, s, t, d = key
+            near = {(ell, t, s, d)} | {tuple(x + dx * (i == j) for j, x in enumerate(key))
+                                      for i in range(4) for dx in (-1, 1)}
+            for other in near - set(THEOREM_TABLE):
+                ell, s, t, d = other
+                with pytest.raises(ValueError, match=rf"^no rank difference R{s}{t}\({d}\) "
+                                                     rf"mod {ell}; the paper's are {known}$"):
+                    RankDiffKey(*other)
+
 
 class TestRankSide:
     """The rank side subtracts the class sums before it multiplies; it must
@@ -128,11 +144,11 @@ class TestRankSide:
             assert rank_diff_oracle(key, order) == extract_progression(diff, key.ell, key.d), key
 
     def test_oracle_residues_share_the_class_sums(self):
-        rank_class_sum.cache_clear()
+        lambert_sum.cache_clear()
         _class_pair_difference.cache_clear()
         for d in range(5):
             rank_diff_oracle(RankDiffKey(5, 1, 2, d), 40)
-        assert rank_class_sum.cache_info()[:2] == (0, 2)  # one build per class
+        assert lambert_sum.cache_info()[:2] == (0, 2)  # one build per class
         assert _class_pair_difference.cache_info()[:2] == (4, 1)  # one per class pair
 
     def test_combination_rank_side_is_the_class_series_difference(self):
@@ -147,11 +163,11 @@ class TestRankSide:
         class-sum difference, shared by the pair's ell residues; none and no
         packed ``mul`` per combination: the combination's ratio cancels the
         class product as Product values.  The kernel is taken at every
-        length here; below ``_TIMES_MIN_LENGTH`` ``times`` takes the
+        length here; below ``_NARROW_MIN_LENGTH`` ``times`` takes the
         memoised expansion instead."""
         runs, packs = [], []
         kernel, pack = products._expand_packed, series._pack
-        monkeypatch.setattr(products, "_TIMES_MIN_LENGTH", 0)
+        monkeypatch.setattr(products, "_NARROW_MIN_LENGTH", 0)
         monkeypatch.setattr(products, "_expand_packed",
                             lambda *args: runs.append(args[:2]) or kernel(*args))
         monkeypatch.setattr(series, "_pack", lambda *args: packs.append(args) or pack(*args))

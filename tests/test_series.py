@@ -497,8 +497,8 @@ def test_products_know_their_denominator(prod, scalar, qexp, s, order, kernel):
     _knows_its_denominator(prod.expand(order))
     with pytest.MonkeyPatch.context() as mp:
         if kernel:  # the theta kernel at every length
-            mp.setattr(products, "_TIMES_MIN_LENGTH", 0)
-        _knows_its_denominator(prod.times(s, order))
+            mp.setattr(products, "_NARROW_MIN_LENGTH", 0)
+        _knows_its_denominator(prod.times(s.truncate(order)))
 
 
 @settings(max_examples=100, deadline=None)
