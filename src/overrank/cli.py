@@ -70,7 +70,7 @@ def _parse_rankdiff_key(text: str) -> RankDiffKey:
     """KEY format: <ell>.<s><t>.<d>, e.g. 3.01.2 or 5.12.4."""
     parts = text.split(".")
     if len(parts) != 3 or len(parts[1]) != 2 or not all(p.isdecimal() for p in parts):
-        raise ValueError(f"bad rank-difference key {text!r}; expected e.g. 5.12.4")
+        raise BadArgument(f"bad rank-difference key {text!r}; expected e.g. 5.12.4")
     return RankDiffKey(int(parts[0]), int(parts[1][0]), int(parts[1][1]), int(parts[2]))
 
 
@@ -79,7 +79,7 @@ def _int_pair(name: str, form: str) -> Tuple[int, int]:
     try:
         a, b = map(int, name.partition(":")[2].split(","))
     except ValueError:
-        raise ValueError(f"bad series name {name!r}; expected {form}") from None
+        raise BadArgument(f"bad series name {name!r}; expected {form}") from None
     return a, b
 
 
@@ -95,16 +95,12 @@ def _named_series(name: str, order: int) -> LaurentSeries:
         return eval_terms(rank_diff_formula(_parse_rankdiff_key(arg)), order)
     if kind == "sbar":
         return s_bar(*_int_pair(name, "sbar:b,ell"), order)
-    raise ValueError(f"unknown series name {name!r}")
+    raise BadArgument(f"unknown series name {name!r}")
 
 
 def _cmd_series(args) -> int:
     registry.check_order(args.order)
-    try:
-        series = _named_series(args.name, args.order)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    series = _named_series(args.name, args.order)
     if args.csv:
         print("exponent,numerator,denominator")
     for n in range(min(series.min_exp, 0), series.order):
@@ -115,14 +111,13 @@ def _cmd_series(args) -> int:
 
 def _cmd_count(args) -> int:
     n_max, m = args.n, args.mod
-    if n_max < 0:
-        raise BadArgument(f"--n must be nonnegative, got {n_max}")
-    if not 1 <= m <= sys.maxsize:  # past sys.maxsize no list of m classes can be built
+    # past sys.maxsize no list of n + 1 rows, or of m classes, can be built
+    if not 0 <= n_max < sys.maxsize:
+        raise BadArgument(f"--n must be between 0 and {sys.maxsize - 1}, got {n_max}")
+    if not 1 <= m <= sys.maxsize:
         raise BadArgument(f"--mod must be between 1 and {sys.maxsize}, got {m}")
-    combinat.class_counts(m, n_max)  # the largest n first, so each table is built once
     print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
-    for n in range(n_max + 1):
-        classes = combinat.class_counts(m, n)
+    for n, classes in enumerate(combinat.class_table(m, n_max + 1)):
         print("\t".join(map(str, (n, sum(classes), *classes))))
     return 0
 

@@ -8,7 +8,8 @@ function term by term, with the rank held modulo a modulus in packed slots
 (see ``_count_by_residue``); it is independent of the analytic generating
 functions it validates coefficient by coefficient, and has no size cap.
 Each table is built at exactly the order asked (``_rows``), so a caller
-that reads several weights asks for the largest first.
+that reads several weights one by one asks for the largest first;
+``class_table`` reads every weight below an order from one table.
 
 Each rank-class series is one product, ``RANK_CLASS_PRODUCT`` = 2(-q;q)/(q;q),
 times a Lambert sum, ``rank_class_sum``, whose two linear coefficients take
@@ -31,6 +32,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .errors import BadArgument
 from .lambert import lambert_sum
 from .products import poch
 from .series import LaurentSeries, _from_ints, _slot_size, _unpack
@@ -130,17 +132,14 @@ def nbar_class(s: int, m: int, n: int) -> int:
     return _rows(m, n + 1)[n][s]
 
 
-def class_counts(m: int, n: int) -> Tuple[int, ...]:
-    """All m rank-class counts of n at once: entry s is nbar_class(s, m, n)."""
+def class_table(m: int, order: int) -> List[Tuple[int, ...]]:
+    """The m rank-class counts of every n < order, from one table: entry s
+    of row n is nbar_class(s, m, n)."""
     if m < 1:
         raise ValueError(f"modulus {m} is not positive")
-    _check_weight(n)
-    if m >= 2 * n - 1:  # at least as many classes as ranks: fold the histogram
-        counts = [0] * m
-        for rank, count in rank_table(n).items():
-            counts[rank % m] += count
-        return tuple(counts)
-    return tuple(_rows(m, n + 1)[n])
+    if order < 1:
+        raise ValueError(f"order {order} is not positive")
+    return list(map(tuple, _rows(m, order)[:order]))
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +180,7 @@ def rank_class_sum(s: int, m: int, order: int) -> LaurentSeries:
     The n = 0 term is omitted; negative-n denominators expand exactly through
     the Laurent layer.  A power series with constant term 0."""
     if not 0 <= s < m:
-        raise ValueError(f"residue {s} not in [0, {m})")
+        raise BadArgument(f"residue {s} not in [0, {m})")
     out = lambert_sum(1, (1 + s, 1 + m - s), -1, [(-1, 0, 1), (1, 0, m)], order, primed=True)
     if out.min_exp < 0:
         raise AssertionError(f"rank-class sum ({s},{m}) has negative exponents")

@@ -26,6 +26,7 @@ from math import gcd
 from typing import Dict, List, Tuple
 
 from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
+from .errors import BadArgument
 from .lambert import g_index, p_ratio, s_bar, sigma_ab, sigma_primed
 from .products import P, FormulaTerm, Product, Route, Sides, Terms, poch
 from .series import LaurentSeries, extract_progression, memo, substitute_power
@@ -44,8 +45,8 @@ class RankDiffKey:
     def __post_init__(self):
         if (self.ell, self.s, self.t, self.d) not in THEOREM_TABLE:
             known = ", ".join(f"{ell}.{s}{t}.{d}" for ell, s, t, d in THEOREM_TABLE)
-            raise ValueError(f"no rank difference R{self.s}{self.t}({self.d}) mod {self.ell}; "
-                             f"the paper's are {known}")
+            raise BadArgument(f"no rank difference R{self.s}{self.t}({self.d}) mod {self.ell}; "
+                              f"the paper's are {known}")
 
     @property
     def slug(self) -> str:

@@ -143,15 +143,6 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         return _from_ints(self.min_exp, map(operator.neg, self.nums), self.order, self.den)
 
-    def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def scale(self, c: Coefficient) -> "LaurentSeries":
         if not c:
             return LaurentSeries.zero(self.order)
@@ -202,29 +193,13 @@ def _from_ints(min_exp: int, nums: Iterable[int], order: int, d: int = 1) -> Lau
     return s
 
 
-def _times(cs: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    """The integers cs times k; cs itself for k = 1."""
-    return cs if k == 1 else tuple(map(operator.mul, cs, repeat(k)))
-
-
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Coefficientwise sum; order = min(a.order, b.order)."""
     order = min(a.order, b.order)
-    if b.min_exp < a.min_exp:
-        a, b = b, a
-    lo = min(a.min_exp, order)
+    lo = min(a.min_exp, b.min_exp, order)
     den = lcm(a.den, b.den)
-    ac = _times(a.nums[:order - lo], den // a.den)
-    bc = _times(b.nums[:max(0, order - b.min_exp)], den // b.den)
-    gap = b.min_exp - lo  # where b's window starts in a's
-    if not bc:
-        out = ac
-    elif gap >= len(ac):
-        out = ac + (0,) * (gap - len(ac)) + bc
-    else:  # one of the two tails past the overlap is empty
-        out = (ac[:gap] + tuple(map(operator.add, ac[gap:], bc))
-               + ac[gap + len(bc):] + bc[len(ac) - gap:])
-    return _from_ints(lo, out, order, den)
+    return _from_ints(lo, map(operator.add, _window(a, lo, order, den), _window(b, lo, order, den)),
+                      order, den)
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -345,8 +320,6 @@ def substitute_power(a: LaurentSeries, k: int) -> LaurentSeries:
     """Substitute q -> q^k (k >= 1); every stored exponent n becomes k*n."""
     if k < 1:
         raise ValueError("substitution power must be >= 1")
-    if k == 1 or not a.nums:
-        return _from_ints(a.min_exp * k, a.nums, a.order * k, a.den)
     out = [0] * ((len(a.nums) - 1) * k + 1)
     out[::k] = a.nums
     return _from_ints(a.min_exp * k, out, a.order * k, a.den)
@@ -392,10 +365,10 @@ def _window(a: LaurentSeries, lo: int, hi: int, den: int) -> Tuple[int, ...]:
     """The numerators over den, a multiple of a.den, of a at exponents
     lo <= n < hi, for lo <= a.min_exp."""
     head = min(a.min_exp, hi) - lo
-    body = _times(a.nums[:hi - lo - head], den // a.den)
+    body = a.nums[:hi - lo - head]
+    if den != a.den:
+        body = tuple(map(operator.mul, body, repeat(den // a.den)))
     return (0,) * head + body + (0,) * (hi - lo - head - len(body))
-
-
 
 
 # The one memo: (function, its arguments but the order) -> the deepest series

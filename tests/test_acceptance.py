@@ -31,6 +31,7 @@ from overrank.series import (
     LaurentSeries,
     extract_progression,
     first_mismatch,
+    mul,
     substitute_power,
 )
 from reference import evaluated
@@ -156,9 +157,9 @@ def test_criterion_8_property_suites():
     for _ in range(40):
         a, b, c = rand_series(), rand_series(), rand_series()
         ok = ok and first_mismatch((a + b) + c, a + (b + c)) is None
-        ok = ok and first_mismatch(a * b, b * a) is None
-        ok = ok and first_mismatch((a * b) * c, a * (b * c)) is None
-        ok = ok and first_mismatch(a * (b + c), a * b + a * c) is None
+        ok = ok and first_mismatch(mul(a, b), mul(b, a)) is None
+        ok = ok and first_mismatch(mul(mul(a, b), c), mul(a, mul(b, c))) is None
+        ok = ok and first_mismatch(mul(a, b + c), mul(a, b) + mul(a, c)) is None
     for _ in range(20):
         f = rand_series(power=True)
         for m in (2, 3, 5):

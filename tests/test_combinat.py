@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import overrank
 from overrank import combinat
 from overrank.combinat import (
-    class_counts,
+    class_table,
     nbar,
     nbar_class,
     nbar_class_series,
@@ -25,7 +25,7 @@ from overrank.combinat import (
     rank_table,
 )
 from overrank.products import binomial_pass
-from overrank.series import LaurentSeries, first_mismatch
+from overrank.series import LaurentSeries, first_mismatch, mul
 from reference import count_by_largest_part, overpartitions, rank
 from test_reachability import reached
 
@@ -44,7 +44,7 @@ def _nbar_series_by_binomial_passes(m, order):
         binomial_pass(piece, -1, n, -1)
         inner[lead:] = [x + y for x, y in zip(inner[lead:], piece)]
         n += 1
-    return (2 * pbar_series(order) * LaurentSeries(0, inner, order)).truncate(order)
+    return mul(pbar_series(order).scale(2), LaurentSeries(0, inner, order)).truncate(order)
 
 
 def op(parts, over=()):
@@ -143,9 +143,12 @@ class TestRank:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 40])
     def test_class_counts_are_the_classes(self, m):
-        # folding the histogram (m >= 2n - 1) and reading the residue table
-        for n in range(13):
-            assert class_counts(m, n) == tuple(nbar_class(s, m, n) for s in range(m)), n
+        # one residue table against nbar_class, which folds the histogram
+        # where m >= 2n - 1
+        table = class_table(m, 13)
+        assert len(table) == 13
+        for n, row in enumerate(table):
+            assert row == tuple(nbar_class(s, m, n) for s in range(m)), n
 
     def test_the_cached_histogram_is_read_only(self):
         with pytest.raises(TypeError):
@@ -160,9 +163,9 @@ class TestRank:
         with pytest.raises(ValueError):
             nbar_class(0, 0, 4)
         with pytest.raises(ValueError):
-            class_counts(3, -1)
+            class_table(3, 0)
         with pytest.raises(ValueError):
-            class_counts(0, 4)
+            class_table(0, 4)
 
     def test_tables_grow_consistently_under_threads(self):
         want = [[nbar_class(s, 5, n) for s in range(5)] for n in range(90)]
@@ -298,26 +301,35 @@ def test_counting_routes_use_nothing_of_products_or_lambert():
         >= {"products", "lambert"}  # the series builders of the module do use them
     found = reached([("combinat", name) for name in
                      ("_count_by_residue", "_rows", "rank_table", "nbar", "nbar_class",
-                      "class_counts")])
+                      "class_table")])
     assert {("combinat", "_count_by_residue"), ("series", "_unpack")} <= found
     assert not {module for module, _ in found} & {"products", "lambert"}
 
 
-# The counting tables that run_suite(scale) builds, as (modulus, order) in
-# the order the builds end, in a fresh process, so that no table or memo
-# entry is warm.
+# The counting tables that one command builds, as (modulus, order) in the
+# order the builds end, in a fresh process, so that no table or memo entry
+# is warm.
 _COUNT_BUILDS = """
-import sys
-from overrank import combinat, registry
+import contextlib, io, sys
+from overrank import cli, combinat
 builds, build = [], combinat._count_by_residue
 def recorded(size, order):
     rows = build(size, order)
     builds.append((size, order))
     return rows
 combinat._count_by_residue = recorded
-registry.run_suite(float(sys.argv[1]))
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
 print(builds)
 """
+
+
+def _count_builds(argv):
+    env = {k: v for k, v in os.environ.items() if k != "OVERRANK_SEED"}
+    env["PYTHONPATH"] = str(Path(overrank.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out)
 
 
 @pytest.mark.parametrize("scale, builds", [
@@ -327,8 +339,15 @@ print(builds)
 def test_the_suite_builds_each_table_at_the_order_it_asks(scale, builds):
     # no table is rebuilt at a longer order than asked: no doubled exact
     # table and no modulus-1 table rebuilt under it
-    env = {k: v for k, v in os.environ.items() if k != "OVERRANK_SEED"}
-    env["PYTHONPATH"] = str(Path(overrank.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, str(scale)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert ast.literal_eval(out) == builds
+    assert _count_builds(["suite", "--order-scale", str(scale)]) == builds
+
+
+@pytest.mark.parametrize("n, m, builds", [
+    (60, 3, [(1, 61), (3, 61)]),
+    (12, 1, [(1, 13)]),
+    (3, 300000, [(1, 4), (300000, 4)]),
+])
+def test_count_builds_one_table_of_its_modulus(n, m, builds):
+    # the residue table of m at n + 1, sized by the modulus-1 table at the
+    # same order: no exact table, and no table built twice
+    assert _count_builds(["count", "--n", str(n), "--mod", str(m)]) == builds

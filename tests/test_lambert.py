@@ -65,7 +65,7 @@ class TestGeom:
     def test_defining_property(self):
         e = -7
         one_minus = LaurentSeries.monomial(1, 0, 60) - LaurentSeries.monomial(1, e, 60)
-        prod = one_minus * _geom(1, e, 60)
+        prod = mul(one_minus, _geom(1, e, 60))
         assert first_mismatch(prod, LaurentSeries.monomial(1, 0, 50)) is None
 
     def test_zero_exponent(self):

@@ -84,7 +84,7 @@ class TestBigP:
     def test_matches_pochhammer_pair(self):
         order = 60
         lhs = P(1, 2, 5).expand(order)
-        rhs = poch(1, 2, 5).expand(order) * poch(1, 3, 5).expand(order)
+        rhs = mul(poch(1, 2, 5).expand(order), poch(1, 3, 5).expand(order))
         assert first_mismatch(lhs, rhs) is None
 
     def test_minus_one_constant(self):

@@ -402,6 +402,16 @@ class TestCli:
             f"error: --mod must be between 1 and {sys.maxsize}, got {m}"
             for m in (99999999999999999999, sys.maxsize + 1)]
 
+    def test_count_rejects_a_weight_past_maxsize(self, capsys):
+        # past sys.maxsize - 1 no table of n + 1 rows can be built
+        assert main(["count", "--n", "99999999999999999999", "--mod", "3"]) == 2
+        assert main(["count", "--n", str(sys.maxsize), "--mod", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --n must be between 0 and {sys.maxsize - 1}, got {n}"
+            for n in (99999999999999999999, sys.maxsize)]
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--id", "check1", "--order", "0"],
         ["verify", "--id", "check1", "--order", "-5"],
@@ -418,6 +428,10 @@ class TestCli:
         ["verify", "--id", "check5", "--order", "99999999999999999999"],
         ["series", "--name", "pbar", "--order", "99999999999999999999"],
         ["suite", "--order-scale", "1e300"],
+        ["series", "--name", "nbar:0,0", "--order", "5"],
+        ["series", "--name", "foo", "--order", "5"],
+        ["series", "--name", "rankdiff-oracle:5.13.1", "--order", "5"],
+        ["series", "--name", "rankdiff-formula:x", "--order", "5"],
     ])
     def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
         assert main(argv) == 2

@@ -48,7 +48,7 @@ def pochhammer_q(order):
     """(q;q)_inf by direct factor-by-factor expansion (local oracle)."""
     out = S(0, [1], order)
     for k in range(1, order):
-        out = out * S(0, [1] + [0] * (k - 1) + [-1], order)
+        out = mul(out, S(0, [1] + [0] * (k - 1) + [-1], order))
     return out
 
 
@@ -68,16 +68,16 @@ class TestExamples:
 
     def test_mul_geometric(self):
         one_minus_q = S(0, [1, -1], 20)
-        assert first_mismatch(one_minus_q * geometric(20), LaurentSeries.monomial(1, 0, 19)) is None
+        assert first_mismatch(mul(one_minus_q, geometric(20)), LaurentSeries.monomial(1, 0, 19)) is None
 
     def test_mul_monomials(self):
         a = LaurentSeries.monomial(1, -2, 10)
         b = LaurentSeries.monomial(1, 5, 10)
-        assert list((a * b).terms()) == [(3, 1)]
+        assert list(mul(a, b).terms()) == [(3, 1)]
 
     def test_mul_binomial_square(self):
         one_plus_q = S(0, [1, 1], 10)
-        assert list((one_plus_q * one_plus_q).terms()) == [(0, 1), (1, 2), (2, 1)]
+        assert list(mul(one_plus_q, one_plus_q).terms()) == [(0, 1), (1, 2), (2, 1)]
 
     def test_inverse_geometric(self):
         assert first_mismatch(inverse(S(0, [1, -1], 20)), geometric(20)) is None
@@ -128,7 +128,7 @@ class TestExamples:
     def test_halves_survive_exactly(self):
         f = S(0, [Fraction(1, 2), 1], 4)
         assert (f + f).coeff(0) == 1
-        assert (f * f).coeff(0) == Fraction(1, 4)
+        assert mul(f, f).coeff(0) == Fraction(1, 4)
 
     def test_integral_fractions_become_int(self):
         f = S(0, [Fraction(4, 2), Fraction(1, 2), 3, Fraction(-6, 3), Fraction(2, 3)], 5)
@@ -177,25 +177,25 @@ class TestRingAxioms:
 
     @given(series_st(), series_st())
     def test_mul_commutative(self, a, b):
-        assert first_mismatch(a * b, b * a) is None
+        assert first_mismatch(mul(a, b), mul(b, a)) is None
 
     @given(series_st(), series_st(), series_st())
     def test_mul_associative(self, a, b, c):
-        assert first_mismatch((a * b) * c, a * (b * c)) is None
+        assert first_mismatch(mul(mul(a, b), c), mul(a, mul(b, c))) is None
 
     @given(series_st(), series_st(), series_st())
     def test_distributive(self, a, b, c):
-        assert first_mismatch(a * (b + c), a * b + a * c) is None
+        assert first_mismatch(mul(a, b + c), mul(a, b) + mul(a, c)) is None
 
     @given(series_st())
     def test_identities(self, a):
         assert first_mismatch(a + LaurentSeries.zero(a.order), a) is None
         one = LaurentSeries.monomial(1, 0, a.order - min(a.min_exp, 0))
-        assert first_mismatch(a * one, a) is None
+        assert first_mismatch(mul(a, one), a) is None
 
     @given(invertible_st())
     def test_mul_inverse(self, a):
-        prod = a * inverse(a)
+        prod = mul(a, inverse(a))
         assert first_mismatch(prod, LaurentSeries.monomial(1, 0, prod.order)) is None
 
     @settings(max_examples=60)
@@ -380,6 +380,57 @@ def short_series_st(draw):
 @example(S(0, [1] + [0] * 11 + [1], 13), S(0, list(range(1, 11)), 10))  # a nonzero past n
 def test_schoolbook_is_the_double_sum(a, b):
     assert _mul_schoolbook(a, b) == _naive_product(a, b)
+
+
+# ----------------------------------------------------------------------
+# add and subtract against the termwise sum
+# ----------------------------------------------------------------------
+
+
+def _near_series(draw, at):
+    """A series starting within 15 of at, over denominator 1, 2, 3, 4 or 6,
+    with zeros drawn at both ends of its window before it is trimmed, and
+    zero when every drawn coefficient is."""
+    den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    entry = st.integers(-9, 9).map(lambda c: Fraction(c, den))
+    cs = [0] * draw(st.integers(0, 3)) + draw(st.lists(entry, max_size=12)) \
+        + [0] * draw(st.integers(0, 3))
+    min_exp = at + draw(st.integers(-15, 15))
+    return LaurentSeries(min_exp, cs, min_exp + len(cs) + draw(st.integers(0, 6)))
+
+
+@st.composite
+def series_pair_st(draw):
+    """Two series whose windows are offset, disjoint or nested, over mixed
+    denominators, either of them possibly zero."""
+    a = _near_series(draw, 0)
+    return a, _near_series(draw, a.min_exp)
+
+
+def _is_canonical(s):
+    """No zero at either end of the stored numerators, den in lowest terms
+    (so 1 for the zero series), and the zero series stored at its order."""
+    assert gcd(s.den, *s.nums) == 1
+    assert (s.nums[0] and s.nums[-1]) if s.nums else s.min_exp == s.order
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_pair_st())
+@example((S(0, [1, 2], 5), S(8, [3], 9)))  # disjoint, b past a's order
+@example((S(-3, [1] * 12, 12), S(2, [Fraction(1, 2), 5], 6)))  # nested
+@example((LaurentSeries.zero(4), S(-2, [Fraction(2, 3)], 7)))  # a zero operand
+@example((S(0, [Fraction(1, 2)], 3), S(0, [Fraction(-1, 2)], 3)))  # a sum that cancels
+def test_add_and_sub_are_termwise(pair):
+    a, b = pair
+    order = min(a.order, b.order)
+    for x, y in ((a, b), (b, a)):
+        total, diff = x + y, x - y
+        assert total.order == diff.order == order
+        for n in range(min(x.min_exp, y.min_exp) - 2, order):
+            assert total.coeff(n) == x.coeff(n) + y.coeff(n), n
+            assert diff.coeff(n) == x.coeff(n) - y.coeff(n), n
+        _is_canonical(total)
+        _is_canonical(diff)
 
 
 # ----------------------------------------------------------------------
