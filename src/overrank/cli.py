@@ -1,8 +1,8 @@
 """Command-line interface: verify identities, run the suite, dump series,
 and tabulate rank-class counts.
 
-Exit codes: 0 success (all checks pass), 1 verification mismatch,
-2 usage error, bad argument or unknown identity (one ``error:`` line).
+Exit codes: 0 success (all checks pass), 1 verification mismatch, 2 usage
+error, bad argument, unknown identity or out of memory (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ def _cmd_count(args) -> int:
         raise BadArgument(f"--n must be between 0 and {sys.maxsize - 1}, got {n_max}")
     if not 1 <= m <= sys.maxsize:
         raise BadArgument(f"--mod must be between 1 and {sys.maxsize}, got {m}")
+    table = combinat.class_table(m, n_max + 1)  # first, so that running out prints nothing
     print("\t".join(["n", "pbar(n)"] + list(map("s={}".format, range(m)))))
-    for n, classes in enumerate(combinat.class_table(m, n_max + 1)):
+    for n, classes in enumerate(table):
         print("\t".join(map(str, (n, sum(classes), *classes))))
     return 0
 
@@ -178,6 +179,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except OverrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

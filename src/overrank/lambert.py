@@ -189,14 +189,10 @@ def _period_numerator(exps: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int
 
 def sigma_ab(a: int, b: int, ell: int, order: int) -> LaurentSeries:
     """Index form Sum(a, b) = sum_n (-1)^n y^(bn + ell*n(n+1)) / (1 - y^(ell*n + a)),
-    as a series in the base variable y.  Any integer a with a % ell != 0 works;
-    out-of-range indices simply produce intermediate negative exponents."""
-    return lambert_sum(ell, b + ell, -1, [(1, a, ell)], order)
-
-
-def sigma_primed(b: int, ell: int, order: int) -> LaurentSeries:
-    """Sum(0, b): the n = 0 term is omitted; denominators are 1 - y^(ell*n)."""
-    return lambert_sum(ell, b + ell, -1, [(1, 0, ell)], order, primed=True)
+    as a series in the base variable y.  Sum(0, b) is primed by definition (no
+    n = 0 term); any other a with a % ell == 0 raises PoleHit.  Out-of-range
+    indices simply produce intermediate negative exponents."""
+    return lambert_sum(ell, b + ell, -1, [(1, a, ell)], order, primed=not a)
 
 
 def s_bar(b: int, ell: int, order: int) -> LaurentSeries:
@@ -236,7 +232,7 @@ def g_series(z_sign: int, z_exp: int, base: int, order: int) -> LaurentSeries:
     sig1 = lambert_sum(base, base, -1, [(s, e, base)], n)
     f1 = ratio.times(sig1)
     f2 = sigma_ab(2 * e, 2 * e, base, n).shift(2 * e)
-    f3 = sigma_primed(-2 * e, base, n)
+    f3 = sigma_ab(0, -2 * e, base, n)
     return (f1 - f2 - f3).truncate(order)
 
 
@@ -251,11 +247,6 @@ def g_index(a: int, ell: int, order: int) -> LaurentSeries:
 # ----------------------------------------------------------------------
 # identities on the Lambert layer, each as its two sides
 # ----------------------------------------------------------------------
-
-
-def theta(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
-    """Bilateral theta sum sum_{n in Z} z^n q^(base*n^2), z = s*q^e."""
-    return lambert_sum(base, z.exp, z.sign, [], order)
 
 
 def _bilateral(quad: int, lin: int, csign: int, *denoms: Tuple[int, int, int]) -> Route:
@@ -287,7 +278,7 @@ def check_short(z: SignedMonomial, base: int) -> Sides:
     sz, ez = z.sign, z.exp
     lhs = (T(Product(), _bilateral(base, base, -1, (sz, ez, base))),
            T(Product(1, -2 * ez), _bilateral(base, base, -1, (sz, -ez, base))))
-    return lhs, (T(Product(-sz, -ez), Route(theta, (SignedMonomial(-1, 0), base))),)
+    return lhs, (T(Product(-sz, -ez), _bilateral(base, 0, -1)),)
 
 
 def check_constant(z: SignedMonomial, base: int) -> Sides:

@@ -9,7 +9,8 @@ product
 
 satisfies P(z^-1 q, q) = P(z, q) and P(zq, q) = -z^-1 P(z, q); arguments
 whose exponent falls outside [0, base) are reduced with these relations,
-accumulating an exact monomial prefactor.
+accumulating an exact monomial prefactor.  This module's identities are stated
+over Jacobi's theta P(z, q) (q;q)_inf (``theta``), never dividing by (q;q)_inf.
 
 Every quotient of Pochhammer symbols in the package is one ``Product``
 value, turned into a series by ``Product.expand`` or, times a series, by
@@ -709,6 +710,12 @@ def P(sign: int, exp: int, base: int) -> Product:
     return Product(ps, pe) * poch(sign, exp, base) * poch(sign, base - exp, base)
 
 
+@lru_cache(maxsize=1024)  # as P: a repeat is a lookup
+def theta(sign: int, exp: int, base: int) -> Product:
+    """Jacobi's theta P(sign*q^exp, q^base) (q^base; q^base)_inf, P times a unit."""
+    return P(sign, exp, base) * poch(1, base, base)
+
+
 # ----------------------------------------------------------------------
 # the triple product
 # ----------------------------------------------------------------------
@@ -719,8 +726,7 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
     s, e = z.sign, z.exp
     if e > base:
         raise ValueError("triple product instantiation needs exp <= base")
-    b2 = 2 * base
-    prod = poch(-s, e + base, b2) * poch(-s, base - e, b2) * poch(1, b2, b2)
+    prod = theta(-s, e + base, 2 * base)
     if order <= 0 or not prod.scalar:
         return LaurentSeries.zero(order)
     # Not prod.expand: that takes a complete theta by its triple-product sum,
@@ -741,11 +747,9 @@ def triple_product(z: SignedMonomial, base: int, order: int) -> LaurentSeries:
 # the dissections of (q;q)/(-q;q) into base-9/18 (eq1) and base-25/50 (eq2)
 # products
 LEMMA31_TABLE = {
-    "eq1": _terms(poch(1, 9, 9) / poch(-1, 9, 9),
-                  Product(-2, 1) * poch(1, 3, 18) * poch(1, 15, 18) * poch(1, 18, 18)),
-    "eq2": _terms(poch(1, 25, 25) / poch(-1, 25, 25),
-                  Product(-2, 1) * poch(1, 15, 50) * poch(1, 35, 50) * poch(1, 50, 50),
-                  Product(2, 4) * poch(1, 5, 50) * poch(1, 45, 50) * poch(1, 50, 50)),
+    "eq1": _terms(poch(1, 9, 9) / poch(-1, 9, 9), Product(-2, 1) * theta(1, 3, 18)),
+    "eq2": _terms(poch(1, 25, 25) / poch(-1, 25, 25), Product(-2, 1) * theta(1, 15, 50),
+                  Product(2, 4) * theta(1, 5, 50)),
 }
 
 
@@ -755,44 +759,43 @@ def verify_lemma31(variant: str) -> Sides:
 
 
 def verify_hickerson(which: str, x: SignedMonomial, z: SignedMonomial, base: int) -> Sides:
-    """Two/three-term product identities relating base-q and base-q^2 P-products."""
+    """Two/three-term identities among base-q and base-q^2 thetas, two per term."""
     sx, ex = x.sign, x.exp
     sz, ez = z.sign, z.exp
-    b2 = 2 * base
     xm = Product(sx, ex)  # the monomial x
 
-    p1, p2 = partial(P, base=base), partial(P, base=b2)
-    e_sq = poch(1, base, base, 2)
-    e2_sq = poch(1, b2, b2, 2)
+    p1, p2 = partial(theta, base=base), partial(theta, base=2 * base)
 
     if which == "lemma32":
-        lhs = [p1(sx, ex) * p1(sz, ez) * e_sq]
-        rhs = [p2(-sx * sz, ex + ez) * p2(-sz * sx, base + ez - ex) * e2_sq,
-               -xm * p2(-sx * sz, ex + ez + base) * p2(-sz * sx, ez - ex) * e2_sq]
+        lhs = [p1(sx, ex) * p1(sz, ez)]
+        rhs = [p2(-sx * sz, ex + ez) * p2(-sz * sx, base + ez - ex),
+               -xm * p2(-sx * sz, ex + ez + base) * p2(-sz * sx, ez - ex)]
     elif which == "lemma33":
-        lhs = [p1(-sx, ex) * p1(sz, ez) * e_sq, -p1(sx, ex) * p1(-sz, ez) * e_sq]
-        rhs = [2 * xm * p2(sz * sx, ez - ex) * p2(sx * sz, ex + ez + base) * e2_sq]
+        lhs = [p1(-sx, ex) * p1(sz, ez), -p1(sx, ex) * p1(-sz, ez)]
+        rhs = [2 * xm * p2(sz * sx, ez - ex) * p2(sx * sz, ex + ez + base)]
     elif which == "lemma34":
-        lhs = [p1(-sx, ex) * p1(sz, ez) * e_sq, p1(sx, ex) * p1(-sz, ez) * e_sq]
-        rhs = [2 * p2(sx * sz, ex + ez) * p2(sz * sx, base + ez - ex) * e2_sq]
+        lhs = [p1(-sx, ex) * p1(sz, ez), p1(sx, ex) * p1(-sz, ez)]
+        rhs = [2 * p2(sx * sz, ex + ez) * p2(sz * sx, base + ez - ex)]
     elif which == "lemma35":
-        lhs = [3 * p1(-sx, ex) * p1(sz, ez) * e_sq, -p1(sx, ex) * p1(-sz, ez) * e_sq]
-        rhs = [2 * p2(sx * sz, ex + ez) * p2(sz * sx, ez + base - ex) * e2_sq,
-               4 * xm * p2(sx * sz, ex + ez + base) * p2(sz * sx, ez - ex) * e2_sq]
+        lhs = [3 * p1(-sx, ex) * p1(sz, ez), -p1(sx, ex) * p1(-sz, ez)]
+        rhs = [2 * p2(sx * sz, ex + ez) * p2(sz * sx, ez + base - ex),
+               4 * xm * p2(sx * sz, ex + ez + base) * p2(sz * sx, ez - ex)]
     else:
         raise ValueError(f"unknown identity {which!r}")
     return _terms(*lhs), _terms(*rhs)
 
 
 def verify_addition(z: SignedMonomial, zeta: SignedMonomial, t: SignedMonomial, base: int) -> Sides:
-    """Three-term addition relation:
-    P^2(z)P(zeta*t)P(zeta/t) - P^2(zeta)P(zt)P(z/t) + (zeta/t)P^2(t)P(z*zeta)P(z/zeta) = 0.
+    """Three-term addition relation, over thetas: the lemma
+    P^2(z)P(zeta*t)P(zeta/t) - P^2(zeta)P(zt)P(z/t) + (zeta/t)P^2(t)P(z*zeta)P(z/zeta) = 0
+    with each term times the unit u = (q^base; q^base)^4.  As u = 1 + O(q), a sum f and f u
+    vanish together and share their first nonzero term: no verdict or first mismatch moves.
     """
     sz, ez = z.sign, z.exp
     sc, ec = zeta.sign, zeta.exp
     st, et = t.sign, t.exp
 
-    p = partial(P, base=base)
+    p = partial(theta, base=base)
     total = [p(sz, ez) ** 2 * p(sc * st, ec + et) * p(sc * st, ec - et),
              -p(sc, ec) ** 2 * p(sz * st, ez + et) * p(sz * st, ez - et),
              Product(sc * st, ec - et) * p(st, et) ** 2 * p(sz * sc, ez + ec) * p(sz * sc, ez - ec)]

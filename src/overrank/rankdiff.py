@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 
 from .combinat import RANK_CLASS_PRODUCT, rank_class_sum
 from .errors import BadArgument
-from .lambert import g_index, p_ratio, s_bar, sigma_ab, sigma_primed
+from .lambert import g_index, p_ratio, s_bar, sigma_ab
 from .products import P, FormulaTerm, Product, Route, Sides, Terms, poch
 from .series import LaurentSeries, extract_progression, memo, substitute_power
 
@@ -227,7 +227,7 @@ def s_bar_b_decomposition(spec: FinalFormSpec) -> Sides:
     """
     ell, m = spec.ell, spec.m
     rhs = [T(Product((-1) ** m, m * (ell - m)), Route(sigma_ab, (m, 0, ell), ell)),
-           T(Product(), Route(sigma_primed, (-2 * m, ell), ell)),
+           T(Product(), Route(sigma_ab, (0, -2 * m, ell), ell)),
            T(Product(1, 2 * m * ell), Route(sigma_ab, (2 * m, 2 * m, ell), ell))]
     for a in spec.excluded_sum_indices():
         sgn, c = (-1) ** (m + a), (a + m) * (a - m + ell)

@@ -30,9 +30,9 @@ from typing import Callable, Dict, List, Sequence, Union
 from . import combinat, lambert, products, rankdiff
 from .combinat import nbar, nbar_class
 from .errors import BadArgument, UnknownIdentity
-from .lambert import lambert_sum, s_bar, theta
-from .products import (P, FormulaTerm as T, Product, Route, Sides, SignedMonomial as SM, Terms,
-                       poch, triple_product)
+from .lambert import lambert_sum, s_bar
+from .products import (FormulaTerm as T, Product, Route, Sides, SignedMonomial as SM, Terms,
+                       theta, triple_product)
 from .rankdiff import eval_terms
 from .report import IdentityReport, compare, merge
 from .series import LaurentSeries, _from_ints, extract_progression
@@ -151,7 +151,7 @@ def _counted(analytic: Terms, count: Callable[..., int], args: tuple,
 
 
 def _jtp(z: SM, base: int) -> Sides:
-    return _route(theta, z, base), _route(triple_product, z, base)
+    return _route(lambert_sum, base, z.exp, z.sign, ()), _route(triple_product, z, base)
 
 
 def _p_triple_product(s: int, e: int, ell: int, order: int) -> LaurentSeries:
@@ -167,22 +167,21 @@ def _p_triple_product(s: int, e: int, ell: int, order: int) -> LaurentSeries:
 
 def _p_relation(rel: str, ell: int) -> List[Sides]:
     """The P relations at z = +-q^a (p1, p2) or z = q^a (p3, p4), 0 < a < ell:
-    each ``Product`` form of one P value that the relation lists, times
-    (q^ell; q^ell), against the triple-product sum of that value.  Forms
-    that P's exponent reduction makes equal as ``Product`` values are one
-    series, compared once."""
-    euler = poch(1, ell, ell)
+    each ``Product`` form of one P value that the relation lists, as a theta,
+    against the triple-product sum of that theta.  Forms that P's exponent
+    reduction makes equal as ``Product`` values are one series, compared once."""
     out = []
     for a in range(1, ell):
         for s in ((1, -1) if rel in ("p1", "p2") else (1,)):
             if rel in ("p1", "p3"):  # P(q^ell / z) = P(z) at z = s q^a
-                e, forms = a, [P(s, ell - a, ell), P(s, a, ell)]
+                e, forms = a, [theta(s, ell - a, ell), theta(s, a, ell)]
             elif rel == "p2":  # P(zq) = -z^-1 P(z) at z = s q^a
-                e, forms = a + ell, [P(s, a + ell, ell), Product(-s, -a) * P(s, a, ell)]
+                e, forms = a + ell, [theta(s, a + ell, ell), Product(-s, -a) * theta(s, a, ell)]
             else:  # p4: P(q^-a) = P(q^(ell+a)) = -y^-a P(a)
-                e, forms = -a, [P(1, -a, ell), P(1, ell + a, ell), Product(-1, -a) * P(1, a, ell)]
+                e, forms = -a, [theta(1, -a, ell), theta(1, ell + a, ell),
+                                Product(-1, -a) * theta(1, a, ell)]
             rhs = _route(_p_triple_product, s, e, ell)
-            out += [((T(form * euler),), rhs) for form in set(forms)]
+            out += [((T(form),), rhs) for form in set(forms)]
     return out
 
 

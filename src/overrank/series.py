@@ -385,17 +385,19 @@ def memo(fn: Callable[..., LaurentSeries]) -> Callable[..., LaurentSeries]:
     """fn on the one memo, for an fn whose result is a series of exactly the
     ``order`` it is passed, by position or by keyword, after which it takes
     keyword arguments only.  A call is keyed by fn and its other arguments,
-    a list as a tuple; one no deeper than its entry is the entry truncated,
-    and a deeper one is built at exactly its order and replaces the entry,
-    unless a deeper one was stored meanwhile.  ``cache_info()`` and
-    ``cache_clear()`` are ``lru_cache``'s, maxsize the bound, currsize fn's coefficients."""
+    a list as a tuple and a keyword at its default left out; one no deeper
+    than its entry is the entry truncated, and a deeper one is built at
+    exactly its order and replaces the entry, unless a deeper one was stored
+    meanwhile.  ``cache_info()`` and ``cache_clear()`` are ``lru_cache``'s,
+    maxsize the bound, currsize fn's coefficients."""
     at = fn.__code__.co_varnames.index("order")
+    defaults = (fn.__kwdefaults__ or {}).items()
 
     @wraps(fn)
     def memoised(*args, **kwargs):
         order = kwargs["order"] if "order" in kwargs else args[at]
         key = (memoised, *(tuple(a) if type(a) is list else a for a in args[:at]),
-               *sorted(item for item in kwargs.items() if item[0] != "order"))
+               *sorted(kwargs.items() - defaults - {("order", order)}))
         with _memo_lock:
             known = _memo.get(key)
             hit = known is not None and known.order >= order

@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 from overrank import registry
 from overrank.combinat import nbar_class, pbar_series, rank_table
-from overrank.lambert import s_bar, sigma_ab, sigma_primed
+from overrank.lambert import s_bar, sigma_ab
 from overrank.products import poch
 from overrank.rankdiff import (
     CHECK_TABLE,
@@ -168,7 +168,7 @@ def test_criterion_8_property_suites():
                 piece = substitute_power(extract_progression(f, m, d), m).shift(d)
                 total = total + piece.truncate(f.order)
             ok = ok and first_mismatch(total, f) is None
-    named = [sigma_ab(1, 0, 5, 60), sigma_primed(-2, 5, 60), s_bar(1, 5, 60)]
+    named = [sigma_ab(1, 0, 5, 60), sigma_ab(0, -2, 5, 60), s_bar(1, 5, 60)]
     termwise = [_lambert_reference(5, 5, -1, [(1, 1, 5)], 60, False),
                 _lambert_reference(5, 3, -1, [(1, 0, 5)], 60, True),
                 _lambert_reference(1, 1, -1, [(1, 0, 5)], 60, True)]

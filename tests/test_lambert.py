@@ -26,7 +26,6 @@ from overrank.lambert import (
     lambert_sum,
     s_bar,
     sigma_ab,
-    sigma_primed,
     verify_lemma41,
 )
 from overrank.products import FormulaTerm, Route, SignedMonomial as SM, poch
@@ -98,11 +97,11 @@ class TestSigma:
 
     def test_sigma_primed_low_order(self):
         # ell=5, b=2: the n = -1 and n = 1 terms set the low-order behavior
-        s = sigma_primed(2, 5, 14)
+        s = sigma_ab(0, 2, 5, 14)
         assert list(s.terms()) == [(3, 1), (8, 1), (12, -1), (13, 1)]
 
     def test_sigma_primed_empty(self):
-        assert not sigma_primed(2, 5, 0).nums
+        assert not sigma_ab(0, 2, 5, 0).nums
 
     def test_negative_index_is_laurent(self):
         s = sigma_ab(-1, -4, 5, 20)
@@ -244,7 +243,7 @@ class TestRangeStability:
             (sigma_ab(1, 0, 5, 80), (5, 5, -1, [(1, 1, 5)], 80, False)),
             (sigma_ab(4, 4, 5, 80), (5, 9, -1, [(1, 4, 5)], 80, False)),
             (sigma_ab(-1, -4, 5, 80), (5, 1, -1, [(1, -1, 5)], 80, False)),
-            (sigma_primed(-2, 3, 80), (3, 1, -1, [(1, 0, 3)], 80, True)),
+            (sigma_ab(0, -2, 3, 80), (3, 1, -1, [(1, 0, 3)], 80, True)),
             (s_bar(1, 5, 80), (1, 1, -1, [(1, 0, 5)], 80, True)),
             (s_bar(3, 3, 80), (1, 3, -1, [(1, 0, 3)], 80, True)),
             (lambert_sum(1, 2, -1, [(-1, 0, 1), (1, 0, 5)], 80, primed=True),

@@ -148,6 +148,14 @@ def test_the_keywords_are_part_of_the_key():
             lambert_sum(1, 2, -1, [(1, 0, 3)], 20)
 
 
+def test_a_keyword_at_its_default_is_keyed_as_left_out():
+    # sigma_ab passes primed=False for a != 0, as a sum that passes nothing
+    with empty_memo():
+        deep = lambert_sum(1, 2, -1, [(1, 1, 3)], 40)
+        assert lambert_sum(1, 2, -1, [(1, 1, 3)], 30, primed=False) == deep.truncate(30)
+        assert lambert_sum.cache_info()[:2] == (1, 1) and len(series._memo) == 1
+
+
 def test_the_order_by_keyword_is_the_order_by_position():
     with empty_memo():
         deep = lambert_sum(1, 0, 1, (), order=40)

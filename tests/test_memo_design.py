@@ -9,7 +9,7 @@ from pathlib import Path
 
 import overrank
 
-NO_ORDER_CACHES = {"P", "_period", "_period_numerator", "rank_table"}
+NO_ORDER_CACHES = {"P", "theta", "_period", "_period_numerator", "rank_table"}
 
 
 def _decorator_name(node):

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from overrank import products, registry, series
 from overrank.combinat import RANK_CLASS_PRODUCT, _count_by_residue, rank_class_sum
 from overrank.errors import PoleHit
-from overrank.lambert import lambert_sum, theta
+from overrank.lambert import lambert_sum
 from overrank.products import (
     P,
     FormulaTerm,
@@ -1040,6 +1040,11 @@ class TestExpandMemo:
         assert expand_cache_info()[:2] == (0, 0) and not memo
 
 
+def theta(z, base, order):
+    """The bilateral theta sum sum_n z^n q^(base n^2), z = s q^e."""
+    return lambert_sum(base, z.exp, z.sign, [], order)
+
+
 class TestTheta:
     def test_alternating_squares(self):
         t = theta(SM(-1, 0), 1, 12)
@@ -1094,7 +1099,8 @@ class TestPRelations:
     def test_each_relation_fails_under_a_mutant_p(self, monkeypatch, rel, mutant):
         for ell in (3, 5, 7):
             assert registry.verify(f"{rel}@ell={ell}", 60).ok
-        monkeypatch.setattr(registry, "P", mutant)
+        # the forms are thetas, and theta's cache would hide a patched P
+        monkeypatch.setattr(registry, "theta", lambda s, e, b: mutant(s, e, b) * poch(1, b, b))
         for ell in (3, 5, 7):
             assert not registry.verify(f"{rel}@ell={ell}", 60).ok, ell
 
@@ -1151,3 +1157,40 @@ class TestVerifiers:
     def test_addition_degenerate(self):
         # z = zeta: first two terms cancel, third carries P(1) = 0
         assert compare(*evaluated(verify_addition(SM(1, 4), SM(1, 4), SM(1, 2), 9), 60)).ok
+
+
+@pytest.mark.parametrize("z, zeta, t", [(SM(1, 20), SM(1, 10), SM(1, 5)),
+                                        (SM(1, 20), SM(1, 15), SM(1, 10))])
+def test_named_addition_rows_never_divide(memo, z, zeta, t):
+    """Stated over the thetas, each term of the named lemma 3.6 rows is a
+    product of numerator thetas, so the kernel makes no narrow try on them."""
+    terms, rhs = verify_addition(z, zeta, t, 50)
+    assert rhs == ()
+    for term in terms:
+        thetas, rest = products._decompose(term.prod.factors)
+        assert not rest and all(k > 0 for _, k in thetas), term
+    narrow = expand_cache_info()[-3:]
+    assert not eval_terms(terms, 1200).nums
+    assert expand_cache_info()[-3:] == narrow
+
+
+MONO_13 = st.builds(SM, st.sampled_from((1, -1)), st.integers(1, 12))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(z=MONO_13, zeta=MONO_13, t=MONO_13,
+       mutant=st.sampled_from((None, "negated", "times q")), which=st.integers(0, 2))
+def test_a_unit_keeps_the_verdict_and_the_first_mismatch(z, zeta, t, mutant, which):
+    """Over the box of ``lemma3.6@sampled``, true or with one term negated or
+    times q, the theta form of the addition relation and its P form, the
+    theta form over (q^13; q^13)^4, have one first nonzero coefficient
+    below q^120, or both vanish."""
+    prods = [term.prod for term in verify_addition(z, zeta, t, 13)[0]]
+    if mutant == "negated":
+        prods[which] = -prods[which]
+    elif mutant == "times q":
+        prods[which] = Product(1, 1) * prods[which]
+    unit = poch(1, 13, 13, 4)
+    theta_form = eval_terms(tuple(map(FormulaTerm, prods)), 120)
+    p_form = eval_terms(tuple(FormulaTerm(prod / unit) for prod in prods), 120)
+    assert next(theta_form.terms(), None) == next(p_form.terms(), None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from overrank import products, rankdiff, registry, series
 from overrank.combinat import RANK_CLASS_PRODUCT, nbar_class, nbar_class_series, rank_class_sum
-from overrank.lambert import lambert_sum, s_bar, sigma_ab, theta
+from overrank.lambert import lambert_sum, s_bar, sigma_ab
 from overrank.products import FormulaTerm, Product, Route, SignedMonomial as SM, poch
 from overrank.rankdiff import (
     CHECK_TABLE,
@@ -44,6 +44,11 @@ from overrank.series import (
 from reference import eval_terms_termwise, evaluated, from_terms
 
 ALL_KEYS = [RankDiffKey(ell, s, t, d) for (ell, s, t, d) in THEOREM_TABLE]
+
+
+def theta(z, base, order):
+    """The bilateral theta sum sum_n z^n q^(base n^2), z = s q^e."""
+    return lambert_sum(base, z.exp, z.sign, [], order)
 
 
 SIGNS = st.sampled_from((1, -1))

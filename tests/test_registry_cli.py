@@ -451,6 +451,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("module, name, argv", [
+        (combinat, "class_table", ["count", "--n", "2", "--mod", "3"]),
+        (registry, "verify", ["verify", "--id", "check1", "--order", "5"]),
+    ])
+    def test_running_out_of_memory_exits_2_with_one_error_line(self, capsys, monkeypatch,
+                                                               module, name, argv):
+        # exit 1 is a verification mismatch; no memory is allocated for real
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # for count, not even the header
+        assert captured.err == "error: out of memory\n"
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
